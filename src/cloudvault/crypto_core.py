@@ -1,5 +1,5 @@
 """Cryptographic primitives: AES-128 file encryption, RSA envelopes, MD5
-digests, and random key / one-time-password generation.
+digests, random key / one-time-password generation, and the RSA key file.
 
 File bodies are encrypted with AES-128 in CBC mode under a fresh random key
 and IV, padded with PKCS#7. Client/system traffic is sealed in a hybrid
@@ -12,18 +12,31 @@ The AES block cipher and MD5 come from vetted implementations
 (``cryptography``, ``hashlib``); both are pinned by known-answer tests. RSA
 is integer-native here because callers need raw block operations, explicit
 (n, e, d) components, and toy keypairs for tests.
+
+The RSA private operation uses the Chinese Remainder Theorem form of
+RFC 8017 §5.1.2 (two half-size exponentiations, about 3x cheaper than
+``pow(c, d, n)``) and re-encrypts its result before returning it: a CRT
+result corrupted by a fault would otherwise give away a prime factor
+(Boneh, DeMillo and Lipton, 1997). Key files hold only ``{n, e, d}``; the
+primes are recovered from those once, when a key is loaded (NIST SP 800-56B
+Rev. 2, Appendix C).
 """
 
 import hashlib
+import json
+import math
+import os
 import secrets
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import (
     BadPadding,
     DecryptionFailure,
+    InvalidKey,
+    IoFailure,
     MalformedCiphertext,
     MessageOutOfRange,
     PrimeGenerationFailure,
@@ -163,12 +176,23 @@ def _cbc_decrypt_raw(iv: bytes, body: bytes, key: bytes) -> bytes:
 # RSA
 
 
+# Odd primes below 2000. One gcd against their product rejects about six in
+# seven odd candidates before any Miller-Rabin round is spent on them.
+_SMALL_PRIMES = frozenset(
+    k for k in range(3, 2000, 2) if all(k % f for f in range(3, math.isqrt(k) + 1, 2))
+)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+# Random bases tried when recovering p and q from (n, e, d). Each base of a
+# genuine two-prime key reveals a factor with probability at least 1/2.
+_RECOVERY_TRIES = 100
+
+
 def _is_probable_prime(n: int, rounds: int = 40) -> bool:
-    if n < 2:
+    if n < 2000:
+        return n == 2 or n in _SMALL_PRIMES
+    if n % 2 == 0 or math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -203,21 +227,87 @@ def _random_prime(bits: int) -> int:
     raise PrimeGenerationFailure(f"no {bits}-bit prime found")
 
 
+def _recover_primes(n: int, e: int, d: int) -> tuple[int, int]:
+    """Factor n from its exponents (NIST SP 800-56B Rev. 2, App. C).
+
+    e*d - 1 is a multiple of lambda(n), so g^(e*d - 1) = 1 for every unit g;
+    squaring up to it from an odd power of g finds a square root of 1 other
+    than +-1 about half the time, and its gcd with n is a prime factor. A
+    base that is not a unit already shares a factor with n. The search gives
+    up after a fixed number of bases, and at once when a unit base proves
+    that e*d - 1 is not a multiple of lambda(n).
+    """
+    k = e * d - 1
+    if n < 6 or k <= 0 or k % 2:
+        raise InvalidKey("private exponent does not match the public key")
+    t = (k & -k).bit_length() - 1
+    r = k >> t
+    for _ in range(_RECOVERY_TRIES):
+        g = secrets.randbelow(n - 3) + 2
+        f = math.gcd(g, n)
+        if f != 1:  # a non-unit base shares a factor with n outright
+            return f, n // f
+        y = pow(g, r, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(t):
+            x = y * y % n
+            if x == 1:
+                p = math.gcd(y - 1, n)
+                return p, n // p
+            if x == n - 1:
+                break
+            y = x
+        else:
+            raise InvalidKey("private exponent does not match the public key")
+    raise InvalidKey("no prime factor found from the key's exponents")
+
+
 @dataclass(frozen=True)
 class RsaKeyPair:
-    """Integer RSA key: modulus n, public exponent e, private exponent d."""
+    """RSA key: modulus n, public exponent e, private exponent d, and the
+    CRT components of RFC 8017 §3.2 (primes p > q, dp, dq, qinv).
+
+    Constructed from (n, e, d) alone, it recovers p and q from the exponents;
+    an inconsistent triple raises InvalidKey.
+    """
 
     n: int
     e: int
     d: int
+    p: int | None = None
+    q: int | None = None
+    dp: int = field(init=False, repr=False)
+    dq: int = field(init=False, repr=False)
+    qinv: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.p is None or self.q is None:
+            p, q = _recover_primes(self.n, self.e, self.d)
+        else:
+            p, q = self.p, self.q
+        p, q = max(p, q), min(p, q)
+        if q < 2 or p == q or p * q != self.n:
+            raise InvalidKey("p and q do not factor the modulus")
+        if (self.e * self.d - 1) % math.lcm(p - 1, q - 1):
+            raise InvalidKey("private exponent does not match the public key")
+        for name, value in (
+            ("p", p),
+            ("q", q),
+            ("dp", self.d % (p - 1)),
+            ("dq", self.d % (q - 1)),
+            ("qinv", pow(q, -1, p)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def public(self) -> tuple[int, int]:
         return (self.n, self.e)
 
     @property
-    def private(self) -> tuple[int, int]:
-        return (self.n, self.d)
+    def private(self) -> "RsaKeyPair":
+        """The private key: the whole pair, which carries the CRT fields."""
+        return self
 
     @property
     def bits(self) -> int:
@@ -232,7 +322,7 @@ class RsaKeyPair:
             d = pow(e, -1, phi)
         except ValueError as exc:
             raise PrimeGenerationFailure(f"e={e} not invertible mod phi") from exc
-        return cls(n=p * q, e=e, d=d)
+        return cls(n=p * q, e=e, d=d, p=p, q=q)
 
 
 def rsa_generate(bits: int = DEFAULT_RSA_BITS, e: int = 65537) -> RsaKeyPair:
@@ -256,6 +346,41 @@ def rsa_generate(bits: int = DEFAULT_RSA_BITS, e: int = 65537) -> RsaKeyPair:
     raise PrimeGenerationFailure(f"could not build a {bits}-bit keypair")
 
 
+def write_keypair(path: str, pair: RsaKeyPair) -> None:
+    """Write the key file: JSON ``{n, e, d}`` as decimal strings, mode 0600,
+    replaced atomically so a crash leaves the old file or the new one."""
+    data = json.dumps({"n": str(pair.n), "e": str(pair.e), "d": str(pair.d)})
+    tmp = path + ".tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            os.fchmod(fd, 0o600)  # O_CREAT's mode does not apply to a stale tmp
+            fh.write(data)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def read_keypair(path: str) -> RsaKeyPair:
+    """Load a key file written by write_keypair, recovering p and q.
+
+    Error messages never quote the file's contents.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    try:
+        obj = json.loads(raw)
+        n, e, d = (int(obj[name]) for name in ("n", "e", "d"))
+    except (ValueError, KeyError, TypeError):
+        raise InvalidKey("key file needs a JSON object of integer n, e, d") from None
+    return RsaKeyPair(n=n, e=e, d=d)
+
+
 def rsa_encrypt_block(m: int, pub: tuple[int, int]) -> int:
     n, e = pub
     if not 0 <= m < n:
@@ -263,11 +388,17 @@ def rsa_encrypt_block(m: int, pub: tuple[int, int]) -> int:
     return pow(m, e, n)
 
 
-def rsa_decrypt_block(c: int, priv: tuple[int, int]) -> int:
-    n, d = priv
-    if not 0 <= c < n:
+def rsa_decrypt_block(c: int, priv: RsaKeyPair) -> int:
+    """RSA private operation in CRT form (RFC 8017 §5.1.2), checked by
+    re-encrypting the result; a mismatch raises DecryptionFailure."""
+    if not 0 <= c < priv.n:
         raise MessageOutOfRange(f"block {c} outside [0, n)")
-    return pow(c, d, n)
+    m1 = pow(c, priv.dp, priv.p)
+    m2 = pow(c, priv.dq, priv.q)
+    m = m2 + priv.q * (priv.qinv * (m1 - m2) % priv.p)
+    if pow(m, priv.e, priv.n) != c:
+        raise DecryptionFailure("private operation failed its consistency check")
+    return m
 
 
 def _modulus_bytes(n: int) -> int:
@@ -320,10 +451,9 @@ def seal_envelope(msg: bytes, pub: tuple[int, int]) -> Envelope:
     return Envelope(wrapped_key=wrapped, payload=payload)
 
 
-def open_envelope(env: Envelope, priv: tuple[int, int]) -> bytes:
+def open_envelope(env: Envelope, priv: RsaKeyPair) -> bytes:
     """Recover the sealed message; DecryptionFailure on a mismatched key."""
-    n, _ = priv
-    k = _modulus_bytes(n)
+    k = _modulus_bytes(priv.n)
     if len(env.wrapped_key) != k:
         raise DecryptionFailure(
             f"wrapped key is {len(env.wrapped_key)} bytes, expected {k}"

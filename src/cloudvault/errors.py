@@ -48,6 +48,10 @@ class DecryptionFailure(CloudVaultError):
     pass
 
 
+class InvalidKey(CloudVaultError):
+    pass
+
+
 # placement
 class InvalidSeed(CloudVaultError):
     pass

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
-from .client_cli import ClientConfig, ClientSession, write_keypair
+from .client_cli import ClientConfig, ClientSession
 from .errors import CloudVaultError, StartupFailure
 from .protocol import MAX_FRAME_LEN
 from .system_server import SERVER_KEY_FILE
@@ -243,7 +243,8 @@ class Topology:
         """Keypair + config for one user, wired through the capture proxy."""
         base = os.path.join(self.client_dir(), username)
         keypair_path = base + ".key"
-        write_keypair(keypair_path, crypto_core.rsa_generate(self.config.rsa_bits))
+        pair = crypto_core.rsa_generate(self.config.rsa_bits)
+        crypto_core.write_keypair(keypair_path, pair)
         config = ClientConfig(
             system_host=self.system_host,
             system_port=self.system_port,
@@ -341,11 +342,7 @@ def run_topology(config: TopologyConfig) -> Topology:
     system_dir = os.path.join(workdir, "system")
     os.makedirs(system_dir, exist_ok=True)
     system_pair = crypto_core.rsa_generate(config.rsa_bits)
-    key_json = json.dumps(
-        {"n": str(system_pair.n), "e": str(system_pair.e), "d": str(system_pair.d)}
-    )
-    netutil.write_atomic(os.path.join(system_dir, SERVER_KEY_FILE), key_json.encode())
-    os.chmod(os.path.join(system_dir, SERVER_KEY_FILE), 0o600)
+    crypto_core.write_keypair(os.path.join(system_dir, SERVER_KEY_FILE), system_pair)
 
     storage_ids = [f"storage-{i + 1}" for i in range(config.storage_count)]
     storage_targets = []

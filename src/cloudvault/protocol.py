@@ -346,7 +346,7 @@ def send_sealed(msg, pub: tuple[int, int]) -> Frame:
     return Frame(tag=SEALED_TAG, payload=_envelope_payload(env))
 
 
-def recv_sealed(frame: Frame, priv: tuple[int, int]):
+def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair):
     if frame.tag != SEALED_TAG:
         raise MalformedPayload(f"expected a sealed frame, got tag 0x{frame.tag:02x}")
     env = _envelope_from_payload(frame.payload)

@@ -28,11 +28,14 @@ from .errors import (
     DuplicateUser,
     FileTooLarge,
     IntegrityFailure,
+    InvalidKey,
     InvalidSession,
+    IoFailure,
     MalformedPayload,
     NoSuchLabel,
     NotFound,
     PersistenceFailure,
+    StartupFailure,
     StorageUnavailable,
     error_for_code,
 )
@@ -251,6 +254,7 @@ class SystemService:
         self.accounts: dict[bytes, AccountRecord] = {}
         self.key_records: dict[tuple, KeyRecord] = {}
         self._counter = 0
+        self._next_storage = 0  # round-robin position of the next upload
         self._sessions: dict[str, _Session] = {}
         self._pending_labels: set = set()
         self._load_state()
@@ -265,15 +269,14 @@ class SystemService:
 
     def _load_or_create_keypair(self) -> RsaKeyPair:
         path = self.config.keypair_path or self._path(SERVER_KEY_FILE)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-            return RsaKeyPair(n=int(obj["n"]), e=int(obj["e"]), d=int(obj["d"]))
-        pair = crypto_core.rsa_generate(self.config.rsa_bits)
-        data = json.dumps({"n": str(pair.n), "e": str(pair.e), "d": str(pair.d)})
-        netutil.write_atomic(path, data.encode("ascii"))
-        os.chmod(path, 0o600)
-        return pair
+        if not os.path.exists(path):
+            pair = crypto_core.rsa_generate(self.config.rsa_bits)
+            crypto_core.write_keypair(path, pair)
+            return pair
+        try:
+            return crypto_core.read_keypair(path)
+        except (InvalidKey, IoFailure) as exc:
+            raise StartupFailure(f"server key file {path}: {exc}") from exc
 
     def _load_state(self):
         for line in netutil.read_lines(self._path(ACCOUNTS_FILE)):
@@ -295,6 +298,7 @@ class SystemService:
                 storage_id=storage_id,
             )
             self.key_records[(record.user_digest, record.label)] = record
+        self._next_storage = len(self.key_records)
         counter_lines = netutil.read_lines(self._path(COUNTER_FILE))
         if counter_lines:
             self._counter = int(counter_lines[0])
@@ -426,7 +430,8 @@ class SystemService:
             if claim in self.key_records or claim in self._pending_labels:
                 raise DuplicateLabel(f"label {label!r} already uploaded")
             self._pending_labels.add(claim)
-            upload_index = len(self.key_records)
+            upload_index = self._next_storage
+            self._next_storage += 1
         try:
             key = crypto_core.generate_symmetric_key()
             blob = crypto_core.encrypt_file(file_bytes, key).to_bytes()

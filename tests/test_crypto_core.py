@@ -1,5 +1,10 @@
+import copy
+import json
+import math
+import os
 import random
 import secrets
+import stat
 
 import pytest
 
@@ -7,6 +12,7 @@ from cloudvault import crypto_core as cc
 from cloudvault.errors import (
     BadPadding,
     DecryptionFailure,
+    InvalidKey,
     MalformedCiphertext,
     MessageOutOfRange,
 )
@@ -215,6 +221,118 @@ def test_generated_pair_round_trips():
 def test_tiny_modulus_rejected():
     with pytest.raises(ValueError):
         cc.rsa_generate(8)
+
+
+def test_probable_prime_matches_trial_division_below_5000():
+    def is_prime(k):
+        return k >= 2 and all(k % f for f in range(2, math.isqrt(k) + 1))
+
+    assert [k for k in range(5000) if cc._is_probable_prime(k)] == [
+        k for k in range(5000) if is_prime(k)
+    ]
+
+
+def _crt_test_pairs():
+    yield cc.RsaKeyPair.from_primes(61, 53, e=17)
+    yield cc.rsa_generate(512)
+    yield cc.rsa_generate(2048)
+
+
+def test_crt_private_operation_equals_plain_modexp():
+    rng = random.Random(0xC27)
+    for pair in _crt_test_pairs():
+        for _ in range(20):
+            c = rng.randrange(pair.n)
+            assert cc.rsa_decrypt_block(c, pair.private) == pow(c, pair.d, pair.n)
+
+
+def test_primes_recovered_from_n_e_d():
+    toy = cc.RsaKeyPair.from_primes(61, 53, e=17)
+    big = cc.rsa_generate(512)
+    for pair in (toy, big):
+        lam = math.lcm(pair.p - 1, pair.q - 1)
+        # d as generated (mod phi), and d taken mod lambda(n) as other tools do
+        for d in (pair.d, pair.d % lam):
+            loaded = cc.RsaKeyPair(n=pair.n, e=pair.e, d=d)
+            assert loaded.p * loaded.q == pair.n
+            assert (loaded.p, loaded.q) == (pair.p, pair.q)
+            m = 42
+            c = cc.rsa_encrypt_block(m, loaded.public)
+            assert cc.rsa_decrypt_block(c, loaded.private) == m
+    assert toy.d % math.lcm(60, 52) == 413 != toy.d  # the mod-lambda case differs
+
+
+def test_toy_key_loads_from_a_base_sharing_a_factor(monkeypatch):
+    toy = cc.RsaKeyPair.from_primes(61, 53, e=17)
+    for base in (61, 53, 122):  # multiples of p or q are not units mod n
+        monkeypatch.setattr(cc.secrets, "randbelow", lambda bound, b=base: b - 2)
+        loaded = cc.RsaKeyPair(n=toy.n, e=toy.e, d=toy.d)
+        assert (loaded.p, loaded.q) == (61, 53)
+
+
+# A prime modulus: e*d = 1 mod (n - 1) is consistent, yet no base ever finds
+# a factor, so only the bound on tries ends the search.
+MERSENNE_127 = (1 << 127) - 1
+
+
+def test_inconsistent_n_e_d_is_rejected_within_bounded_tries(monkeypatch):
+    pair = cc.rsa_generate(512)
+    draws = []
+    real_randbelow = secrets.randbelow
+
+    def counting_randbelow(bound):
+        draws.append(bound)
+        return real_randbelow(bound)
+
+    monkeypatch.setattr(cc.secrets, "randbelow", counting_randbelow)
+    bad_triples = [
+        (pair.n, pair.e, pair.d + 2),
+        (pair.n, pair.e, pair.d + 1),
+        (pair.n + 2, pair.e, pair.d),
+        (pair.n, pair.e, 1),
+        (pair.n, pair.e, 0),
+        (MERSENNE_127, 65537, pow(65537, -1, MERSENNE_127 - 1)),
+    ]
+    for n, e, d in bad_triples:
+        draws.clear()
+        with pytest.raises(InvalidKey) as excinfo:
+            cc.RsaKeyPair(n=n, e=e, d=d)
+        assert len(draws) <= cc._RECOVERY_TRIES
+        assert str(n) not in str(excinfo.value)
+        assert str(d) not in str(excinfo.value)
+
+
+def test_faulty_crt_component_never_returns_a_wrong_plaintext():
+    pair = cc.rsa_generate(512)
+    faulty = copy.copy(pair)
+    object.__setattr__(faulty, "dp", pair.dp ^ 1)
+    rng = random.Random(0xB0D)
+    for _ in range(50):
+        m = rng.randrange(2, pair.n)
+        c = cc.rsa_encrypt_block(m, pair.public)
+        with pytest.raises(DecryptionFailure):
+            cc.rsa_decrypt_block(c, faulty.private)
+    env = cc.seal_envelope(b"sealed to the faulty key", pair.public)
+    with pytest.raises(DecryptionFailure):
+        cc.open_envelope(env, faulty.private)
+
+
+def test_key_file_round_trip(tmp_path):
+    pair = cc.rsa_generate(512)
+    path = str(tmp_path / "key.json")
+    cc.write_keypair(path, pair)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert set(json.loads(open(path).read())) == {"n", "e", "d"}
+    assert cc.read_keypair(path) == pair
+
+
+def test_malformed_key_file_is_rejected_without_quoting_it(tmp_path):
+    path = tmp_path / "key.json"
+    for text in ("not json", '{"n": "12345678901", "e": "3"}', '["12345678901"]'):
+        path.write_text(text)
+        with pytest.raises(InvalidKey) as excinfo:
+            cc.read_keypair(str(path))
+        assert "12345678901" not in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import os
+import threading
 import time
 
 import pytest
@@ -16,6 +18,7 @@ from cloudvault.errors import (
     MailDeliveryFailure,
     MalformedPayload,
     NoSuchLabel,
+    StartupFailure,
     StorageUnavailable,
 )
 from cloudvault.system_server import StorageClient
@@ -320,6 +323,67 @@ def test_round_robin_across_three_storages(local_stack, client_keypair):
         stack.service.upload(token, f"doc-{i}", b"data")
     counts = {s.config.server_id: len(s.records) for s in stack.storages}
     assert counts == {"s1": 2, "s2": 2, "s3": 2}
+
+
+def test_concurrent_uploads_take_different_storages(local_stack, client_keypair):
+    stack = local_stack(storage_count=2)
+    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    # Each store blocks until both uploads are inside one, so both have
+    # picked their storage before either records its key.
+    both_storing = threading.Barrier(2, timeout=10)
+
+    def blocking_transport(storage):
+        def transport(msg):
+            if isinstance(msg, protocol.StoreBlob):
+                both_storing.wait()
+            return storage.handle_message(msg)
+
+        return transport
+
+    stack.service.storage_clients = [
+        StorageClient(s.config.server_id, blocking_transport(s)) for s in stack.storages
+    ]
+    failures = []
+
+    def upload(label):
+        try:
+            stack.service.upload(token, label, b"data")
+        except Exception as exc:  # surface into the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=upload, args=(f"doc-{i}",)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+    assert failures == []
+    used = sorted(r.storage_id for r in stack.service.key_records.values())
+    assert used == ["s1", "s2"]
+
+
+def test_round_robin_continues_after_restart(local_stack, client_keypair):
+    stack = local_stack(storage_count=2)
+    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    stack.service.upload(token, "before", b"data")
+    service = stack.reload()
+    token = service.login("alice", stack.mail.latest("a@example.test"))
+    service.upload(token, "after", b"data")
+    stored = {label: r.storage_id for (_, label), r in service.key_records.items()}
+    assert stored == {"before": "s1", "after": "s2"}
+
+
+def test_inconsistent_server_key_file_fails_startup(local_stack):
+    stack = local_stack()
+    pair = stack.service.keypair
+    bad_d = str(pair.d + 2)
+    path = os.path.join(stack.config.data_dir, "server_key.json")
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump({"n": str(pair.n), "e": str(pair.e), "d": bad_d}, fh)
+    with pytest.raises(StartupFailure) as excinfo:
+        stack.reload()
+    message = str(excinfo.value)
+    assert bad_d not in message and str(pair.n) not in message
 
 
 # ---------------------------------------------------------------------
