@@ -244,44 +244,46 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    session = ClientSession(_load_config(args))
-    session.register(args.username, args.mail_address)
+    with ClientSession(_load_config(args)) as session:
+        session.register(args.username, args.mail_address)
     print(f"registered {args.username}; check the mail account for the first password")
     return 0
 
 
 def _cmd_login(args) -> int:
     config = _load_config(args)
-    session = ClientSession(config)
     otp = args.otp
     if otp is None and not config.mailbox_path:
         otp = getpass.getpass("one-time password: ")
-    session.login(args.username, otp)
+    with ClientSession(config) as session:
+        session.login(args.username, otp)
     print("logged in; a fresh one-time password is in your mail account")
     return 0
 
 
 def _cmd_logout(args) -> int:
-    ClientSession(_load_config(args)).clear_token()
+    with ClientSession(_load_config(args)) as session:
+        session.clear_token()
     print("logged out")
     return 0
 
 
 def _cmd_upload(args) -> int:
-    session = ClientSession(_load_config(args))
+    config = _load_config(args)
     try:
         with open(args.local_path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    session.upload(args.label, data)
+    with ClientSession(config) as session:
+        session.upload(args.label, data)
     print(f"uploaded {args.label} ({len(data)} bytes)")
     return 0
 
 
 def _cmd_download(args) -> int:
-    session = ClientSession(_load_config(args))
-    data = session.download(args.label)
+    with ClientSession(_load_config(args)) as session:
+        data = session.download(args.label)
     try:
         with open(args.local_path, "wb") as fh:
             fh.write(data)
@@ -292,8 +294,9 @@ def _cmd_download(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    session = ClientSession(_load_config(args))
-    for label in session.list_labels():
+    with ClientSession(_load_config(args)) as session:
+        labels = session.list_labels()
+    for label in labels:
         print(label)
     return 0
 

@@ -401,7 +401,8 @@ def rsa_decrypt_block(c: int, priv: RsaKeyPair) -> int:
     return m
 
 
-def _modulus_bytes(n: int) -> int:
+def modulus_bytes(n: int) -> int:
+    """Length k of an RSA block (and of a wrapped key) under modulus n."""
     return (n.bit_length() + 7) // 8
 
 
@@ -439,7 +440,7 @@ def seal_envelope(msg: bytes, pub: tuple[int, int]) -> Envelope:
     padding, so sealing the same message twice never repeats bytes.
     """
     n, _ = pub
-    k = _modulus_bytes(n)
+    k = modulus_bytes(n)
     if k < KEY_BYTES + _MIN_PAD_OVERHEAD:
         raise MessageOutOfRange(
             f"modulus of {k} bytes too small to wrap a {KEY_BYTES}-byte key"
@@ -453,7 +454,7 @@ def seal_envelope(msg: bytes, pub: tuple[int, int]) -> Envelope:
 
 def open_envelope(env: Envelope, priv: RsaKeyPair) -> bytes:
     """Recover the sealed message; DecryptionFailure on a mismatched key."""
-    k = _modulus_bytes(priv.n)
+    k = modulus_bytes(priv.n)
     if len(env.wrapped_key) != k:
         raise DecryptionFailure(
             f"wrapped key is {len(env.wrapped_key)} bytes, expected {k}"

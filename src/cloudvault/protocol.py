@@ -1,14 +1,18 @@
 """Wire protocol for both channels.
 
 Frame layout (normative): 1 tag byte, 4-byte big-endian payload length,
-payload. The payload is a canonical JSON object — keys sorted, compact
-separators, binary fields as lowercase hex — so equal messages produce
-byte-identical frames on the plain channel.
+payload. A message payload is a canonical JSON object — keys sorted,
+compact separators, binary fields as lowercase hex — so equal messages
+produce byte-identical frames on the plain channel.
 
-Client/system traffic is sealed: the frame payload is an envelope over the
-encoded inner frame. System/storage traffic is framed in the clear; every
-file byte on that channel is already ciphertext, and no message kind that
-could carry a symmetric key exists, so keys structurally cannot cross it.
+Client/system traffic is sealed: a ``SEALED_TAG`` frame whose payload is the
+raw bytes ``wrapped_key ‖ iv ‖ body``. ``wrapped_key`` is the RSA-wrapped
+session key, k bytes for the receiver's k-byte modulus; ``iv`` is 16 bytes;
+``body`` is the AES-CBC encryption of the encoded inner frame. The receiver
+splits the payload at its own k, so no length field is carried.
+System/storage traffic is framed in the clear; every file byte on that
+channel is already ciphertext, and no message kind that could carry a
+symmetric key exists, so keys structurally cannot cross it.
 """
 
 import json
@@ -33,9 +37,13 @@ class Frame:
     tag: int
     payload: bytes
 
-    def to_bytes(self) -> bytes:
+    def __post_init__(self):
+        # Checked here, not when writing, so an over-cap message fails before
+        # any socket is touched.
         if len(self.payload) > MAX_FRAME_LEN:
             raise MalformedPayload(f"payload of {len(self.payload)} bytes exceeds cap")
+
+    def to_bytes(self) -> bytes:
         return struct.pack(">BI", self.tag, len(self.payload)) + self.payload
 
     @classmethod
@@ -317,39 +325,21 @@ def recv_plain(frame: Frame):
 # ---------------------------------------------------------------------------
 # Sealed channel (client <-> system)
 
-def _envelope_payload(env: crypto_core.Envelope) -> bytes:
-    obj = {
-        "payload": env.payload.to_bytes().hex(),
-        "wrapped_key": env.wrapped_key.hex(),
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
-def _envelope_from_payload(payload: bytes) -> crypto_core.Envelope:
-    try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedPayload(f"envelope is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != {"payload", "wrapped_key"}:
-        raise MalformedPayload("envelope must have exactly payload and wrapped_key")
-    try:
-        wrapped = bytes.fromhex(obj["wrapped_key"])
-        ct = crypto_core.Ciphertext.from_bytes(bytes.fromhex(obj["payload"]))
-    except (TypeError, ValueError) as exc:
-        raise MalformedPayload(f"invalid envelope encoding: {exc}") from exc
-    return crypto_core.Envelope(wrapped_key=wrapped, payload=ct)
-
-
 def send_sealed(msg, pub: tuple[int, int]) -> Frame:
     """Envelope the encoded message to ``pub``; fresh session key per call."""
     env = crypto_core.seal_envelope(encode_frame(msg), pub)
-    return Frame(tag=SEALED_TAG, payload=_envelope_payload(env))
+    payload = b"".join((env.wrapped_key, env.payload.iv, env.payload.body))
+    return Frame(tag=SEALED_TAG, payload=payload)
 
 
 def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair):
     if frame.tag != SEALED_TAG:
         raise MalformedPayload(f"expected a sealed frame, got tag 0x{frame.tag:02x}")
-    env = _envelope_from_payload(frame.payload)
+    k = crypto_core.modulus_bytes(priv.n)
+    env = crypto_core.Envelope(
+        wrapped_key=frame.payload[:k],
+        payload=crypto_core.Ciphertext.from_bytes(frame.payload[k:]),
+    )
     return decode_frame(crypto_core.open_envelope(env, priv))
 
 

@@ -1,10 +1,15 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
-from cloudvault import client_cli, harness, mailbox
+from cloudvault import client_cli, harness, mailbox, protocol
+from cloudvault.errors import MalformedPayload
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(client_cli.__file__)))
 
 pytestmark = pytest.mark.integration
 
@@ -200,3 +205,56 @@ def test_wire_bytes_are_always_enveloped(client_env, topology, tmp_path):
     assert marker not in wire
     assert marker.hex().encode() not in wire
     assert b"wireleak" not in wire  # username also rides inside envelopes
+
+
+def test_cli_verbs_close_their_socket(client_env, tmp_path):
+    config_path, mail = client_env("closes")
+    assert run_cli(config_path, "keygen", "--bits", "512") == 0
+    source = tmp_path / "closes.bin"
+    source.write_bytes(b"closing time")
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    for argv in (
+        ["register", "closes", mail],
+        ["login", "closes"],
+        ["upload", "closes.bin", str(source)],
+        ["download", "closes.bin", str(tmp_path / "closes.out")],
+        ["list"],
+        ["logout"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "cloudvault.client_cli", "--config", config_path, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, (argv, proc.stderr)
+
+
+def _logged_in_session(topology, username: str):
+    session = topology.make_client(username, f"{username}@cli.test")
+    session.register(username, f"{username}@cli.test")
+    session.login(username)
+    return session
+
+
+def test_over_cap_upload_fails_before_the_socket(topology):
+    with _logged_in_session(topology, "overcap") as session:
+        assert session.list_labels() == []
+        sock = session._sock
+        with open(session.config.token_path, encoding="ascii") as fh:
+            token = fh.read().strip()
+        empty = protocol.UploadRequest(session_token=token, label="big", file_bytes=b"")
+        overhead = len(protocol.encode_frame(empty)) - protocol.HEADER_LEN
+        # The inner frame just fits the cap; the envelope around it does not.
+        size = (protocol.MAX_FRAME_LEN - overhead) // 2
+        with pytest.raises(MalformedPayload):
+            session.upload("big", bytes(size))
+        assert session._sock is sock
+        assert session.list_labels() == []
+
+
+def test_five_mib_file_round_trips(topology):
+    data = os.urandom(5 * 1024 * 1024)
+    with _logged_in_session(topology, "fivemib") as session:
+        session.upload("five.bin", data)
+        assert session.download("five.bin") == data

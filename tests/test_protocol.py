@@ -6,6 +6,7 @@ import pytest
 
 from cloudvault import crypto_core, protocol
 from cloudvault.errors import (
+    CloudVaultError,
     DecryptionFailure,
     MalformedPayload,
     TruncatedFrame,
@@ -244,6 +245,66 @@ def test_recv_sealed_requires_sealed_tag(client_keypair):
     frame = protocol.send_plain(protocol.ListRequest(session_token="ab"))
     with pytest.raises(MalformedPayload):
         protocol.recv_sealed(frame, client_keypair.private)
+
+
+def test_sealed_payload_is_wrapped_key_iv_body(client_keypair):
+    msg = protocol.UploadRequest(
+        session_token="cd" * 16, label="layout", file_bytes=bytes(range(256)) * 3
+    )
+    inner = protocol.encode_frame(msg)
+    payload = protocol.send_sealed(msg, client_keypair.public).payload
+    k = crypto_core.modulus_bytes(client_keypair.n)
+    padded = (len(inner) // crypto_core.BLOCK_SIZE + 1) * crypto_core.BLOCK_SIZE
+    assert len(payload) == k + crypto_core.BLOCK_SIZE + padded
+    env = crypto_core.Envelope(
+        wrapped_key=payload[:k],
+        payload=crypto_core.Ciphertext.from_bytes(payload[k:]),
+    )
+    assert crypto_core.open_envelope(env, client_keypair.private) == inner
+
+
+def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
+    """Sealed-frame payloads that no receiver holding ``pub``'s key may open."""
+    good = protocol.send_sealed(protocol.ListRequest(session_token="ab"), pub).payload
+    k = crypto_core.modulus_bytes(pub[0])
+    block = crypto_core.BLOCK_SIZE
+    flipped = bytearray(good)
+    flipped[k // 2] ^= 0x01
+    return {
+        "empty": b"",
+        "shorter than k": good[: k - 1],
+        "wrapped key only": good[:k],
+        "no body block": good[: k + block],
+        "one byte short of k + 32": good[: k + 2 * block - 1],
+        "body not a multiple of 16": good[:-1],
+        "body one byte over": good + b"\x00",
+        "wrapped key bit flipped": bytes(flipped),
+        "wrapped key all ones": b"\xff" * k + good[k:],
+        "wrapped key zero": bytes(k) + good[k:],
+    }
+
+
+def test_malformed_sealed_payloads_raise_cloudvault_errors(client_keypair):
+    for payload in malformed_sealed_payloads(client_keypair.public).values():
+        frame = protocol.Frame(tag=protocol.SEALED_TAG, payload=payload)
+        with pytest.raises(CloudVaultError):  # never IndexError or ValueError
+            protocol.recv_sealed(frame, client_keypair.private)
+
+
+def test_server_answers_malformed_sealed_payloads_with_plain_errors(local_stack):
+    service = local_stack().service
+    for name, payload in malformed_sealed_payloads(service.keypair.public).items():
+        reply = service.handle_frame(
+            protocol.Frame(tag=protocol.SEALED_TAG, payload=payload)
+        )
+        assert reply.tag != protocol.SEALED_TAG, name
+        assert isinstance(protocol.recv_plain(reply), protocol.ErrorFrame), name
+
+
+def test_over_cap_frame_is_rejected_when_built():
+    protocol.Frame(tag=0x01, payload=bytes(protocol.MAX_FRAME_LEN))
+    with pytest.raises(MalformedPayload):
+        protocol.Frame(tag=0x01, payload=bytes(protocol.MAX_FRAME_LEN + 1))
 
 
 # ---------------------------------------------------------------------

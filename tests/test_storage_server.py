@@ -4,7 +4,12 @@ import pytest
 
 from cloudvault import netutil, protocol
 from cloudvault.crypto_core import md5_digest
-from cloudvault.errors import DiskFailure, DuplicateFileNumber, NotFound
+from cloudvault.errors import (
+    DiskFailure,
+    DuplicateFileNumber,
+    MalformedPayload,
+    NotFound,
+)
 from cloudvault.placement import PlacementEntry
 from cloudvault.storage_server import StorageConfig, StorageService, serve
 from cloudvault.system_server import tcp_transport
@@ -198,6 +203,32 @@ def test_contracts_hold_over_tcp(tmp_path):
         ) == protocol.BlobPayload(blob=blob)
         dump = netutil.fetch_admin_dump("127.0.0.1", admin_server.server_address[1])
         assert dump["blobs/1.bin"] == blob
+    finally:
+        frame_server.shutdown()
+        admin_server.shutdown()
+
+
+@pytest.mark.integration
+def test_over_cap_store_fails_before_the_socket(tmp_path):
+    config = StorageConfig(
+        server_id="cap",
+        host="127.0.0.1",
+        port=0,
+        admin_port=0,
+        data_dir=str(tmp_path / "cap"),
+        seed=100,
+    )
+    service, frame_server, admin_server = serve(config)
+    try:
+        call = tcp_transport("127.0.0.1", frame_server.server_address[1])
+        fetch = protocol.FetchBlob(user_digest=ALICE, file_number=1)
+        assert isinstance(call(fetch), protocol.ErrorFrame)
+        sock = call._sock
+        blob = bytes(protocol.MAX_FRAME_LEN // 2 + 1)  # hex form exceeds the cap
+        with pytest.raises(MalformedPayload):
+            call(protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=blob))
+        assert call._sock is sock
+        assert isinstance(call(fetch), protocol.ErrorFrame)
     finally:
         frame_server.shutdown()
         admin_server.shutdown()
