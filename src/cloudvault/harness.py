@@ -321,13 +321,13 @@ def _spawn(module: str, config_path: str, log_path: str) -> subprocess.Popen:
     env = dict(os.environ)
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(log_path, "ab")
-    return subprocess.Popen(
-        [sys.executable, "-m", module, "--config", config_path],
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        env=env,
-    )
+    with open(log_path, "ab") as log:  # the child keeps its own descriptor
+        return subprocess.Popen(
+            [sys.executable, "-m", module, "--config", config_path],
+            stdout=log,
+            stderr=subprocess.STDOUT,
+            env=env,
+        )
 
 
 def run_topology(config: TopologyConfig) -> Topology:
@@ -487,19 +487,19 @@ def run_sentinel_workload(
     for i in range(users):
         username = f"aud-user-{i:02d}"
         mail = f"box{i:02d}@example.test"
-        session = topology.make_client(username, mail)
-        session.register(username, mail)
-        session.login(username)
-        facts.usernames.append(username)
-        for j in range(files_per_user):
-            sentinel = f"SENTINEL-{i:02d}-{j:02d}-{run_tag}"
-            label = f"doc-{i:02d}-{j:02d}"
-            data = _sentinel_file(sentinel, file_size)
-            session.upload(label, data)
-            if download:
-                assert session.download(label) == data
-            facts.sentinels.append(sentinel)
-            facts.labels.append(label)
+        with topology.make_client(username, mail) as session:
+            session.register(username, mail)
+            session.login(username)
+            facts.usernames.append(username)
+            for j in range(files_per_user):
+                sentinel = f"SENTINEL-{i:02d}-{j:02d}-{run_tag}"
+                label = f"doc-{i:02d}-{j:02d}"
+                data = _sentinel_file(sentinel, file_size)
+                session.upload(label, data)
+                if download:
+                    assert session.download(label) == data
+                facts.sentinels.append(sentinel)
+                facts.labels.append(label)
     return facts
 
 
@@ -754,26 +754,25 @@ def timing_benchmark(
     run_tag = secrets.token_hex(4)
     username = f"bench-{run_tag}"
     mail = f"{username}@example.test"
-    session = topology.make_client(username, mail)
-    session.register(username, mail)
-    session.login(username)
-
     uploads = {size: [] for size in sizes}
     downloads = {size: [] for size in sizes}
     payloads = {size: os.urandom(size) for size in sizes}
     warmup = f"b{run_tag}-warmup"
-    session.upload(warmup, payloads[sizes[0]])  # untimed connection warmup
-    session.download(warmup)
-    for trial in range(trials):
-        for size in sizes:
-            label = f"b{run_tag}-{size}-{trial}"
-            started = time.perf_counter()
-            session.upload(label, payloads[size])
-            uploads[size].append(time.perf_counter() - started)
-            started = time.perf_counter()
-            data = session.download(label)
-            downloads[size].append(time.perf_counter() - started)
-            assert data == payloads[size]
+    with topology.make_client(username, mail) as session:
+        session.register(username, mail)
+        session.login(username)
+        session.upload(warmup, payloads[sizes[0]])  # untimed connection warmup
+        session.download(warmup)
+        for trial in range(trials):
+            for size in sizes:
+                label = f"b{run_tag}-{size}-{trial}"
+                started = time.perf_counter()
+                session.upload(label, payloads[size])
+                uploads[size].append(time.perf_counter() - started)
+                started = time.perf_counter()
+                data = session.download(label)
+                downloads[size].append(time.perf_counter() - started)
+                assert data == payloads[size]
     return BenchReport(
         sizes=list(sizes),
         trials=trials,

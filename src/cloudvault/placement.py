@@ -105,7 +105,7 @@ class PlacementTable:
             for slot in self._slots
         ]
 
-    # -- persistence: header line, then one line per live slot ---------------
+    # -- rebuilt from stored rows; rendered as text only for the admin dump ----
 
     def serialize(self) -> str:
         lines = [f"S={self.seed}"]
@@ -114,27 +114,20 @@ class PlacementTable:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def deserialize(cls, text: str) -> "PlacementTable":
-        """Rebuild from serialize() output; tombstones come back as empty."""
-        lines = [line for line in text.splitlines() if line]
-        if not lines or not lines[0].startswith("S="):
-            raise ValueError("placement table file missing S= header")
-        table = cls(int(lines[0][2:]))
-        for line in lines[1:]:
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"malformed placement row: {line!r}")
-            pos, file_number, offset = (int(part) for part in parts)
-            if not 0 <= pos < table.seed:
-                raise ValueError(f"position {pos} outside [0, {table.seed})")
-            if pos != (file_number * file_number + offset) % table.seed:
-                raise ValueError(f"inconsistent placement row: {line!r}")
+    def restore(cls, seed: int, rows) -> "PlacementTable":
+        """Rebuild from (position, file_number, offset) rows placed under
+        ``seed``; tombstones are not kept, so their slots come back empty."""
+        table = cls(seed)
+        for pos, file_number, offset in rows:
+            if not 0 <= pos < seed:
+                raise ValueError(f"position {pos} outside [0, {seed})")
+            if pos != (file_number * file_number + offset) % seed:
+                raise ValueError(
+                    f"row {(pos, file_number, offset)} breaks the placement law"
+                    f" under S={seed}"
+                )
             if table._slots[pos] is not None:
                 raise ValueError(f"slot {pos} assigned twice")
             table._slots[pos] = (file_number, offset)
             table.count += 1
         return table
-
-
-def new_table(seed: int) -> PlacementTable:
-    return PlacementTable(seed)

@@ -4,6 +4,10 @@ Rows are keyed by (md5 user digest, file number); the digest must match on
 fetch, so a guessed file number alone never returns a blob. No message kind
 arriving on this channel can carry a symmetric key, and none of the persisted
 state ever holds one.
+
+``records.tsv`` and ``blobs/`` are the only persisted state: the placement
+table is rebuilt at start from each record's (position, file number, offset)
+under the configured seed.
 """
 
 import argparse
@@ -20,10 +24,10 @@ from .errors import (
     DuplicateFileNumber,
     MalformedPayload,
     NotFound,
+    StartupFailure,
 )
 from .placement import PlacementEntry, PlacementTable
 
-PLACEMENT_FILE = "placement.tbl"
 RECORDS_FILE = "records.tsv"
 BLOBS_DIR = "blobs"
 
@@ -59,18 +63,18 @@ class StorageService:
         self.config = config
         self._lock = threading.RLock()
         os.makedirs(os.path.join(config.data_dir, BLOBS_DIR), exist_ok=True)
-        self.table = self._load_table()
         self.records = self._load_records()
+        rows = [
+            (r.entry.position, r.file_number, r.entry.offset)
+            for r in self.records.values()
+        ]
+        try:
+            self.table = PlacementTable.restore(config.seed, rows)
+        except ValueError as exc:
+            raise StartupFailure(f"{self._path(RECORDS_FILE)}: {exc}") from exc
 
     def _path(self, name: str) -> str:
         return os.path.join(self.config.data_dir, name)
-
-    def _load_table(self) -> PlacementTable:
-        try:
-            with open(self._path(PLACEMENT_FILE), encoding="utf-8") as fh:
-                return PlacementTable.deserialize(fh.read())
-        except FileNotFoundError:
-            return PlacementTable(self.config.seed)
 
     def _load_records(self) -> dict[int, BlobRecord]:
         records = {}
@@ -89,8 +93,9 @@ class StorageService:
     ) -> PlacementEntry:
         """Assign a slot, write the blob, persist the record.
 
-        Write order is blob file, placement table, record row; a crash leaves
-        at worst an unreachable blob, never a record without its bytes.
+        Write order is blob file, then record row; a crash leaves at worst an
+        unreachable blob, never a record without its bytes, and its slot comes
+        back free because the table is rebuilt from the records.
         """
         with self._lock:
             if file_number in self.records:
@@ -105,9 +110,6 @@ class StorageService:
             )
             try:
                 netutil.write_atomic(self._path(rel_path), blob)
-                netutil.write_atomic(
-                    self._path(PLACEMENT_FILE), self.table.serialize().encode()
-                )
                 netutil.append_line(
                     self._path(RECORDS_FILE),
                     "\t".join(
@@ -141,15 +143,15 @@ class StorageService:
             raise DiskFailure(str(exc)) from exc
 
     def dump_tables(self) -> dict[str, bytes]:
-        """Byte-faithful copy of everything persisted (audit channel)."""
-        snapshot = {}
+        """Byte-faithful copy of everything persisted, plus the in-memory
+        placement table rendered as ``placement.tbl`` (audit channel)."""
         with self._lock:
-            for name in (PLACEMENT_FILE, RECORDS_FILE):
-                try:
-                    with open(self._path(name), "rb") as fh:
-                        snapshot[name] = fh.read()
-                except FileNotFoundError:
-                    pass
+            snapshot = {"placement.tbl": self.table.serialize().encode()}
+            try:
+                with open(self._path(RECORDS_FILE), "rb") as fh:
+                    snapshot[RECORDS_FILE] = fh.read()
+            except FileNotFoundError:
+                pass
             blobs_dir = self._path(BLOBS_DIR)
             for name in sorted(os.listdir(blobs_dir)):
                 with open(os.path.join(blobs_dir, name), "rb") as fh:

@@ -572,7 +572,11 @@ class SystemService:
             )
         result = self.dispatch(msg)
         if sealed and result.client_public_key is not None:
-            return protocol.send_sealed(result.reply, result.client_public_key)
+            try:
+                return protocol.send_sealed(result.reply, result.client_public_key)
+            except CloudVaultError as exc:  # e.g. a reply over the frame cap
+                error = protocol.ErrorFrame(code=exc.code, text=str(exc))
+                return protocol.send_sealed(error, result.client_public_key)
         return protocol.send_plain(result.reply)
 
 

@@ -1,4 +1,7 @@
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -148,6 +151,28 @@ def test_benchmark_shape(tmp_path):
     summary = report.to_json_dict()
     assert summary["trials"] == 3
     assert summary["rows"][0]["size_bytes"] == 1024
+
+
+_SESSIONS_AND_LOGS_SCRIPT = """
+import sys
+from cloudvault import harness
+config = harness.TopologyConfig(workdir=sys.argv[1], storage_count=1, rsa_bits=512)
+with harness.run_topology(config) as topo:
+    harness.run_sentinel_workload(topo, users=1, files_per_user=1)
+    harness.timing_benchmark(topo, sizes=(1024,), trials=1)
+"""
+
+
+def test_workload_and_benchmark_close_sessions_and_logs(tmp_path):
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", _SESSIONS_AND_LOGS_SCRIPT, str(tmp_path / "topo")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir),
+        timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "unclosed" not in proc.stderr, proc.stderr
 
 
 def test_unknown_sabotage_mode_rejected(tmp_path):

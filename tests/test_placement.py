@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cloudvault.errors import DuplicateFileNumber, InvalidSeed, NotFound, TableFull
-from cloudvault.placement import PlacementEntry, PlacementTable, new_table
+from cloudvault.placement import PlacementEntry, PlacementTable
 
 
 class BruteForceTable:
@@ -73,16 +73,16 @@ def test_probe_wraps_around_the_end():
 # Constructor and bounds
 
 def test_new_table_shapes():
-    table = new_table(100)
+    table = PlacementTable(100)
     assert table.seed == 100 and table.count == 0
     assert table.slot_contents() == [None] * 100
-    assert new_table(1).seed == 1
+    assert PlacementTable(1).seed == 1
 
 
 @pytest.mark.parametrize("bad_seed", [0, -3])
 def test_invalid_seed(bad_seed):
     with pytest.raises(InvalidSeed):
-        new_table(bad_seed)
+        PlacementTable(bad_seed)
 
 
 def test_duplicate_insert_rejected():
@@ -214,7 +214,7 @@ def test_matches_brute_force_simulator(seed):
 
 
 # ---------------------------------------------------------------------
-# serialization
+# serialization and restore from stored rows
 
 def test_serialize_round_trip():
     table = PlacementTable(100)
@@ -222,9 +222,11 @@ def test_serialize_round_trip():
     text = table.serialize()
     assert text.splitlines()[0] == "S=100"
     assert "26\t15\t1" in text
-    clone = PlacementTable.deserialize(text)
+    clone = PlacementTable.restore(100, table.entries())
     assert clone.slot_contents() == table.slot_contents()
+    assert clone.count == table.count
     assert clone.serialize() == text
+    assert clone.locate(15) == PlacementEntry(26, 1)
 
 
 def test_serialization_is_deterministic():
@@ -237,10 +239,12 @@ def test_serialization_is_deterministic():
     assert build() == build()
 
 
-def test_deserialize_rejects_garbage():
-    with pytest.raises(ValueError):
-        PlacementTable.deserialize("no header\n")
-    with pytest.raises(ValueError):
-        PlacementTable.deserialize("S=10\n3\t4\n")
-    with pytest.raises(ValueError):
-        PlacementTable.deserialize("S=10\n3\t4\t0\n")  # 16 mod 10 != 3
+def test_restore_rejects_bad_rows():
+    with pytest.raises(ValueError, match="placement law"):
+        PlacementTable.restore(10, [(3, 4, 0)])  # 16 mod 10 != 3
+    with pytest.raises(ValueError, match="outside"):
+        PlacementTable.restore(10, [(16, 4, 0)])
+    with pytest.raises(ValueError, match="outside"):
+        PlacementTable.restore(10, [(-4, 4, 0)])
+    with pytest.raises(ValueError, match="assigned twice"):
+        PlacementTable.restore(10, [(6, 4, 0), (6, 14, 0)])  # 16, 196 mod 10

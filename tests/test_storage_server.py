@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -9,6 +10,7 @@ from cloudvault.errors import (
     DuplicateFileNumber,
     MalformedPayload,
     NotFound,
+    StartupFailure,
 )
 from cloudvault.placement import PlacementEntry
 from cloudvault.storage_server import StorageConfig, StorageService, serve
@@ -105,6 +107,56 @@ def test_disk_failure_leaves_no_partial_record(service, monkeypatch):
     assert reloaded.records == {}
     # The number is usable again after the failed attempt.
     assert reloaded.store_blob(ALICE, 1, b"\x00" * 32) == PlacementEntry(1, 0)
+
+
+class ProcessDeath(BaseException):
+    """Stands in for the process dying: no ``except`` in the code catches it."""
+
+
+def test_crash_before_the_record_row_frees_the_slot(service, monkeypatch):
+    for n in range(1, 4):
+        service.store_blob(ALICE, n, b"\x00" * 32)
+
+    def die(path, line):
+        raise ProcessDeath
+
+    monkeypatch.setattr(netutil, "append_line", die)
+    with pytest.raises(ProcessDeath):
+        service.store_blob(ALICE, 4, b"\x00" * 32)
+    monkeypatch.undo()
+    reloaded = StorageService(service.config)
+    assert sorted(reloaded.records) == [1, 2, 3]
+    assert reloaded.table.count == len(reloaded.records)
+    assert reloaded.store_blob(ALICE, 4, b"\x11" * 32) == PlacementEntry(16, 0)
+    assert reloaded.fetch_blob(ALICE, 4) == b"\x11" * 32
+
+
+def test_placement_modulus_comes_only_from_config(service):
+    for n in range(1, 4):  # positions 1, 4, 9 hold under S=1000 too
+        service.store_blob(ALICE, n, b"\x00" * 32)
+    wider = StorageService(dataclasses.replace(service.config, seed=1000))
+    assert wider.table.seed == 1000
+    for n in range(4, 16):
+        service.store_blob(ALICE, n, b"\x00" * 32)
+    # File 10 sits at 100 mod 100 = 0, which is not 100 mod 101.
+    with pytest.raises(StartupFailure, match="S=101"):
+        StorageService(dataclasses.replace(service.config, seed=101))
+
+
+def test_a_store_makes_two_durable_writes(service, monkeypatch):
+    service.store_blob(ALICE, 1, b"\x00" * 32)
+    calls = []
+    for name in ("write_atomic", "append_line"):
+        def counted(*args, _name=name, _real=getattr(netutil, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(netutil, name, counted)
+    service.store_blob(ALICE, 2, b"\x00" * 32)
+    assert calls == ["write_atomic", "append_line"]
+    monkeypatch.undo()
+    service.store_blob(ALICE, 3, b"\x00" * 32)
+    assert sorted(os.listdir(service.config.data_dir)) == ["blobs", "records.tsv"]
 
 
 def test_dump_contains_ciphertext_and_digests(service):

@@ -566,6 +566,21 @@ def test_wire_errors_are_error_frames(local_stack, client_keypair):
     assert reply.code == "AUTH_FAILED"
 
 
+def test_over_cap_sealed_reply_is_an_error_frame(
+    local_stack, client_keypair, monkeypatch
+):
+    stack = local_stack()
+    token = stack.register_and_login("big", "big@example.test", client_keypair)
+    stack.service.upload(token, "big.bin", bytes(4096))
+    request = protocol.DownloadRequest(session_token=token, label="big.bin")
+    frame = protocol.send_sealed(request, stack.service.keypair.public)
+    reply_len = len(stack.service.handle_frame(frame).payload)
+    monkeypatch.setattr(protocol, "MAX_FRAME_LEN", reply_len - 1)
+    reply = _sealed_exchange(stack, request, client_keypair)
+    assert isinstance(reply, protocol.ErrorFrame)
+    assert reply.code == "MALFORMED_PAYLOAD"
+
+
 def test_plain_frames_rejected_without_sabotage(local_stack):
     stack = local_stack()
     frame = protocol.send_plain(protocol.ListRequest(session_token="ab"))
