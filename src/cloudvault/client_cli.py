@@ -9,14 +9,12 @@ import argparse
 import getpass
 import json
 import os
-import socket
 import sys
 
-from . import crypto_core, mailbox as mailbox_mod, protocol
+from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .crypto_core import RsaKeyPair, read_keypair, write_keypair
 from .errors import (
     CloudVaultError,
-    ConnectionFailure,
     InvalidSession,
     IoFailure,
     MalformedPayload,
@@ -61,14 +59,18 @@ class ClientSession:
     """Library form of the client; the CLI verbs are thin wrappers.
 
     The connection stays open across exchanges (one request/response per
-    turn); a stale socket is replaced transparently as long as the request
-    was never written, so a completed operation is never resent.
+    turn). A socket the server has hung up on since the last reply is
+    replaced before the next request is written; a request once written is
+    never resent, so an exchange that fails after that point raises
+    ``ConnectionFailure`` even though the server may have carried it out.
     """
 
     def __init__(self, config: ClientConfig):
         self.config = config
         self._keypair = None
-        self._sock = None
+        self._conn = netutil.FrameConnection(
+            config.system_host, config.system_port, timeout=60.0
+        )
 
     @property
     def keypair(self) -> RsaKeyPair:
@@ -77,12 +79,7 @@ class ClientSession:
         return self._keypair
 
     def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        self._conn.close()
 
     def __enter__(self):
         return self
@@ -90,45 +87,13 @@ class ClientSession:
     def __exit__(self, *exc_info):
         self.close()
 
-    # -- transport ---------------------------------------------------------
-
-    def _connect(self) -> socket.socket:
-        try:
-            return socket.create_connection(
-                (self.config.system_host, self.config.system_port), timeout=60.0
-            )
-        except OSError as exc:
-            raise ConnectionFailure(
-                f"{self.config.system_host}:{self.config.system_port}: {exc}"
-            ) from exc
-
-    def _round_trip(self, request: protocol.Frame) -> protocol.Frame:
-        while True:
-            reused = self._sock is not None
-            if not reused:
-                self._sock = self._connect()
-            try:
-                protocol.write_frame(self._sock, request)
-                frame = protocol.read_frame(self._sock)
-            except (OSError, CloudVaultError) as exc:
-                self.close()
-                if reused:
-                    continue  # stale keep-alive socket; server never saw it
-                raise ConnectionFailure(f"exchange failed: {exc}") from exc
-            if frame is None:
-                self.close()
-                if reused:
-                    continue
-                raise ConnectionFailure("server closed the connection without replying")
-            return frame
-
     def _exchange(self, msg):
         """One sealed request, one sealed (or plain error) response."""
         if self.config.sabotage_plaintext_channel:
             request = protocol.send_plain(msg)  # mis-build for auditor self-tests
         else:
             request = protocol.send_sealed(msg, self.config.system_public_key)
-        frame = self._round_trip(request)
+        frame = self._conn.round_trip(request)
         if frame.tag == protocol.SEALED_TAG:
             reply = protocol.recv_sealed(frame, self.keypair.private)
         else:

@@ -31,7 +31,7 @@ from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .client_cli import ClientConfig, ClientSession
 from .errors import CloudVaultError, StartupFailure
 from .protocol import MAX_FRAME_LEN
-from .system_server import SERVER_KEY_FILE
+from .system_server import KEY_COLUMNS, KEYS_FILE, SERVER_KEY_FILE, KeyRecord
 
 DEFAULT_BENCH_SIZES = (1024, 4096, 7168, 9216, 14336, 17408)  # 1..17 KB
 SABOTAGE_MODES = ("keys_on_storage", "plaintext_channel")
@@ -576,11 +576,10 @@ def _both_encodings(text: str) -> dict[str, bytes]:
 
 
 def _parse_key_table(system_dump: dict[str, bytes]) -> list[bytes]:
-    keys = []
-    for line in system_dump.get("keys.tsv", b"").decode("utf-8").splitlines():
-        if line.strip():
-            keys.append(bytes.fromhex(line.split("\t")[3]))
-    return keys
+    rows = netutil.decode_rows(
+        system_dump.get(KEYS_FILE, b"").splitlines(), KEY_COLUMNS, KEYS_FILE
+    )
+    return [KeyRecord(*row).key for row in rows]
 
 
 def _candidate_keys(dump: dict[str, bytes]) -> set:

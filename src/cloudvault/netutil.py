@@ -1,14 +1,18 @@
-"""Shared plumbing for the two servers: threaded frame loops, the local-only
-admin dump channel, and crash-safe little table files."""
+"""Shared plumbing: threaded frame loops, the keep-alive client side of a
+frame exchange, the local-only admin dump channel, and crash-safe little
+table files."""
 
+import functools
 import json
 import os
+import select
 import socket
 import socketserver
 import threading
+import urllib.parse
 
 from . import protocol
-from .errors import CloudVaultError, ConnectionFailure
+from .errors import CloudVaultError, ConnectionFailure, StartupFailure
 
 
 class FrameServer(socketserver.ThreadingTCPServer):
@@ -45,6 +49,64 @@ def start_frame_server(host: str, port: int, handler) -> FrameServer:
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
+
+
+class FrameConnection:
+    """One keep-alive socket to a frame server; one request, one reply per turn.
+
+    A socket the peer has hung up on since the last reply is replaced before
+    the request is written. Once a request is written it is never resent: the
+    peer may already have acted on it, so any later failure reaches the caller
+    as ``ConnectionFailure``. Calls from several threads are serialized.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self._sock = None
+        self._lock = threading.Lock()
+
+    def round_trip(self, frame: protocol.Frame) -> protocol.Frame:
+        with self._lock:
+            if self._sock is not None and _peer_hung_up(self._sock):
+                self._close()
+            try:
+                if self._sock is None:
+                    self._sock = socket.create_connection(
+                        (self.host, self.port), timeout=self.timeout
+                    )
+                protocol.write_frame(self._sock, frame)
+                reply = protocol.read_frame(self._sock)
+            except (OSError, CloudVaultError) as exc:
+                self._close()
+                raise ConnectionFailure(f"{self.host}:{self.port}: {exc}") from exc
+            if reply is None:
+                self._close()
+                raise ConnectionFailure(
+                    f"{self.host}:{self.port} closed the connection without replying"
+                )
+            return reply
+
+    def close(self) -> None:
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
+
+def _peer_hung_up(sock: socket.socket) -> bool:
+    """True if the idle socket is readable: between replies a frame server
+    sends nothing, so that is an EOF, a reset or a stream gone out of step."""
+    poller = select.poll()  # not select.select, which fails on fds >= 1024
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 class AdminDumpServer(socketserver.ThreadingTCPServer):
@@ -117,9 +179,52 @@ def write_atomic(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def read_lines(path: str) -> list[str]:
+# A column codec is a (value -> cell, cell -> value) pair; a table's layout is
+# one tuple of them. Decoding raises ValueError on a cell it cannot read.
+
+def _hex16(cell: str) -> bytes:
+    raw = bytes.fromhex(cell)
+    if len(raw) != 16:
+        raise ValueError("expected 16 bytes")
+    return raw
+
+
+HEX16 = (bytes.hex, _hex16)  # an MD5 digest or an AES-128 key
+INT = (str, int)
+TEXT = (functools.partial(urllib.parse.quote, safe=""), urllib.parse.unquote)
+WORD = (str, str)  # stored as it is, so it must hold no tab or newline
+
+
+def append_row(path: str, columns: tuple, values: tuple) -> None:
+    """Durably append one row encoded under ``columns``."""
+    cells = (encode(value) for (encode, _), value in zip(columns, values, strict=True))
+    append_line(path, "\t".join(cells))
+
+
+def read_rows(path: str, columns: tuple) -> list[tuple]:
+    """Every row of a table file decoded under ``columns``; [] if it is absent."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh if line.strip()]
+        with open(path, "rb") as fh:
+            return decode_rows(fh, columns, path)
     except FileNotFoundError:
         return []
+
+
+def decode_rows(lines, columns: tuple, source: str) -> list[tuple]:
+    """Decode byte lines; blank lines are skipped. A row that does not decode
+    raises StartupFailure naming ``source`` and the line, never a cell: the
+    cells may be keys."""
+    rows = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            cells = line.decode("utf-8").rstrip("\n").split("\t")
+            if len(cells) != len(columns):
+                raise ValueError
+            rows.append(
+                tuple(decode(cell) for (_, decode), cell in zip(columns, cells))
+            )
+        except ValueError:
+            raise StartupFailure(f"{source}: row {number} does not decode") from None
+    return rows

@@ -141,15 +141,82 @@ class ErrorFrame:
     text: str
 
 
-# Field codecs: python value <-> JSON value
-_STR = "str"
-_INT = "int"
-_BYTES = "bytes"  # lowercase hex on the wire
-_DIGEST = "digest"  # hex, exactly 16 bytes
-_PUBKEY = "pubkey"  # {"e": dec-string, "n": dec-string}
-_STRLIST = "strlist"
+# Field codecs: one (python value -> JSON value, JSON value -> python value)
+# pair per field kind; each check is written once and run in both directions.
 
-_SCHEMAS: dict[type, dict[str, str]] = {
+def _str(value):
+    if not isinstance(value, str):
+        raise MalformedPayload(f"expected str, got {type(value).__name__}")
+    return value
+
+
+def _int(value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise MalformedPayload(f"expected non-negative int, got {value!r}")
+    return value
+
+
+def _bytes(value) -> bytes:
+    if not isinstance(value, (bytes, bytearray)):
+        raise MalformedPayload(f"expected bytes, got {type(value).__name__}")
+    return bytes(value)
+
+
+def _from_hex(value) -> bytes:
+    if not isinstance(value, str):
+        raise MalformedPayload("binary fields travel as hex strings")
+    try:
+        return bytes.fromhex(value)
+    except ValueError as exc:
+        raise MalformedPayload(f"invalid hex: {exc}") from exc
+
+
+def _digest(raw: bytes) -> bytes:
+    if len(raw) != crypto_core.DIGEST_BYTES:
+        raise MalformedPayload(f"digest must be 16 bytes, got {len(raw)}")
+    return raw
+
+
+def _pubkey(n, e) -> tuple:
+    if not isinstance(n, int) or not isinstance(e, int) or n < 1 or e < 1:
+        raise MalformedPayload("public key components must be positive ints")
+    return (n, e)
+
+
+def _pubkey_from_json(value) -> tuple:
+    if not isinstance(value, dict) or set(value) != {"e", "n"}:
+        raise MalformedPayload("public key must be an {e, n} object")
+    try:
+        n, e = int(value["n"]), int(value["e"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedPayload("public key components must be decimal") from exc
+    return _pubkey(n, e)
+
+
+def _pubkey_to_json(value) -> dict:
+    n, e = _pubkey(*value)
+    return {"e": str(e), "n": str(n)}
+
+
+def _strs(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise MalformedPayload("label list must contain only strings")
+    return tuple(value)
+
+
+_STR = (_str, _str)
+_INT = (_int, _int)
+_BYTES = (lambda value: _bytes(value).hex(), _from_hex)  # lowercase hex on the wire
+_DIGEST = (
+    lambda value: _digest(_bytes(value)).hex(),
+    lambda value: _digest(_from_hex(value)),
+)
+_PUBKEY = (_pubkey_to_json, _pubkey_from_json)  # {"e": dec-string, "n": dec-string}
+_STRLIST = (lambda value: list(_strs(value)), _strs)
+
+_SCHEMAS: dict[type, dict[str, tuple]] = {
     Register: {
         "username": _STR,
         "mail_address": _STR,
@@ -204,68 +271,6 @@ Message = (
 )
 
 
-def _encode_value(codec: str, value):
-    if codec == _STR:
-        if not isinstance(value, str):
-            raise MalformedPayload(f"expected str, got {type(value).__name__}")
-        return value
-    if codec == _INT:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise MalformedPayload(f"expected non-negative int, got {value!r}")
-        return value
-    if codec in (_BYTES, _DIGEST):
-        if not isinstance(value, (bytes, bytearray)):
-            raise MalformedPayload(f"expected bytes, got {type(value).__name__}")
-        if codec == _DIGEST and len(value) != crypto_core.DIGEST_BYTES:
-            raise MalformedPayload(f"digest must be 16 bytes, got {len(value)}")
-        return bytes(value).hex()
-    if codec == _PUBKEY:
-        n, e = value
-        if not isinstance(n, int) or not isinstance(e, int) or n < 1 or e < 1:
-            raise MalformedPayload("public key components must be positive ints")
-        return {"e": str(e), "n": str(n)}
-    if codec == _STRLIST:
-        if not all(isinstance(item, str) for item in value):
-            raise MalformedPayload("label list must contain only strings")
-        return list(value)
-    raise AssertionError(codec)
-
-
-def _decode_value(codec: str, value):
-    if codec == _STR:
-        if not isinstance(value, str):
-            raise MalformedPayload(f"expected str, got {type(value).__name__}")
-        return value
-    if codec == _INT:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise MalformedPayload(f"expected non-negative int, got {value!r}")
-        return value
-    if codec in (_BYTES, _DIGEST):
-        if not isinstance(value, str):
-            raise MalformedPayload("binary fields travel as hex strings")
-        try:
-            raw = bytes.fromhex(value)
-        except ValueError as exc:
-            raise MalformedPayload(f"invalid hex: {exc}") from exc
-        if codec == _DIGEST and len(raw) != crypto_core.DIGEST_BYTES:
-            raise MalformedPayload(f"digest must be 16 bytes, got {len(raw)}")
-        return raw
-    if codec == _PUBKEY:
-        if not isinstance(value, dict) or set(value) != {"e", "n"}:
-            raise MalformedPayload("public key must be an {e, n} object")
-        try:
-            return (int(value["n"]), int(value["e"]))
-        except (TypeError, ValueError) as exc:
-            raise MalformedPayload("public key components must be decimal") from exc
-    if codec == _STRLIST:
-        if not isinstance(value, list) or not all(
-            isinstance(item, str) for item in value
-        ):
-            raise MalformedPayload("label list must contain only strings")
-        return tuple(value)
-    raise AssertionError(codec)
-
-
 def tag_of(msg) -> int:
     try:
         return _TAG_BY_TYPE[type(msg)]
@@ -276,8 +281,7 @@ def tag_of(msg) -> int:
 def _payload_of(msg) -> bytes:
     schema = _SCHEMAS[type(msg)]
     obj = {
-        name: _encode_value(codec, getattr(msg, name))
-        for name, codec in schema.items()
+        name: encode(getattr(msg, name)) for name, (encode, _) in schema.items()
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
@@ -300,7 +304,7 @@ def _message_from_frame(frame: Frame):
         raise MalformedPayload(
             f"{cls.__name__} payload must have exactly fields {sorted(schema)}"
         )
-    values = {name: _decode_value(codec, obj[name]) for name, codec in schema.items()}
+    values = {name: decode(obj[name]) for name, (_, decode) in schema.items()}
     return cls(**values)
 
 

@@ -7,15 +7,16 @@ state ever holds one.
 
 ``records.tsv`` and ``blobs/`` are the only persisted state: the placement
 table is rebuilt at start from each record's (position, file number, offset)
-under the configured seed.
+under the configured seed, and a blob that no record names is deleted.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import netutil, protocol
 from .errors import (
@@ -34,10 +35,20 @@ BLOBS_DIR = "blobs"
 
 @dataclass(frozen=True)
 class BlobRecord:
+    """One ``records.tsv`` row; the fields are its columns, in order."""
+
     user_digest: bytes
     file_number: int
-    entry: PlacementEntry
+    position: int
+    offset: int
     path: str  # relative to the data dir; derived from the position
+
+    @property
+    def entry(self) -> PlacementEntry:
+        return PlacementEntry(position=self.position, offset=self.offset)
+
+
+RECORD_COLUMNS = (netutil.HEX16, netutil.INT, netutil.INT, netutil.INT, netutil.WORD)
 
 
 @dataclass
@@ -63,30 +74,24 @@ class StorageService:
         self.config = config
         self._lock = threading.RLock()
         os.makedirs(os.path.join(config.data_dir, BLOBS_DIR), exist_ok=True)
-        self.records = self._load_records()
-        rows = [
-            (r.entry.position, r.file_number, r.entry.offset)
-            for r in self.records.values()
-        ]
+        self.records = {}
+        for row in netutil.read_rows(self._path(RECORDS_FILE), RECORD_COLUMNS):
+            record = BlobRecord(*row)
+            self.records[record.file_number] = record
+        rows = [(r.position, r.file_number, r.offset) for r in self.records.values()]
         try:
             self.table = PlacementTable.restore(config.seed, rows)
         except ValueError as exc:
             raise StartupFailure(f"{self._path(RECORDS_FILE)}: {exc}") from exc
+        # A store acknowledges only after its record row, so a blob no record
+        # names (or a ``*.tmp`` from an interrupted write) was never acked.
+        named = {r.path for r in self.records.values()}
+        for name in os.listdir(self._path(BLOBS_DIR)):
+            if f"{BLOBS_DIR}/{name}" not in named:
+                os.unlink(os.path.join(self._path(BLOBS_DIR), name))
 
     def _path(self, name: str) -> str:
         return os.path.join(self.config.data_dir, name)
-
-    def _load_records(self) -> dict[int, BlobRecord]:
-        records = {}
-        for line in netutil.read_lines(self._path(RECORDS_FILE)):
-            digest_hex, number, position, offset, path = line.split("\t")
-            records[int(number)] = BlobRecord(
-                user_digest=bytes.fromhex(digest_hex),
-                file_number=int(number),
-                entry=PlacementEntry(position=int(position), offset=int(offset)),
-                path=path,
-            )
-        return records
 
     def store_blob(
         self, user_digest: bytes, file_number: int, blob: bytes
@@ -94,36 +99,30 @@ class StorageService:
         """Assign a slot, write the blob, persist the record.
 
         Write order is blob file, then record row; a crash leaves at worst an
-        unreachable blob, never a record without its bytes, and its slot comes
-        back free because the table is rebuilt from the records.
+        unreachable blob, deleted at the next start, never a record without
+        its bytes, and its slot comes back free because the table is rebuilt
+        from the records.
         """
         with self._lock:
             if file_number in self.records:
                 raise DuplicateFileNumber(f"file number {file_number} already stored")
             entry = self.table.insert(file_number)
-            rel_path = f"{BLOBS_DIR}/{entry.position}.bin"
             record = BlobRecord(
                 user_digest=user_digest,
                 file_number=file_number,
-                entry=entry,
-                path=rel_path,
+                position=entry.position,
+                offset=entry.offset,
+                path=f"{BLOBS_DIR}/{entry.position}.bin",
             )
             try:
-                netutil.write_atomic(self._path(rel_path), blob)
-                netutil.append_line(
-                    self._path(RECORDS_FILE),
-                    "\t".join(
-                        (
-                            user_digest.hex(),
-                            str(file_number),
-                            str(entry.position),
-                            str(entry.offset),
-                            rel_path,
-                        )
-                    ),
+                netutil.write_atomic(self._path(record.path), blob)
+                netutil.append_row(
+                    self._path(RECORDS_FILE), RECORD_COLUMNS, astuple(record)
                 )
             except OSError as exc:
                 self.table.remove(file_number)
+                with contextlib.suppress(OSError):
+                    os.unlink(self._path(record.path))
                 raise DiskFailure(str(exc)) from exc
             self.records[file_number] = record
             return entry

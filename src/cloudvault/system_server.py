@@ -9,21 +9,21 @@ strand a blob but never a key without one.
 """
 
 import argparse
+import functools
 import json
 import os
 import secrets
 import signal
-import socket
 import threading
 import time
-import urllib.parse
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .crypto_core import RsaKeyPair, md5_digest
 from .errors import (
     AuthFailed,
     CloudVaultError,
+    ConnectionFailure,
     DuplicateLabel,
     DuplicateUser,
     FileTooLarge,
@@ -50,29 +50,34 @@ DEFAULT_MAX_FILE_BYTES = 16 * 1024 * 1024
 DEFAULT_SESSION_TTL = 30 * 60.0
 
 
-def _quote(text: str) -> str:
-    return urllib.parse.quote(text, safe="")
-
-
-def _unquote(text: str) -> str:
-    return urllib.parse.unquote(text)
-
-
 @dataclass(frozen=True)
 class AccountRecord:
+    """One ``accounts.tsv`` row; the fields are its columns, in order."""
+
     user_digest: bytes
     otp_digest: bytes
     mail_address: str
-    client_public_key: tuple
+    n: int  # client public key
+    e: int
+
+    @property
+    def client_public_key(self) -> tuple:
+        return (self.n, self.e)
 
 
 @dataclass(frozen=True)
 class KeyRecord:
+    """One ``keys.tsv`` row; the fields are its columns, in order."""
+
     user_digest: bytes
     label: str
     file_number: int
     key: bytes
     storage_id: str
+
+
+ACCOUNT_COLUMNS = (netutil.HEX16, netutil.HEX16, netutil.TEXT, netutil.INT, netutil.INT)
+KEY_COLUMNS = (netutil.HEX16, netutil.TEXT, netutil.INT, netutil.HEX16, netutil.WORD)
 
 
 @dataclass(frozen=True)
@@ -152,64 +157,20 @@ class StorageClient:
         return reply.blob
 
 
-class _TcpTransport:
-    """Persistent plain-channel connection to one storage server.
-
-    Calls are serialized; a stale keep-alive socket gets one transparent
-    replacement, a fresh-socket failure surfaces as StorageUnavailable.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._sock = None
-        self._lock = threading.Lock()
-
-    def _drop(self):
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def __call__(self, msg):
-        request = protocol.send_plain(msg)
-        with self._lock:
-            while True:
-                reused = self._sock is not None
-                if not reused:
-                    try:
-                        self._sock = socket.create_connection(
-                            (self.host, self.port), timeout=self.timeout
-                        )
-                    except OSError as exc:
-                        raise StorageUnavailable(
-                            f"{self.host}:{self.port}: {exc}"
-                        ) from exc
-                try:
-                    protocol.write_frame(self._sock, request)
-                    frame = protocol.read_frame(self._sock)
-                except (OSError, CloudVaultError) as exc:
-                    self._drop()
-                    if reused:
-                        continue
-                    raise StorageUnavailable(
-                        f"{self.host}:{self.port}: {exc}"
-                    ) from exc
-                if frame is None:
-                    self._drop()
-                    if reused:
-                        continue
-                    raise StorageUnavailable(
-                        f"{self.host}:{self.port} closed the connection"
-                    )
-                return protocol.recv_plain(frame)
-
-
 def tcp_transport(host: str, port: int, timeout: float = 30.0):
-    return _TcpTransport(host, port, timeout)
+    """Plain-channel calls over one keep-alive connection to a storage server."""
+    return functools.partial(
+        _plain_round_trip, netutil.FrameConnection(host, port, timeout)
+    )
+
+
+def _plain_round_trip(conn: netutil.FrameConnection, msg):
+    request = protocol.send_plain(msg)
+    try:
+        frame = conn.round_trip(request)
+    except ConnectionFailure as exc:
+        raise StorageUnavailable(str(exc)) from exc
+    return protocol.recv_plain(frame)
 
 
 def local_transport(storage_service):
@@ -279,62 +240,19 @@ class SystemService:
             raise StartupFailure(f"server key file {path}: {exc}") from exc
 
     def _load_state(self):
-        for line in netutil.read_lines(self._path(ACCOUNTS_FILE)):
-            digest_hex, otp_hex, mail_quoted, n_str, e_str = line.split("\t")
-            record = AccountRecord(
-                user_digest=bytes.fromhex(digest_hex),
-                otp_digest=bytes.fromhex(otp_hex),
-                mail_address=_unquote(mail_quoted),
-                client_public_key=(int(n_str), int(e_str)),
-            )
+        for row in netutil.read_rows(self._path(ACCOUNTS_FILE), ACCOUNT_COLUMNS):
+            record = AccountRecord(*row)
             self.accounts[record.user_digest] = record  # later rows win
-        for line in netutil.read_lines(self._path(KEYS_FILE)):
-            digest_hex, label_quoted, number, key_hex, storage_id = line.split("\t")
-            record = KeyRecord(
-                user_digest=bytes.fromhex(digest_hex),
-                label=_unquote(label_quoted),
-                file_number=int(number),
-                key=bytes.fromhex(key_hex),
-                storage_id=storage_id,
-            )
+        for row in netutil.read_rows(self._path(KEYS_FILE), KEY_COLUMNS):
+            record = KeyRecord(*row)
             self.key_records[(record.user_digest, record.label)] = record
         self._next_storage = len(self.key_records)
-        counter_lines = netutil.read_lines(self._path(COUNTER_FILE))
-        if counter_lines:
-            self._counter = int(counter_lines[0])
+        for (counter,) in netutil.read_rows(self._path(COUNTER_FILE), (netutil.INT,)):
+            self._counter = counter
 
-    def _append_account(self, record: AccountRecord):
-        n, e = record.client_public_key
+    def _append_row(self, name: str, columns: tuple, record):
         try:
-            netutil.append_line(
-                self._path(ACCOUNTS_FILE),
-                "\t".join(
-                    (
-                        record.user_digest.hex(),
-                        record.otp_digest.hex(),
-                        _quote(record.mail_address),
-                        str(n),
-                        str(e),
-                    )
-                ),
-            )
-        except OSError as exc:
-            raise PersistenceFailure(str(exc)) from exc
-
-    def _append_key_record(self, record: KeyRecord):
-        try:
-            netutil.append_line(
-                self._path(KEYS_FILE),
-                "\t".join(
-                    (
-                        record.user_digest.hex(),
-                        _quote(record.label),
-                        str(record.file_number),
-                        record.key.hex(),
-                        record.storage_id,
-                    )
-                ),
-            )
+            netutil.append_row(self._path(name), columns, astuple(record))
         except OSError as exc:
             raise PersistenceFailure(str(exc)) from exc
 
@@ -354,13 +272,15 @@ class SystemService:
                 raise DuplicateUser("that username is taken")
             otp = crypto_core.generate_otp()
             self.mail.deliver(mail_address, otp)
+            n, e = client_public_key
             record = AccountRecord(
                 user_digest=digest,
                 otp_digest=md5_digest(otp.encode("ascii")),
                 mail_address=mail_address,
-                client_public_key=tuple(client_public_key),
+                n=n,
+                e=e,
             )
-            self._append_account(record)
+            self._append_row(ACCOUNTS_FILE, ACCOUNT_COLUMNS, record)
             self.accounts[digest] = record
 
     def login(self, username: str, otp: str) -> str:
@@ -377,13 +297,9 @@ class SystemService:
                 raise AuthFailed("unknown user or invalid one-time password")
             next_otp = crypto_core.generate_otp()
             self.mail.deliver(record.mail_address, next_otp)
-            rotated = AccountRecord(
-                user_digest=record.user_digest,
-                otp_digest=md5_digest(next_otp.encode("ascii")),
-                mail_address=record.mail_address,
-                client_public_key=record.client_public_key,
-            )
-            self._append_account(rotated)  # last row wins on reload
+            rotated = replace(record, otp_digest=md5_digest(next_otp.encode("ascii")))
+            # The last row wins on reload.
+            self._append_row(ACCOUNTS_FILE, ACCOUNT_COLUMNS, rotated)
             self.accounts[digest] = rotated
             token = secrets.token_bytes(16).hex()
             self._sessions[token] = _Session(user_digest=digest, last_used=time.monotonic())
@@ -455,7 +371,7 @@ class SystemService:
                 storage_id=client.server_id,
             )
             with self._lock:
-                self._append_key_record(record)
+                self._append_row(KEYS_FILE, KEY_COLUMNS, record)
                 self.key_records[claim] = record
         finally:
             with self._lock:

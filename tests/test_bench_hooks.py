@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from cloudvault import crypto_core, netutil, protocol
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INSTALL = """
@@ -24,8 +26,25 @@ assert callable(protocol.write_frame) and callable(protocol.read_frame)
 """
 
 
-@pytest.mark.parametrize("role", ["client", "system", "storage"])
-def test_perfbench_hooks_find_every_traced_function(role):
+# One client exchange in a process that has only the client side, so the
+# count is the client's own frames.
+EXCHANGE = """
+import sys
+
+import run
+from cloudvault import client_cli
+
+counter = run.WireCounter()
+counter.install()
+port, n, e, keypair_path = sys.argv[1:]
+config = client_cli.ClientConfig("127.0.0.1", int(port), {"n": n, "e": e}, keypair_path)
+with client_cli.ClientSession(config) as session:
+    session.register("wire", "wire@bench.test")
+print(counter.bytes)
+"""
+
+
+def _run(script: str, *args) -> subprocess.CompletedProcess:
     env = dict(
         os.environ,
         PYTHONDONTWRITEBYTECODE="1",
@@ -33,9 +52,41 @@ def test_perfbench_hooks_find_every_traced_function(role):
             [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
         ),
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", INSTALL, role],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("role", ["client", "system", "storage"])
+def test_perfbench_hooks_find_every_traced_function(role):
+    proc = _run(INSTALL, role)
     assert proc.returncode == 0, proc.stderr
     assert "not found; not traced" not in proc.stderr
+
+
+def test_wire_counter_sees_a_client_exchange(tmp_path, client_keypair):
+    keypair_path = str(tmp_path / "client.key")
+    crypto_core.write_keypair(keypair_path, client_keypair)
+    reply = protocol.send_plain(
+        protocol.LoginResponse(session_token="", status="REGISTERED")
+    )
+    requests = []
+
+    def handler(frame):
+        requests.append(frame)
+        return reply
+
+    server = netutil.start_frame_server("127.0.0.1", 0, handler)
+    try:
+        proc = _run(
+            EXCHANGE, str(server.server_address[1]),
+            str(client_keypair.n), str(client_keypair.e), keypair_path,
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert proc.returncode == 0, proc.stderr
+    (request,) = requests
+    frame_bytes = 2 * protocol.HEADER_LEN + len(request.payload) + len(reply.payload)
+    assert int(proc.stdout) == frame_bytes

@@ -240,7 +240,7 @@ def _logged_in_session(topology, username: str):
 def test_over_cap_upload_fails_before_the_socket(topology):
     with _logged_in_session(topology, "overcap") as session:
         assert session.list_labels() == []
-        sock = session._sock
+        sock = session._conn._sock
         with open(session.config.token_path, encoding="ascii") as fh:
             token = fh.read().strip()
         empty = protocol.UploadRequest(session_token=token, label="big", file_bytes=b"")
@@ -249,7 +249,7 @@ def test_over_cap_upload_fails_before_the_socket(topology):
         size = (protocol.MAX_FRAME_LEN - overhead) // 2
         with pytest.raises(MalformedPayload):
             session.upload("big", bytes(size))
-        assert session._sock is sock
+        assert session._conn._sock is sock
         assert session.list_labels() == []
 
 

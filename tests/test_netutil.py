@@ -1,0 +1,255 @@
+"""Table rows and the keep-alive frame exchange that both servers share."""
+
+import os
+import socket
+import threading
+
+import pytest
+
+from cloudvault import crypto_core, protocol
+from cloudvault.client_cli import ClientConfig, ClientSession
+from cloudvault.crypto_core import md5_digest
+from cloudvault.errors import ConnectionFailure, StartupFailure, StorageUnavailable
+from cloudvault.system_server import tcp_transport
+
+ALICE = md5_digest(b"alice")
+KEY = bytes(range(16))
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+# ---------------------------------------------------------------------
+# table rows
+
+def test_table_rows_keep_their_format(local_stack, monkeypatch):
+    otps = iter(["otp-one", "otp-two", "otp-three"])
+    monkeypatch.setattr(crypto_core, "generate_otp", lambda: next(otps))
+    monkeypatch.setattr(crypto_core, "generate_symmetric_key", lambda: KEY)
+    stack = local_stack()
+    stack.service.register("alice", "alice smith@example.test", (3233, 17))
+    token = stack.service.login("alice", "otp-one")
+    stack.service.upload(token, "notes/2024 q1.txt", b"quarterly")
+
+    system_dir = stack.config.data_dir
+    storage_dir = stack.storages[0].config.data_dir
+    assert _read(os.path.join(system_dir, "accounts.tsv")) == (
+        b"6384e2b2184bcbf58eccf10ca7a6563c\t3ca2df10f6a1e66ac1999b85dc641213\t"
+        b"alice%20smith%40example.test\t3233\t17\n"
+        b"6384e2b2184bcbf58eccf10ca7a6563c\t7ef2e1c62b6445b9c2735028fdb93a3f\t"
+        b"alice%20smith%40example.test\t3233\t17\n"
+    )
+    assert _read(os.path.join(system_dir, "keys.tsv")) == (
+        b"6384e2b2184bcbf58eccf10ca7a6563c\tnotes%2F2024%20q1.txt\t1\t"
+        b"000102030405060708090a0b0c0d0e0f\ts1\n"
+    )
+    assert _read(os.path.join(system_dir, "counter.txt")) == b"1\n"
+    assert _read(os.path.join(storage_dir, "records.tsv")) == (
+        b"6384e2b2184bcbf58eccf10ca7a6563c\t1\t1\t0\tblobs/1.bin\n"
+    )
+
+    service, storage = stack.service, stack.storages[0]
+    reloaded = stack.reload()
+    assert reloaded.accounts == service.accounts
+    assert reloaded.key_records == service.key_records
+    assert stack.storages[0].records == storage.records
+    account = reloaded.accounts[ALICE]
+    assert account.mail_address == "alice smith@example.test"
+    assert account.client_public_key == (3233, 17)
+    token = reloaded.login("alice", "otp-two")
+    assert reloaded.download(token, "notes/2024 q1.txt") == b"quarterly"
+
+
+DIGEST = ALICE.hex()
+GOOD_ACCOUNT = f"{DIGEST}\t{DIGEST}\tmail\t3233\t17"
+GOOD_KEY = f"{DIGEST}\tlabel\t1\t{KEY.hex()}\ts1"
+SHORT_KEY = "ab" * 15
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    [
+        ("accounts.tsv", f"{DIGEST}\t{DIGEST}\tmail\t32"),  # torn mid-row
+        ("accounts.tsv", f"{DIGEST}\t{DIGEST}\tmail\tlots\t17"),
+        ("accounts.tsv", f"{DIGEST[:-2]}\t{DIGEST}\tmail\t3233\t17"),
+        ("keys.tsv", f"{DIGEST}\tlabel\t2\t{SHORT_KEY}\ts1"),
+        ("keys.tsv", f"{DIGEST}\tlabel\t2\t{'zz' * 16}\ts1"),
+        ("keys.tsv", f"{DIGEST}\tlabel\ttwo\t{SHORT_KEY}ab\ts1"),
+        ("keys.tsv", f"{DIGEST}\tlabel\t2\t{SHORT_KEY}ab\ts1\textra"),
+        ("counter.txt", "seven"),
+    ],
+)
+def test_system_server_refuses_a_row_that_does_not_decode(local_stack, name, row):
+    stack = local_stack()
+    good = {"accounts.tsv": GOOD_ACCOUNT, "keys.tsv": GOOD_KEY, "counter.txt": ""}[name]
+    with open(os.path.join(stack.config.data_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(f"{good}\n{row}\n")
+    with pytest.raises(StartupFailure, match=rf"{name}: row 2 does not decode") as info:
+        stack.reload()
+    for cell in row.split("\t"):
+        if len(cell) >= 16:  # digests and keys; never quoted
+            assert cell not in str(info.value)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        f"{DIGEST}\t1\t1\t0",  # torn mid-row
+        f"{DIGEST}\t1\t1\tzero\tblobs/1.bin",
+        f"{SHORT_KEY}\t1\t1\t0\tblobs/1.bin",
+    ],
+)
+def test_storage_server_refuses_a_row_that_does_not_decode(local_stack, row):
+    stack = local_stack()
+    path = os.path.join(stack.storages[0].config.data_dir, "records.tsv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(StartupFailure, match=r"records\.tsv: row 1 ") as info:
+        stack.reload()
+    assert SHORT_KEY not in str(info.value)
+
+
+# ---------------------------------------------------------------------
+# keep-alive exchange
+
+RESTART = "restart"
+
+
+class FakePeer:
+    """A frame server run by a script, one connection at a time.
+
+    Each request frame is recorded, then answered with the script's next
+    step: a Frame is sent back, None hangs up without replying. A RESTART
+    step, taken right after a reply, closes the connection and the listener
+    and listens again on the same port. Once the script runs out, every
+    request is recorded and hung up on.
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.seen = []
+        self.restarted = threading.Event()
+        self._conn = None
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # stopped
+            self._conn = conn
+            with conn:
+                while True:
+                    if self.script and self.script[0] == RESTART:
+                        self.script.pop(0)
+                        conn.close()
+                        self._listener.close()
+                        self._listener = socket.create_server(("127.0.0.1", self.port))
+                        self.restarted.set()
+                        break
+                    frame = protocol.read_frame(conn)
+                    if frame is None:
+                        break
+                    self.seen.append(frame)
+                    reply = self.script.pop(0) if self.script else None
+                    if reply is None:
+                        break
+                    protocol.write_frame(conn, reply)
+
+    def stop(self):
+        for sock in (self._conn, self._listener):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept or read
+            except OSError:
+                pass
+        self._listener.close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def peer():
+    peers = []
+
+    def start(script) -> FakePeer:
+        peers.append(FakePeer(script))
+        return peers[-1]
+
+    yield start
+    for p in peers:
+        p.stop()
+
+
+FETCH = protocol.FetchBlob(user_digest=ALICE, file_number=1)
+STORE = protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=b"\x00" * 32)
+BLOB_REPLY = protocol.send_plain(protocol.BlobPayload(blob=b"\x00" * 32))
+REGISTERED = protocol.send_plain(
+    protocol.LoginResponse(session_token="", status="REGISTERED")
+)
+
+
+def test_storage_transport_never_resends_a_written_request(peer):
+    fake = peer([BLOB_REPLY, None])
+    call = tcp_transport("127.0.0.1", fake.port, timeout=10.0)
+    assert call(FETCH) == protocol.BlobPayload(blob=b"\x00" * 32)
+    with pytest.raises(StorageUnavailable):
+        call(STORE)  # the peer read it, so it may have stored the blob
+    assert [protocol.recv_plain(f) for f in fake.seen] == [FETCH, STORE]
+    call.args[0].close()
+
+
+@pytest.fixture
+def session_for(tmp_path, client_keypair):
+    keypair_path = str(tmp_path / "client.key")
+    crypto_core.write_keypair(keypair_path, client_keypair)
+    sessions = []
+
+    def build(port: int) -> ClientSession:
+        public = {"n": str(client_keypair.n), "e": str(client_keypair.e)}
+        config = ClientConfig("127.0.0.1", port, public, keypair_path)
+        sessions.append(ClientSession(config))
+        return sessions[-1]
+
+    yield build
+    for session in sessions:
+        session.close()
+
+
+def test_client_session_never_resends_a_written_request(peer, session_for):
+    fake = peer([REGISTERED, None])
+    session = session_for(fake.port)
+    session.register("alice", "a@example.test")
+    with pytest.raises(ConnectionFailure, match="without replying"):
+        session.register("alice", "a@example.test")
+    assert len(fake.seen) == 2
+
+
+def test_storage_transport_reconnects_after_the_peer_restarts(peer):
+    fake = peer([BLOB_REPLY, RESTART, BLOB_REPLY])
+    call = tcp_transport("127.0.0.1", fake.port, timeout=10.0)
+    assert call(FETCH) == protocol.BlobPayload(blob=b"\x00" * 32)
+    first = call.args[0]._sock
+    assert fake.restarted.wait(timeout=10)
+    assert call(FETCH) == protocol.BlobPayload(blob=b"\x00" * 32)
+    assert call.args[0]._sock is not first
+    assert len(fake.seen) == 2
+    call.args[0].close()
+
+
+def test_client_session_reconnects_after_the_peer_restarts(peer, session_for):
+    fake = peer([REGISTERED, RESTART, REGISTERED])
+    session = session_for(fake.port)
+    session.register("alice", "a@example.test")
+    first = session._conn._sock
+    assert fake.restarted.wait(timeout=10)
+    session.register("bob", "b@example.test")
+    assert session._conn._sock is not first
+    assert len(fake.seen) == 2
+

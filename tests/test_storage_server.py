@@ -109,6 +109,18 @@ def test_disk_failure_leaves_no_partial_record(service, monkeypatch):
     assert reloaded.store_blob(ALICE, 1, b"\x00" * 32) == PlacementEntry(1, 0)
 
 
+def test_failed_record_row_removes_the_blob(service, monkeypatch):
+    def boom(path, line):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(netutil, "append_line", boom)
+    with pytest.raises(DiskFailure):
+        service.store_blob(ALICE, 1, b"\x00" * 32)
+    monkeypatch.undo()
+    assert os.listdir(os.path.join(service.config.data_dir, "blobs")) == []
+    assert "blobs/1.bin" not in service.dump_tables()
+
+
 class ProcessDeath(BaseException):
     """Stands in for the process dying: no ``except`` in the code catches it."""
 
@@ -127,8 +139,27 @@ def test_crash_before_the_record_row_frees_the_slot(service, monkeypatch):
     reloaded = StorageService(service.config)
     assert sorted(reloaded.records) == [1, 2, 3]
     assert reloaded.table.count == len(reloaded.records)
+    assert sorted(os.listdir(os.path.join(service.config.data_dir, "blobs"))) == [
+        "1.bin", "4.bin", "9.bin"
+    ]
     assert reloaded.store_blob(ALICE, 4, b"\x11" * 32) == PlacementEntry(16, 0)
     assert reloaded.fetch_blob(ALICE, 4) == b"\x11" * 32
+
+
+def test_crash_inside_the_blob_write_leaves_no_temp_file(service, monkeypatch):
+    service.store_blob(ALICE, 1, b"\x00" * 32)
+
+    def die(src, dst):
+        raise ProcessDeath
+
+    monkeypatch.setattr(os, "replace", die)
+    with pytest.raises(ProcessDeath):
+        service.store_blob(ALICE, 2, b"\x00" * 32)
+    monkeypatch.undo()
+    blobs = os.path.join(service.config.data_dir, "blobs")
+    assert sorted(os.listdir(blobs)) == ["1.bin", "4.bin.tmp"]
+    StorageService(service.config)
+    assert os.listdir(blobs) == ["1.bin"]
 
 
 def test_placement_modulus_comes_only_from_config(service):
@@ -275,11 +306,11 @@ def test_over_cap_store_fails_before_the_socket(tmp_path):
         call = tcp_transport("127.0.0.1", frame_server.server_address[1])
         fetch = protocol.FetchBlob(user_digest=ALICE, file_number=1)
         assert isinstance(call(fetch), protocol.ErrorFrame)
-        sock = call._sock
+        sock = call.args[0]._sock
         blob = bytes(protocol.MAX_FRAME_LEN // 2 + 1)  # hex form exceeds the cap
         with pytest.raises(MalformedPayload):
             call(protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=blob))
-        assert call._sock is sock
+        assert call.args[0]._sock is sock
         assert isinstance(call(fetch), protocol.ErrorFrame)
     finally:
         frame_server.shutdown()
