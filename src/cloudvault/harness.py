@@ -46,7 +46,6 @@ class TopologyConfig:
     seed: int = 100
     # 1024-bit keys keep scripted runs quick; raise for anything long-lived.
     rsa_bits: int = 1024
-    session_ttl: float = 1800.0
     ports: dict = None  # optional explicit assignment; otherwise picked free
     sabotage: str = None
 
@@ -66,19 +65,6 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _wait_port(host: str, port: int, proc, name: str, timeout: float = 15.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc is not None and proc.poll() is not None:
-            raise StartupFailure(f"{name} exited with status {proc.returncode}")
-        with socket.socket() as sock:
-            sock.settimeout(0.25)
-            if sock.connect_ex((host, port)) == 0:
-                return
-        time.sleep(0.05)
-    raise StartupFailure(f"{name} never opened {host}:{port}")
-
-
 def _frame_ping(host: str, port: int, request) -> bool:
     """True iff whatever owns the port answers the protocol with a frame."""
     try:
@@ -91,11 +77,11 @@ def _frame_ping(host: str, port: int, request) -> bool:
 
 
 def _wait_healthy(host: str, port: int, proc, name: str, request, timeout: float = 15.0):
-    """A port being open is not enough: the component must answer a ping."""
-    _wait_port(host, port, proc, name, timeout)
+    """Wait until ``proc`` answers a ping on its frame port; its admin tap is
+    bound before that port, so it is up too."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if proc is not None and proc.poll() is not None:
+        if proc.poll() is not None:
             raise StartupFailure(f"{name} exited with status {proc.returncode}")
         if _frame_ping(host, port, request):
             return
@@ -372,7 +358,6 @@ def run_topology(config: TopologyConfig) -> Topology:
         "storage": storage_targets,
         "seed": config.seed,
         "mailbox_dir": mailbox_dir,
-        "session_ttl": config.session_ttl,
         "rsa_bits": config.rsa_bits,
         "sabotage_keys_on_storage": config.sabotage == "keys_on_storage",
         "sabotage_accept_plain": config.sabotage == "plaintext_channel",
@@ -423,12 +408,10 @@ def run_topology(config: TopologyConfig) -> Topology:
             "system",
             protocol.ListRequest(session_token=""),
         )
-        _wait_port("127.0.0.1", ports["system_admin"], topo.procs[-1], "system-admin")
 
         topo.proxy = CaptureProxy(
             ports["proxy"], ("127.0.0.1", ports["system"]), capture_path
         )
-        _wait_port("127.0.0.1", ports["proxy"], None, "capture-proxy")
 
         # Starter config for hand-driven clients; fill in the paths.
         template = {

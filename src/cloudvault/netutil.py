@@ -1,11 +1,13 @@
-"""Shared plumbing: threaded frame loops, the keep-alive client side of a
-frame exchange, the local-only admin dump channel, and crash-safe little
-table files."""
+"""Shared plumbing: the server process shell (threaded frame loop, local-only
+admin dump channel, start-up and shutdown), the keep-alive client side of a
+frame exchange, and crash-safe little table files."""
 
+import argparse
 import functools
 import json
 import os
 import select
+import signal
 import socket
 import socketserver
 import threading
@@ -31,8 +33,8 @@ class _FrameRequestHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 frame = protocol.read_frame(self.request)
-            except CloudVaultError:
-                return  # garbled stream; drop the connection
+            except (OSError, CloudVaultError):
+                return  # reset or garbled stream; drop the connection
             if frame is None:
                 return
             reply = self.server.frame_handler(frame)
@@ -45,9 +47,11 @@ class _FrameRequestHandler(socketserver.BaseRequestHandler):
 
 
 def start_frame_server(host: str, port: int, handler) -> FrameServer:
-    server = FrameServer((host, port), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    return _serve_forever(FrameServer((host, port), handler))
+
+
+def _serve_forever(server):
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
 
 
@@ -136,11 +140,50 @@ class _AdminRequestHandler(socketserver.BaseRequestHandler):
             pass
 
 
-def start_admin_server(host: str, port: int, dump_callable) -> AdminDumpServer:
-    server = AdminDumpServer((host, port), dump_callable)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+class Listeners:
+    """A running service's loopback admin tap and frame port.
+
+    The admin tap is bound first, so once the frame port answers, the admin
+    dump is readable too.
+    """
+
+    def __init__(self, config, service):
+        self.admin = _serve_forever(
+            AdminDumpServer((config.admin_host, config.admin_port), service.dump_tables)
+        )
+        try:
+            self.frame = start_frame_server(config.host, config.port, service.handle_frame)
+        except OSError:
+            _stop(self.admin)
+            raise
+
+    def close(self) -> None:
+        _stop(self.frame)
+        _stop(self.admin)
+
+
+def _stop(server) -> None:
+    server.shutdown()
+    server.server_close()
+
+
+def run_server(argv, config_cls, service_cls) -> int:
+    """A server process from start to exit: read ``--config`` as the keyword
+    arguments of ``config_cls``, serve ``service_cls(config)`` until SIGTERM
+    or SIGINT, then close both listeners and return 0."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--config", required=True, help="JSON config path")
+    args = parser.parse_args(argv)
+    with open(args.config, encoding="utf-8") as fh:
+        config = config_cls(**json.load(fh))
+    stop = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stop.set())
+    listeners = Listeners(config, service_cls(config))
+    print(f"{service_cls.__name__} on {config.host}:{config.port}", flush=True)
+    stop.wait()
+    listeners.close()
+    return 0
 
 
 def fetch_admin_dump(host: str, port: int, timeout: float = 10.0) -> dict[str, bytes]:

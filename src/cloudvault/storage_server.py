@@ -10,11 +10,8 @@ table is rebuilt at start from each record's (position, file number, offset)
 under the configured seed, and a blob that no record names is deleted.
 """
 
-import argparse
 import contextlib
-import json
 import os
-import signal
 import threading
 from dataclasses import astuple, dataclass
 
@@ -60,11 +57,6 @@ class StorageConfig:
     data_dir: str
     seed: int
     admin_host: str = "127.0.0.1"
-
-    @classmethod
-    def from_file(cls, path: str) -> "StorageConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
 
 
 class StorageService:
@@ -184,33 +176,8 @@ class StorageService:
         return protocol.send_plain(self.handle_message(msg))
 
 
-def serve(config: StorageConfig):
-    service = StorageService(config)
-    frame_server = netutil.start_frame_server(
-        config.host, config.port, service.handle_frame
-    )
-    admin_server = netutil.start_admin_server(
-        config.admin_host, config.admin_port, service.dump_tables
-    )
-    return service, frame_server, admin_server
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="cloudvault storage server")
-    parser.add_argument("--config", required=True, help="JSON config path")
-    args = parser.parse_args(argv)
-
-    config = StorageConfig.from_file(args.config)
-    _, frame_server, admin_server = serve(config)
-
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    print(f"storage server {config.server_id} on {config.host}:{config.port}", flush=True)
-    stop.wait()
-    frame_server.shutdown()
-    admin_server.shutdown()
-    return 0
+    return netutil.run_server(argv, StorageConfig, StorageService)
 
 
 if __name__ == "__main__":

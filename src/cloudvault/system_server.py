@@ -8,12 +8,9 @@ record is written only after storage acknowledges the blob, so a crash can
 strand a blob but never a key without one.
 """
 
-import argparse
 import functools
-import json
 import os
 import secrets
-import signal
 import threading
 import time
 from dataclasses import astuple, dataclass, replace
@@ -111,11 +108,6 @@ class SystemConfig:
             StorageTarget(**target) if isinstance(target, dict) else target
             for target in self.storage
         ]
-
-    @classmethod
-    def from_file(cls, path: str) -> "SystemConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +427,8 @@ class SystemService:
                 self.register(msg.username, msg.mail_address, client_key)
                 reply = protocol.LoginResponse(session_token="", status="REGISTERED")
             elif isinstance(msg, protocol.LoginRequest):
-                digest = md5_digest(msg.username.encode("utf-8"))
-                account = self.accounts.get(digest)
-                if account is not None:
-                    client_key = account.client_public_key
                 token = self.login(msg.username, msg.otp)
+                client_key = self.account_for_token(token).client_public_key
                 reply = protocol.LoginResponse(session_token=token, status="OK")
             elif isinstance(msg, protocol.UploadRequest):
                 client_key = self.account_for_token(msg.session_token).client_public_key
@@ -496,33 +485,8 @@ class SystemService:
         return protocol.send_plain(result.reply)
 
 
-def serve(config: SystemConfig):
-    service = SystemService(config)
-    frame_server = netutil.start_frame_server(
-        config.host, config.port, service.handle_frame
-    )
-    admin_server = netutil.start_admin_server(
-        config.admin_host, config.admin_port, service.dump_tables
-    )
-    return service, frame_server, admin_server
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="cloudvault system server")
-    parser.add_argument("--config", required=True, help="JSON config path")
-    args = parser.parse_args(argv)
-
-    config = SystemConfig.from_file(args.config)
-    _, frame_server, admin_server = serve(config)
-
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    print(f"system server on {config.host}:{config.port}", flush=True)
-    stop.wait()
-    frame_server.shutdown()
-    admin_server.shutdown()
-    return 0
+    return netutil.run_server(argv, SystemConfig, SystemService)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,18 @@
-"""Table rows and the keep-alive frame exchange that both servers share."""
+"""Table rows, the keep-alive frame exchange and the server process shell
+that both servers share."""
 
+import json
 import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
-from cloudvault import crypto_core, protocol
+from cloudvault import crypto_core, harness, netutil, protocol
 from cloudvault.client_cli import ClientConfig, ClientSession
 from cloudvault.crypto_core import md5_digest
 from cloudvault.errors import ConnectionFailure, StartupFailure, StorageUnavailable
@@ -253,3 +259,63 @@ def test_client_session_reconnects_after_the_peer_restarts(peer, session_for):
     assert session._conn._sock is not first
     assert len(fake.seen) == 2
 
+
+
+# ---------------------------------------------------------------------
+# server process shell
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(netutil.__file__)))
+SERVER_CONFIGS = {
+    "system_server": {
+        "storage": [{"server_id": "s1", "host": "127.0.0.1", "port": 1}],
+        "rsa_bits": 512,
+    },
+    "storage_server": {"server_id": "s1"},
+}
+
+
+def _unknown_tag_reply(port: int, proc, timeout: float = 15.0) -> protocol.Frame:
+    deadline = time.monotonic() + timeout
+    while True:
+        assert proc.poll() is None, f"exited with {proc.returncode}"
+        assert time.monotonic() < deadline, f"port {port} never answered"
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=1.0) as sock:
+                protocol.write_frame(sock, protocol.Frame(tag=0x7F, payload=b""))
+                return protocol.read_frame(sock)
+        except OSError:
+            time.sleep(0.02)
+
+
+@pytest.mark.integration
+@pytest.mark.parametrize("module", sorted(SERVER_CONFIGS))
+def test_server_process_answers_then_exits_zero_on_sigterm(tmp_path, module):
+    port, admin_port = harness._free_port(), harness._free_port()
+    config = dict(
+        SERVER_CONFIGS[module], host="127.0.0.1", port=port, admin_port=admin_port,
+        data_dir=str(tmp_path / "data"), seed=100,
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", f"cloudvault.{module}", "--config", str(config_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    )
+    try:
+        reply = _unknown_tag_reply(port, proc)
+        assert isinstance(protocol.recv_plain(reply), protocol.ErrorFrame)
+        netutil.fetch_admin_dump("127.0.0.1", admin_port)
+        # A peer that reads only part of a reply and closes resets the
+        # connection; the server drops it without a traceback.
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+            protocol.write_frame(sock, protocol.Frame(tag=0x7F, payload=b""))
+            assert sock.recv(1)
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=10)
+        assert proc.returncode == 0
+        assert stderr == b""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()

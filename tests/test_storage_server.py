@@ -13,7 +13,7 @@ from cloudvault.errors import (
     StartupFailure,
 )
 from cloudvault.placement import PlacementEntry
-from cloudvault.storage_server import StorageConfig, StorageService, serve
+from cloudvault.storage_server import StorageConfig, StorageService
 from cloudvault.system_server import tcp_transport
 
 ALICE = md5_digest(b"alice")
@@ -271,9 +271,9 @@ def test_contracts_hold_over_tcp(tmp_path):
         data_dir=str(tmp_path / "net"),
         seed=100,
     )
-    service, frame_server, admin_server = serve(config)
+    listeners = netutil.Listeners(config, StorageService(config))
+    call = tcp_transport("127.0.0.1", listeners.frame.server_address[1])
     try:
-        call = tcp_transport("127.0.0.1", frame_server.server_address[1])
         reply = call(protocol.FetchBlob(user_digest=ALICE, file_number=77))
         assert reply == protocol.ErrorFrame(
             code="NOT_FOUND", text="no blob for that user digest and file number"
@@ -284,11 +284,11 @@ def test_contracts_hold_over_tcp(tmp_path):
         assert call(
             protocol.FetchBlob(user_digest=ALICE, file_number=1)
         ) == protocol.BlobPayload(blob=blob)
-        dump = netutil.fetch_admin_dump("127.0.0.1", admin_server.server_address[1])
+        dump = netutil.fetch_admin_dump("127.0.0.1", listeners.admin.server_address[1])
         assert dump["blobs/1.bin"] == blob
     finally:
-        frame_server.shutdown()
-        admin_server.shutdown()
+        call.args[0].close()
+        listeners.close()
 
 
 @pytest.mark.integration
@@ -301,9 +301,9 @@ def test_over_cap_store_fails_before_the_socket(tmp_path):
         data_dir=str(tmp_path / "cap"),
         seed=100,
     )
-    service, frame_server, admin_server = serve(config)
+    listeners = netutil.Listeners(config, StorageService(config))
+    call = tcp_transport("127.0.0.1", listeners.frame.server_address[1])
     try:
-        call = tcp_transport("127.0.0.1", frame_server.server_address[1])
         fetch = protocol.FetchBlob(user_digest=ALICE, file_number=1)
         assert isinstance(call(fetch), protocol.ErrorFrame)
         sock = call.args[0]._sock
@@ -313,5 +313,5 @@ def test_over_cap_store_fails_before_the_socket(tmp_path):
         assert call.args[0]._sock is sock
         assert isinstance(call(fetch), protocol.ErrorFrame)
     finally:
-        frame_server.shutdown()
-        admin_server.shutdown()
+        call.args[0].close()
+        listeners.close()

@@ -566,6 +566,21 @@ def test_wire_errors_are_error_frames(local_stack, client_keypair):
     assert reply.code == "AUTH_FAILED"
 
 
+def test_failed_logins_answer_byte_identically(local_stack, client_keypair):
+    stack = local_stack()
+    stack.service.register("alice", "a@example.test", client_keypair.public)
+    replies = [
+        stack.service.handle_frame(
+            protocol.send_sealed(
+                protocol.LoginRequest(username=username, otp="A" * 16),
+                stack.service.keypair.public,
+            )
+        ).to_bytes()
+        for username in ("alice", "ghost")  # wrong OTP, unknown user
+    ]
+    assert replies[0] == replies[1]
+
+
 def test_over_cap_sealed_reply_is_an_error_frame(
     local_stack, client_keypair, monkeypatch
 ):
