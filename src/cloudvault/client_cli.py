@@ -95,7 +95,7 @@ class ClientSession:
             request = protocol.send_sealed(msg, self.config.system_public_key)
         frame = self._conn.round_trip(request)
         if frame.tag == protocol.SEALED_TAG:
-            reply = protocol.recv_sealed(frame, self.keypair.private)
+            reply = protocol.recv_sealed(frame, self.keypair)
         else:
             reply = protocol.recv_plain(frame)
         if isinstance(reply, protocol.ErrorFrame):

@@ -3,23 +3,19 @@ digests, random key / one-time-password generation, and the RSA key file.
 
 File bodies are encrypted with AES-128 in CBC mode under a fresh random key
 and IV, padded with PKCS#7. Client/system traffic is sealed in a hybrid
-envelope: a fresh 128-bit session key is RSA-wrapped (randomized PKCS#1 v1.5
-style padding) and the message body rides under that session key with the
-same AES-CBC scheme. Identity strings (usernames, one-time passwords) are
+envelope: a fresh 128-bit session key is RSA-wrapped with PKCS#1 v1.5
+padding and the message body rides under that session key with the same
+AES-CBC scheme. Identity strings (usernames, one-time passwords) are
 persisted only as MD5 digests of their exact UTF-8 bytes.
 
-The AES block cipher and MD5 come from vetted implementations
-(``cryptography``, ``hashlib``); both are pinned by known-answer tests. RSA
-is integer-native here because callers need raw block operations, explicit
-(n, e, d) components, and toy keypairs for tests.
-
-The RSA private operation uses the Chinese Remainder Theorem form of
-RFC 8017 §5.1.2 (two half-size exponentiations, about 3x cheaper than
-``pow(c, d, n)``) and re-encrypts its result before returning it: a CRT
-result corrupted by a fault would otherwise give away a prime factor
-(Boneh, DeMillo and Lipton, 1997). Key files hold only ``{n, e, d}``; the
-primes are recovered from those once, when a key is loaded (NIST SP 800-56B
-Rev. 2, Appendix C).
+AES, RSA and MD5 come from vetted implementations (``cryptography``,
+``hashlib``). The library's RSA private operation uses CRT with blinding
+and checks its own result, and its PKCS#1 v1.5 unwrap uses implicit
+rejection: a block that does not open yields pseudo-random bytes instead of
+an error, so the envelope's later checks must catch it. What stays here is
+the key arithmetic the library does not offer: a prime search that also
+makes the small keys tests use, and recovering the primes from the
+``{n, e, d}`` key files (NIST SP 800-56B Rev. 2, Appendix C).
 """
 
 import hashlib
@@ -30,6 +26,7 @@ import secrets
 import string
 from dataclasses import dataclass, field
 
+from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import (
@@ -52,7 +49,7 @@ OTP_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits
 DEFAULT_RSA_BITS = 2048
 MIN_RSA_BITS = 16  # toy keypairs for tests; envelopes need far more
 
-# PKCS#1 v1.5: 00 02 <at least 8 nonzero pad bytes> 00 <key>
+# PKCS#1 v1.5 block: 00 02 <at least 8 nonzero pad bytes> 00 <data>
 _MIN_PAD_OVERHEAD = 11
 
 
@@ -266,7 +263,7 @@ def _recover_primes(n: int, e: int, d: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class RsaKeyPair:
     """RSA key: modulus n, public exponent e, private exponent d, and the
-    CRT components of RFC 8017 §3.2 (primes p > q, dp, dq, qinv).
+    primes p > q, held as one ``cryptography`` private key.
 
     Constructed from (n, e, d) alone, it recovers p and q from the exponents;
     an inconsistent triple raises InvalidKey.
@@ -277,9 +274,7 @@ class RsaKeyPair:
     d: int
     p: int | None = None
     q: int | None = None
-    dp: int = field(init=False, repr=False)
-    dq: int = field(init=False, repr=False)
-    qinv: int = field(init=False, repr=False)
+    _key: rsa.RSAPrivateKey = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p is None or self.q is None:
@@ -289,25 +284,27 @@ class RsaKeyPair:
         p, q = max(p, q), min(p, q)
         if q < 2 or p == q or p * q != self.n:
             raise InvalidKey("p and q do not factor the modulus")
-        if (self.e * self.d - 1) % math.lcm(p - 1, q - 1):
+        lam = math.lcm(p - 1, q - 1)
+        if (self.e * self.d - 1) % lam:
             raise InvalidKey("private exponent does not match the public key")
-        for name, value in (
-            ("p", p),
-            ("q", q),
-            ("dp", self.d % (p - 1)),
-            ("dq", self.d % (q - 1)),
-            ("qinv", pow(q, -1, p)),
-        ):
+        # The two checks above are what make skipping the library's own
+        # (much slower) key validation safe. The library wants d < n, and
+        # d mod lambda(n) is the same exponent.
+        d = self.d % lam
+        numbers = rsa.RSAPrivateNumbers(
+            p, q, d, d % (p - 1), d % (q - 1), pow(q, -1, p),
+            rsa.RSAPublicNumbers(self.e, self.n),
+        )
+        try:
+            key = numbers.private_key(unsafe_skip_rsa_key_validation=True)
+        except ValueError:
+            raise InvalidKey("the RSA library refuses the key's numbers") from None
+        for name, value in (("p", p), ("q", q), ("_key", key)):
             object.__setattr__(self, name, value)
 
     @property
     def public(self) -> tuple[int, int]:
         return (self.n, self.e)
-
-    @property
-    def private(self) -> "RsaKeyPair":
-        """The private key: the whole pair, which carries the CRT fields."""
-        return self
 
     @property
     def bits(self) -> int:
@@ -381,93 +378,59 @@ def read_keypair(path: str) -> RsaKeyPair:
     return RsaKeyPair(n=n, e=e, d=d)
 
 
-def rsa_encrypt_block(m: int, pub: tuple[int, int]) -> int:
-    n, e = pub
-    if not 0 <= m < n:
-        raise MessageOutOfRange(f"block {m} outside [0, n)")
-    return pow(m, e, n)
-
-
-def rsa_decrypt_block(c: int, priv: RsaKeyPair) -> int:
-    """RSA private operation in CRT form (RFC 8017 §5.1.2), checked by
-    re-encrypting the result; a mismatch raises DecryptionFailure."""
-    if not 0 <= c < priv.n:
-        raise MessageOutOfRange(f"block {c} outside [0, n)")
-    m1 = pow(c, priv.dp, priv.p)
-    m2 = pow(c, priv.dq, priv.q)
-    m = m2 + priv.q * (priv.qinv * (m1 - m2) % priv.p)
-    if pow(m, priv.e, priv.n) != c:
-        raise DecryptionFailure("private operation failed its consistency check")
-    return m
-
-
 def modulus_bytes(n: int) -> int:
     """Length k of an RSA block (and of a wrapped key) under modulus n."""
     return (n.bit_length() + 7) // 8
 
 
-def _pkcs1_pad(data: bytes, k: int) -> bytes:
-    """00 02 <random nonzero pad> 00 <data>, total k bytes."""
-    pad_len = k - len(data) - 3
-    pad = bytearray()
-    while len(pad) < pad_len:
-        chunk = _random_bytes(pad_len)
-        pad.extend(b for b in chunk if b != 0)
-    return b"\x00\x02" + bytes(pad[:pad_len]) + b"\x00" + data
+def rsa_encrypt_block(data: bytes, pub: tuple[int, int]) -> bytes:
+    """PKCS#1 v1.5 wrap of ``data`` to ``pub`` (RFC 8017 §7.2): k bytes,
+    with fresh random padding each call."""
+    n, e = pub
+    k = modulus_bytes(n)
+    if k < len(data) + _MIN_PAD_OVERHEAD:
+        raise MessageOutOfRange(
+            f"modulus of {k} bytes too small to wrap {len(data)} bytes"
+        )
+    try:
+        key = rsa.RSAPublicNumbers(e, n).public_key()
+    except ValueError:
+        raise MessageOutOfRange("not a usable RSA public key") from None
+    return key.encrypt(data, padding.PKCS1v15())
 
 
-def _pkcs1_unpad(block: bytes) -> bytes:
-    if len(block) < _MIN_PAD_OVERHEAD or block[0] != 0 or block[1] != 2:
-        raise DecryptionFailure("malformed envelope padding")
-    sep = block.find(b"\x00", 2)
-    if sep < 10:  # at least 8 pad bytes
-        raise DecryptionFailure("malformed envelope padding")
-    return block[sep + 1 :]
+def rsa_decrypt_block(wrapped: bytes, priv: RsaKeyPair) -> bytes:
+    """Unwrap a PKCS#1 v1.5 block: the RSA private operation.
+
+    A block of the wrong length or out of range raises DecryptionFailure;
+    one with bad padding returns pseudo-random bytes (implicit rejection).
+    """
+    try:
+        return priv._key.decrypt(wrapped, padding.PKCS1v15())
+    except ValueError:
+        raise DecryptionFailure("wrapped key does not open") from None
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Sealed client/system message: RSA-wrapped session key + AES payload."""
-
-    wrapped_key: bytes
-    payload: Ciphertext
-
-
-def seal_envelope(msg: bytes, pub: tuple[int, int]) -> Envelope:
-    """Seal ``msg`` to the holder of ``pub``'s private half.
+def seal_envelope(msg: bytes, pub: tuple[int, int]) -> bytes:
+    """Seal ``msg`` to the holder of ``pub``'s private half as the bytes
+    ``wrapped_key ‖ iv ‖ body``, with the wrapped key k bytes long.
 
     The session key is fresh per call and its RSA block carries random
     padding, so sealing the same message twice never repeats bytes.
     """
-    n, _ = pub
-    k = modulus_bytes(n)
-    if k < KEY_BYTES + _MIN_PAD_OVERHEAD:
-        raise MessageOutOfRange(
-            f"modulus of {k} bytes too small to wrap a {KEY_BYTES}-byte key"
-        )
     session_key = generate_symmetric_key()
+    wrapped = rsa_encrypt_block(session_key, pub)
     payload = encrypt_file(msg, session_key)
-    m = int.from_bytes(_pkcs1_pad(session_key, k), "big")
-    wrapped = rsa_encrypt_block(m, pub).to_bytes(k, "big")
-    return Envelope(wrapped_key=wrapped, payload=payload)
+    return b"".join((wrapped, payload.iv, payload.body))
 
 
-def open_envelope(env: Envelope, priv: RsaKeyPair) -> bytes:
-    """Recover the sealed message; DecryptionFailure on a mismatched key."""
+def open_envelope(sealed: bytes, priv: RsaKeyPair) -> bytes:
+    """Invert seal_envelope, splitting ``sealed`` at priv's k. Each way of
+    failing raises its own CloudVaultError; ``protocol.recv_sealed`` gives
+    them all one reply."""
     k = modulus_bytes(priv.n)
-    if len(env.wrapped_key) != k:
-        raise DecryptionFailure(
-            f"wrapped key is {len(env.wrapped_key)} bytes, expected {k}"
-        )
-    try:
-        c = int.from_bytes(env.wrapped_key, "big")
-        block = rsa_decrypt_block(c, priv).to_bytes(k, "big")
-    except (MessageOutOfRange, OverflowError) as exc:
-        raise DecryptionFailure(str(exc)) from exc
-    session_key = _pkcs1_unpad(block)
+    payload = Ciphertext.from_bytes(sealed[k:])
+    session_key = rsa_decrypt_block(sealed[:k], priv)
     if len(session_key) != KEY_BYTES:
         raise DecryptionFailure("recovered session key has wrong length")
-    try:
-        return decrypt_file(env.payload, session_key)
-    except BadPadding as exc:
-        raise DecryptionFailure("payload decryption failed") from exc
+    return decrypt_file(payload, session_key)

@@ -46,7 +46,6 @@ class TopologyConfig:
     seed: int = 100
     # 1024-bit keys keep scripted runs quick; raise for anything long-lived.
     rsa_bits: int = 1024
-    ports: dict = None  # optional explicit assignment; otherwise picked free
     sabotage: str = None
 
     def __post_init__(self):
@@ -59,10 +58,18 @@ class TopologyConfig:
             return cls(**json.load(fh))
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+def _free_ports(count: int) -> list:
+    """``count`` distinct free loopback ports. Every socket stays bound until
+    all are picked; binding and closing one at a time can hand out the same
+    port twice."""
+    socks = [socket.socket() for _ in range(count)]
+    try:
+        for sock in socks:
+            sock.bind(("127.0.0.1", 0))
+        return [sock.getsockname()[1] for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
 
 
 def _frame_ping(host: str, port: int, request) -> bool:
@@ -203,6 +210,7 @@ class Topology:
     capture_path: str
     procs: list = field(default_factory=list)
     proxy: CaptureProxy = None
+    sessions: list = field(default_factory=list)  # closed by stop()
 
     def system_dump(self) -> dict[str, bytes]:
         return netutil.fetch_admin_dump("127.0.0.1", self.system_admin_port)
@@ -226,7 +234,8 @@ class Topology:
         return path
 
     def make_client(self, username: str, mail_address: str) -> ClientSession:
-        """Keypair + config for one user, wired through the capture proxy."""
+        """Keypair + config for one user, wired through the capture proxy.
+        ``stop()`` closes the session."""
         base = os.path.join(self.client_dir(), username)
         keypair_path = base + ".key"
         pair = crypto_core.rsa_generate(self.config.rsa_bits)
@@ -243,9 +252,13 @@ class Topology:
             token_path=base + ".session",
             sabotage_plaintext_channel=self.config.sabotage == "plaintext_channel",
         )
-        return ClientSession(config)
+        session = ClientSession(config)
+        self.sessions.append(session)
+        return session
 
     def stop(self):
+        for session in self.sessions:
+            session.close()
         if self.proxy is not None:
             self.proxy.stop()
         for proc in self.procs:
@@ -265,41 +278,14 @@ class Topology:
         self.stop()
 
 
-def _assign_ports(config: TopologyConfig) -> dict:
-    k = config.storage_count
-    if config.ports:
-        ports = dict(config.ports)
-        required = ["system", "system_admin", "proxy"]
-        for name in required:
-            if name not in ports:
-                raise StartupFailure(f"ports map missing {name!r}")
-        for name in ("storage", "storage_admin"):
-            if name not in ports or len(ports[name]) != k:
-                raise StartupFailure(f"ports map needs {k} entries under {name!r}")
-        flat = [
-            ("system", ports["system"]),
-            ("system_admin", ports["system_admin"]),
-            ("proxy", ports["proxy"]),
-        ]
-        flat += [(f"storage-{i + 1}", p) for i, p in enumerate(ports["storage"])]
-        flat += [
-            (f"storage-{i + 1}-admin", p)
-            for i, p in enumerate(ports["storage_admin"])
-        ]
-        seen = {}
-        for name, port in flat:
-            if port in seen:
-                raise StartupFailure(
-                    f"port {port} assigned to both {seen[port]} and {name}"
-                )
-            seen[port] = name
-        return ports
+def _assign_ports(storage_count: int) -> dict:
+    ports = _free_ports(3 + 2 * storage_count)
     return {
-        "system": _free_port(),
-        "system_admin": _free_port(),
-        "proxy": _free_port(),
-        "storage": [_free_port() for _ in range(k)],
-        "storage_admin": [_free_port() for _ in range(k)],
+        "system": ports[0],
+        "system_admin": ports[1],
+        "proxy": ports[2],
+        "storage": ports[3 : 3 + storage_count],
+        "storage_admin": ports[3 + storage_count :],
     }
 
 
@@ -318,7 +304,7 @@ def _spawn(module: str, config_path: str, log_path: str) -> subprocess.Popen:
 
 def run_topology(config: TopologyConfig) -> Topology:
     """Boot everything, health-check every process, return live handles."""
-    ports = _assign_ports(config)
+    ports = _assign_ports(config.storage_count)
     workdir = os.path.abspath(config.workdir)
     os.makedirs(workdir, exist_ok=True)
     mailbox_dir = os.path.join(workdir, "mailbox")

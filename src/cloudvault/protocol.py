@@ -8,8 +8,10 @@ produce byte-identical frames on the plain channel.
 Client/system traffic is sealed: a ``SEALED_TAG`` frame whose payload is the
 raw bytes ``wrapped_key ‖ iv ‖ body``. ``wrapped_key`` is the RSA-wrapped
 session key, k bytes for the receiver's k-byte modulus; ``iv`` is 16 bytes;
-``body`` is the AES-CBC encryption of the encoded inner frame. The receiver
-splits the payload at its own k, so no length field is carried.
+``body`` is the AES-CBC encryption of the encoded inner frame. The layout is
+``crypto_core``'s envelope; the receiver splits it at its own k, so no length
+field is carried. Every sealed frame that does not open or decode gets the
+same ``DecryptionFailure`` text.
 System/storage traffic is framed in the clear; every file byte on that
 channel is already ciphertext, and no message kind that could carry a
 symmetric key exists, so keys structurally cannot cross it.
@@ -22,6 +24,8 @@ from dataclasses import dataclass, fields
 
 from . import crypto_core
 from .errors import (
+    CloudVaultError,
+    DecryptionFailure,
     MalformedPayload,
     TruncatedFrame,
     UnknownTag,
@@ -30,6 +34,7 @@ from .errors import (
 MAX_FRAME_LEN = 16 * 1024 * 1024
 HEADER_LEN = 5
 SEALED_TAG = 0x10
+UNOPENABLE_TEXT = "sealed frame does not open"
 
 
 @dataclass(frozen=True)
@@ -297,7 +302,8 @@ def _message_from_frame(frame: Frame):
         raise UnknownTag(f"tag 0x{frame.tag:02x} is not a known message kind")
     try:
         obj = json.loads(frame.payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays nested deeper than the interpreter's stack
         raise MalformedPayload(f"payload is not valid JSON: {exc}") from exc
     schema = _SCHEMAS[cls]
     if not isinstance(obj, dict) or set(obj) != set(schema):
@@ -331,20 +337,21 @@ def recv_plain(frame: Frame):
 
 def send_sealed(msg, pub: tuple[int, int]) -> Frame:
     """Envelope the encoded message to ``pub``; fresh session key per call."""
-    env = crypto_core.seal_envelope(encode_frame(msg), pub)
-    payload = b"".join((env.wrapped_key, env.payload.iv, env.payload.body))
+    payload = crypto_core.seal_envelope(encode_frame(msg), pub)
     return Frame(tag=SEALED_TAG, payload=payload)
 
 
 def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair):
+    """Open and decode a sealed frame. Every way of failing raises the same
+    DecryptionFailure, so no reply tells a bad wrapped key from bad AES
+    padding or a bad inner frame (Bleichenbacher, CRYPTO '98; Vaudenay,
+    EUROCRYPT '02)."""
     if frame.tag != SEALED_TAG:
         raise MalformedPayload(f"expected a sealed frame, got tag 0x{frame.tag:02x}")
-    k = crypto_core.modulus_bytes(priv.n)
-    env = crypto_core.Envelope(
-        wrapped_key=frame.payload[:k],
-        payload=crypto_core.Ciphertext.from_bytes(frame.payload[k:]),
-    )
-    return decode_frame(crypto_core.open_envelope(env, priv))
+    try:
+        return decode_frame(crypto_core.open_envelope(frame.payload, priv))
+    except CloudVaultError:
+        raise DecryptionFailure(UNOPENABLE_TEXT) from None
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,7 @@ class SystemConfig:
     seed: int = 100
     admin_host: str = "127.0.0.1"
     mailbox_dir: str = ""
-    session_ttl: float = DEFAULT_SESSION_TTL
     rsa_bits: int = crypto_core.DEFAULT_RSA_BITS
-    max_file_bytes: int = DEFAULT_MAX_FILE_BYTES
-    keypair_path: str = ""  # default: <data_dir>/server_key.json
     # Deliberate mis-builds, used only to prove the leakage auditor catches
     # a broken deployment. Never enable outside that self-test.
     sabotage_keys_on_storage: bool = False
@@ -221,7 +218,7 @@ class SystemService:
         return os.path.join(self.config.data_dir, name)
 
     def _load_or_create_keypair(self) -> RsaKeyPair:
-        path = self.config.keypair_path or self._path(SERVER_KEY_FILE)
+        path = self._path(SERVER_KEY_FILE)
         if not os.path.exists(path):
             pair = crypto_core.rsa_generate(self.config.rsa_bits)
             crypto_core.write_keypair(path, pair)
@@ -303,7 +300,7 @@ class SystemService:
             now = time.monotonic()
             if session is None:
                 raise InvalidSession("no such session")
-            if now - session.last_used > self.config.session_ttl:
+            if now - session.last_used > DEFAULT_SESSION_TTL:
                 del self._sessions[token]
                 raise InvalidSession("session expired")
             session.last_used = now
@@ -329,9 +326,9 @@ class SystemService:
         digest = self._session_digest(token)
         if not label:
             raise MalformedPayload("label must be non-empty")
-        if len(file_bytes) > self.config.max_file_bytes:
+        if len(file_bytes) > DEFAULT_MAX_FILE_BYTES:
             raise FileTooLarge(
-                f"{len(file_bytes)} bytes exceeds cap {self.config.max_file_bytes}"
+                f"{len(file_bytes)} bytes exceeds cap {DEFAULT_MAX_FILE_BYTES}"
             )
         claim = (digest, label)
         with self._lock:
@@ -457,7 +454,7 @@ class SystemService:
         sealed = frame.tag == protocol.SEALED_TAG
         if sealed:
             try:
-                msg = protocol.recv_sealed(frame, self.keypair.private)
+                msg = protocol.recv_sealed(frame, self.keypair)
             except CloudVaultError as exc:
                 return protocol.send_plain(
                     protocol.ErrorFrame(code=exc.code, text=str(exc))

@@ -58,10 +58,12 @@ def test_keygen_writes_restricted_keypair(client_env, capsys):
     config_path, _ = client_env("kg")
     assert run_cli(config_path, "keygen", "--bits", "512") == 0
     out = capsys.readouterr().out
-    keypair_path = json.loads(open(config_path).read())["keypair_path"]
+    with open(config_path) as fh:
+        keypair_path = json.load(fh)["keypair_path"]
     assert os.path.exists(keypair_path)
     assert stat.S_IMODE(os.stat(keypair_path).st_mode) == 0o600
-    pair = json.loads(open(keypair_path).read())
+    with open(keypair_path) as fh:
+        pair = json.load(fh)
     # stdout shows the public half only
     assert pair["n"] in out and pair["e"] in out
     assert pair["d"] not in out
@@ -125,8 +127,10 @@ def test_default_output_reveals_no_secrets(client_env, tmp_path, capsys):
     output = captured.out + captured.err
 
     config = client_cli.ClientConfig.from_file(config_path)
-    keypair = json.loads(open(config.keypair_path).read())
-    token = open(config.token_path).read().strip()
+    with open(config.keypair_path) as fh:
+        keypair = json.load(fh)
+    with open(config.token_path) as fh:
+        token = fh.read().strip()
     with open(config.mailbox_path) as fh:
         otps = [line.strip() for line in fh if line.strip()]
     assert keypair["d"] not in output
@@ -182,7 +186,8 @@ def test_missing_local_file_is_io_failure(client_env, tmp_path, capsys):
 def test_unreachable_server_is_connection_failure(client_env, tmp_path, capsys):
     config_path, _ = client_env("conn")
     run_cli(config_path, "keygen", "--bits", "512")
-    config = json.loads(open(config_path).read())
+    with open(config_path) as fh:
+        config = json.load(fh)
     config["system_port"] = 1  # nothing listens there
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(config))

@@ -30,45 +30,27 @@ def test_minimal_topology_starts_and_stops(tmp_path):
         assert proc.poll() is not None
 
 
-def test_duplicate_port_config_fails_before_spawn(tmp_path):
-    config = make_config(
-        tmp_path,
-        ports={
-            "system": 40001,
-            "system_admin": 40002,
-            "proxy": 40003,
-            "storage": [40004, 40001],
-            "storage_admin": [40005, 40006],
-        },
-    )
-    with pytest.raises(StartupFailure) as excinfo:
-        harness.run_topology(config)
-    assert "40001" in str(excinfo.value)
-
-
-def test_occupied_port_names_the_component(tmp_path):
+def test_occupied_port_names_the_component(tmp_path, monkeypatch):
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))
     blocker.listen(1)
     taken = blocker.getsockname()[1]
-    free = [harness._free_port() for _ in range(4)]
-    config = make_config(
-        tmp_path,
-        storage_count=1,
-        ports={
-            "system": free[0],
-            "system_admin": free[1],
-            "proxy": free[2],
-            "storage": [taken],
-            "storage_admin": [free[3]],
-        },
+    pick = harness._assign_ports
+    monkeypatch.setattr(
+        harness, "_assign_ports", lambda count: {**pick(count), "storage": [taken]}
     )
+    config = make_config(tmp_path, storage_count=1)
     try:
         with pytest.raises(StartupFailure) as excinfo:
             harness.run_topology(config)
         assert "storage-1" in str(excinfo.value)
     finally:
         blocker.close()
+
+
+def test_ports_picked_in_one_call_are_distinct():
+    ports = harness._free_ports(200)
+    assert len(set(ports)) == 200
 
 
 def test_round_robin_lands_two_per_storage(tmp_path):

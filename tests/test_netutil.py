@@ -290,7 +290,7 @@ def _unknown_tag_reply(port: int, proc, timeout: float = 15.0) -> protocol.Frame
 @pytest.mark.integration
 @pytest.mark.parametrize("module", sorted(SERVER_CONFIGS))
 def test_server_process_answers_then_exits_zero_on_sigterm(tmp_path, module):
-    port, admin_port = harness._free_port(), harness._free_port()
+    port, admin_port = harness._free_ports(2)
     config = dict(
         SERVER_CONFIGS[module], host="127.0.0.1", port=port, admin_port=admin_port,
         data_dir=str(tmp_path / "data"), seed=100,

@@ -201,7 +201,7 @@ def test_sealed_round_trip(client_keypair):
         session_token="cd" * 16, label="x.txt", file_bytes=b"payload bytes"
     )
     frame = protocol.send_sealed(msg, client_keypair.public)
-    assert protocol.recv_sealed(frame, client_keypair.private) == msg
+    assert protocol.recv_sealed(frame, client_keypair) == msg
 
 
 def test_sealed_frames_differ_each_time(client_keypair):
@@ -238,13 +238,28 @@ def test_sealed_wrong_key(client_keypair):
         protocol.ListRequest(session_token="ab"), client_keypair.public
     )
     with pytest.raises(DecryptionFailure):
-        protocol.recv_sealed(frame, other.private)
+        protocol.recv_sealed(frame, other)
+
+
+def test_envelope_wrong_key_fails(client_keypair):
+    # The library's PKCS#1 v1.5 unwrap uses implicit rejection: under a wrong
+    # key it returns pseudo-random bytes, now and then 16 of them, and the
+    # AES padding then passes about once in 256. Only recv_sealed, which also
+    # decodes the inner frame, can promise that such a frame never opens.
+    frame = protocol.send_sealed(
+        protocol.ListRequest(session_token="ab"), client_keypair.public
+    )
+    for _ in range(20):
+        other = crypto_core.rsa_generate(512)  # independent 512-bit pair
+        with pytest.raises(DecryptionFailure) as excinfo:
+            protocol.recv_sealed(frame, other)
+        assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
 
 
 def test_recv_sealed_requires_sealed_tag(client_keypair):
     frame = protocol.send_plain(protocol.ListRequest(session_token="ab"))
     with pytest.raises(MalformedPayload):
-        protocol.recv_sealed(frame, client_keypair.private)
+        protocol.recv_sealed(frame, client_keypair)
 
 
 def test_sealed_payload_is_wrapped_key_iv_body(client_keypair):
@@ -256,11 +271,10 @@ def test_sealed_payload_is_wrapped_key_iv_body(client_keypair):
     k = crypto_core.modulus_bytes(client_keypair.n)
     padded = (len(inner) // crypto_core.BLOCK_SIZE + 1) * crypto_core.BLOCK_SIZE
     assert len(payload) == k + crypto_core.BLOCK_SIZE + padded
-    env = crypto_core.Envelope(
-        wrapped_key=payload[:k],
-        payload=crypto_core.Ciphertext.from_bytes(payload[k:]),
-    )
-    assert crypto_core.open_envelope(env, client_keypair.private) == inner
+    session_key = crypto_core.rsa_decrypt_block(payload[:k], client_keypair)
+    body = crypto_core.Ciphertext.from_bytes(payload[k:])
+    assert crypto_core.decrypt_file(body, session_key) == inner
+    assert crypto_core.open_envelope(payload, client_keypair) == inner
 
 
 def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
@@ -270,6 +284,11 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
     block = crypto_core.BLOCK_SIZE
     flipped = bytearray(good)
     flipped[k // 2] ^= 0x01
+    first_block = bytes(b ^ 0xFF for b in good[k + block : k + 2 * block])
+    body_flipped = good[: k + block] + first_block + good[k + 2 * block :]
+    other = crypto_core.rsa_generate(pub[0].bit_length())
+    list_tag = protocol.tag_of(protocol.ListRequest(session_token="ab"))
+    nested = protocol.Frame(list_tag, b"[" * 100_000 + b"]" * 100_000).to_bytes()
     return {
         "empty": b"",
         "shorter than k": good[: k - 1],
@@ -281,6 +300,12 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
         "wrapped key bit flipped": bytes(flipped),
         "wrapped key all ones": b"\xff" * k + good[k:],
         "wrapped key zero": bytes(k) + good[k:],
+        "first body block flipped": body_flipped,
+        "sealed to another key": protocol.send_sealed(
+            protocol.ListRequest(session_token="ab"), other.public
+        ).payload,
+        "inner frame does not decode": crypto_core.seal_envelope(b"not a frame", pub),
+        "inner frame nested too deep": crypto_core.seal_envelope(nested, pub),
     }
 
 
@@ -288,17 +313,20 @@ def test_malformed_sealed_payloads_raise_cloudvault_errors(client_keypair):
     for payload in malformed_sealed_payloads(client_keypair.public).values():
         frame = protocol.Frame(tag=protocol.SEALED_TAG, payload=payload)
         with pytest.raises(CloudVaultError):  # never IndexError or ValueError
-            protocol.recv_sealed(frame, client_keypair.private)
+            protocol.recv_sealed(frame, client_keypair)
 
 
 def test_server_answers_malformed_sealed_payloads_with_plain_errors(local_stack):
     service = local_stack().service
+    replies = set()
     for name, payload in malformed_sealed_payloads(service.keypair.public).items():
         reply = service.handle_frame(
             protocol.Frame(tag=protocol.SEALED_TAG, payload=payload)
         )
         assert reply.tag != protocol.SEALED_TAG, name
         assert isinstance(protocol.recv_plain(reply), protocol.ErrorFrame), name
+        replies.add(reply.to_bytes())
+    assert len(replies) == 1  # no reply tells which step failed
 
 
 def test_over_cap_frame_is_rejected_when_built():

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from cloudvault import crypto_core, protocol
+from cloudvault import system_server as system_mod
 from cloudvault.crypto_core import md5_digest
 from cloudvault.errors import (
     AuthFailed,
@@ -44,7 +45,8 @@ def test_register_mails_one_otp_and_stores_digests(local_stack, client_keypair):
     assert len(mails[0]) == 16
     account = stack.service.accounts[md5_digest(b"alice")]
     assert account.otp_digest == md5_digest(mails[0].encode())
-    table = open(os.path.join(stack.config.data_dir, "accounts.tsv"), "rb").read()
+    with open(os.path.join(stack.config.data_dir, "accounts.tsv"), "rb") as fh:
+        table = fh.read()
     assert b"alice" not in table
     assert mails[0].encode() not in table
     assert md5_digest(b"alice").hex().encode() in table
@@ -123,8 +125,9 @@ def test_otp_digest_history_never_validates_twice(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # sessions
 
-def test_sessions_expire(local_stack, client_keypair):
-    stack = local_stack(session_ttl=0.05)
+def test_sessions_expire(local_stack, client_keypair, monkeypatch):
+    monkeypatch.setattr(system_mod, "DEFAULT_SESSION_TTL", 0.05)
+    stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test", client_keypair)
     stack.service.upload(token, "one", b"data")
     time.sleep(0.1)
@@ -192,8 +195,9 @@ def test_empty_label_rejected(local_stack, client_keypair):
         stack.service.upload(token, "", b"data")
 
 
-def test_file_size_cap(local_stack, client_keypair):
-    stack = local_stack(max_file_bytes=100)
+def test_file_size_cap(local_stack, client_keypair, monkeypatch):
+    monkeypatch.setattr(system_mod, "DEFAULT_MAX_FILE_BYTES", 100)
+    stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test", client_keypair)
     with pytest.raises(FileTooLarge):
         stack.service.upload(token, "big", b"x" * 101)
@@ -226,9 +230,11 @@ def test_corrupted_blob_fails_integrity(local_stack, client_keypair):
     blob_path = os.path.join(
         storage.config.data_dir, storage.records[record.file_number].path
     )
-    blob = bytearray(open(blob_path, "rb").read())
-    blob[-1] ^= 0x01
-    open(blob_path, "wb").write(bytes(blob))
+    with open(blob_path, "r+b") as fh:
+        blob = bytearray(fh.read())
+        blob[-1] ^= 0x01
+        fh.seek(0)
+        fh.write(blob)
     with pytest.raises(IntegrityFailure):
         stack.service.download(token, "doc")
 
@@ -501,7 +507,7 @@ def _sealed_exchange(stack, msg, keypair):
     frame = protocol.send_sealed(msg, stack.service.keypair.public)
     reply = stack.service.handle_frame(frame)
     if reply.tag == protocol.SEALED_TAG:
-        return protocol.recv_sealed(reply, keypair.private)
+        return protocol.recv_sealed(reply, keypair)
     return protocol.recv_plain(reply)
 
 
