@@ -392,11 +392,10 @@ def rsa_encrypt_block(data: bytes, pub: tuple[int, int]) -> bytes:
         raise MessageOutOfRange(
             f"modulus of {k} bytes too small to wrap {len(data)} bytes"
         )
-    try:
-        key = rsa.RSAPublicNumbers(e, n).public_key()
+    try:  # the library refuses some keys only when it encrypts (an even n)
+        return rsa.RSAPublicNumbers(e, n).public_key().encrypt(data, padding.PKCS1v15())
     except ValueError:
         raise MessageOutOfRange("not a usable RSA public key") from None
-    return key.encrypt(data, padding.PKCS1v15())
 
 
 def rsa_decrypt_block(wrapped: bytes, priv: RsaKeyPair) -> bytes:

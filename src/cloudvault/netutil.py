@@ -245,12 +245,23 @@ def append_row(path: str, columns: tuple, values: tuple) -> None:
 
 
 def read_rows(path: str, columns: tuple) -> list[tuple]:
-    """Every row of a table file decoded under ``columns``; [] if it is absent."""
+    """Every row of a table file decoded under ``columns``; [] if it is absent.
+
+    An unterminated last line is a torn append. It was never acknowledged,
+    because the ack follows the fsync, so it is dropped and the file is cut
+    back to its last newline; the next append then starts a row of its own.
+    """
     try:
         with open(path, "rb") as fh:
-            return decode_rows(fh, columns, path)
+            data = fh.read()
     except FileNotFoundError:
         return []
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+            os.fsync(fh.fileno())
+    return decode_rows(data[:end].split(b"\n"), columns, path)
 
 
 def decode_rows(lines, columns: tuple, source: str) -> list[tuple]:

@@ -3,7 +3,11 @@
 Frame layout (normative): 1 tag byte, 4-byte big-endian payload length,
 payload. A message payload is a canonical JSON object — keys sorted,
 compact separators, binary fields as lowercase hex — so equal messages
-produce byte-identical frames on the plain channel.
+produce byte-identical frames on the plain channel. The writer assembles
+that object itself, splicing each binary field's hex in unescaped (lowercase
+hex never needs escaping); the bytes are exactly what
+``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` would write.
+Reading goes through ``json.loads``.
 
 Client/system traffic is sealed: a ``SEALED_TAG`` frame whose payload is the
 raw bytes ``wrapped_key ‖ iv ‖ body``. ``wrapped_key`` is the RSA-wrapped
@@ -17,6 +21,7 @@ channel is already ciphertext, and no message kind that could carry a
 symmetric key exists, so keys structurally cannot cross it.
 """
 
+import binascii
 import json
 import socket
 import struct
@@ -148,6 +153,8 @@ class ErrorFrame:
 
 # Field codecs: one (python value -> JSON value, JSON value -> python value)
 # pair per field kind; each check is written once and run in both directions.
+# A binary field encodes to ASCII hex ``bytes``, which the payload writer
+# quotes and splices in as it is.
 
 def _str(value):
     if not isinstance(value, str):
@@ -155,9 +162,9 @@ def _str(value):
     return value
 
 
-def _int(value):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise MalformedPayload(f"expected non-negative int, got {value!r}")
+def _positive_int(value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise MalformedPayload(f"expected positive int, got {value!r}")
     return value
 
 
@@ -212,10 +219,10 @@ def _strs(value) -> tuple:
 
 
 _STR = (_str, _str)
-_INT = (_int, _int)
-_BYTES = (lambda value: _bytes(value).hex(), _from_hex)  # lowercase hex on the wire
+_POSITIVE_INT = (_positive_int, _positive_int)
+_BYTES = (lambda value: binascii.hexlify(_bytes(value)), _from_hex)  # lowercase hex
 _DIGEST = (
-    lambda value: _digest(_bytes(value)).hex(),
+    lambda value: binascii.hexlify(_digest(_bytes(value))),
     lambda value: _digest(_from_hex(value)),
 )
 _PUBKEY = (_pubkey_to_json, _pubkey_from_json)  # {"e": dec-string, "n": dec-string}
@@ -235,8 +242,8 @@ _SCHEMAS: dict[type, dict[str, tuple]] = {
     FilePayload: {"label": _STR, "file_bytes": _BYTES},
     ListRequest: {"session_token": _STR},
     ListResponse: {"labels": _STRLIST},
-    StoreBlob: {"user_digest": _DIGEST, "file_number": _INT, "blob": _BYTES},
-    FetchBlob: {"user_digest": _DIGEST, "file_number": _INT},
+    StoreBlob: {"user_digest": _DIGEST, "file_number": _POSITIVE_INT, "blob": _BYTES},
+    FetchBlob: {"user_digest": _DIGEST, "file_number": _POSITIVE_INT},
     BlobPayload: {"blob": _BYTES},
     ErrorFrame: {"code": _STR, "text": _STR},
 }
@@ -284,11 +291,20 @@ def tag_of(msg) -> int:
 
 
 def _payload_of(msg) -> bytes:
-    schema = _SCHEMAS[type(msg)]
-    obj = {
-        name: encode(getattr(msg, name)) for name, (encode, _) in schema.items()
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+    """The canonical JSON object, written field by field in sorted order and
+    joined once; hex from a binary field is never scanned for escapes."""
+    parts = []
+    for name, (encode, _) in sorted(_SCHEMAS[type(msg)].items()):
+        parts += (b"," if parts else b"{", json.dumps(name).encode("ascii"), b":")
+        value = encode(getattr(msg, name))
+        if isinstance(value, bytes):
+            parts += (b'"', value, b'"')
+        else:
+            parts.append(
+                json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+            )
+    parts.append(b"}")
+    return b"".join(parts)
 
 
 def encode_frame(msg) -> bytes:

@@ -29,6 +29,7 @@ from .errors import (
     InvalidSession,
     IoFailure,
     MalformedPayload,
+    MessageOutOfRange,
     NoSuchLabel,
     NotFound,
     PersistenceFailure,
@@ -177,6 +178,15 @@ class _Session:
 class _DispatchResult:
     reply: object
     client_public_key: tuple = None
+
+
+def _check_client_key(pub: tuple) -> None:
+    """Refuse a key that cannot wrap a session key: no reply could ever be
+    sealed to it, so the account would be unusable."""
+    try:
+        crypto_core.rsa_encrypt_block(bytes(crypto_core.KEY_BYTES), pub)
+    except MessageOutOfRange as exc:
+        raise InvalidKey(f"client public key cannot take a reply: {exc}") from exc
 
 
 class SystemService:
@@ -420,6 +430,7 @@ class SystemService:
         client_key = None
         try:
             if isinstance(msg, protocol.Register):
+                _check_client_key(msg.client_public_key)
                 client_key = tuple(msg.client_public_key)
                 self.register(msg.username, msg.mail_address, client_key)
                 reply = protocol.LoginResponse(session_token="", status="REGISTERED")

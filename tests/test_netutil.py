@@ -118,6 +118,34 @@ def test_storage_server_refuses_a_row_that_does_not_decode(local_stack, row):
     assert SHORT_KEY not in str(info.value)
 
 
+@pytest.mark.parametrize("name", ["accounts.tsv", "keys.tsv", "records.tsv"])
+def test_a_torn_final_row_is_dropped_and_cut_off(local_stack, client_keypair, name):
+    # A crash inside an append leaves an unterminated last line. That row was
+    # never acknowledged (the ack follows the fsync), so start-up drops it and
+    # cuts the file back, and the next append starts a row of its own.
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    stack.service.upload(token, "first", b"one")
+    owner = stack.storages[0] if name == "records.tsv" else stack
+    path = os.path.join(owner.config.data_dir, name)
+    whole = _read(path)
+    last_row = whole.splitlines(keepends=True)[-1]
+    with open(path, "ab") as fh:
+        fh.write(last_row[: len(last_row) // 2])
+
+    service = stack.reload()
+    assert _read(path) == whole
+    token = service.login("alice", stack.mail.latest("a@example.test"))
+    assert service.download(token, "first") == b"one"
+    service.upload(token, "second", b"two")
+
+    service = stack.reload()
+    assert _read(path).startswith(whole) and _read(path).endswith(b"\n")
+    token = service.login("alice", stack.mail.latest("a@example.test"))
+    assert service.download(token, "first") == b"one"
+    assert service.download(token, "second") == b"two"
+
+
 # ---------------------------------------------------------------------
 # keep-alive exchange
 

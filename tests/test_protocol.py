@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import socket
 import threading
@@ -109,11 +111,55 @@ def test_oversized_declared_length():
         protocol.Frame.from_bytes(header)
 
 
+EDGE_TEXT = ("", '"', "\\", "\n", "\x00", "\U0001f642", 'a"b\\c\nd\x00e\U0001f642\x7f\u2028')
+N_2048 = (1 << 2047) | random.Random(2048).getrandbits(2047) | 1
+
+
+def _edge_messages(cls):
+    """Every text field set to each edge string (quote, backslash, newline,
+    NUL, an astral character), binary fields to its UTF-8 bytes (so empty
+    once), label lists empty or full of it, file numbers 1 and 2**64, and a
+    2048-bit modulus."""
+    base = _random_message(cls)
+    for text in EDGE_TEXT:
+        changes = {}
+        for name, codec in protocol._SCHEMAS[cls].items():
+            if codec is protocol._STR:
+                changes[name] = text
+            elif codec is protocol._BYTES:
+                changes[name] = text.encode("utf-8")
+            elif codec is protocol._STRLIST:
+                changes[name] = (text, text + text) if text else ()
+            elif codec is protocol._PUBKEY:
+                changes[name] = (N_2048, 65537)
+            elif codec is protocol._POSITIVE_INT:
+                changes[name] = 2**64 if text else 1
+        yield dataclasses.replace(base, **changes)
+
+
+def _reference_payload(msg) -> bytes:
+    """The canonical payload as ``json.dumps`` writes it from a dict: sorted
+    keys, compact separators, binary fields as lowercase hex, the public key
+    as an {e, n} object of decimal strings."""
+    obj = {}
+    for field in dataclasses.fields(msg):
+        value = getattr(msg, field.name)
+        if isinstance(value, bytes):
+            value = value.hex()
+        elif field.name == "client_public_key":
+            value = {"n": str(value[0]), "e": str(value[1])}
+        elif isinstance(value, tuple):
+            value = list(value)
+        obj[field.name] = value
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
 @pytest.mark.parametrize("cls", ALL_KINDS, ids=lambda c: c.__name__)
 def test_round_trip_every_kind(cls):
-    for _ in range(1000):
-        msg = _random_message(cls)
+    messages = [_random_message(cls) for _ in range(1000)]
+    for msg in messages + list(_edge_messages(cls)):
         assert protocol.decode_frame(protocol.encode_frame(msg)) == msg
+        assert protocol.send_plain(msg).payload == _reference_payload(msg)
 
 
 def test_encoding_is_canonical():

@@ -261,6 +261,38 @@ def test_handle_frame_round_trip(service):
     assert reply == protocol.BlobPayload(blob=blob)
 
 
+def _data_files(root: str) -> dict[str, bytes]:
+    files = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def test_file_number_zero_gets_one_error_frame_and_changes_nothing(service):
+    # File numbers start at 1; the codec refuses 0 before the placement
+    # table or the records see it. The frame is edited by hand because the
+    # writer refuses to encode 0 at all.
+    service.store_blob(ALICE, 1, b"\x00" * 32)
+    before = _data_files(service.config.data_dir)
+    for msg in (
+        protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=b"\x11" * 32),
+        protocol.FetchBlob(user_digest=ALICE, file_number=1),
+    ):
+        frame = protocol.send_plain(msg)
+        payload = frame.payload.replace(b'"file_number":1', b'"file_number":0')
+        assert payload != frame.payload
+        reply = service.handle_frame(protocol.Frame(tag=frame.tag, payload=payload))
+        error = protocol.recv_plain(reply)
+        assert isinstance(error, protocol.ErrorFrame)
+        assert error.code == "MALFORMED_PAYLOAD"
+    assert _data_files(service.config.data_dir) == before
+    with pytest.raises(MalformedPayload):
+        protocol.send_plain(protocol.FetchBlob(user_digest=ALICE, file_number=0))
+
+
 @pytest.mark.integration
 def test_contracts_hold_over_tcp(tmp_path):
     config = StorageConfig(

@@ -526,6 +526,28 @@ def test_register_over_the_wire(local_stack, client_keypair):
     assert stack.mail.messages("w@example.test")
 
 
+@pytest.mark.parametrize(
+    "key",
+    [(3233, 17), (2**520 + 1, 4), (2**600, 65537)],
+    ids=["too short to wrap a key", "even exponent", "even modulus"],
+)
+def test_register_refuses_a_key_that_cannot_take_a_reply(local_stack, key):
+    stack = local_stack()
+    msg = protocol.Register(
+        username="bad-key", mail_address="b@example.test", client_public_key=key
+    )
+    reply = stack.service.handle_frame(
+        protocol.send_sealed(msg, stack.service.keypair.public)
+    )
+    assert reply.tag != protocol.SEALED_TAG  # nothing to seal it to
+    error = protocol.recv_plain(reply)
+    assert isinstance(error, protocol.ErrorFrame)
+    assert error.code == "INVALID_KEY"
+    assert stack.mail.messages("b@example.test") == []
+    assert not os.path.exists(os.path.join(stack.config.data_dir, "accounts.tsv"))
+    assert stack.reload().accounts == {}
+
+
 def test_full_wire_flow(local_stack, client_keypair):
     stack = local_stack()
     _sealed_exchange(
