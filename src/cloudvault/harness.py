@@ -716,6 +716,12 @@ def timing_benchmark(
 ) -> BenchReport:
     """Median wall time per size over interleaved trial rounds.
 
+    Rounds alternate ascending and descending size order, so each size is
+    timed at both ends of a round and, since uploads go to the storage
+    servers round-robin, on every storage server; otherwise a slow place in
+    the round or a slow server would read as a size effect. Adjacent sizes
+    stay adjacent in time.
+
     Each invocation uses a fresh user and label prefix, so repeated
     measurements against one topology don't collide.
     """
@@ -732,7 +738,7 @@ def timing_benchmark(
         session.upload(warmup, payloads[sizes[0]])  # untimed connection warmup
         session.download(warmup)
         for trial in range(trials):
-            for size in sizes:
+            for size in sizes if trial % 2 == 0 else sizes[::-1]:
                 label = f"b{run_tag}-{size}-{trial}"
                 started = time.perf_counter()
                 session.upload(label, payloads[size])

@@ -251,17 +251,29 @@ def read_rows(path: str, columns: tuple) -> list[tuple]:
     because the ack follows the fsync, so it is dropped and the file is cut
     back to its last newline; the next append then starts a row of its own.
     """
+    torn = []
+
+    def whole_lines(fh):
+        for line in fh:
+            if line.endswith(b"\n"):
+                yield line
+            else:
+                torn.append(line)  # only the last line can lack its newline
+
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            rows = decode_rows(whole_lines(fh), columns, path)
+            end = fh.tell() - sum(map(len, torn))
     except FileNotFoundError:
         return []
-    end = data.rfind(b"\n") + 1
-    if end < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(end)
-            os.fsync(fh.fileno())
-    return decode_rows(data[:end].split(b"\n"), columns, path)
+    if torn:
+        try:
+            with open(path, "r+b") as fh:
+                fh.truncate(end)
+                os.fsync(fh.fileno())
+        except OSError as exc:
+            raise StartupFailure(f"{path}: cannot cut off a torn row: {exc}") from exc
+    return rows
 
 
 def decode_rows(lines, columns: tuple, source: str) -> list[tuple]:

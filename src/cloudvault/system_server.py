@@ -489,7 +489,10 @@ class SystemService:
                 return protocol.send_sealed(result.reply, result.client_public_key)
             except CloudVaultError as exc:  # e.g. a reply over the frame cap
                 error = protocol.ErrorFrame(code=exc.code, text=str(exc))
-                return protocol.send_sealed(error, result.client_public_key)
+                try:
+                    return protocol.send_sealed(error, result.client_public_key)
+                except CloudVaultError:  # a stored key no reply can be sealed to
+                    return protocol.send_plain(error)
         return protocol.send_plain(result.reply)
 
 

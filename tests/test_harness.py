@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cloudvault import harness
+from cloudvault import harness, netutil, system_server
 from cloudvault.errors import StartupFailure
 
 pytestmark = pytest.mark.integration
@@ -133,6 +133,24 @@ def test_benchmark_shape(tmp_path):
     summary = report.to_json_dict()
     assert summary["trials"] == 3
     assert summary["rows"][0]["size_bytes"] == 1024
+
+
+def test_benchmark_times_every_size_on_every_storage_server(tmp_path):
+    # Uploads go to the storage servers round-robin. With an even number of
+    # sizes in one fixed order, each size would always land on the same
+    # server, and a slower server would read as a size effect.
+    sizes = (1024, 4096, 7168, 9216)
+    with harness.run_topology(make_config(tmp_path)) as topo:
+        harness.timing_benchmark(topo, sizes=sizes, trials=2)
+        keys = topo.system_dump()["keys.tsv"].splitlines(keepends=True)
+    servers = {size: set() for size in sizes}
+    for _, label, _, _, storage_id in netutil.decode_rows(
+        keys, system_server.KEY_COLUMNS, "keys.tsv"
+    ):
+        size = label.split("-")[1]
+        if size != "warmup":
+            servers[int(size)].add(storage_id)
+    assert all(len(ids) == 2 for ids in servers.values()), servers
 
 
 _SESSIONS_AND_LOGS_SCRIPT = """

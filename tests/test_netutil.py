@@ -146,6 +146,19 @@ def test_a_torn_final_row_is_dropped_and_cut_off(local_stack, client_keypair, na
     assert service.download(token, "second") == b"two"
 
 
+def test_a_torn_row_that_cannot_be_cut_off_stops_start_up(tmp_path, monkeypatch):
+    path = str(tmp_path / "keys.tsv")
+    with open(path, "wb") as fh:
+        fh.write(b"1\tone\n2\ttw")
+
+    def refuse(fd):
+        raise OSError(30, "Read-only file system")
+
+    monkeypatch.setattr(netutil.os, "fsync", refuse)
+    with pytest.raises(StartupFailure, match=r"keys\.tsv: cannot cut off a torn row"):
+        netutil.read_rows(path, (netutil.INT, netutil.WORD))
+
+
 # ---------------------------------------------------------------------
 # keep-alive exchange
 

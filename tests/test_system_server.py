@@ -548,6 +548,22 @@ def test_register_refuses_a_key_that_cannot_take_a_reply(local_stack, key):
     assert stack.reload().accounts == {}
 
 
+def test_a_stored_key_that_cannot_take_a_reply_gets_a_plain_error(local_stack):
+    # An account stored before Register checked keys: the login reply cannot
+    # be sealed to its key, and neither can the error, so the error goes plain
+    # rather than the exception escaping handle_frame.
+    stack = local_stack()
+    stack.service.register("old", "o@example.test", (3233, 17))
+    msg = protocol.LoginRequest(username="old", otp=stack.mail.latest("o@example.test"))
+    reply = stack.service.handle_frame(
+        protocol.send_sealed(msg, stack.service.keypair.public)
+    )
+    assert reply.tag != protocol.SEALED_TAG
+    error = protocol.recv_plain(reply)
+    assert isinstance(error, protocol.ErrorFrame)
+    assert error.code == "MESSAGE_OUT_OF_RANGE"
+
+
 def test_full_wire_flow(local_stack, client_keypair):
     stack = local_stack()
     _sealed_exchange(
