@@ -40,10 +40,7 @@ class ClientConfig:
     ):
         self.system_host = system_host
         self.system_port = system_port
-        self.system_public_key = (
-            int(system_public_key["n"]),
-            int(system_public_key["e"]),
-        )
+        self.system_public_key = protocol.pubkey_from_json(system_public_key)
         self.keypair_path = keypair_path
         self.mailbox_path = mailbox_path
         self.token_path = token_path or keypair_path + ".session"
@@ -51,8 +48,12 @@ class ClientConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ClientConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls(**json.load(fh))
+        # ValueError: not JSON; TypeError: not an object of known settings
+        except (OSError, ValueError, TypeError) as exc:
+            raise IoFailure(f"config {path}: {exc}") from exc
 
 
 class ClientSession:

@@ -14,6 +14,8 @@ only the ordering across sizes is meaningful.
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import re
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .client_cli import ClientConfig, ClientSession
 from .errors import CloudVaultError, StartupFailure
-from .protocol import MAX_FRAME_LEN
 from .system_server import KEY_COLUMNS, KEYS_FILE, SERVER_KEY_FILE, KeyRecord
 
 DEFAULT_BENCH_SIZES = (1024, 4096, 7168, 9216, 14336, 17408)  # 1..17 KB
@@ -72,39 +73,42 @@ def _free_ports(count: int) -> list:
             sock.close()
 
 
-def _frame_ping(host: str, port: int, request) -> bool:
-    """True iff whatever owns the port answers the protocol with a frame."""
+def _frame_ping(host: str, port: int) -> bool:
+    """True iff whatever owns the port answers the protocol with a frame.
+    Both servers answer any frame, so an empty one of tag 0 will do."""
     try:
         with socket.create_connection((host, port), timeout=1.0) as sock:
             sock.settimeout(1.0)
-            protocol.write_frame(sock, protocol.send_plain(request))
+            protocol.write_frame(sock, protocol.Frame(tag=0, payload=b""))
             return protocol.read_frame(sock) is not None
     except (OSError, CloudVaultError):
         return False
 
 
-def _wait_healthy(host: str, port: int, proc, name: str, request, timeout: float = 15.0):
+def _wait_healthy(host: str, port: int, proc, name: str, timeout: float = 15.0):
     """Wait until ``proc`` answers a ping on its frame port; its admin tap is
     bound before that port, so it is up too."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if proc.poll() is not None:
             raise StartupFailure(f"{name} exited with status {proc.returncode}")
-        if _frame_ping(host, port, request):
+        if _frame_ping(host, port):
             return
         time.sleep(0.05)
     raise StartupFailure(f"{name} on {host}:{port} never answered a health ping")
 
 
 class CaptureProxy:
-    """Forwards client connections to the system server while recording each
-    direction's bytes contiguously into the capture file."""
+    """Forwards client connections to the system server, recording each
+    direction of each connection as its own append-only file in
+    ``capture_dir``, so every stream is contiguous by construction."""
 
-    def __init__(self, port: int, target: tuple, capture_path: str):
+    def __init__(self, port: int, target: tuple, capture_dir: str):
         self.port = port
         self.target = target
-        self.capture_path = capture_path
-        self._write_lock = threading.Lock()
+        self.capture_dir = capture_dir
+        os.makedirs(capture_dir, exist_ok=True)
+        self._connections = itertools.count()
         self._listener = socket.socket()
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(("127.0.0.1", port))
@@ -129,9 +133,12 @@ class CaptureProxy:
         except OSError:
             client.close()
             return
+        number = next(self._connections)
         threads = [
-            threading.Thread(target=self._pump, args=(client, upstream), daemon=True),
-            threading.Thread(target=self._pump, args=(upstream, client), daemon=True),
+            threading.Thread(
+                target=self._pump, args=(src, dst, f"{number}-{way}"), daemon=True
+            )
+            for src, dst, way in ((client, upstream, "up"), (upstream, client, "down"))
         ]
         for thread in threads:
             thread.start()
@@ -140,53 +147,25 @@ class CaptureProxy:
         client.close()
         upstream.close()
 
-    def _record(self, data: bytes):
-        if not data:
-            return
-        with self._write_lock, open(self.capture_path, "ab") as fh:
-            fh.write(data)
-
-    def _pump(self, src: socket.socket, dst: socket.socket):
-        """Forward bytes, recording whole frames as contiguous capture units.
-
-        Connections stay open across many request/response turns, so the
-        capture cannot wait for close; each completed frame is written the
-        moment it is fully seen. Anything unframeable is recorded raw.
-        """
-        pending = bytearray()
-        framed = True
-        while True:
-            try:
-                chunk = src.recv(65536)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                self._record(bytes(pending))
+    def _pump(self, src: socket.socket, dst: socket.socket, stream: str):
+        """Forward bytes until EOF, recording each chunk before it is sent on,
+        so a reply is on file by the time its reader has it."""
+        path = os.path.join(self.capture_dir, stream)
+        with open(path, "ab", buffering=0) as record:
+            while True:
                 try:
-                    dst.shutdown(socket.SHUT_WR)
+                    chunk = src.recv(65536)
                 except OSError:
-                    pass
-                return
-            try:
-                dst.sendall(chunk)
-            except OSError:
-                self._record(bytes(pending) + chunk)
-                return
-            if not framed:
-                self._record(chunk)
-                continue
-            pending.extend(chunk)
-            while len(pending) >= 5:
-                length = int.from_bytes(pending[1:5], "big")
-                if length > MAX_FRAME_LEN:
-                    framed = False  # not our protocol; fall back to raw
-                    self._record(bytes(pending))
-                    pending.clear()
-                    break
-                if len(pending) < 5 + length:
-                    break
-                self._record(bytes(pending[: 5 + length]))
-                del pending[: 5 + length]
+                    chunk = b""
+                if not chunk:
+                    with contextlib.suppress(OSError):
+                        dst.shutdown(socket.SHUT_WR)
+                    return
+                record.write(chunk)
+                try:
+                    dst.sendall(chunk)
+                except OSError:
+                    return
 
     def stop(self):
         self._running = False
@@ -207,7 +186,7 @@ class Topology:
     storage_admin_ports: list
     storage_ids: list
     mailbox_dir: str
-    capture_path: str
+    capture_dir: str
     procs: list = field(default_factory=list)
     proxy: CaptureProxy = None
     sessions: list = field(default_factory=list)  # closed by stop()
@@ -222,11 +201,16 @@ class Topology:
         }
 
     def captured_bytes(self) -> bytes:
+        """Every recorded stream, joined one after another."""
         try:
-            with open(self.capture_path, "rb") as fh:
-                return fh.read()
+            names = sorted(os.listdir(self.capture_dir))
         except FileNotFoundError:
             return b""
+        chunks = []
+        for name in names:
+            with open(os.path.join(self.capture_dir, name), "rb") as fh:
+                chunks.append(fh.read())
+        return b"".join(chunks)
 
     def client_dir(self) -> str:
         path = os.path.join(self.workdir, "clients")
@@ -309,7 +293,7 @@ def run_topology(config: TopologyConfig) -> Topology:
     os.makedirs(workdir, exist_ok=True)
     mailbox_dir = os.path.join(workdir, "mailbox")
     os.makedirs(mailbox_dir, exist_ok=True)
-    capture_path = os.path.join(workdir, "capture.bin")
+    capture_dir = os.path.join(workdir, "capture")
 
     system_dir = os.path.join(workdir, "system")
     os.makedirs(system_dir, exist_ok=True)
@@ -359,7 +343,7 @@ def run_topology(config: TopologyConfig) -> Topology:
         storage_admin_ports=list(ports["storage_admin"]),
         storage_ids=storage_ids,
         mailbox_dir=mailbox_dir,
-        capture_path=capture_path,
+        capture_dir=capture_dir,
     )
     try:
         for i, storage_config in enumerate(storage_configs):
@@ -372,11 +356,8 @@ def run_topology(config: TopologyConfig) -> Topology:
                     os.path.join(workdir, f"{storage_ids[i]}.log"),
                 )
             )
-        ping = protocol.FetchBlob(user_digest=b"\x00" * 16, file_number=1)
         for i, server_id in enumerate(storage_ids):
-            _wait_healthy(
-                "127.0.0.1", ports["storage"][i], topo.procs[i], server_id, ping
-            )
+            _wait_healthy("127.0.0.1", ports["storage"][i], topo.procs[i], server_id)
 
         system_path = os.path.join(workdir, "system.json")
         netutil.write_atomic(system_path, json.dumps(system_config, indent=2).encode())
@@ -387,16 +368,10 @@ def run_topology(config: TopologyConfig) -> Topology:
                 os.path.join(workdir, "system.log"),
             )
         )
-        _wait_healthy(
-            "127.0.0.1",
-            ports["system"],
-            topo.procs[-1],
-            "system",
-            protocol.ListRequest(session_token=""),
-        )
+        _wait_healthy("127.0.0.1", ports["system"], topo.procs[-1], "system")
 
         topo.proxy = CaptureProxy(
-            ports["proxy"], ("127.0.0.1", ports["system"]), capture_path
+            ports["proxy"], ("127.0.0.1", ports["system"]), capture_dir
         )
 
         # Starter config for hand-driven clients; fill in the paths.

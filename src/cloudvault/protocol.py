@@ -25,7 +25,7 @@ import binascii
 import json
 import socket
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, make_dataclass
 
 from . import crypto_core
 from .errors import (
@@ -71,86 +71,6 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# Message kinds
-
-@dataclass(frozen=True)
-class Register:
-    username: str
-    mail_address: str
-    client_public_key: tuple  # (n, e)
-
-
-@dataclass(frozen=True)
-class LoginRequest:
-    username: str
-    otp: str
-
-
-@dataclass(frozen=True)
-class LoginResponse:
-    session_token: str
-    status: str
-
-
-@dataclass(frozen=True)
-class UploadRequest:
-    session_token: str
-    label: str
-    file_bytes: bytes
-
-
-@dataclass(frozen=True)
-class UploadAck:
-    label: str
-    status: str
-
-
-@dataclass(frozen=True)
-class DownloadRequest:
-    session_token: str
-    label: str
-
-
-@dataclass(frozen=True)
-class FilePayload:
-    label: str
-    file_bytes: bytes
-
-
-@dataclass(frozen=True)
-class ListRequest:
-    session_token: str
-
-
-@dataclass(frozen=True)
-class ListResponse:
-    labels: tuple
-
-
-@dataclass(frozen=True)
-class StoreBlob:
-    user_digest: bytes
-    file_number: int
-    blob: bytes
-
-
-@dataclass(frozen=True)
-class FetchBlob:
-    user_digest: bytes
-    file_number: int
-
-
-@dataclass(frozen=True)
-class BlobPayload:
-    blob: bytes
-
-
-@dataclass(frozen=True)
-class ErrorFrame:
-    code: str
-    text: str
-
-
 # Field codecs: one (python value -> JSON value, JSON value -> python value)
 # pair per field kind; each check is written once and run in both directions.
 # A binary field encodes to ASCII hex ``bytes``, which the payload writer
@@ -195,7 +115,7 @@ def _pubkey(n, e) -> tuple:
     return (n, e)
 
 
-def _pubkey_from_json(value) -> tuple:
+def pubkey_from_json(value) -> tuple:
     if not isinstance(value, dict) or set(value) != {"e", "n"}:
         raise MalformedPayload("public key must be an {e, n} object")
     try:
@@ -225,62 +145,53 @@ _DIGEST = (
     lambda value: binascii.hexlify(_digest(_bytes(value))),
     lambda value: _digest(_from_hex(value)),
 )
-_PUBKEY = (_pubkey_to_json, _pubkey_from_json)  # {"e": dec-string, "n": dec-string}
+_PUBKEY = (_pubkey_to_json, pubkey_from_json)  # {"e": dec-string, "n": dec-string}
 _STRLIST = (lambda value: list(_strs(value)), _strs)
 
-_SCHEMAS: dict[type, dict[str, tuple]] = {
-    Register: {
-        "username": _STR,
-        "mail_address": _STR,
-        "client_public_key": _PUBKEY,
-    },
-    LoginRequest: {"username": _STR, "otp": _STR},
-    LoginResponse: {"session_token": _STR, "status": _STR},
-    UploadRequest: {"session_token": _STR, "label": _STR, "file_bytes": _BYTES},
-    UploadAck: {"label": _STR, "status": _STR},
-    DownloadRequest: {"session_token": _STR, "label": _STR},
-    FilePayload: {"label": _STR, "file_bytes": _BYTES},
-    ListRequest: {"session_token": _STR},
-    ListResponse: {"labels": _STRLIST},
-    StoreBlob: {"user_digest": _DIGEST, "file_number": _POSITIVE_INT, "blob": _BYTES},
-    FetchBlob: {"user_digest": _DIGEST, "file_number": _POSITIVE_INT},
-    BlobPayload: {"blob": _BYTES},
-    ErrorFrame: {"code": _STR, "text": _STR},
-}
 
-_TAG_BY_TYPE: dict[type, int] = {
-    Register: 0x01,
-    LoginRequest: 0x02,
-    LoginResponse: 0x03,
-    UploadRequest: 0x04,
-    UploadAck: 0x05,
-    DownloadRequest: 0x06,
-    FilePayload: 0x07,
-    ListRequest: 0x08,
-    ListResponse: 0x09,
-    StoreBlob: 0x0A,
-    FetchBlob: 0x0B,
-    BlobPayload: 0x0C,
-    ErrorFrame: 0x0E,
-}
+# ---------------------------------------------------------------------------
+# Message kinds: one row each, giving the kind's name, its tag and its fields
+# in order, each with its codec. The row builds the frozen dataclass and fills
+# both the schema and the tag maps.
 
-_TYPE_BY_TAG = {tag: cls for cls, tag in _TAG_BY_TYPE.items()}
+_SCHEMAS: dict[type, dict[str, tuple]] = {}
+_TAG_BY_TYPE: dict[type, int] = {}
+_TYPE_BY_TAG: dict[int, type] = {}
 
-Message = (
-    Register
-    | LoginRequest
-    | LoginResponse
-    | UploadRequest
-    | UploadAck
-    | DownloadRequest
-    | FilePayload
-    | ListRequest
-    | ListResponse
-    | StoreBlob
-    | FetchBlob
-    | BlobPayload
-    | ErrorFrame
+
+def _kind(name: str, tag: int, **codecs) -> type:
+    cls = make_dataclass(name, list(codecs), frozen=True)
+    cls.__module__ = __name__  # make_dataclass has no module= before 3.12
+    _SCHEMAS[cls] = codecs
+    _TAG_BY_TYPE[cls] = tag
+    _TYPE_BY_TAG[tag] = cls
+    return cls
+
+
+Register = _kind(
+    "Register", 0x01, username=_STR, mail_address=_STR, client_public_key=_PUBKEY
 )
+LoginRequest = _kind("LoginRequest", 0x02, username=_STR, otp=_STR)
+LoginResponse = _kind("LoginResponse", 0x03, session_token=_STR, status=_STR)
+UploadRequest = _kind(
+    "UploadRequest", 0x04, session_token=_STR, label=_STR, file_bytes=_BYTES
+)
+UploadAck = _kind("UploadAck", 0x05, label=_STR, status=_STR)
+DownloadRequest = _kind("DownloadRequest", 0x06, session_token=_STR, label=_STR)
+FilePayload = _kind("FilePayload", 0x07, label=_STR, file_bytes=_BYTES)
+ListRequest = _kind("ListRequest", 0x08, session_token=_STR)
+ListResponse = _kind("ListResponse", 0x09, labels=_STRLIST)
+StoreBlob = _kind(
+    "StoreBlob", 0x0A, user_digest=_DIGEST, file_number=_POSITIVE_INT, blob=_BYTES
+)
+FetchBlob = _kind("FetchBlob", 0x0B, user_digest=_DIGEST, file_number=_POSITIVE_INT)
+BlobPayload = _kind("BlobPayload", 0x0C, blob=_BYTES)
+ErrorFrame = _kind("ErrorFrame", 0x0E, code=_STR, text=_STR)
+
+
+def error_frame(exc: CloudVaultError):
+    """The one reply every server sends for a refused request."""
+    return ErrorFrame(code=exc.code, text=str(exc))
 
 
 def tag_of(msg) -> int:
@@ -405,6 +316,4 @@ def _read_exact(sock: socket.socket, count: int, allow_eof: bool = False):
 
 def schema_field_inventory() -> dict[str, tuple[str, ...]]:
     """Message kind -> field names; lets tests freeze the full wire surface."""
-    return {
-        cls.__name__: tuple(f.name for f in fields(cls)) for cls in _SCHEMAS
-    }
+    return {cls.__name__: tuple(schema) for cls, schema in _SCHEMAS.items()}

@@ -151,29 +151,26 @@ class StorageService:
 
     # -- protocol dispatch ----------------------------------------------------
 
-    def handle_message(self, msg):
-        try:
-            if isinstance(msg, protocol.StoreBlob):
-                entry = self.store_blob(msg.user_digest, msg.file_number, msg.blob)
-                return protocol.UploadAck(
-                    label=str(msg.file_number),
-                    status=f"STORED {entry.position} {entry.offset}",
-                )
-            if isinstance(msg, protocol.FetchBlob):
-                blob = self.fetch_blob(msg.user_digest, msg.file_number)
-                return protocol.BlobPayload(blob=blob)
-            raise MalformedPayload(
-                f"{type(msg).__name__} is not valid on the storage channel"
-            )
-        except CloudVaultError as exc:
-            return protocol.ErrorFrame(code=exc.code, text=str(exc))
-
     def handle_frame(self, frame: protocol.Frame) -> protocol.Frame:
         try:
             msg = protocol.recv_plain(frame)
+            if isinstance(msg, protocol.StoreBlob):
+                entry = self.store_blob(msg.user_digest, msg.file_number, msg.blob)
+                reply = protocol.UploadAck(
+                    label=str(msg.file_number),
+                    status=f"STORED {entry.position} {entry.offset}",
+                )
+            elif isinstance(msg, protocol.FetchBlob):
+                reply = protocol.BlobPayload(
+                    blob=self.fetch_blob(msg.user_digest, msg.file_number)
+                )
+            else:
+                raise MalformedPayload(
+                    f"{type(msg).__name__} is not valid on the storage channel"
+                )
         except CloudVaultError as exc:
-            return protocol.send_plain(protocol.ErrorFrame(code=exc.code, text=str(exc)))
-        return protocol.send_plain(self.handle_message(msg))
+            reply = protocol.error_frame(exc)
+        return protocol.send_plain(reply)
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,6 @@ record is written only after storage acknowledges the blob, so a crash can
 strand a blob but never a key without one.
 """
 
-import functools
 import os
 import secrets
 import threading
@@ -37,7 +36,6 @@ from .errors import (
     StorageUnavailable,
     error_for_code,
 )
-from .placement import PlacementEntry
 
 ACCOUNTS_FILE = "accounts.tsv"
 KEYS_FILE = "keys.tsv"
@@ -109,75 +107,50 @@ class SystemConfig:
 
 
 # ---------------------------------------------------------------------------
-# Storage access. The transport is swappable so tests can run a storage
-# service in-process while production goes over TCP; both speak the same
-# plain-channel messages.
+# Storage access: plain frames to one storage server and plain frames back.
 
 class StorageClient:
-    def __init__(self, server_id: str, transport):
-        self.server_id = server_id
-        self._transport = transport
+    """``round_trip`` takes a request frame and returns the reply frame: a
+    ``netutil.FrameConnection``'s in a server process, an in-process storage
+    service's ``handle_frame`` in tests. Both run the same plain codec."""
 
-    def store(self, user_digest: bytes, file_number: int, blob: bytes) -> PlacementEntry:
-        reply = self._transport(
+    def __init__(self, server_id: str, round_trip):
+        self.server_id = server_id
+        self._round_trip = round_trip
+
+    def _call(self, msg, expected: type):
+        try:
+            frame = self._round_trip(protocol.send_plain(msg))
+        except ConnectionFailure as exc:
+            raise StorageUnavailable(str(exc)) from exc
+        reply = protocol.recv_plain(frame)
+        if isinstance(reply, protocol.ErrorFrame):
+            raise error_for_code(reply.code, reply.text)
+        if not isinstance(reply, expected):
+            raise StorageUnavailable(f"unexpected reply {type(reply).__name__}")
+        return reply
+
+    def store(self, user_digest: bytes, file_number: int, blob: bytes) -> None:
+        ack = self._call(
             protocol.StoreBlob(
                 user_digest=user_digest, file_number=file_number, blob=blob
-            )
+            ),
+            protocol.UploadAck,
         )
-        if isinstance(reply, protocol.ErrorFrame):
-            raise error_for_code(reply.code, reply.text)
-        if not isinstance(reply, protocol.UploadAck):
-            raise StorageUnavailable(f"unexpected ack {type(reply).__name__}")
-        try:
-            word, position, offset = reply.status.split()
-            if word != "STORED":
-                raise ValueError(reply.status)
-            return PlacementEntry(position=int(position), offset=int(offset))
-        except ValueError as exc:
-            raise StorageUnavailable(f"unparseable ack {reply.status!r}") from exc
+        if not ack.status.startswith("STORED "):
+            raise StorageUnavailable(f"unexpected ack {ack.status!r}")
 
     def fetch(self, user_digest: bytes, file_number: int) -> bytes:
-        reply = self._transport(
-            protocol.FetchBlob(user_digest=user_digest, file_number=file_number)
-        )
-        if isinstance(reply, protocol.ErrorFrame):
-            raise error_for_code(reply.code, reply.text)
-        if not isinstance(reply, protocol.BlobPayload):
-            raise StorageUnavailable(f"unexpected reply {type(reply).__name__}")
-        return reply.blob
-
-
-def tcp_transport(host: str, port: int, timeout: float = 30.0):
-    """Plain-channel calls over one keep-alive connection to a storage server."""
-    return functools.partial(
-        _plain_round_trip, netutil.FrameConnection(host, port, timeout)
-    )
-
-
-def _plain_round_trip(conn: netutil.FrameConnection, msg):
-    request = protocol.send_plain(msg)
-    try:
-        frame = conn.round_trip(request)
-    except ConnectionFailure as exc:
-        raise StorageUnavailable(str(exc)) from exc
-    return protocol.recv_plain(frame)
-
-
-def local_transport(storage_service):
-    """Route messages straight into an in-process StorageService."""
-    return storage_service.handle_message
+        return self._call(
+            protocol.FetchBlob(user_digest=user_digest, file_number=file_number),
+            protocol.BlobPayload,
+        ).blob
 
 
 @dataclass
 class _Session:
     user_digest: bytes
     last_used: float
-
-
-@dataclass
-class _DispatchResult:
-    reply: object
-    client_public_key: tuple = None
 
 
 def _check_client_key(pub: tuple) -> None:
@@ -203,7 +176,9 @@ class SystemService:
         self.mail = mail_channel
         if storage_clients is None:
             storage_clients = [
-                StorageClient(t.server_id, tcp_transport(t.host, t.port))
+                StorageClient(
+                    t.server_id, netutil.FrameConnection(t.host, t.port, 30.0).round_trip
+                )
                 for t in config.storage
             ]
         self.storage_clients = list(storage_clients)
@@ -246,8 +221,13 @@ class SystemService:
             record = KeyRecord(*row)
             self.key_records[(record.user_digest, record.label)] = record
         self._next_storage = len(self.key_records)
+        # ``write_atomic`` does not fsync the directory, so a power loss can
+        # undo the counter's rename while a later key row survives.
+        self._counter = max(
+            (r.file_number for r in self.key_records.values()), default=0
+        )
         for (counter,) in netutil.read_rows(self._path(COUNTER_FILE), (netutil.INT,)):
-            self._counter = counter
+            self._counter = max(self._counter, counter)
 
     def _append_row(self, name: str, columns: tuple, record):
         try:
@@ -421,12 +401,10 @@ class SystemService:
 
     # -- protocol dispatch --------------------------------------------------------
 
-    def dispatch(self, msg) -> _DispatchResult:
-        """Map one request message to one response message.
-
-        The result names the client public key replies should be sealed to,
-        when one is known; errors for unidentifiable peers go back plain.
-        """
+    def dispatch(self, msg) -> tuple:
+        """Map one request message to ``(reply, client key)``: the reply, and
+        the client public key to seal it to when one is known; errors for
+        unidentifiable peers go back plain."""
         client_key = None
         try:
             if isinstance(msg, protocol.Register):
@@ -455,45 +433,31 @@ class SystemService:
                     f"{type(msg).__name__} is not a client request"
                 )
         except CloudVaultError as exc:
-            return _DispatchResult(
-                reply=protocol.ErrorFrame(code=exc.code, text=str(exc)),
-                client_public_key=client_key,
-            )
-        return _DispatchResult(reply=reply, client_public_key=client_key)
+            reply = protocol.error_frame(exc)
+        return reply, client_key
 
     def handle_frame(self, frame: protocol.Frame) -> protocol.Frame:
         sealed = frame.tag == protocol.SEALED_TAG
-        if sealed:
-            try:
+        try:
+            if sealed:
                 msg = protocol.recv_sealed(frame, self.keypair)
-            except CloudVaultError as exc:
-                return protocol.send_plain(
-                    protocol.ErrorFrame(code=exc.code, text=str(exc))
-                )
-        elif self.config.sabotage_accept_plain:
-            try:
+            elif self.config.sabotage_accept_plain:
                 msg = protocol.recv_plain(frame)
-            except CloudVaultError as exc:
-                return protocol.send_plain(
-                    protocol.ErrorFrame(code=exc.code, text=str(exc))
-                )
-        else:
-            return protocol.send_plain(
-                protocol.ErrorFrame(
-                    code="MALFORMED_PAYLOAD", text="client traffic must be sealed"
-                )
-            )
-        result = self.dispatch(msg)
-        if sealed and result.client_public_key is not None:
-            try:
-                return protocol.send_sealed(result.reply, result.client_public_key)
-            except CloudVaultError as exc:  # e.g. a reply over the frame cap
-                error = protocol.ErrorFrame(code=exc.code, text=str(exc))
-                try:
-                    return protocol.send_sealed(error, result.client_public_key)
-                except CloudVaultError:  # a stored key no reply can be sealed to
-                    return protocol.send_plain(error)
-        return protocol.send_plain(result.reply)
+            else:
+                raise MalformedPayload("client traffic must be sealed")
+        except CloudVaultError as exc:
+            return protocol.send_plain(protocol.error_frame(exc))
+        reply, client_key = self.dispatch(msg)
+        if not sealed or client_key is None:
+            return protocol.send_plain(reply)
+        try:
+            return protocol.send_sealed(reply, client_key)
+        except CloudVaultError as exc:  # e.g. a reply over the frame cap
+            reply = protocol.error_frame(exc)
+        try:
+            return protocol.send_sealed(reply, client_key)
+        except CloudVaultError:  # a stored key no reply can be sealed to
+            return protocol.send_plain(reply)
 
 
 def main(argv=None) -> int:

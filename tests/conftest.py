@@ -17,7 +17,8 @@ def client_keypair():
 
 
 class LocalStack:
-    """In-process system service wired to in-process storage services."""
+    """In-process system service wired to in-process storage services through
+    their ``handle_frame``, so storage traffic runs the plain codec."""
 
     def __init__(self, root: str, storage_count: int = 1, **system_overrides):
         self.root = str(root)
@@ -54,9 +55,7 @@ class LocalStack:
             self.config,
             mail_channel=self.mail,
             storage_clients=[
-                system_mod.StorageClient(
-                    s.config.server_id, system_mod.local_transport(s)
-                )
+                system_mod.StorageClient(s.config.server_id, s.handle_frame)
                 for s in self.storages
             ],
         )

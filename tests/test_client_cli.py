@@ -99,6 +99,37 @@ def test_end_to_end_round_trip(client_env, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["notes.bin"]
 
 
+@pytest.mark.parametrize(
+    "content, code",
+    [
+        (None, "IO_FAILURE"),  # no such file
+        ("{", "IO_FAILURE"),
+        ('["a list"]', "IO_FAILURE"),
+        (
+            json.dumps(
+                {
+                    "system_host": "127.0.0.1",
+                    "system_port": 1,
+                    "system_public_key": {"n": "3233"},
+                    "keypair_path": "unused.key",
+                }
+            ),
+            "MALFORMED_PAYLOAD",
+        ),
+    ],
+    ids=["missing", "not json", "not an object", "key without e"],
+)
+def test_a_bad_config_is_one_coded_line(tmp_path, capsys, content, code):
+    path = tmp_path / "client.json"
+    if content is not None:
+        path.write_text(content)
+    assert run_cli(str(path), "list") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"{code}: ")
+
+
 def test_otp_single_use_at_the_cli(client_env, capsys):
     config_path, mail = client_env("replay")
     run_cli(config_path, "keygen", "--bits", "512")

@@ -16,7 +16,7 @@ from cloudvault import crypto_core, harness, netutil, protocol
 from cloudvault.client_cli import ClientConfig, ClientSession
 from cloudvault.crypto_core import md5_digest
 from cloudvault.errors import ConnectionFailure, StartupFailure, StorageUnavailable
-from cloudvault.system_server import tcp_transport
+from cloudvault.system_server import StorageClient
 
 ALICE = md5_digest(b"alice")
 KEY = bytes(range(16))
@@ -242,14 +242,18 @@ REGISTERED = protocol.send_plain(
 )
 
 
-def test_storage_transport_never_resends_a_written_request(peer):
+def test_storage_client_never_resends_a_written_request(peer):
     fake = peer([BLOB_REPLY, None])
-    call = tcp_transport("127.0.0.1", fake.port, timeout=10.0)
-    assert call(FETCH) == protocol.BlobPayload(blob=b"\x00" * 32)
-    with pytest.raises(StorageUnavailable):
-        call(STORE)  # the peer read it, so it may have stored the blob
-    assert [protocol.recv_plain(f) for f in fake.seen] == [FETCH, STORE]
-    call.args[0].close()
+    conn = netutil.FrameConnection("127.0.0.1", fake.port, timeout=10.0)
+    client = StorageClient("s1", conn.round_trip)
+    try:
+        assert client.fetch(ALICE, 1) == b"\x00" * 32
+        with pytest.raises(StorageUnavailable):
+            # the peer read it, so it may have stored the blob
+            client.store(ALICE, 1, b"\x00" * 32)
+        assert [protocol.recv_plain(f) for f in fake.seen] == [FETCH, STORE]
+    finally:
+        conn.close()
 
 
 @pytest.fixture
@@ -278,16 +282,19 @@ def test_client_session_never_resends_a_written_request(peer, session_for):
     assert len(fake.seen) == 2
 
 
-def test_storage_transport_reconnects_after_the_peer_restarts(peer):
+def test_storage_client_reconnects_after_the_peer_restarts(peer):
     fake = peer([BLOB_REPLY, RESTART, BLOB_REPLY])
-    call = tcp_transport("127.0.0.1", fake.port, timeout=10.0)
-    assert call(FETCH) == protocol.BlobPayload(blob=b"\x00" * 32)
-    first = call.args[0]._sock
-    assert fake.restarted.wait(timeout=10)
-    assert call(FETCH) == protocol.BlobPayload(blob=b"\x00" * 32)
-    assert call.args[0]._sock is not first
-    assert len(fake.seen) == 2
-    call.args[0].close()
+    conn = netutil.FrameConnection("127.0.0.1", fake.port, timeout=10.0)
+    client = StorageClient("s1", conn.round_trip)
+    try:
+        assert client.fetch(ALICE, 1) == b"\x00" * 32
+        first = conn._sock
+        assert fake.restarted.wait(timeout=10)
+        assert client.fetch(ALICE, 1) == b"\x00" * 32
+        assert conn._sock is not first
+        assert len(fake.seen) == 2
+    finally:
+        conn.close()
 
 
 def test_client_session_reconnects_after_the_peer_restarts(peer, session_for):

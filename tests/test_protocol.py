@@ -193,6 +193,107 @@ def test_digest_length_enforced():
         protocol.recv_plain(tampered)
 
 
+DIGEST = bytes(range(16))
+GOLDEN_FRAMES = [  # (message, tag | length, payload), every kind once
+    (
+        protocol.Register(
+            username="al", mail_address="a@x.test", client_public_key=(3233, 17)
+        ),
+        "0100000055",
+        b'{"client_public_key":{"e":"17","n":"3233"},'
+        b'"mail_address":"a@x.test","username":"al"}',
+    ),
+    (
+        protocol.LoginRequest(username="al", otp="OTP0"),
+        "020000001e",
+        b'{"otp":"OTP0","username":"al"}',
+    ),
+    (
+        protocol.LoginResponse(session_token="ab", status="OK"),
+        "0300000024",
+        b'{"session_token":"ab","status":"OK"}',
+    ),
+    (
+        protocol.UploadRequest(session_token="ab", label="f", file_bytes=b"\x00\xff"),
+        "0400000036",
+        b'{"file_bytes":"00ff","label":"f","session_token":"ab"}',
+    ),
+    (
+        protocol.UploadAck(label="f", status="OK"),
+        "050000001b",
+        b'{"label":"f","status":"OK"}',
+    ),
+    (
+        protocol.DownloadRequest(session_token="ab", label="f"),
+        "0600000022",
+        b'{"label":"f","session_token":"ab"}',
+    ),
+    (
+        protocol.FilePayload(label="f", file_bytes=b"\x00\xff"),
+        "0700000021",
+        b'{"file_bytes":"00ff","label":"f"}',
+    ),
+    (
+        protocol.ListRequest(session_token="ab"),
+        "0800000016",
+        b'{"session_token":"ab"}',
+    ),
+    (
+        protocol.ListResponse(labels=("f", "g")),
+        "0900000014",
+        b'{"labels":["f","g"]}',
+    ),
+    (
+        protocol.StoreBlob(user_digest=DIGEST, file_number=7, blob=b"\x00\xff"),
+        "0a00000050",
+        b'{"blob":"00ff","file_number":7,'
+        b'"user_digest":"000102030405060708090a0b0c0d0e0f"}',
+    ),
+    (
+        protocol.FetchBlob(user_digest=DIGEST, file_number=7),
+        "0b00000042",
+        b'{"file_number":7,"user_digest":"000102030405060708090a0b0c0d0e0f"}',
+    ),
+    (
+        protocol.BlobPayload(blob=b"\x00\xff"),
+        "0c0000000f",
+        b'{"blob":"00ff"}',
+    ),
+    (
+        protocol.ErrorFrame(code="NOT_FOUND", text="no"),
+        "0e00000020",
+        b'{"code":"NOT_FOUND","text":"no"}',
+    ),
+]
+
+
+def test_tags_and_golden_frames_are_pinned():
+    # The round-trip tests would pass under any tag assignment; peers built
+    # from another revision would not. Freeze every tag and one frame a kind.
+    tags = {type(msg).__name__: protocol.tag_of(msg) for msg, _, _ in GOLDEN_FRAMES}
+    assert tags == {
+        "Register": 0x01,
+        "LoginRequest": 0x02,
+        "LoginResponse": 0x03,
+        "UploadRequest": 0x04,
+        "UploadAck": 0x05,
+        "DownloadRequest": 0x06,
+        "FilePayload": 0x07,
+        "ListRequest": 0x08,
+        "ListResponse": 0x09,
+        "StoreBlob": 0x0A,
+        "FetchBlob": 0x0B,
+        "BlobPayload": 0x0C,
+        "ErrorFrame": 0x0E,
+    }
+    assert protocol.SEALED_TAG == 0x10
+    assert {type(msg) for msg, _, _ in GOLDEN_FRAMES} == set(ALL_KINDS)
+    for msg, header, payload in GOLDEN_FRAMES:
+        golden = bytes.fromhex(header) + payload
+        assert protocol.encode_frame(msg) == golden
+        assert protocol.decode_frame(golden) == msg
+
+
 def test_binary_fields_travel_as_lowercase_hex():
     frame = protocol.send_plain(
         protocol.BlobPayload(blob=bytes.fromhex("deadbeef00ff"))

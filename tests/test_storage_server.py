@@ -14,7 +14,7 @@ from cloudvault.errors import (
 )
 from cloudvault.placement import PlacementEntry
 from cloudvault.storage_server import StorageConfig, StorageService
-from cloudvault.system_server import tcp_transport
+from cloudvault.system_server import StorageClient
 
 ALICE = md5_digest(b"alice")
 BOB = md5_digest(b"bob")
@@ -208,28 +208,32 @@ def test_dump_never_contains_usernames(service):
 # ---------------------------------------------------------------------
 # protocol dispatch
 
+def _exchange(service, msg):
+    return protocol.recv_plain(service.handle_frame(protocol.send_plain(msg)))
+
+
 def test_store_ack_carries_the_entry(service):
     for n in range(1, 15):
-        reply = service.handle_message(
-            protocol.StoreBlob(user_digest=ALICE, file_number=n, blob=b"\x00" * 32)
+        reply = _exchange(
+            service,
+            protocol.StoreBlob(user_digest=ALICE, file_number=n, blob=b"\x00" * 32),
         )
         assert isinstance(reply, protocol.UploadAck)
-    reply = service.handle_message(
-        protocol.StoreBlob(user_digest=ALICE, file_number=15, blob=b"\x00" * 32)
+    reply = _exchange(
+        service,
+        protocol.StoreBlob(user_digest=ALICE, file_number=15, blob=b"\x00" * 32),
     )
     assert reply == protocol.UploadAck(label="15", status="STORED 26 1")
 
 
 def test_fetch_unknown_file_yields_not_found_error_frame(service):
-    reply = service.handle_message(
-        protocol.FetchBlob(user_digest=ALICE, file_number=1234)
-    )
+    reply = _exchange(service, protocol.FetchBlob(user_digest=ALICE, file_number=1234))
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "NOT_FOUND"
 
 
 def test_client_messages_rejected_on_storage_channel(service):
-    reply = service.handle_message(protocol.ListRequest(session_token="ab"))
+    reply = _exchange(service, protocol.ListRequest(session_token="ab"))
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "MALFORMED_PAYLOAD"
 
@@ -246,8 +250,9 @@ def test_table_full_surfaces_over_protocol(tmp_path):
     service = StorageService(config)
     service.store_blob(ALICE, 1, b"\x00" * 32)
     service.store_blob(ALICE, 2, b"\x00" * 32)
-    reply = service.handle_message(
-        protocol.StoreBlob(user_digest=ALICE, file_number=3, blob=b"\x00" * 32)
+    reply = _exchange(
+        service,
+        protocol.StoreBlob(user_digest=ALICE, file_number=3, blob=b"\x00" * 32),
     )
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "TABLE_FULL"
@@ -304,22 +309,22 @@ def test_contracts_hold_over_tcp(tmp_path):
         seed=100,
     )
     listeners = netutil.Listeners(config, StorageService(config))
-    call = tcp_transport("127.0.0.1", listeners.frame.server_address[1])
+    conn = netutil.FrameConnection("127.0.0.1", listeners.frame.server_address[1], 30.0)
+    client = StorageClient("net", conn.round_trip)
     try:
-        reply = call(protocol.FetchBlob(user_digest=ALICE, file_number=77))
-        assert reply == protocol.ErrorFrame(
-            code="NOT_FOUND", text="no blob for that user digest and file number"
-        )
+        with pytest.raises(
+            NotFound, match="^no blob for that user digest and file number$"
+        ):
+            client.fetch(ALICE, 77)
         blob = os.urandom(80)
-        ack = call(protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=blob))
+        store = protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=blob)
+        ack = protocol.recv_plain(conn.round_trip(protocol.send_plain(store)))
         assert ack == protocol.UploadAck(label="1", status="STORED 1 0")
-        assert call(
-            protocol.FetchBlob(user_digest=ALICE, file_number=1)
-        ) == protocol.BlobPayload(blob=blob)
+        assert client.fetch(ALICE, 1) == blob
         dump = netutil.fetch_admin_dump("127.0.0.1", listeners.admin.server_address[1])
         assert dump["blobs/1.bin"] == blob
     finally:
-        call.args[0].close()
+        conn.close()
         listeners.close()
 
 
@@ -334,16 +339,18 @@ def test_over_cap_store_fails_before_the_socket(tmp_path):
         seed=100,
     )
     listeners = netutil.Listeners(config, StorageService(config))
-    call = tcp_transport("127.0.0.1", listeners.frame.server_address[1])
+    conn = netutil.FrameConnection("127.0.0.1", listeners.frame.server_address[1], 30.0)
+    client = StorageClient("cap", conn.round_trip)
     try:
-        fetch = protocol.FetchBlob(user_digest=ALICE, file_number=1)
-        assert isinstance(call(fetch), protocol.ErrorFrame)
-        sock = call.args[0]._sock
+        with pytest.raises(NotFound):
+            client.fetch(ALICE, 1)
+        sock = conn._sock
         blob = bytes(protocol.MAX_FRAME_LEN // 2 + 1)  # hex form exceeds the cap
         with pytest.raises(MalformedPayload):
-            call(protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=blob))
-        assert call.args[0]._sock is sock
-        assert isinstance(call(fetch), protocol.ErrorFrame)
+            client.store(ALICE, 1, blob)
+        assert conn._sock is sock
+        with pytest.raises(NotFound):
+            client.fetch(ALICE, 1)
     finally:
-        call.args[0].close()
+        conn.close()
         listeners.close()

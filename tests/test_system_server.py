@@ -243,7 +243,7 @@ def test_storage_outage_persists_no_key_record(local_stack, client_keypair):
     stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test", client_keypair)
 
-    def dead_transport(msg):
+    def dead_transport(frame):
         raise StorageUnavailable("cable cut")
 
     stack.service.storage_clients = [StorageClient("s1", dead_transport)]
@@ -251,6 +251,14 @@ def test_storage_outage_persists_no_key_record(local_stack, client_keypair):
         stack.service.upload(token, "doc", b"data")
     assert stack.service.key_records == {}
     assert not os.path.exists(os.path.join(stack.config.data_dir, "keys.tsv"))
+
+
+def test_storage_client_refuses_an_ack_that_is_not_stored():
+    def answers_ok(frame):
+        return protocol.send_plain(protocol.UploadAck(label="1", status="OK"))
+
+    with pytest.raises(StorageUnavailable, match="unexpected ack 'OK'"):
+        StorageClient("s1", answers_ok).store(md5_digest(b"alice"), 1, bytes(32))
 
 
 def test_uploaded_bytes_never_reach_system_persistence(local_stack, client_keypair):
@@ -301,12 +309,26 @@ def test_counter_survives_restart(local_stack, client_keypair):
     assert service.next_file_number() == 4
 
 
+def test_file_numbers_survive_a_lost_counter(local_stack, client_keypair):
+    # A rename the directory never recorded can leave counter.txt behind
+    # keys.tsv; the numbers in the key table still bound the sequence.
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    for i in range(3):
+        stack.service.upload(token, f"doc-{i}", b"data")
+    os.unlink(os.path.join(stack.config.data_dir, "counter.txt"))
+    service = stack.reload()
+    token = service.login("alice", stack.mail.latest("a@example.test"))
+    service.upload(token, "doc-3", b"data")
+    assert service.key_records[(md5_digest(b"alice"), "doc-3")].file_number == 4
+
+
 def test_burned_numbers_are_never_reissued(local_stack, client_keypair):
     stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test", client_keypair)
     stack.service.upload(token, "doc", b"data")
 
-    def dead_transport(msg):
+    def dead_transport(frame):
         raise StorageUnavailable("down")
 
     good_clients = stack.service.storage_clients
@@ -339,10 +361,10 @@ def test_concurrent_uploads_take_different_storages(local_stack, client_keypair)
     both_storing = threading.Barrier(2, timeout=10)
 
     def blocking_transport(storage):
-        def transport(msg):
-            if isinstance(msg, protocol.StoreBlob):
+        def transport(frame):
+            if isinstance(protocol.recv_plain(frame), protocol.StoreBlob):
                 both_storing.wait()
-            return storage.handle_message(msg)
+            return storage.handle_frame(frame)
 
         return transport
 
