@@ -1,8 +1,11 @@
 """Command-line client: keygen, register, login, logout, upload, download, list.
 
-Every request/response exchange is a single sealed round trip; the private
-key, one-time passwords, and session tokens never appear in command output.
-The session token lives in a mode-0600 cache file until logout or expiry.
+Every request/response exchange is a single sealed round trip: the request
+is sealed to the system public key under a fresh session key, and the reply
+must open under that session key (or be a plain error frame). The client key
+pair is read only by ``register``, to send its public half. The private key,
+one-time passwords, and session tokens never appear in command output. The
+session token lives in a mode-0600 cache file until logout or expiry.
 """
 
 import argparse
@@ -12,7 +15,7 @@ import os
 import sys
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
-from .crypto_core import RsaKeyPair, read_keypair, write_keypair
+from .crypto_core import read_keypair, write_keypair
 from .errors import (
     CloudVaultError,
     InvalidSession,
@@ -68,16 +71,9 @@ class ClientSession:
 
     def __init__(self, config: ClientConfig):
         self.config = config
-        self._keypair = None
         self._conn = netutil.FrameConnection(
             config.system_host, config.system_port, timeout=60.0
         )
-
-    @property
-    def keypair(self) -> RsaKeyPair:
-        if self._keypair is None:
-            self._keypair = read_keypair(self.config.keypair_path)
-        return self._keypair
 
     def close(self) -> None:
         self._conn.close()
@@ -89,16 +85,24 @@ class ClientSession:
         self.close()
 
     def _exchange(self, msg):
-        """One sealed request, one sealed (or plain error) response."""
-        if self.config.sabotage_plaintext_channel:
-            request = protocol.send_plain(msg)  # mis-build for auditor self-tests
+        """One sealed request; the reply must open under the request's session
+        key, or be a plain error frame. Any other reply is refused: anyone
+        can build a plain frame, and only the system server can seal one."""
+        if self.config.sabotage_plaintext_channel:  # mis-build for auditor self-tests
+            reply = protocol.recv_plain(self._conn.round_trip(protocol.send_plain(msg)))
         else:
-            request = protocol.send_sealed(msg, self.config.system_public_key)
-        frame = self._conn.round_trip(request)
-        if frame.tag == protocol.SEALED_TAG:
-            reply = protocol.recv_sealed(frame, self.keypair)
-        else:
-            reply = protocol.recv_plain(frame)
+            session_key = crypto_core.generate_symmetric_key()
+            frame = self._conn.round_trip(
+                protocol.send_sealed(msg, self.config.system_public_key, session_key)
+            )
+            if frame.tag == protocol.REPLY_TAG:
+                reply = protocol.recv_reply(frame, session_key)
+            else:
+                reply = protocol.recv_plain(frame)
+                if not isinstance(reply, protocol.ErrorFrame):
+                    raise MalformedPayload(
+                        f"refused an unsealed {type(reply).__name__} reply"
+                    )
         if isinstance(reply, protocol.ErrorFrame):
             raise error_for_code(reply.code, reply.text)
         return reply
@@ -142,7 +146,7 @@ class ClientSession:
             protocol.Register(
                 username=username,
                 mail_address=mail_address,
-                client_public_key=self.keypair.public,
+                client_public_key=read_keypair(self.config.keypair_path).public,
             )
         )
         self._expect(reply, protocol.LoginResponse)

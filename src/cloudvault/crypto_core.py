@@ -1,21 +1,29 @@
-"""Cryptographic primitives: AES-128 file encryption, RSA envelopes, MD5
-digests, random key / one-time-password generation, and the RSA key file.
+"""Cryptographic primitives: AES-128 file encryption, RSA request envelopes,
+AEAD replies keyed from the request, MD5 digests, random key /
+one-time-password generation, and the RSA key file.
 
 File bodies are encrypted with AES-128 in CBC mode under a fresh random key
-and IV, padded with PKCS#7. Client/system traffic is sealed in a hybrid
-envelope: a fresh 128-bit session key is RSA-wrapped with PKCS#1 v1.5
-padding and the message body rides under that session key with the same
-AES-CBC scheme. Identity strings (usernames, one-time passwords) are
-persisted only as MD5 digests of their exact UTF-8 bytes.
+and IV, padded with PKCS#7. A client request is sealed in a hybrid
+envelope: the caller's fresh 128-bit session key is RSA-wrapped with PKCS#1
+v1.5 padding and the message body rides under that session key with the
+same AES-CBC scheme. The reply is sealed under the same session key, so the
+asymmetric key system only carries keys, as in the source design: a fresh
+16-byte nonce salts HKDF-SHA256 (RFC 5869) over the session key, which
+yields an AES-128-GCM key and IV, the way Oblivious HTTP seals a response
+(RFC 9458 §4.4). Only the holder of the system private key recovers the
+session key, so only it can seal a reply the client opens, and a reply
+opens only for the request it answers. Identity strings (usernames,
+one-time passwords) are persisted only as MD5 digests of their exact UTF-8
+bytes.
 
-AES, RSA and MD5 come from vetted implementations (``cryptography``,
-``hashlib``). The library's RSA private operation uses CRT with blinding
-and checks its own result, and its PKCS#1 v1.5 unwrap uses implicit
-rejection: a block that does not open yields pseudo-random bytes instead of
-an error, so the envelope's later checks must catch it. What stays here is
-the key arithmetic the library does not offer: a prime search that also
-makes the small keys tests use, and recovering the primes from the
-``{n, e, d}`` key files (NIST SP 800-56B Rev. 2, Appendix C).
+AES, AES-GCM, HKDF, RSA and MD5 come from vetted implementations
+(``cryptography``, ``hashlib``). The library's RSA private operation uses
+CRT with blinding and checks its own result, and its PKCS#1 v1.5 unwrap
+uses implicit rejection: a block that does not open yields pseudo-random
+bytes instead of an error, so the envelope's later checks must catch it.
+What stays here is the key arithmetic the library does not offer: a prime
+search that also makes the small keys tests use, and recovering the primes
+from the ``{n, e, d}`` key files (NIST SP 800-56B Rev. 2, Appendix C).
 """
 
 import hashlib
@@ -26,8 +34,12 @@ import secrets
 import string
 from dataclasses import dataclass, field
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import (
     BadPadding,
@@ -51,6 +63,11 @@ MIN_RSA_BITS = 16  # toy keypairs for tests; envelopes need far more
 
 # PKCS#1 v1.5 block: 00 02 <at least 8 nonzero pad bytes> 00 <data>
 _MIN_PAD_OVERHEAD = 11
+
+REPLY_NONCE_BYTES = 16
+REPLY_TAG_BYTES = 16
+_REPLY_IV_BYTES = 12
+_REPLY_INFO = b"cloudvault reply"
 
 
 def _random_bytes(count: int) -> bytes:
@@ -410,26 +427,61 @@ def rsa_decrypt_block(wrapped: bytes, priv: RsaKeyPair) -> bytes:
         raise DecryptionFailure("wrapped key does not open") from None
 
 
-def seal_envelope(msg: bytes, pub: tuple[int, int]) -> bytes:
+def seal_envelope(msg: bytes, pub: tuple[int, int], session_key: bytes) -> bytes:
     """Seal ``msg`` to the holder of ``pub``'s private half as the bytes
     ``wrapped_key ‖ iv ‖ body``, with the wrapped key k bytes long.
 
-    The session key is fresh per call and its RSA block carries random
-    padding, so sealing the same message twice never repeats bytes.
+    The caller passes a fresh session key and keeps it to open the reply.
+    The RSA block carries random padding and the IV is random, so sealing
+    the same message twice never repeats bytes.
     """
-    session_key = generate_symmetric_key()
     wrapped = rsa_encrypt_block(session_key, pub)
     payload = encrypt_file(msg, session_key)
     return b"".join((wrapped, payload.iv, payload.body))
 
 
-def open_envelope(sealed: bytes, priv: RsaKeyPair) -> bytes:
-    """Invert seal_envelope, splitting ``sealed`` at priv's k. Each way of
-    failing raises its own CloudVaultError; ``protocol.recv_sealed`` gives
-    them all one reply."""
+def open_envelope(sealed: bytes, priv: RsaKeyPair) -> tuple[bytes, bytes]:
+    """Invert seal_envelope, splitting ``sealed`` at priv's k; returns the
+    message and its session key. Each way of failing raises its own
+    CloudVaultError; ``protocol.recv_sealed`` gives them all one reply."""
     k = modulus_bytes(priv.n)
     payload = Ciphertext.from_bytes(sealed[k:])
     session_key = rsa_decrypt_block(sealed[:k], priv)
     if len(session_key) != KEY_BYTES:
         raise DecryptionFailure("recovered session key has wrong length")
-    return decrypt_file(payload, session_key)
+    return decrypt_file(payload, session_key), session_key
+
+
+def _reply_cipher(session_key: bytes, nonce: bytes) -> tuple[AESGCM, bytes]:
+    _check_key(session_key)
+    okm = HKDF(
+        algorithm=hashes.SHA256(),
+        length=KEY_BYTES + _REPLY_IV_BYTES,
+        salt=nonce,
+        info=_REPLY_INFO,
+    ).derive(session_key)
+    return AESGCM(okm[:KEY_BYTES]), okm[KEY_BYTES:]
+
+
+def seal_reply(msg: bytes, session_key: bytes) -> bytes:
+    """Seal a reply under the session key of the request it answers:
+    ``nonce(16) ‖ AES-128-GCM(key, iv, msg)`` with
+    ``key ‖ iv = HKDF-SHA256(session_key, salt=nonce, info, 28 bytes)``.
+
+    The nonce is fresh per reply, so a key and IV pair never repeats."""
+    nonce = _random_bytes(REPLY_NONCE_BYTES)
+    aead, iv = _reply_cipher(session_key, nonce)
+    return nonce + aead.encrypt(iv, msg, None)
+
+
+def open_reply(sealed: bytes, session_key: bytes) -> bytes:
+    """Invert seal_reply. A payload too short for a nonce and a tag, and
+    every bit changed anywhere in it, raise DecryptionFailure, as does a
+    reply sealed under any other session key."""
+    if len(sealed) < REPLY_NONCE_BYTES + REPLY_TAG_BYTES:
+        raise DecryptionFailure("reply too short for a nonce and a tag")
+    aead, iv = _reply_cipher(session_key, sealed[:REPLY_NONCE_BYTES])
+    try:
+        return aead.decrypt(iv, sealed[REPLY_NONCE_BYTES:], None)
+    except InvalidTag:
+        raise DecryptionFailure("reply does not authenticate") from None

@@ -214,12 +214,21 @@ def append_line(path: str, line: str) -> None:
 
 
 def write_atomic(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``: a crash leaves the old file or
+    the new one. The directory is fsynced after the rename, because until
+    then a power loss can undo the rename (POSIX makes only the file's own
+    data durable through its fsync)."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # A column codec is a (value -> cell, cell -> value) pair; a table's layout is

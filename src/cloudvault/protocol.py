@@ -9,13 +9,20 @@ hex never needs escaping); the bytes are exactly what
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` would write.
 Reading goes through ``json.loads``.
 
-Client/system traffic is sealed: a ``SEALED_TAG`` frame whose payload is the
-raw bytes ``wrapped_key ‖ iv ‖ body``. ``wrapped_key`` is the RSA-wrapped
+A client request is sealed: a ``SEALED_TAG`` frame whose payload is the raw
+bytes ``wrapped_key ‖ iv ‖ body``. ``wrapped_key`` is the RSA-wrapped
 session key, k bytes for the receiver's k-byte modulus; ``iv`` is 16 bytes;
 ``body`` is the AES-CBC encryption of the encoded inner frame. The layout is
 ``crypto_core``'s envelope; the receiver splits it at its own k, so no length
 field is carried. Every sealed frame that does not open or decode gets the
 same ``DecryptionFailure`` text.
+The system server answers a sealed request with a ``REPLY_TAG`` frame whose
+payload is ``nonce(16) ‖ AES-128-GCM body ‖ tag(16)`` under a key derived
+from that request's session key (``crypto_core.seal_reply``). The client
+opens it with the session key it chose, so a forged reply, or a genuine
+reply to another request, does not open. A request that does not open, and
+a refusal sent before the peer is identified, are answered with a plain
+``ErrorFrame``.
 System/storage traffic is framed in the clear; every file byte on that
 channel is already ciphertext, and no message kind that could carry a
 symmetric key exists, so keys structurally cannot cross it.
@@ -39,6 +46,7 @@ from .errors import (
 MAX_FRAME_LEN = 16 * 1024 * 1024
 HEADER_LEN = 5
 SEALED_TAG = 0x10
+REPLY_TAG = 0x11
 UNOPENABLE_TEXT = "sealed frame does not open"
 
 
@@ -262,21 +270,42 @@ def recv_plain(frame: Frame):
 # ---------------------------------------------------------------------------
 # Sealed channel (client <-> system)
 
-def send_sealed(msg, pub: tuple[int, int]) -> Frame:
-    """Envelope the encoded message to ``pub``; fresh session key per call."""
-    payload = crypto_core.seal_envelope(encode_frame(msg), pub)
+def send_sealed(msg, pub: tuple[int, int], session_key: bytes) -> Frame:
+    """Envelope the encoded message to ``pub`` under ``session_key``, a fresh
+    key the caller keeps to open the reply."""
+    payload = crypto_core.seal_envelope(encode_frame(msg), pub, session_key)
     return Frame(tag=SEALED_TAG, payload=payload)
 
 
-def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair):
-    """Open and decode a sealed frame. Every way of failing raises the same
-    DecryptionFailure, so no reply tells a bad wrapped key from bad AES
-    padding or a bad inner frame (Bleichenbacher, CRYPTO '98; Vaudenay,
-    EUROCRYPT '02)."""
+def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair) -> tuple:
+    """Open and decode a sealed frame into ``(message, session_key)``. Every
+    way of failing raises the same DecryptionFailure, so no reply tells a bad
+    wrapped key from bad AES padding or a bad inner frame (Bleichenbacher,
+    CRYPTO '98; Vaudenay, EUROCRYPT '02)."""
     if frame.tag != SEALED_TAG:
         raise MalformedPayload(f"expected a sealed frame, got tag 0x{frame.tag:02x}")
     try:
-        return decode_frame(crypto_core.open_envelope(frame.payload, priv))
+        inner, session_key = crypto_core.open_envelope(frame.payload, priv)
+        return decode_frame(inner), session_key
+    except CloudVaultError:
+        raise DecryptionFailure(UNOPENABLE_TEXT) from None
+
+
+def send_reply(msg, session_key: bytes) -> Frame:
+    """Seal a reply under the session key of the request it answers."""
+    return Frame(
+        tag=REPLY_TAG, payload=crypto_core.seal_reply(encode_frame(msg), session_key)
+    )
+
+
+def recv_reply(frame: Frame, session_key: bytes):
+    """Open and decode a reply to the request sealed under ``session_key``.
+    A wrong tag, a short payload, a bad GCM tag and an inner frame that does
+    not decode all raise the same DecryptionFailure."""
+    if frame.tag != REPLY_TAG:
+        raise DecryptionFailure(UNOPENABLE_TEXT)
+    try:
+        return decode_frame(crypto_core.open_reply(frame.payload, session_key))
     except CloudVaultError:
         raise DecryptionFailure(UNOPENABLE_TEXT) from None
 

@@ -44,6 +44,7 @@ SERVER_KEY_FILE = "server_key.json"
 
 DEFAULT_MAX_FILE_BYTES = 16 * 1024 * 1024
 DEFAULT_SESSION_TTL = 30 * 60.0
+MAX_SESSIONS_PER_USER = 16  # a login past this ends the user's oldest session
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,8 @@ class _Session:
 
 
 def _check_client_key(pub: tuple) -> None:
-    """Refuse a key that cannot wrap a session key: no reply could ever be
-    sealed to it, so the account would be unusable."""
+    """Refuse a key that cannot wrap a session key, so no account stores a
+    public key that is not a usable RSA key."""
     try:
         crypto_core.rsa_encrypt_block(bytes(crypto_core.KEY_BYTES), pub)
     except MessageOutOfRange as exc:
@@ -221,8 +222,9 @@ class SystemService:
             record = KeyRecord(*row)
             self.key_records[(record.user_digest, record.label)] = record
         self._next_storage = len(self.key_records)
-        # ``write_atomic`` does not fsync the directory, so a power loss can
-        # undo the counter's rename while a later key row survives.
+        # A counter file that is missing or behind keys.tsv (lost, or left by
+        # a build whose ``write_atomic`` did not fsync the directory) must
+        # not re-issue a number that a key row holds.
         self._counter = max(
             (r.file_number for r in self.key_records.values()), default=0
         )
@@ -281,8 +283,24 @@ class SystemService:
             self._append_row(ACCOUNTS_FILE, ACCOUNT_COLUMNS, rotated)
             self.accounts[digest] = rotated
             token = secrets.token_bytes(16).hex()
-            self._sessions[token] = _Session(user_digest=digest, last_used=time.monotonic())
+            now = time.monotonic()
+            self._sessions[token] = _Session(user_digest=digest, last_used=now)
+            self._prune_sessions(digest, now)
             return token
+
+    def _prune_sessions(self, digest: bytes, now: float) -> None:
+        """Drop expired sessions and all but the user's newest
+        ``MAX_SESSIONS_PER_USER``, so logins cannot grow the table."""
+        expired = [
+            token for token, session in self._sessions.items()
+            if now - session.last_used > DEFAULT_SESSION_TTL
+        ]
+        mine = [  # in login order: dicts keep insertion order
+            token for token, session in self._sessions.items()
+            if session.user_digest == digest
+        ]
+        for token in expired + mine[:-MAX_SESSIONS_PER_USER]:
+            self._sessions.pop(token, None)
 
     def _session_digest(self, token: str) -> bytes:
         with self._lock:
@@ -295,9 +313,6 @@ class SystemService:
                 raise InvalidSession("session expired")
             session.last_used = now
             return session.user_digest
-
-    def account_for_token(self, token: str) -> AccountRecord:
-        return self.accounts[self._session_digest(token)]
 
     # -- files ------------------------------------------------------------------
 
@@ -402,30 +417,36 @@ class SystemService:
     # -- protocol dispatch --------------------------------------------------------
 
     def dispatch(self, msg) -> tuple:
-        """Map one request message to ``(reply, client key)``: the reply, and
-        the client public key to seal it to when one is known; errors for
-        unidentifiable peers go back plain."""
-        client_key = None
+        """Map one request message to ``(reply, identified)``: the reply, and
+        whether the peer was identified (a usable ``Register`` key, a
+        matched password or a live session) before it was built. Errors for
+        unidentified peers go back plain."""
+        identified = False
         try:
             if isinstance(msg, protocol.Register):
                 _check_client_key(msg.client_public_key)
-                client_key = tuple(msg.client_public_key)
-                self.register(msg.username, msg.mail_address, client_key)
+                identified = True
+                self.register(
+                    msg.username, msg.mail_address, tuple(msg.client_public_key)
+                )
                 reply = protocol.LoginResponse(session_token="", status="REGISTERED")
             elif isinstance(msg, protocol.LoginRequest):
                 token = self.login(msg.username, msg.otp)
-                client_key = self.account_for_token(token).client_public_key
+                identified = True
                 reply = protocol.LoginResponse(session_token=token, status="OK")
             elif isinstance(msg, protocol.UploadRequest):
-                client_key = self.account_for_token(msg.session_token).client_public_key
+                self._session_digest(msg.session_token)
+                identified = True
                 self.upload(msg.session_token, msg.label, msg.file_bytes)
                 reply = protocol.UploadAck(label=msg.label, status="OK")
             elif isinstance(msg, protocol.DownloadRequest):
-                client_key = self.account_for_token(msg.session_token).client_public_key
+                self._session_digest(msg.session_token)
+                identified = True
                 data = self.download(msg.session_token, msg.label)
                 reply = protocol.FilePayload(label=msg.label, file_bytes=data)
             elif isinstance(msg, protocol.ListRequest):
-                client_key = self.account_for_token(msg.session_token).client_public_key
+                self._session_digest(msg.session_token)
+                identified = True
                 labels = self.list_labels(msg.session_token)
                 reply = protocol.ListResponse(labels=tuple(labels))
             else:
@@ -434,30 +455,26 @@ class SystemService:
                 )
         except CloudVaultError as exc:
             reply = protocol.error_frame(exc)
-        return reply, client_key
+        return reply, identified
 
     def handle_frame(self, frame: protocol.Frame) -> protocol.Frame:
-        sealed = frame.tag == protocol.SEALED_TAG
+        session_key = None
         try:
-            if sealed:
-                msg = protocol.recv_sealed(frame, self.keypair)
+            if frame.tag == protocol.SEALED_TAG:
+                msg, session_key = protocol.recv_sealed(frame, self.keypair)
             elif self.config.sabotage_accept_plain:
                 msg = protocol.recv_plain(frame)
             else:
                 raise MalformedPayload("client traffic must be sealed")
         except CloudVaultError as exc:
             return protocol.send_plain(protocol.error_frame(exc))
-        reply, client_key = self.dispatch(msg)
-        if not sealed or client_key is None:
+        reply, identified = self.dispatch(msg)
+        if session_key is None or not identified:
             return protocol.send_plain(reply)
         try:
-            return protocol.send_sealed(reply, client_key)
-        except CloudVaultError as exc:  # e.g. a reply over the frame cap
-            reply = protocol.error_frame(exc)
-        try:
-            return protocol.send_sealed(reply, client_key)
-        except CloudVaultError:  # a stored key no reply can be sealed to
-            return protocol.send_plain(reply)
+            return protocol.send_reply(reply, session_key)
+        except CloudVaultError as exc:  # a reply over the frame cap
+            return protocol.send_reply(protocol.error_frame(exc), session_key)
 
 
 def main(argv=None) -> int:

@@ -68,14 +68,15 @@ def test_perfbench_hooks_find_every_traced_function(role):
 def test_wire_counter_sees_a_client_exchange(tmp_path, client_keypair):
     keypair_path = str(tmp_path / "client.key")
     crypto_core.write_keypair(keypair_path, client_keypair)
-    reply = protocol.send_plain(
-        protocol.LoginResponse(session_token="", status="REGISTERED")
-    )
     requests = []
+    replies = []
 
-    def handler(frame):
+    def handler(frame):  # client_keypair is the system key in this exchange
         requests.append(frame)
-        return reply
+        _, session_key = protocol.recv_sealed(frame, client_keypair)
+        reply = protocol.LoginResponse(session_token="", status="REGISTERED")
+        replies.append(protocol.send_reply(reply, session_key))
+        return replies[-1]
 
     server = netutil.start_frame_server("127.0.0.1", 0, handler)
     try:
@@ -88,5 +89,6 @@ def test_wire_counter_sees_a_client_exchange(tmp_path, client_keypair):
         server.server_close()
     assert proc.returncode == 0, proc.stderr
     (request,) = requests
+    (reply,) = replies
     frame_bytes = 2 * protocol.HEADER_LEN + len(request.payload) + len(reply.payload)
     assert int(proc.stdout) == frame_bytes

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from cloudvault import client_cli, harness, mailbox, protocol
-from cloudvault.errors import MalformedPayload
+from cloudvault import client_cli, crypto_core, harness, mailbox, netutil, protocol
+from cloudvault.errors import DecryptionFailure, MalformedPayload
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(client_cli.__file__)))
 
@@ -97,6 +97,70 @@ def test_end_to_end_round_trip(client_env, tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(config_path, "list") == 0
     assert capsys.readouterr().out.splitlines() == ["notes.bin"]
+
+
+def test_verbs_after_register_need_no_client_key_file(client_env, tmp_path, capsys):
+    config_path, mail = client_env("nokey")
+    source = tmp_path / "nokey.bin"
+    source.write_bytes(b"no key file needed")
+    target = tmp_path / "nokey.out"
+
+    assert run_cli(config_path, "keygen", "--bits", "512") == 0
+    assert run_cli(config_path, "register", "nokey", mail) == 0
+    os.unlink(client_cli.ClientConfig.from_file(config_path).keypair_path)
+    assert run_cli(config_path, "login", "nokey") == 0
+    assert run_cli(config_path, "upload", "nokey.bin", str(source)) == 0
+    assert run_cli(config_path, "download", "nokey.bin", str(target)) == 0
+    assert target.read_bytes() == source.read_bytes()
+    capsys.readouterr()
+    assert run_cli(config_path, "list") == 0
+    assert capsys.readouterr().out.splitlines() == ["nokey.bin"]
+
+
+FORGED_FILE = protocol.FilePayload(label="doc", file_bytes=b"forged bytes")
+
+
+@pytest.mark.parametrize(
+    "forge, error",
+    [
+        (lambda pub: protocol.send_plain(FORGED_FILE), MalformedPayload),
+        (
+            lambda pub: protocol.send_sealed(
+                FORGED_FILE, pub, crypto_core.generate_symmetric_key()
+            ),
+            MalformedPayload,
+        ),
+        (
+            lambda pub: protocol.send_reply(
+                FORGED_FILE, crypto_core.generate_symmetric_key()
+            ),
+            DecryptionFailure,
+        ),
+    ],
+    ids=["plain", "sealed to the client key", "reply under another session key"],
+)
+def test_download_refuses_a_forged_reply(tmp_path, client_keypair, forge, error):
+    # The forger knows the client's public key (Register sends it) but not
+    # the session key inside the request, which only the system key opens.
+    keypair_path = str(tmp_path / "client.key")
+    crypto_core.write_keypair(keypair_path, client_keypair)
+    token_path = tmp_path / "client.session"
+    token_path.write_text("ab" * 16)
+    public = {"n": str(client_keypair.n), "e": str(client_keypair.e)}
+    server = netutil.start_frame_server(
+        "127.0.0.1", 0, lambda frame: forge(client_keypair.public)
+    )
+    try:
+        config = client_cli.ClientConfig(
+            "127.0.0.1", server.server_address[1], public, keypair_path,
+            token_path=str(token_path),
+        )
+        with client_cli.ClientSession(config) as session:
+            with pytest.raises(error):
+                session.download("doc")
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.mark.parametrize(

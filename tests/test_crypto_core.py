@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import hmac
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import stat
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from cloudvault import crypto_core as cc
 from cloudvault.errors import (
@@ -352,14 +355,16 @@ def test_envelope_round_trip(client_keypair):
     rng = random.Random(0xE44)
     for size in (0, 1, 100, 4096, 1 << 20):
         msg = rng.randbytes(size)
-        sealed = cc.seal_envelope(msg, client_keypair.public)
-        assert cc.open_envelope(sealed, client_keypair) == msg
+        session_key = cc.generate_symmetric_key()
+        sealed = cc.seal_envelope(msg, client_keypair.public, session_key)
+        assert cc.open_envelope(sealed, client_keypair) == (msg, session_key)
 
 
 def test_sealing_twice_differs(client_keypair):
     k = cc.modulus_bytes(client_keypair.n)
-    first = cc.seal_envelope(b"repeat me", client_keypair.public)
-    second = cc.seal_envelope(b"repeat me", client_keypair.public)
+    key = cc.generate_symmetric_key()
+    first = cc.seal_envelope(b"repeat me", client_keypair.public, key)
+    second = cc.seal_envelope(b"repeat me", client_keypair.public, key)
     assert first[:k] != second[:k]
     assert first[k:] != second[k:]
 
@@ -367,9 +372,71 @@ def test_sealing_twice_differs(client_keypair):
 def test_envelope_needs_room_for_the_session_key():
     toy = cc.RsaKeyPair.from_primes(61, 53, e=17)
     with pytest.raises(MessageOutOfRange):
-        cc.seal_envelope(b"hi", toy.public)
+        cc.seal_envelope(b"hi", toy.public, cc.generate_symmetric_key())
 
 
 def test_envelope_hides_message_bytes(client_keypair):
     marker = b"MARKER-not-on-the-wire"
-    assert marker not in cc.seal_envelope(marker, client_keypair.public)
+    sealed = cc.seal_envelope(marker, client_keypair.public, cc.generate_symmetric_key())
+    assert marker not in sealed
+
+
+# ---------------------------------------------------------------------
+# Replies
+
+
+def _hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
+    """RFC 5869 written out with hmac, as an independent reference."""
+    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
+    okm, block = b"", b""
+    for counter in range(1, -(-length // 32) + 1):
+        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        okm += block
+    return okm[:length]
+
+
+def test_hkdf_reference_matches_rfc_5869_case_1():
+    okm = _hkdf_sha256(
+        bytes.fromhex("0b" * 22),
+        bytes.fromhex("000102030405060708090a0b0c"),
+        bytes.fromhex("f0f1f2f3f4f5f6f7f8f9"),
+        42,
+    )
+    assert okm.hex() == (
+        "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+        "34007208d5b887185865"
+    )
+
+
+def test_reply_layout_is_nonce_then_gcm_under_hkdf_of_the_session_key():
+    session_key = cc.generate_symmetric_key()
+    msg = b"reply body " * 10
+    sealed = cc.seal_reply(msg, session_key)
+    assert len(sealed) == cc.REPLY_NONCE_BYTES + len(msg) + cc.REPLY_TAG_BYTES
+    nonce = sealed[: cc.REPLY_NONCE_BYTES]
+    okm = _hkdf_sha256(session_key, nonce, b"cloudvault reply", 28)
+    body = sealed[cc.REPLY_NONCE_BYTES :]
+    assert AESGCM(okm[:16]).decrypt(okm[16:], body, None) == msg
+    assert cc.open_reply(sealed, session_key) == msg
+
+
+def test_reply_round_trip_and_fresh_nonce():
+    session_key = cc.generate_symmetric_key()
+    for size in (0, 1, 100, 1 << 20):
+        msg = random.Random(size).randbytes(size)
+        assert cc.open_reply(cc.seal_reply(msg, session_key), session_key) == msg
+    first = cc.seal_reply(b"same", session_key)
+    second = cc.seal_reply(b"same", session_key)
+    assert first[: cc.REPLY_NONCE_BYTES] != second[: cc.REPLY_NONCE_BYTES]
+    assert first[cc.REPLY_NONCE_BYTES :] != second[cc.REPLY_NONCE_BYTES :]
+
+
+def test_reply_does_not_open_short_or_under_another_key():
+    session_key = cc.generate_symmetric_key()
+    sealed = cc.seal_reply(b"", session_key)
+    assert len(sealed) == cc.REPLY_NONCE_BYTES + cc.REPLY_TAG_BYTES
+    for payload in (b"", sealed[:-1], sealed[: cc.REPLY_NONCE_BYTES]):
+        with pytest.raises(DecryptionFailure):
+            cc.open_reply(payload, session_key)
+    with pytest.raises(DecryptionFailure):
+        cc.open_reply(sealed, cc.generate_symmetric_key())

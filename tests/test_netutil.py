@@ -5,6 +5,7 @@ import json
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -159,6 +160,22 @@ def test_a_torn_row_that_cannot_be_cut_off_stops_start_up(tmp_path, monkeypatch)
         netutil.read_rows(path, (netutil.INT, netutil.WORD))
 
 
+def test_write_atomic_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch):
+    path = str(tmp_path / "counter.txt")
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append(("dir" if is_dir else "file", _read(path) if is_dir else None))
+        real_fsync(fd)
+
+    monkeypatch.setattr(netutil.os, "fsync", recording_fsync)
+    netutil.write_atomic(path, b"7\n")
+    # The directory is synced after the rename, so the new name is durable.
+    assert synced == [("file", None), ("dir", b"7\n")]
+
+
 # ---------------------------------------------------------------------
 # keep-alive exchange
 
@@ -169,7 +186,8 @@ class FakePeer:
     """A frame server run by a script, one connection at a time.
 
     Each request frame is recorded, then answered with the script's next
-    step: a Frame is sent back, None hangs up without replying. A RESTART
+    step: a Frame is sent back, a callable is called with the request and
+    its result sent back, None hangs up without replying. A RESTART
     step, taken right after a reply, closes the connection and the listener
     and listens again on the same port. Once the script runs out, every
     request is recorded and hung up on.
@@ -206,6 +224,8 @@ class FakePeer:
                         break
                     self.seen.append(frame)
                     reply = self.script.pop(0) if self.script else None
+                    if callable(reply):
+                        reply = reply(frame)
                     if reply is None:
                         break
                     protocol.write_frame(conn, reply)
@@ -237,9 +257,15 @@ def peer():
 FETCH = protocol.FetchBlob(user_digest=ALICE, file_number=1)
 STORE = protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=b"\x00" * 32)
 BLOB_REPLY = protocol.send_plain(protocol.BlobPayload(blob=b"\x00" * 32))
-REGISTERED = protocol.send_plain(
-    protocol.LoginResponse(session_token="", status="REGISTERED")
-)
+def registered(system_keypair):
+    """A script step that answers a sealed Register as the system server does."""
+
+    def answer(frame):
+        _, session_key = protocol.recv_sealed(frame, system_keypair)
+        reply = protocol.LoginResponse(session_token="", status="REGISTERED")
+        return protocol.send_reply(reply, session_key)
+
+    return answer
 
 
 def test_storage_client_never_resends_a_written_request(peer):
@@ -273,8 +299,10 @@ def session_for(tmp_path, client_keypair):
         session.close()
 
 
-def test_client_session_never_resends_a_written_request(peer, session_for):
-    fake = peer([REGISTERED, None])
+def test_client_session_never_resends_a_written_request(
+    peer, session_for, client_keypair
+):
+    fake = peer([registered(client_keypair), None])
     session = session_for(fake.port)
     session.register("alice", "a@example.test")
     with pytest.raises(ConnectionFailure, match="without replying"):
@@ -297,8 +325,10 @@ def test_storage_client_reconnects_after_the_peer_restarts(peer):
         conn.close()
 
 
-def test_client_session_reconnects_after_the_peer_restarts(peer, session_for):
-    fake = peer([REGISTERED, RESTART, REGISTERED])
+def test_client_session_reconnects_after_the_peer_restarts(
+    peer, session_for, client_keypair
+):
+    fake = peer([registered(client_keypair), RESTART, registered(client_keypair)])
     session = session_for(fake.port)
     session.register("alice", "a@example.test")
     first = session._conn._sock

@@ -16,6 +16,7 @@ from cloudvault.errors import (
 )
 
 RNG = random.Random(0xF7A3E)
+SESSION_KEY = bytes(range(16))
 
 
 def _random_label():
@@ -287,6 +288,7 @@ def test_tags_and_golden_frames_are_pinned():
         "ErrorFrame": 0x0E,
     }
     assert protocol.SEALED_TAG == 0x10
+    assert protocol.REPLY_TAG == 0x11
     assert {type(msg) for msg, _, _ in GOLDEN_FRAMES} == set(ALL_KINDS)
     for msg, header, payload in GOLDEN_FRAMES:
         golden = bytes.fromhex(header) + payload
@@ -334,7 +336,7 @@ def test_no_message_kind_can_carry_a_symmetric_key():
 
 def test_plain_channel_rejects_sealed_frames(client_keypair):
     frame = protocol.send_sealed(
-        protocol.ListRequest(session_token="ab"), client_keypair.public
+        protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
     )
     with pytest.raises(MalformedPayload):
         protocol.recv_plain(frame)
@@ -347,14 +349,14 @@ def test_sealed_round_trip(client_keypair):
     msg = protocol.UploadRequest(
         session_token="cd" * 16, label="x.txt", file_bytes=b"payload bytes"
     )
-    frame = protocol.send_sealed(msg, client_keypair.public)
-    assert protocol.recv_sealed(frame, client_keypair) == msg
+    frame = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY)
+    assert protocol.recv_sealed(frame, client_keypair) == (msg, SESSION_KEY)
 
 
 def test_sealed_frames_differ_each_time(client_keypair):
     msg = protocol.ListRequest(session_token="ee" * 16)
-    first = protocol.send_sealed(msg, client_keypair.public)
-    second = protocol.send_sealed(msg, client_keypair.public)
+    first = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY)
+    second = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY)
     assert first != second
 
 
@@ -368,7 +370,7 @@ def test_eavesdropper_sees_no_plaintext(client_keypair):
             session_token="ab" * 16, label="secret-label", file_bytes=file_marker
         ),
     ):
-        wire = protocol.send_sealed(msg, client_keypair.public).to_bytes()
+        wire = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY).to_bytes()
         for marker in (
             username.encode(),
             otp.encode(),
@@ -382,7 +384,7 @@ def test_eavesdropper_sees_no_plaintext(client_keypair):
 def test_sealed_wrong_key(client_keypair):
     other = crypto_core.rsa_generate(512)
     frame = protocol.send_sealed(
-        protocol.ListRequest(session_token="ab"), client_keypair.public
+        protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
     )
     with pytest.raises(DecryptionFailure):
         protocol.recv_sealed(frame, other)
@@ -394,7 +396,7 @@ def test_envelope_wrong_key_fails(client_keypair):
     # AES padding then passes about once in 256. Only recv_sealed, which also
     # decodes the inner frame, can promise that such a frame never opens.
     frame = protocol.send_sealed(
-        protocol.ListRequest(session_token="ab"), client_keypair.public
+        protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
     )
     for _ in range(20):
         other = crypto_core.rsa_generate(512)  # independent 512-bit pair
@@ -414,19 +416,22 @@ def test_sealed_payload_is_wrapped_key_iv_body(client_keypair):
         session_token="cd" * 16, label="layout", file_bytes=bytes(range(256)) * 3
     )
     inner = protocol.encode_frame(msg)
-    payload = protocol.send_sealed(msg, client_keypair.public).payload
+    payload = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY).payload
     k = crypto_core.modulus_bytes(client_keypair.n)
     padded = (len(inner) // crypto_core.BLOCK_SIZE + 1) * crypto_core.BLOCK_SIZE
     assert len(payload) == k + crypto_core.BLOCK_SIZE + padded
     session_key = crypto_core.rsa_decrypt_block(payload[:k], client_keypair)
+    assert session_key == SESSION_KEY
     body = crypto_core.Ciphertext.from_bytes(payload[k:])
     assert crypto_core.decrypt_file(body, session_key) == inner
-    assert crypto_core.open_envelope(payload, client_keypair) == inner
+    assert crypto_core.open_envelope(payload, client_keypair) == (inner, SESSION_KEY)
 
 
 def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
     """Sealed-frame payloads that no receiver holding ``pub``'s key may open."""
-    good = protocol.send_sealed(protocol.ListRequest(session_token="ab"), pub).payload
+    good = protocol.send_sealed(
+        protocol.ListRequest(session_token="ab"), pub, SESSION_KEY
+    ).payload
     k = crypto_core.modulus_bytes(pub[0])
     block = crypto_core.BLOCK_SIZE
     flipped = bytearray(good)
@@ -449,10 +454,14 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
         "wrapped key zero": bytes(k) + good[k:],
         "first body block flipped": body_flipped,
         "sealed to another key": protocol.send_sealed(
-            protocol.ListRequest(session_token="ab"), other.public
+            protocol.ListRequest(session_token="ab"), other.public, SESSION_KEY
         ).payload,
-        "inner frame does not decode": crypto_core.seal_envelope(b"not a frame", pub),
-        "inner frame nested too deep": crypto_core.seal_envelope(nested, pub),
+        "inner frame does not decode": crypto_core.seal_envelope(
+            b"not a frame", pub, SESSION_KEY
+        ),
+        "inner frame nested too deep": crypto_core.seal_envelope(
+            nested, pub, SESSION_KEY
+        ),
     }
 
 
@@ -470,10 +479,64 @@ def test_server_answers_malformed_sealed_payloads_with_plain_errors(local_stack)
         reply = service.handle_frame(
             protocol.Frame(tag=protocol.SEALED_TAG, payload=payload)
         )
-        assert reply.tag != protocol.SEALED_TAG, name
+        assert reply.tag not in (protocol.SEALED_TAG, protocol.REPLY_TAG), name
         assert isinstance(protocol.recv_plain(reply), protocol.ErrorFrame), name
         replies.add(reply.to_bytes())
     assert len(replies) == 1  # no reply tells which step failed
+
+
+# ---------------------------------------------------------------------
+# replies
+
+def test_reply_round_trip_and_layout():
+    msg = protocol.FilePayload(label="r.bin", file_bytes=bytes(range(256)))
+    frame = protocol.send_reply(msg, SESSION_KEY)
+    assert frame.tag == protocol.REPLY_TAG
+    inner = protocol.encode_frame(msg)
+    assert len(frame.payload) == (
+        crypto_core.REPLY_NONCE_BYTES + len(inner) + crypto_core.REPLY_TAG_BYTES
+    )
+    assert crypto_core.open_reply(frame.payload, SESSION_KEY) == inner
+    assert protocol.recv_reply(frame, SESSION_KEY) == msg
+    assert protocol.send_reply(msg, SESSION_KEY) != frame
+
+
+def _assert_unopenable(frame, session_key):
+    with pytest.raises(DecryptionFailure) as excinfo:
+        protocol.recv_reply(frame, session_key)
+    assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
+
+
+def test_every_byte_flip_in_a_reply_is_rejected_alike():
+    frame = protocol.send_reply(protocol.ListResponse(labels=("a", "b")), SESSION_KEY)
+    # nonce, then body, then the GCM tag: every byte of each
+    for index in range(len(frame.payload)):
+        for mask in (0x01, 0x80):
+            flipped = bytearray(frame.payload)
+            flipped[index] ^= mask
+            frame_flipped = protocol.Frame(protocol.REPLY_TAG, bytes(flipped))
+            _assert_unopenable(frame_flipped, SESSION_KEY)
+
+
+def test_malformed_replies_are_rejected_alike():
+    good = protocol.send_reply(protocol.ListResponse(labels=()), SESSION_KEY)
+    for frame in (
+        protocol.Frame(protocol.REPLY_TAG, b""),
+        protocol.Frame(protocol.REPLY_TAG, good.payload[:-1]),
+        protocol.Frame(protocol.REPLY_TAG, good.payload + b"\x00"),
+        protocol.Frame(protocol.SEALED_TAG, good.payload),
+        protocol.send_plain(protocol.ListResponse(labels=())),
+        protocol.Frame(
+            protocol.REPLY_TAG, crypto_core.seal_reply(b"not a frame", SESSION_KEY)
+        ),
+    ):
+        _assert_unopenable(frame, SESSION_KEY)
+
+
+def test_a_reply_opens_only_under_its_own_session_key():
+    frame = protocol.send_reply(protocol.ListResponse(labels=("a",)), SESSION_KEY)
+    for _ in range(20):
+        _assert_unopenable(frame, crypto_core.generate_symmetric_key())
 
 
 def test_over_cap_frame_is_rejected_when_built():

@@ -11,6 +11,7 @@ from cloudvault import system_server as system_mod
 from cloudvault.crypto_core import md5_digest
 from cloudvault.errors import (
     AuthFailed,
+    DecryptionFailure,
     DuplicateLabel,
     DuplicateUser,
     FileTooLarge,
@@ -139,6 +140,28 @@ def test_bogus_token_rejected(local_stack):
     stack = local_stack()
     with pytest.raises(InvalidSession):
         stack.service.upload("ff" * 16, "doc", b"data")
+
+
+def test_logins_keep_only_the_newest_sessions_per_user(local_stack, client_keypair):
+    stack = local_stack()
+    stack.service.register("alice", "a@example.test", client_keypair.public)
+    tokens = [
+        stack.service.login("alice", stack.mail.latest("a@example.test"))
+        for _ in range(200)
+    ]
+    assert len(stack.service._sessions) <= system_mod.MAX_SESSIONS_PER_USER
+    assert stack.service.list_labels(tokens[-1]) == []
+    with pytest.raises(InvalidSession):
+        stack.service.list_labels(tokens[0])
+
+
+def test_a_login_drops_expired_sessions(local_stack, client_keypair, monkeypatch):
+    monkeypatch.setattr(system_mod, "DEFAULT_SESSION_TTL", 0.05)
+    stack = local_stack()
+    stack.register_and_login("alice", "a@example.test", client_keypair)
+    time.sleep(0.1)
+    token = stack.register_and_login("bob", "b@example.test", client_keypair)
+    assert list(stack.service._sessions) == [token]
 
 
 def test_restart_invalidates_sessions(local_stack, client_keypair):
@@ -525,11 +548,16 @@ def test_dump_contains_keys_but_no_identities(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # protocol dispatch
 
-def _sealed_exchange(stack, msg, keypair):
-    frame = protocol.send_sealed(msg, stack.service.keypair.public)
-    reply = stack.service.handle_frame(frame)
-    if reply.tag == protocol.SEALED_TAG:
-        return protocol.recv_sealed(reply, keypair)
+def _seal(stack, msg, session_key=None) -> protocol.Frame:
+    session_key = session_key or crypto_core.generate_symmetric_key()
+    return protocol.send_sealed(msg, stack.service.keypair.public, session_key)
+
+
+def _sealed_exchange(stack, msg):
+    session_key = crypto_core.generate_symmetric_key()
+    reply = stack.service.handle_frame(_seal(stack, msg, session_key))
+    if reply.tag == protocol.REPLY_TAG:
+        return protocol.recv_reply(reply, session_key)
     return protocol.recv_plain(reply)
 
 
@@ -542,7 +570,6 @@ def test_register_over_the_wire(local_stack, client_keypair):
             mail_address="w@example.test",
             client_public_key=client_keypair.public,
         ),
-        client_keypair,
     )
     assert reply == protocol.LoginResponse(session_token="", status="REGISTERED")
     assert stack.mail.messages("w@example.test")
@@ -558,10 +585,8 @@ def test_register_refuses_a_key_that_cannot_take_a_reply(local_stack, key):
     msg = protocol.Register(
         username="bad-key", mail_address="b@example.test", client_public_key=key
     )
-    reply = stack.service.handle_frame(
-        protocol.send_sealed(msg, stack.service.keypair.public)
-    )
-    assert reply.tag != protocol.SEALED_TAG  # nothing to seal it to
+    reply = stack.service.handle_frame(_seal(stack, msg))
+    assert reply.tag != protocol.REPLY_TAG  # refused before the peer is identified
     error = protocol.recv_plain(reply)
     assert isinstance(error, protocol.ErrorFrame)
     assert error.code == "INVALID_KEY"
@@ -570,20 +595,17 @@ def test_register_refuses_a_key_that_cannot_take_a_reply(local_stack, key):
     assert stack.reload().accounts == {}
 
 
-def test_a_stored_key_that_cannot_take_a_reply_gets_a_plain_error(local_stack):
-    # An account stored before Register checked keys: the login reply cannot
-    # be sealed to its key, and neither can the error, so the error goes plain
-    # rather than the exception escaping handle_frame.
+def test_a_stored_key_that_cannot_take_a_reply_still_logs_in(local_stack):
+    # An account stored before Register checked keys. Replies are sealed under
+    # the request's session key, so the stored client key plays no part.
     stack = local_stack()
     stack.service.register("old", "o@example.test", (3233, 17))
     msg = protocol.LoginRequest(username="old", otp=stack.mail.latest("o@example.test"))
-    reply = stack.service.handle_frame(
-        protocol.send_sealed(msg, stack.service.keypair.public)
-    )
-    assert reply.tag != protocol.SEALED_TAG
-    error = protocol.recv_plain(reply)
-    assert isinstance(error, protocol.ErrorFrame)
-    assert error.code == "MESSAGE_OUT_OF_RANGE"
+    session_key = crypto_core.generate_symmetric_key()
+    reply = stack.service.handle_frame(_seal(stack, msg, session_key))
+    assert reply.tag == protocol.REPLY_TAG
+    login = protocol.recv_reply(reply, session_key)
+    assert isinstance(login, protocol.LoginResponse) and login.status == "OK"
 
 
 def test_full_wire_flow(local_stack, client_keypair):
@@ -595,30 +617,40 @@ def test_full_wire_flow(local_stack, client_keypair):
             mail_address="w@example.test",
             client_public_key=client_keypair.public,
         ),
-        client_keypair,
     )
     otp = stack.mail.latest("w@example.test")
     login = _sealed_exchange(
-        stack, protocol.LoginRequest(username="wire-user", otp=otp), client_keypair
+        stack, protocol.LoginRequest(username="wire-user", otp=otp)
     )
     assert login.status == "OK" and login.session_token
     token = login.session_token
     ack = _sealed_exchange(
         stack,
         protocol.UploadRequest(session_token=token, label="w.bin", file_bytes=b"abc"),
-        client_keypair,
     )
     assert ack == protocol.UploadAck(label="w.bin", status="OK")
     payload = _sealed_exchange(
         stack,
         protocol.DownloadRequest(session_token=token, label="w.bin"),
-        client_keypair,
     )
     assert payload == protocol.FilePayload(label="w.bin", file_bytes=b"abc")
     listing = _sealed_exchange(
-        stack, protocol.ListRequest(session_token=token), client_keypair
+        stack, protocol.ListRequest(session_token=token)
     )
     assert listing == protocol.ListResponse(labels=("w.bin",))
+
+
+def test_a_reply_to_one_request_does_not_answer_another(local_stack, client_keypair):
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    request = protocol.ListRequest(session_token=token)
+    key_a, key_b = (crypto_core.generate_symmetric_key() for _ in range(2))
+    reply_a = stack.service.handle_frame(_seal(stack, request, key_a))
+    stack.service.handle_frame(_seal(stack, request, key_b))  # request B
+    assert protocol.recv_reply(reply_a, key_a) == protocol.ListResponse(labels=())
+    with pytest.raises(DecryptionFailure) as excinfo:
+        protocol.recv_reply(reply_a, key_b)
+    assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
 
 
 def test_wire_errors_are_error_frames(local_stack, client_keypair):
@@ -626,7 +658,6 @@ def test_wire_errors_are_error_frames(local_stack, client_keypair):
     reply = _sealed_exchange(
         stack,
         protocol.LoginRequest(username="ghost", otp="A" * 16),
-        client_keypair,
     )
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "AUTH_FAILED"
@@ -637,10 +668,7 @@ def test_failed_logins_answer_byte_identically(local_stack, client_keypair):
     stack.service.register("alice", "a@example.test", client_keypair.public)
     replies = [
         stack.service.handle_frame(
-            protocol.send_sealed(
-                protocol.LoginRequest(username=username, otp="A" * 16),
-                stack.service.keypair.public,
-            )
+            _seal(stack, protocol.LoginRequest(username=username, otp="A" * 16))
         ).to_bytes()
         for username in ("alice", "ghost")  # wrong OTP, unknown user
     ]
@@ -654,10 +682,9 @@ def test_over_cap_sealed_reply_is_an_error_frame(
     token = stack.register_and_login("big", "big@example.test", client_keypair)
     stack.service.upload(token, "big.bin", bytes(4096))
     request = protocol.DownloadRequest(session_token=token, label="big.bin")
-    frame = protocol.send_sealed(request, stack.service.keypair.public)
-    reply_len = len(stack.service.handle_frame(frame).payload)
+    reply_len = len(stack.service.handle_frame(_seal(stack, request)).payload)
     monkeypatch.setattr(protocol, "MAX_FRAME_LEN", reply_len - 1)
-    reply = _sealed_exchange(stack, request, client_keypair)
+    reply = _sealed_exchange(stack, request)
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "MALFORMED_PAYLOAD"
 
@@ -673,7 +700,7 @@ def test_plain_frames_rejected_without_sabotage(local_stack):
 def test_response_messages_rejected_as_requests(local_stack, client_keypair):
     stack = local_stack()
     reply = _sealed_exchange(
-        stack, protocol.UploadAck(label="x", status="OK"), client_keypair
+        stack, protocol.UploadAck(label="x", status="OK")
     )
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "MALFORMED_PAYLOAD"
