@@ -1,11 +1,11 @@
-"""Command-line client: keygen, register, login, logout, upload, download, list.
+"""Command-line client: register, login, logout, upload, download, list.
 
 Every request/response exchange is a single sealed round trip: the request
 is sealed to the system public key under a fresh session key, and the reply
-must open under that session key (or be a plain error frame). The client key
-pair is read only by ``register``, to send its public half. The private key,
-one-time passwords, and session tokens never appear in command output. The
-session token lives in a mode-0600 cache file until logout or expiry.
+must open under that session key (or be a plain error frame). The client
+holds no key pair of its own. One-time passwords and session tokens never
+appear in command output. The session token lives in a mode-0600 cache file
+until logout or expiry.
 """
 
 import argparse
@@ -15,7 +15,8 @@ import os
 import sys
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
-from .crypto_core import read_keypair, write_keypair
+# Not used here: the benchmark's perfbench/run.py imports it from this module.
+from .crypto_core import write_keypair
 from .errors import (
     CloudVaultError,
     InvalidSession,
@@ -29,7 +30,10 @@ CONFIG_ENV_VAR = "CLOUDVAULT_CONFIG"
 
 class ClientConfig:
     """Client-side settings: where the system server is, which public key it
-    presents (trust-on-config), and where this user's keypair lives."""
+    presents (trust-on-config), the test mailbox, and the session token
+    cache. ``keypair_path`` names no key any more; it is kept because
+    existing configs set it, and the token cache defaults to
+    ``keypair_path + ".session"``."""
 
     def __init__(
         self,
@@ -121,6 +125,7 @@ class ClientSession:
             self.config.token_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600
         )
         with os.fdopen(fd, "w", encoding="ascii") as fh:
+            os.fchmod(fd, 0o600)  # O_CREAT's mode does not apply to a stale file
             fh.write(token)
 
     def _load_token(self) -> str:
@@ -143,11 +148,7 @@ class ClientSession:
 
     def register(self, username: str, mail_address: str) -> None:
         reply = self._exchange(
-            protocol.Register(
-                username=username,
-                mail_address=mail_address,
-                client_public_key=read_keypair(self.config.keypair_path).public,
-            )
+            protocol.Register(username=username, mail_address=mail_address)
         )
         self._expect(reply, protocol.LoginResponse)
 
@@ -199,18 +200,6 @@ def _load_config(args) -> ClientConfig:
     if not path:
         raise IoFailure(f"no --config given and {CONFIG_ENV_VAR} unset")
     return ClientConfig.from_file(path)
-
-
-def _cmd_keygen(args) -> int:
-    config = _load_config(args)
-    path = args.out or config.keypair_path
-    if os.path.exists(path) and not args.force:
-        raise IoFailure(f"{path} exists; pass --force to overwrite")
-    pair = crypto_core.rsa_generate(args.bits)
-    write_keypair(path, pair)
-    print(f"wrote {args.bits}-bit keypair to {path}")
-    print(json.dumps({"n": str(pair.n), "e": str(pair.e)}))
-    return 0
 
 
 def _cmd_register(args) -> int:
@@ -278,12 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help=f"config path (or ${CONFIG_ENV_VAR})")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("keygen", help="generate an RSA keypair")
-    p.add_argument("--bits", type=int, default=crypto_core.DEFAULT_RSA_BITS)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--out", help="keypair path (default: config keypair_path)")
-    p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("register", help="create an account")
     p.add_argument("username")

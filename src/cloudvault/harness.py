@@ -218,12 +218,9 @@ class Topology:
         return path
 
     def make_client(self, username: str, mail_address: str) -> ClientSession:
-        """Keypair + config for one user, wired through the capture proxy.
-        ``stop()`` closes the session."""
+        """Config for one user, wired through the capture proxy; the client
+        needs no key of its own. ``stop()`` closes the session."""
         base = os.path.join(self.client_dir(), username)
-        keypair_path = base + ".key"
-        pair = crypto_core.rsa_generate(self.config.rsa_bits)
-        crypto_core.write_keypair(keypair_path, pair)
         config = ClientConfig(
             system_host=self.system_host,
             system_port=self.system_port,
@@ -231,9 +228,8 @@ class Topology:
                 "n": str(self.system_public_key[0]),
                 "e": str(self.system_public_key[1]),
             },
-            keypair_path=keypair_path,
+            keypair_path=base,  # names no key: the token cache is base + ".session"
             mailbox_path=mailbox_mod.mailbox_file_path(self.mailbox_dir, mail_address),
-            token_path=base + ".session",
             sabotage_plaintext_channel=self.config.sabotage == "plaintext_channel",
         )
         session = ClientSession(config)
@@ -382,7 +378,7 @@ def run_topology(config: TopologyConfig) -> Topology:
                 "n": str(system_pair.n),
                 "e": str(system_pair.e),
             },
-            "keypair_path": "<path for your keypair, then run keygen>",
+            "keypair_path": "<path; the session token is cached at it + .session>",
             "mailbox_path": f"<{mailbox_dir}/<quoted mail address>.mbox>",
         }
         netutil.write_atomic(

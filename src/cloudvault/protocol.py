@@ -87,6 +87,10 @@ class Frame:
 def _str(value):
     if not isinstance(value, str):
         raise MalformedPayload(f"expected str, got {type(value).__name__}")
+    try:  # JSON's \ud800 escapes reach here as lone surrogates
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedPayload("text is not valid Unicode") from None
     return value
 
 
@@ -117,33 +121,24 @@ def _digest(raw: bytes) -> bytes:
     return raw
 
 
-def _pubkey(n, e) -> tuple:
-    if not isinstance(n, int) or not isinstance(e, int) or n < 1 or e < 1:
-        raise MalformedPayload("public key components must be positive ints")
-    return (n, e)
-
-
 def pubkey_from_json(value) -> tuple:
+    """The ``{"e": dec-string, "n": dec-string}`` form of a public key, as
+    client config files give the system key."""
     if not isinstance(value, dict) or set(value) != {"e", "n"}:
         raise MalformedPayload("public key must be an {e, n} object")
     try:
         n, e = int(value["n"]), int(value["e"])
     except (TypeError, ValueError) as exc:
         raise MalformedPayload("public key components must be decimal") from exc
-    return _pubkey(n, e)
-
-
-def _pubkey_to_json(value) -> dict:
-    n, e = _pubkey(*value)
-    return {"e": str(e), "n": str(n)}
+    if n < 1 or e < 1:
+        raise MalformedPayload("public key components must be positive ints")
+    return (n, e)
 
 
 def _strs(value) -> tuple:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise MalformedPayload("label list must contain only strings")
-    return tuple(value)
+    if not isinstance(value, (list, tuple)):
+        raise MalformedPayload("label list must be a list")
+    return tuple(_str(item) for item in value)
 
 
 _STR = (_str, _str)
@@ -153,7 +148,6 @@ _DIGEST = (
     lambda value: binascii.hexlify(_digest(_bytes(value))),
     lambda value: _digest(_from_hex(value)),
 )
-_PUBKEY = (_pubkey_to_json, pubkey_from_json)  # {"e": dec-string, "n": dec-string}
 _STRLIST = (lambda value: list(_strs(value)), _strs)
 
 
@@ -176,9 +170,7 @@ def _kind(name: str, tag: int, **codecs) -> type:
     return cls
 
 
-Register = _kind(
-    "Register", 0x01, username=_STR, mail_address=_STR, client_public_key=_PUBKEY
-)
+Register = _kind("Register", 0x01, username=_STR, mail_address=_STR)
 LoginRequest = _kind("LoginRequest", 0x02, username=_STR, otp=_STR)
 LoginResponse = _kind("LoginResponse", 0x03, session_token=_STR, status=_STR)
 UploadRequest = _kind(

@@ -28,7 +28,6 @@ from .errors import (
     InvalidSession,
     IoFailure,
     MalformedPayload,
-    MessageOutOfRange,
     NoSuchLabel,
     NotFound,
     PersistenceFailure,
@@ -54,12 +53,6 @@ class AccountRecord:
     user_digest: bytes
     otp_digest: bytes
     mail_address: str
-    n: int  # client public key
-    e: int
-
-    @property
-    def client_public_key(self) -> tuple:
-        return (self.n, self.e)
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ class KeyRecord:
     storage_id: str
 
 
-ACCOUNT_COLUMNS = (netutil.HEX16, netutil.HEX16, netutil.TEXT, netutil.INT, netutil.INT)
+ACCOUNT_COLUMNS = (netutil.HEX16, netutil.HEX16, netutil.TEXT)
 KEY_COLUMNS = (netutil.HEX16, netutil.TEXT, netutil.INT, netutil.HEX16, netutil.WORD)
 
 
@@ -154,15 +147,6 @@ class _Session:
     last_used: float
 
 
-def _check_client_key(pub: tuple) -> None:
-    """Refuse a key that cannot wrap a session key, so no account stores a
-    public key that is not a usable RSA key."""
-    try:
-        crypto_core.rsa_encrypt_block(bytes(crypto_core.KEY_BYTES), pub)
-    except MessageOutOfRange as exc:
-        raise InvalidKey(f"client public key cannot take a reply: {exc}") from exc
-
-
 class SystemService:
     """Account/key/session state machine, independent of any socket."""
 
@@ -239,7 +223,7 @@ class SystemService:
 
     # -- account lifecycle ------------------------------------------------------
 
-    def register(self, username: str, mail_address: str, client_public_key: tuple):
+    def register(self, username: str, mail_address: str):
         """Create an account keyed by md5(username); mail the first OTP.
 
         Nothing is persisted until the OTP is in the mailbox, so a delivery
@@ -253,13 +237,10 @@ class SystemService:
                 raise DuplicateUser("that username is taken")
             otp = crypto_core.generate_otp()
             self.mail.deliver(mail_address, otp)
-            n, e = client_public_key
             record = AccountRecord(
                 user_digest=digest,
                 otp_digest=md5_digest(otp.encode("ascii")),
                 mail_address=mail_address,
-                n=n,
-                e=e,
             )
             self._append_row(ACCOUNTS_FILE, ACCOUNT_COLUMNS, record)
             self.accounts[digest] = record
@@ -418,17 +399,17 @@ class SystemService:
 
     def dispatch(self, msg) -> tuple:
         """Map one request message to ``(reply, identified)``: the reply, and
-        whether the peer was identified (a usable ``Register`` key, a
-        matched password or a live session) before it was built. Errors for
-        unidentified peers go back plain."""
+        whether the peer was identified before it was built. A ``Register``
+        identifies its sender at once: only the holder of the session key
+        inside it can open the reply, so ``DUPLICATE_USER`` goes back sealed.
+        A login identifies its sender once the password matches, and any
+        other request once its session is live. Errors for unidentified
+        peers go back plain."""
         identified = False
         try:
             if isinstance(msg, protocol.Register):
-                _check_client_key(msg.client_public_key)
                 identified = True
-                self.register(
-                    msg.username, msg.mail_address, tuple(msg.client_public_key)
-                )
+                self.register(msg.username, msg.mail_address)
                 reply = protocol.LoginResponse(session_token="", status="REGISTERED")
             elif isinstance(msg, protocol.LoginRequest):
                 token = self.login(msg.username, msg.otp)

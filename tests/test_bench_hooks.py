@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cloudvault import crypto_core, netutil, protocol
+from cloudvault import netutil, protocol
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,8 +66,7 @@ def test_perfbench_hooks_find_every_traced_function(role):
 
 
 def test_wire_counter_sees_a_client_exchange(tmp_path, client_keypair):
-    keypair_path = str(tmp_path / "client.key")
-    crypto_core.write_keypair(keypair_path, client_keypair)
+    keypair_path = str(tmp_path / "client")  # names no file; clients hold no key
     requests = []
     replies = []
 

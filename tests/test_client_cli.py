@@ -28,7 +28,7 @@ def topology(tmp_path_factory):
 
 @pytest.fixture
 def client_env(topology, tmp_path):
-    """A config file for a fresh user; keygen still has to be run."""
+    """A config file for a fresh user. Its ``keypair_path`` names no file."""
 
     def build(username: str):
         mail = f"{username}@cli.test"
@@ -54,41 +54,12 @@ def run_cli(config_path, *argv):
     return client_cli.main(["--config", config_path, *argv])
 
 
-def test_keygen_writes_restricted_keypair(client_env, capsys):
-    config_path, _ = client_env("kg")
-    assert run_cli(config_path, "keygen", "--bits", "512") == 0
-    out = capsys.readouterr().out
-    with open(config_path) as fh:
-        keypair_path = json.load(fh)["keypair_path"]
-    assert os.path.exists(keypair_path)
-    assert stat.S_IMODE(os.stat(keypair_path).st_mode) == 0o600
-    with open(keypair_path) as fh:
-        pair = json.load(fh)
-    # stdout shows the public half only
-    assert pair["n"] in out and pair["e"] in out
-    assert pair["d"] not in out
-
-
-def test_keygen_defaults_to_2048_bits():
-    args = client_cli.build_parser().parse_args(["keygen"])
-    assert args.bits == 2048
-
-
-def test_keygen_refuses_overwrite(client_env, capsys):
-    config_path, _ = client_env("kg2")
-    assert run_cli(config_path, "keygen", "--bits", "512") == 0
-    assert run_cli(config_path, "keygen", "--bits", "512") == 1
-    assert "IO_FAILURE" in capsys.readouterr().err
-    assert run_cli(config_path, "keygen", "--bits", "512", "--force") == 0
-
-
 def test_end_to_end_round_trip(client_env, tmp_path, capsys):
     config_path, mail = client_env("rt")
     source = tmp_path / "source.bin"
     source.write_bytes(os.urandom(20_000))
     target = tmp_path / "target.bin"
 
-    assert run_cli(config_path, "keygen", "--bits", "512") == 0
     assert run_cli(config_path, "register", "rt", mail) == 0
     assert run_cli(config_path, "login", "rt") == 0  # OTP from the test mailbox
     assert run_cli(config_path, "upload", "notes.bin", str(source)) == 0
@@ -99,15 +70,13 @@ def test_end_to_end_round_trip(client_env, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["notes.bin"]
 
 
-def test_verbs_after_register_need_no_client_key_file(client_env, tmp_path, capsys):
+def test_no_verb_needs_a_client_key_file(client_env, tmp_path, capsys):
     config_path, mail = client_env("nokey")
     source = tmp_path / "nokey.bin"
     source.write_bytes(b"no key file needed")
     target = tmp_path / "nokey.out"
 
-    assert run_cli(config_path, "keygen", "--bits", "512") == 0
     assert run_cli(config_path, "register", "nokey", mail) == 0
-    os.unlink(client_cli.ClientConfig.from_file(config_path).keypair_path)
     assert run_cli(config_path, "login", "nokey") == 0
     assert run_cli(config_path, "upload", "nokey.bin", str(source)) == 0
     assert run_cli(config_path, "download", "nokey.bin", str(target)) == 0
@@ -115,6 +84,9 @@ def test_verbs_after_register_need_no_client_key_file(client_env, tmp_path, caps
     capsys.readouterr()
     assert run_cli(config_path, "list") == 0
     assert capsys.readouterr().out.splitlines() == ["nokey.bin"]
+    assert run_cli(config_path, "logout") == 0
+    config = client_cli.ClientConfig.from_file(config_path)
+    assert not os.path.exists(config.keypair_path)
 
 
 FORGED_FILE = protocol.FilePayload(label="doc", file_bytes=b"forged bytes")
@@ -137,13 +109,12 @@ FORGED_FILE = protocol.FilePayload(label="doc", file_bytes=b"forged bytes")
             DecryptionFailure,
         ),
     ],
-    ids=["plain", "sealed to the client key", "reply under another session key"],
+    ids=["plain", "sealed in a request envelope", "reply under another session key"],
 )
 def test_download_refuses_a_forged_reply(tmp_path, client_keypair, forge, error):
-    # The forger knows the client's public key (Register sends it) but not
-    # the session key inside the request, which only the system key opens.
-    keypair_path = str(tmp_path / "client.key")
-    crypto_core.write_keypair(keypair_path, client_keypair)
+    # The forger knows the system public key (client_keypair stands in for
+    # it) but not the session key inside the request, which only the system
+    # private key opens.
     token_path = tmp_path / "client.session"
     token_path.write_text("ab" * 16)
     public = {"n": str(client_keypair.n), "e": str(client_keypair.e)}
@@ -152,7 +123,7 @@ def test_download_refuses_a_forged_reply(tmp_path, client_keypair, forge, error)
     )
     try:
         config = client_cli.ClientConfig(
-            "127.0.0.1", server.server_address[1], public, keypair_path,
+            "127.0.0.1", server.server_address[1], public, str(tmp_path / "client"),
             token_path=str(token_path),
         )
         with client_cli.ClientSession(config) as session:
@@ -196,7 +167,6 @@ def test_a_bad_config_is_one_coded_line(tmp_path, capsys, content, code):
 
 def test_otp_single_use_at_the_cli(client_env, capsys):
     config_path, mail = client_env("replay")
-    run_cli(config_path, "keygen", "--bits", "512")
     run_cli(config_path, "register", "replay", mail)
     config = client_cli.ClientConfig.from_file(config_path)
     first_otp = mailbox.read_latest_otp(config.mailbox_path)
@@ -212,7 +182,6 @@ def test_default_output_reveals_no_secrets(client_env, tmp_path, capsys):
     source = tmp_path / "quiet.bin"
     source.write_bytes(b"hush hush payload")
 
-    run_cli(config_path, "keygen", "--bits", "512")
     run_cli(config_path, "register", "quiet", mail)
     run_cli(config_path, "login", "quiet")
     run_cli(config_path, "upload", "quiet.bin", str(source))
@@ -222,13 +191,10 @@ def test_default_output_reveals_no_secrets(client_env, tmp_path, capsys):
     output = captured.out + captured.err
 
     config = client_cli.ClientConfig.from_file(config_path)
-    with open(config.keypair_path) as fh:
-        keypair = json.load(fh)
     with open(config.token_path) as fh:
         token = fh.read().strip()
     with open(config.mailbox_path) as fh:
         otps = [line.strip() for line in fh if line.strip()]
-    assert keypair["d"] not in output
     assert token not in output
     for otp in otps:
         assert otp not in output
@@ -236,7 +202,6 @@ def test_default_output_reveals_no_secrets(client_env, tmp_path, capsys):
 
 def test_logout_clears_the_session(client_env, tmp_path, capsys):
     config_path, mail = client_env("lo")
-    run_cli(config_path, "keygen", "--bits", "512")
     run_cli(config_path, "register", "lo", mail)
     run_cli(config_path, "login", "lo")
     assert run_cli(config_path, "logout") == 0
@@ -249,7 +214,6 @@ def test_logout_clears_the_session(client_env, tmp_path, capsys):
 
 def test_stale_token_rejected_server_side(client_env, tmp_path, capsys):
     config_path, mail = client_env("stale")
-    run_cli(config_path, "keygen", "--bits", "512")
     run_cli(config_path, "register", "stale", mail)
     run_cli(config_path, "login", "stale")
     config = client_cli.ClientConfig.from_file(config_path)
@@ -265,12 +229,25 @@ def test_stale_token_rejected_server_side(client_env, tmp_path, capsys):
 def test_config_from_environment(client_env, monkeypatch, capsys):
     config_path, mail = client_env("envvar")
     monkeypatch.setenv(client_cli.CONFIG_ENV_VAR, config_path)
-    assert client_cli.main(["keygen", "--bits", "512"]) == 0
+    assert client_cli.main(["register", "envvar", mail]) == 0
+
+
+def test_login_makes_a_stale_token_cache_private(client_env):
+    config_path, mail = client_env("stalemode")
+    config = client_cli.ClientConfig.from_file(config_path)
+    with open(config.token_path, "w") as fh:
+        fh.write("old token, longer than the new one " * 4)
+    os.chmod(config.token_path, 0o644)
+    assert run_cli(config_path, "register", "stalemode", mail) == 0
+    assert run_cli(config_path, "login", "stalemode") == 0
+    assert stat.S_IMODE(os.stat(config.token_path).st_mode) == 0o600
+    with open(config.token_path, encoding="ascii") as fh:
+        token = fh.read()
+    assert len(token) == 32 and set(token) <= set("0123456789abcdef")
 
 
 def test_missing_local_file_is_io_failure(client_env, tmp_path, capsys):
     config_path, mail = client_env("nofile")
-    run_cli(config_path, "keygen", "--bits", "512")
     run_cli(config_path, "register", "nofile", mail)
     run_cli(config_path, "login", "nofile")
     capsys.readouterr()
@@ -280,7 +257,6 @@ def test_missing_local_file_is_io_failure(client_env, tmp_path, capsys):
 
 def test_unreachable_server_is_connection_failure(client_env, tmp_path, capsys):
     config_path, _ = client_env("conn")
-    run_cli(config_path, "keygen", "--bits", "512")
     with open(config_path) as fh:
         config = json.load(fh)
     config["system_port"] = 1  # nothing listens there
@@ -297,7 +273,6 @@ def test_wire_bytes_are_always_enveloped(client_env, topology, tmp_path):
     source = tmp_path / "marked.bin"
     source.write_bytes(marker * 10)
 
-    run_cli(config_path, "keygen", "--bits", "512")
     run_cli(config_path, "register", "wireleak", mail)
     run_cli(config_path, "login", "wireleak")
     run_cli(config_path, "upload", "marked.bin", str(source))
@@ -309,7 +284,6 @@ def test_wire_bytes_are_always_enveloped(client_env, topology, tmp_path):
 
 def test_cli_verbs_close_their_socket(client_env, tmp_path):
     config_path, mail = client_env("closes")
-    assert run_cli(config_path, "keygen", "--bits", "512") == 0
     source = tmp_path / "closes.bin"
     source.write_bytes(b"closing time")
     env = dict(os.environ, PYTHONPATH=SRC_DIR)

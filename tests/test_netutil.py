@@ -36,7 +36,7 @@ def test_table_rows_keep_their_format(local_stack, monkeypatch):
     monkeypatch.setattr(crypto_core, "generate_otp", lambda: next(otps))
     monkeypatch.setattr(crypto_core, "generate_symmetric_key", lambda: KEY)
     stack = local_stack()
-    stack.service.register("alice", "alice smith@example.test", (3233, 17))
+    stack.service.register("alice", "alice smith@example.test")
     token = stack.service.login("alice", "otp-one")
     stack.service.upload(token, "notes/2024 q1.txt", b"quarterly")
 
@@ -44,9 +44,9 @@ def test_table_rows_keep_their_format(local_stack, monkeypatch):
     storage_dir = stack.storages[0].config.data_dir
     assert _read(os.path.join(system_dir, "accounts.tsv")) == (
         b"6384e2b2184bcbf58eccf10ca7a6563c\t3ca2df10f6a1e66ac1999b85dc641213\t"
-        b"alice%20smith%40example.test\t3233\t17\n"
+        b"alice%20smith%40example.test\n"
         b"6384e2b2184bcbf58eccf10ca7a6563c\t7ef2e1c62b6445b9c2735028fdb93a3f\t"
-        b"alice%20smith%40example.test\t3233\t17\n"
+        b"alice%20smith%40example.test\n"
     )
     assert _read(os.path.join(system_dir, "keys.tsv")) == (
         b"6384e2b2184bcbf58eccf10ca7a6563c\tnotes%2F2024%20q1.txt\t1\t"
@@ -64,13 +64,12 @@ def test_table_rows_keep_their_format(local_stack, monkeypatch):
     assert stack.storages[0].records == storage.records
     account = reloaded.accounts[ALICE]
     assert account.mail_address == "alice smith@example.test"
-    assert account.client_public_key == (3233, 17)
     token = reloaded.login("alice", "otp-two")
     assert reloaded.download(token, "notes/2024 q1.txt") == b"quarterly"
 
 
 DIGEST = ALICE.hex()
-GOOD_ACCOUNT = f"{DIGEST}\t{DIGEST}\tmail\t3233\t17"
+GOOD_ACCOUNT = f"{DIGEST}\t{DIGEST}\tmail"
 GOOD_KEY = f"{DIGEST}\tlabel\t1\t{KEY.hex()}\ts1"
 SHORT_KEY = "ab" * 15
 
@@ -78,9 +77,9 @@ SHORT_KEY = "ab" * 15
 @pytest.mark.parametrize(
     "name, row",
     [
-        ("accounts.tsv", f"{DIGEST}\t{DIGEST}\tmail\t32"),  # torn mid-row
-        ("accounts.tsv", f"{DIGEST}\t{DIGEST}\tmail\tlots\t17"),
-        ("accounts.tsv", f"{DIGEST[:-2]}\t{DIGEST}\tmail\t3233\t17"),
+        ("accounts.tsv", f"{DIGEST}\t{DIGEST}"),  # torn mid-row
+        ("accounts.tsv", f"{DIGEST}\t{'zz' * 16}\tmail"),
+        ("accounts.tsv", f"{DIGEST[:-2]}\t{DIGEST}\tmail"),
         ("keys.tsv", f"{DIGEST}\tlabel\t2\t{SHORT_KEY}\ts1"),
         ("keys.tsv", f"{DIGEST}\tlabel\t2\t{'zz' * 16}\ts1"),
         ("keys.tsv", f"{DIGEST}\tlabel\ttwo\t{SHORT_KEY}ab\ts1"),
@@ -99,6 +98,19 @@ def test_system_server_refuses_a_row_that_does_not_decode(local_stack, name, row
         if len(cell) >= 16:  # digests and keys; never quoted
             assert cell not in str(info.value)
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_an_accounts_row_with_a_client_key_is_refused(local_stack):
+    # The five-column row that builds with a client key pair wrote; cut -f1-3
+    # converts such a file.
+    stack = local_stack()
+    otp_digest = md5_digest(b"otp-one").hex()
+    with open(os.path.join(stack.config.data_dir, "accounts.tsv"), "w") as fh:
+        fh.write(f"{DIGEST}\t{otp_digest}\talice%40example.test\t3233\t17\n")
+    with pytest.raises(StartupFailure, match=r"accounts\.tsv: row 1 ") as info:
+        stack.reload()
+    assert DIGEST not in str(info.value)
+    assert otp_digest not in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -120,12 +132,12 @@ def test_storage_server_refuses_a_row_that_does_not_decode(local_stack, row):
 
 
 @pytest.mark.parametrize("name", ["accounts.tsv", "keys.tsv", "records.tsv"])
-def test_a_torn_final_row_is_dropped_and_cut_off(local_stack, client_keypair, name):
+def test_a_torn_final_row_is_dropped_and_cut_off(local_stack, name):
     # A crash inside an append leaves an unterminated last line. That row was
     # never acknowledged (the ack follows the fsync), so start-up drops it and
     # cuts the file back, and the next append starts a row of its own.
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "first", b"one")
     owner = stack.storages[0] if name == "records.tsv" else stack
     path = os.path.join(owner.config.data_dir, name)
@@ -284,13 +296,12 @@ def test_storage_client_never_resends_a_written_request(peer):
 
 @pytest.fixture
 def session_for(tmp_path, client_keypair):
-    keypair_path = str(tmp_path / "client.key")
-    crypto_core.write_keypair(keypair_path, client_keypair)
+    # client_keypair stands in for the system key; the client holds none.
     sessions = []
 
     def build(port: int) -> ClientSession:
         public = {"n": str(client_keypair.n), "e": str(client_keypair.e)}
-        config = ClientConfig("127.0.0.1", port, public, keypair_path)
+        config = ClientConfig("127.0.0.1", port, public, str(tmp_path / "client"))
         sessions.append(ClientSession(config))
         return sessions[-1]
 

@@ -27,9 +27,7 @@ def _random_message(cls):
     token = RNG.randbytes(16).hex()
     if cls is protocol.Register:
         return protocol.Register(
-            username=_random_label(),
-            mail_address=f"{_random_label()}@example.test",
-            client_public_key=(RNG.getrandbits(512) | 1 << 511, 65537),
+            username=_random_label(), mail_address=f"{_random_label()}@example.test"
         )
     if cls is protocol.LoginRequest:
         return protocol.LoginRequest(username=_random_label(), otp="Ab0" * 5 + "Z")
@@ -113,14 +111,12 @@ def test_oversized_declared_length():
 
 
 EDGE_TEXT = ("", '"', "\\", "\n", "\x00", "\U0001f642", 'a"b\\c\nd\x00e\U0001f642\x7f\u2028')
-N_2048 = (1 << 2047) | random.Random(2048).getrandbits(2047) | 1
 
 
 def _edge_messages(cls):
     """Every text field set to each edge string (quote, backslash, newline,
     NUL, an astral character), binary fields to its UTF-8 bytes (so empty
-    once), label lists empty or full of it, file numbers 1 and 2**64, and a
-    2048-bit modulus."""
+    once), label lists empty or full of it, and file numbers 1 and 2**64."""
     base = _random_message(cls)
     for text in EDGE_TEXT:
         changes = {}
@@ -131,8 +127,6 @@ def _edge_messages(cls):
                 changes[name] = text.encode("utf-8")
             elif codec is protocol._STRLIST:
                 changes[name] = (text, text + text) if text else ()
-            elif codec is protocol._PUBKEY:
-                changes[name] = (N_2048, 65537)
             elif codec is protocol._POSITIVE_INT:
                 changes[name] = 2**64 if text else 1
         yield dataclasses.replace(base, **changes)
@@ -140,15 +134,12 @@ def _edge_messages(cls):
 
 def _reference_payload(msg) -> bytes:
     """The canonical payload as ``json.dumps`` writes it from a dict: sorted
-    keys, compact separators, binary fields as lowercase hex, the public key
-    as an {e, n} object of decimal strings."""
+    keys, compact separators, binary fields as lowercase hex."""
     obj = {}
     for field in dataclasses.fields(msg):
         value = getattr(msg, field.name)
         if isinstance(value, bytes):
             value = value.hex()
-        elif field.name == "client_public_key":
-            value = {"n": str(value[0]), "e": str(value[1])}
         elif isinstance(value, tuple):
             value = list(value)
         obj[field.name] = value
@@ -183,6 +174,22 @@ def test_missing_and_extra_fields_rejected():
         protocol.decode_frame(bad)
 
 
+@pytest.mark.parametrize(
+    "msg",
+    [
+        protocol.LoginRequest(username="\ud800", otp="x"),
+        protocol.ListResponse(labels=("ok", "\udfff")),
+    ],
+    ids=["text", "label list"],
+)
+def test_text_that_is_not_valid_unicode_is_refused_both_ways(msg):
+    with pytest.raises(MalformedPayload):
+        protocol.encode_frame(msg)
+    payload = json.dumps(dataclasses.asdict(msg)).encode("ascii")  # "\ud800"
+    with pytest.raises(MalformedPayload):
+        protocol.recv_plain(protocol.Frame(tag=protocol.tag_of(msg), payload=payload))
+
+
 def test_digest_length_enforced():
     frame = protocol.send_plain(
         protocol.FetchBlob(user_digest=b"\x01" * 16, file_number=1)
@@ -197,12 +204,9 @@ def test_digest_length_enforced():
 DIGEST = bytes(range(16))
 GOLDEN_FRAMES = [  # (message, tag | length, payload), every kind once
     (
-        protocol.Register(
-            username="al", mail_address="a@x.test", client_public_key=(3233, 17)
-        ),
-        "0100000055",
-        b'{"client_public_key":{"e":"17","n":"3233"},'
-        b'"mail_address":"a@x.test","username":"al"}',
+        protocol.Register(username="al", mail_address="a@x.test"),
+        "010000002b",
+        b'{"mail_address":"a@x.test","username":"al"}',
     ),
     (
         protocol.LoginRequest(username="al", otp="OTP0"),
@@ -315,7 +319,7 @@ def test_no_message_kind_can_carry_a_symmetric_key():
     # Freeze the whole wire surface: adding a key-bearing field anywhere
     # must show up here as a diff.
     assert protocol.schema_field_inventory() == {
-        "Register": ("username", "mail_address", "client_public_key"),
+        "Register": ("username", "mail_address"),
         "LoginRequest": ("username", "otp"),
         "LoginResponse": ("session_token", "status"),
         "UploadRequest": ("session_token", "label", "file_bytes"),

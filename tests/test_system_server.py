@@ -5,8 +5,9 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cloudvault import crypto_core, protocol
+from cloudvault import crypto_core, mailbox, protocol
 from cloudvault import system_server as system_mod
 from cloudvault.crypto_core import md5_digest
 from cloudvault.errors import (
@@ -38,9 +39,9 @@ class SimulatedCrash(RuntimeError):
 # ---------------------------------------------------------------------
 # registration
 
-def test_register_mails_one_otp_and_stores_digests(local_stack, client_keypair):
+def test_register_mails_one_otp_and_stores_digests(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     mails = stack.mail.messages("a@example.test")
     assert len(mails) == 1
     assert len(mails[0]) == 16
@@ -53,27 +54,27 @@ def test_register_mails_one_otp_and_stores_digests(local_stack, client_keypair):
     assert md5_digest(b"alice").hex().encode() in table
 
 
-def test_register_twice_fails(local_stack, client_keypair):
+def test_register_twice_fails(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     with pytest.raises(DuplicateUser):
-        stack.service.register("alice", "other@example.test", client_keypair.public)
+        stack.service.register("alice", "other@example.test")
 
 
-def test_usernames_are_case_sensitive(local_stack, client_keypair):
+def test_usernames_are_case_sensitive(local_stack):
     stack = local_stack()
-    stack.service.register("Alice", "a1@example.test", client_keypair.public)
-    stack.service.register("alice", "a2@example.test", client_keypair.public)
+    stack.service.register("Alice", "a1@example.test")
+    stack.service.register("alice", "a2@example.test")
     # Independent digest check: the two accounts sit under different md5 rows.
     assert hashlib.md5(b"Alice").digest() != hashlib.md5(b"alice").digest()
     assert len(stack.service.accounts) == 2
 
 
-def test_failed_mail_rolls_back_registration(local_stack, client_keypair):
+def test_failed_mail_rolls_back_registration(local_stack):
     stack = local_stack()
     stack.service.mail = FailingMailbox()
     with pytest.raises(MailDeliveryFailure):
-        stack.service.register("alice", "a@example.test", client_keypair.public)
+        stack.service.register("alice", "a@example.test")
     assert stack.service.accounts == {}
     assert not os.path.exists(os.path.join(stack.config.data_dir, "accounts.tsv"))
 
@@ -81,9 +82,9 @@ def test_failed_mail_rolls_back_registration(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # login and OTP rotation
 
-def test_login_rotates_the_password(local_stack, client_keypair):
+def test_login_rotates_the_password(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     first_otp = stack.mail.latest("a@example.test")
     token = stack.service.login("alice", first_otp)
     assert len(token) == 32
@@ -91,18 +92,18 @@ def test_login_rotates_the_password(local_stack, client_keypair):
     assert len(mails) == 2 and mails[1] != first_otp
 
 
-def test_replayed_otp_fails(local_stack, client_keypair):
+def test_replayed_otp_fails(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     otp = stack.mail.latest("a@example.test")
     stack.service.login("alice", otp)
     with pytest.raises(AuthFailed):
         stack.service.login("alice", otp)
 
 
-def test_unknown_user_and_wrong_otp_fail_identically(local_stack, client_keypair):
+def test_unknown_user_and_wrong_otp_fail_identically(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     with pytest.raises(AuthFailed) as wrong_otp:
         stack.service.login("alice", "A" * 16)
     with pytest.raises(AuthFailed) as unknown:
@@ -110,9 +111,9 @@ def test_unknown_user_and_wrong_otp_fail_identically(local_stack, client_keypair
     assert str(wrong_otp.value) == str(unknown.value)
 
 
-def test_otp_digest_history_never_validates_twice(local_stack, client_keypair):
+def test_otp_digest_history_never_validates_twice(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     digests = []
     for _ in range(4):
         otp = stack.mail.latest("a@example.test")
@@ -126,10 +127,10 @@ def test_otp_digest_history_never_validates_twice(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # sessions
 
-def test_sessions_expire(local_stack, client_keypair, monkeypatch):
+def test_sessions_expire(local_stack, monkeypatch):
     monkeypatch.setattr(system_mod, "DEFAULT_SESSION_TTL", 0.05)
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "one", b"data")
     time.sleep(0.1)
     with pytest.raises(InvalidSession):
@@ -142,9 +143,9 @@ def test_bogus_token_rejected(local_stack):
         stack.service.upload("ff" * 16, "doc", b"data")
 
 
-def test_logins_keep_only_the_newest_sessions_per_user(local_stack, client_keypair):
+def test_logins_keep_only_the_newest_sessions_per_user(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     tokens = [
         stack.service.login("alice", stack.mail.latest("a@example.test"))
         for _ in range(200)
@@ -155,18 +156,18 @@ def test_logins_keep_only_the_newest_sessions_per_user(local_stack, client_keypa
         stack.service.list_labels(tokens[0])
 
 
-def test_a_login_drops_expired_sessions(local_stack, client_keypair, monkeypatch):
+def test_a_login_drops_expired_sessions(local_stack, monkeypatch):
     monkeypatch.setattr(system_mod, "DEFAULT_SESSION_TTL", 0.05)
     stack = local_stack()
-    stack.register_and_login("alice", "a@example.test", client_keypair)
+    stack.register_and_login("alice", "a@example.test")
     time.sleep(0.1)
-    token = stack.register_and_login("bob", "b@example.test", client_keypair)
+    token = stack.register_and_login("bob", "b@example.test")
     assert list(stack.service._sessions) == [token]
 
 
-def test_restart_invalidates_sessions(local_stack, client_keypair):
+def test_restart_invalidates_sessions(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     service = stack.reload()
     with pytest.raises(InvalidSession):
         service.list_labels(token)
@@ -175,67 +176,67 @@ def test_restart_invalidates_sessions(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # upload / download
 
-def test_upload_download_round_trip(local_stack, client_keypair):
+def test_upload_download_round_trip(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     payload = os.urandom(5000)
     stack.service.upload(token, "doc", payload)
     assert stack.service.download(token, "doc") == payload
 
 
-def test_every_upload_uses_a_fresh_key(local_stack, client_keypair):
+def test_every_upload_uses_a_fresh_key(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     for i in range(8):
         stack.service.upload(token, f"doc-{i}", b"same content")
     keys = [record.key for record in stack.service.key_records.values()]
     assert len(set(keys)) == 8
 
 
-def test_duplicate_label_rejected_cleanly(local_stack, client_keypair):
+def test_duplicate_label_rejected_cleanly(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "doc", b"one")
     with pytest.raises(DuplicateLabel):
         stack.service.upload(token, "doc", b"two")
     assert stack.service.download(token, "doc") == b"one"
 
 
-def test_same_label_different_users_is_fine(local_stack, client_keypair):
+def test_same_label_different_users_is_fine(local_stack):
     stack = local_stack()
-    token_a = stack.register_and_login("alice", "a@example.test", client_keypair)
-    token_b = stack.register_and_login("bob", "b@example.test", client_keypair)
+    token_a = stack.register_and_login("alice", "a@example.test")
+    token_b = stack.register_and_login("bob", "b@example.test")
     stack.service.upload(token_a, "doc", b"alice bytes")
     stack.service.upload(token_b, "doc", b"bob bytes")
     assert stack.service.download(token_a, "doc") == b"alice bytes"
     assert stack.service.download(token_b, "doc") == b"bob bytes"
 
 
-def test_empty_label_rejected(local_stack, client_keypair):
+def test_empty_label_rejected(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     with pytest.raises(MalformedPayload):
         stack.service.upload(token, "", b"data")
 
 
-def test_file_size_cap(local_stack, client_keypair, monkeypatch):
+def test_file_size_cap(local_stack, monkeypatch):
     monkeypatch.setattr(system_mod, "DEFAULT_MAX_FILE_BYTES", 100)
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     with pytest.raises(FileTooLarge):
         stack.service.upload(token, "big", b"x" * 101)
 
 
-def test_download_unknown_label(local_stack, client_keypair):
+def test_download_unknown_label(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     with pytest.raises(NoSuchLabel):
         stack.service.download(token, "ghost")
 
 
-def test_labels_survive_awkward_characters(local_stack, client_keypair):
+def test_labels_survive_awkward_characters(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     label = "we\tird\nname éü%"
     stack.service.upload(token, label, b"data")
     service = stack.reload()
@@ -244,9 +245,9 @@ def test_labels_survive_awkward_characters(local_stack, client_keypair):
     assert service.download(token2, label) == b"data"
 
 
-def test_corrupted_blob_fails_integrity(local_stack, client_keypair):
+def test_corrupted_blob_fails_integrity(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "doc", b"precious bytes")
     record = next(iter(stack.service.key_records.values()))
     storage = stack.storages[0]
@@ -262,9 +263,9 @@ def test_corrupted_blob_fails_integrity(local_stack, client_keypair):
         stack.service.download(token, "doc")
 
 
-def test_storage_outage_persists_no_key_record(local_stack, client_keypair):
+def test_storage_outage_persists_no_key_record(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
 
     def dead_transport(frame):
         raise StorageUnavailable("cable cut")
@@ -284,9 +285,9 @@ def test_storage_client_refuses_an_ack_that_is_not_stored():
         StorageClient("s1", answers_ok).store(md5_digest(b"alice"), 1, bytes(32))
 
 
-def test_uploaded_bytes_never_reach_system_persistence(local_stack, client_keypair):
+def test_uploaded_bytes_never_reach_system_persistence(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     marker = b"NEEDLE-IN-THE-TABLES"
     stack.service.upload(token, "doc", marker * 20)
     for name, data in stack.service.dump_tables().items():
@@ -294,10 +295,10 @@ def test_uploaded_bytes_never_reach_system_persistence(local_stack, client_keypa
         assert marker.hex().encode() not in data, name
 
 
-def test_ciphertext_bodies_never_reach_system_persistence(local_stack, client_keypair):
+def test_ciphertext_bodies_never_reach_system_persistence(local_stack):
     # The system server keeps keys and metadata; blob bytes live on storage only.
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "doc", os.urandom(600))
     record = next(iter(stack.service.key_records.values()))
     blob = stack.storages[0].fetch_blob(record.user_digest, record.file_number)
@@ -315,28 +316,28 @@ def test_file_numbers_start_at_one(local_stack):
     assert stack.service.next_file_number() == 1
 
 
-def test_file_numbers_follow_uploads(local_stack, client_keypair):
+def test_file_numbers_follow_uploads(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     for i in range(3):
         stack.service.upload(token, f"doc-{i}", b"data")
     assert stack.service.next_file_number() == 4
 
 
-def test_counter_survives_restart(local_stack, client_keypair):
+def test_counter_survives_restart(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     for i in range(3):
         stack.service.upload(token, f"doc-{i}", b"data")
     service = stack.reload()
     assert service.next_file_number() == 4
 
 
-def test_file_numbers_survive_a_lost_counter(local_stack, client_keypair):
+def test_file_numbers_survive_a_lost_counter(local_stack):
     # A rename the directory never recorded can leave counter.txt behind
     # keys.tsv; the numbers in the key table still bound the sequence.
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     for i in range(3):
         stack.service.upload(token, f"doc-{i}", b"data")
     os.unlink(os.path.join(stack.config.data_dir, "counter.txt"))
@@ -346,9 +347,9 @@ def test_file_numbers_survive_a_lost_counter(local_stack, client_keypair):
     assert service.key_records[(md5_digest(b"alice"), "doc-3")].file_number == 4
 
 
-def test_burned_numbers_are_never_reissued(local_stack, client_keypair):
+def test_burned_numbers_are_never_reissued(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "doc", b"data")
 
     def dead_transport(frame):
@@ -367,18 +368,18 @@ def test_burned_numbers_are_never_reissued(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # round-robin placement across storage servers
 
-def test_round_robin_across_three_storages(local_stack, client_keypair):
+def test_round_robin_across_three_storages(local_stack):
     stack = local_stack(storage_count=3)
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     for i in range(6):
         stack.service.upload(token, f"doc-{i}", b"data")
     counts = {s.config.server_id: len(s.records) for s in stack.storages}
     assert counts == {"s1": 2, "s2": 2, "s3": 2}
 
 
-def test_concurrent_uploads_take_different_storages(local_stack, client_keypair):
+def test_concurrent_uploads_take_different_storages(local_stack):
     stack = local_stack(storage_count=2)
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     # Each store blocks until both uploads are inside one, so both have
     # picked their storage before either records its key.
     both_storing = threading.Barrier(2, timeout=10)
@@ -413,9 +414,9 @@ def test_concurrent_uploads_take_different_storages(local_stack, client_keypair)
     assert used == ["s1", "s2"]
 
 
-def test_round_robin_continues_after_restart(local_stack, client_keypair):
+def test_round_robin_continues_after_restart(local_stack):
     stack = local_stack(storage_count=2)
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "before", b"data")
     service = stack.reload()
     token = service.login("alice", stack.mail.latest("a@example.test"))
@@ -440,12 +441,12 @@ def test_inconsistent_server_key_file_fails_startup(local_stack):
 # ---------------------------------------------------------------------
 # concurrency
 
-def test_concurrent_sessions_for_distinct_users(local_stack, client_keypair):
+def test_concurrent_sessions_for_distinct_users(local_stack):
     import threading
 
     stack = local_stack(storage_count=2)
     tokens = {
-        name: stack.register_and_login(name, f"{name}@example.test", client_keypair)
+        name: stack.register_and_login(name, f"{name}@example.test")
         for name in ("ann", "ben", "cas", "dee")
     }
     failures = []
@@ -472,11 +473,11 @@ def test_concurrent_sessions_for_distinct_users(local_stack, client_keypair):
     assert len(set(keys)) == 20
 
 
-def test_concurrent_same_label_has_one_winner(local_stack, client_keypair):
+def test_concurrent_same_label_has_one_winner(local_stack):
     import threading
 
     stack = local_stack()
-    token = stack.register_and_login("race", "race@example.test", client_keypair)
+    token = stack.register_and_login("race", "race@example.test")
     barrier = threading.Barrier(2)
     outcomes = []
 
@@ -504,9 +505,9 @@ def test_concurrent_same_label_has_one_winner(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # crash consistency (fault injection between the two writes)
 
-def test_crash_between_store_and_key_write(local_stack, client_keypair):
+def test_crash_between_store_and_key_write(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
 
     def crash():
         raise SimulatedCrash()
@@ -533,9 +534,9 @@ def test_crash_between_store_and_key_write(local_stack, client_keypair):
 # ---------------------------------------------------------------------
 # audit snapshot
 
-def test_dump_contains_keys_but_no_identities(local_stack, client_keypair):
+def test_dump_contains_keys_but_no_identities(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "doc", b"file body")
     dump = stack.service.dump_tables()
     record = next(iter(stack.service.key_records.values()))
@@ -561,62 +562,33 @@ def _sealed_exchange(stack, msg):
     return protocol.recv_plain(reply)
 
 
-def test_register_over_the_wire(local_stack, client_keypair):
+def test_register_over_the_wire(local_stack):
     stack = local_stack()
     reply = _sealed_exchange(
-        stack,
-        protocol.Register(
-            username="wire-user",
-            mail_address="w@example.test",
-            client_public_key=client_keypair.public,
-        ),
+        stack, protocol.Register(username="wire-user", mail_address="w@example.test")
     )
     assert reply == protocol.LoginResponse(session_token="", status="REGISTERED")
     assert stack.mail.messages("w@example.test")
 
 
-@pytest.mark.parametrize(
-    "key",
-    [(3233, 17), (2**520 + 1, 4), (2**600, 65537)],
-    ids=["too short to wrap a key", "even exponent", "even modulus"],
-)
-def test_register_refuses_a_key_that_cannot_take_a_reply(local_stack, key):
+def test_a_taken_username_is_refused_in_a_sealed_reply(local_stack):
+    # A Register identifies its sender: only it can open the reply.
     stack = local_stack()
-    msg = protocol.Register(
-        username="bad-key", mail_address="b@example.test", client_public_key=key
-    )
-    reply = stack.service.handle_frame(_seal(stack, msg))
-    assert reply.tag != protocol.REPLY_TAG  # refused before the peer is identified
-    error = protocol.recv_plain(reply)
-    assert isinstance(error, protocol.ErrorFrame)
-    assert error.code == "INVALID_KEY"
-    assert stack.mail.messages("b@example.test") == []
-    assert not os.path.exists(os.path.join(stack.config.data_dir, "accounts.tsv"))
-    assert stack.reload().accounts == {}
-
-
-def test_a_stored_key_that_cannot_take_a_reply_still_logs_in(local_stack):
-    # An account stored before Register checked keys. Replies are sealed under
-    # the request's session key, so the stored client key plays no part.
-    stack = local_stack()
-    stack.service.register("old", "o@example.test", (3233, 17))
-    msg = protocol.LoginRequest(username="old", otp=stack.mail.latest("o@example.test"))
+    msg = protocol.Register(username="wire-user", mail_address="w@example.test")
+    _sealed_exchange(stack, msg)
     session_key = crypto_core.generate_symmetric_key()
     reply = stack.service.handle_frame(_seal(stack, msg, session_key))
     assert reply.tag == protocol.REPLY_TAG
-    login = protocol.recv_reply(reply, session_key)
-    assert isinstance(login, protocol.LoginResponse) and login.status == "OK"
+    error = protocol.recv_reply(reply, session_key)
+    assert error == protocol.ErrorFrame(
+        code="DUPLICATE_USER", text="that username is taken"
+    )
 
 
-def test_full_wire_flow(local_stack, client_keypair):
+def test_full_wire_flow(local_stack):
     stack = local_stack()
     _sealed_exchange(
-        stack,
-        protocol.Register(
-            username="wire-user",
-            mail_address="w@example.test",
-            client_public_key=client_keypair.public,
-        ),
+        stack, protocol.Register(username="wire-user", mail_address="w@example.test")
     )
     otp = stack.mail.latest("w@example.test")
     login = _sealed_exchange(
@@ -640,9 +612,9 @@ def test_full_wire_flow(local_stack, client_keypair):
     assert listing == protocol.ListResponse(labels=("w.bin",))
 
 
-def test_a_reply_to_one_request_does_not_answer_another(local_stack, client_keypair):
+def test_a_reply_to_one_request_does_not_answer_another(local_stack):
     stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test", client_keypair)
+    token = stack.register_and_login("alice", "a@example.test")
     request = protocol.ListRequest(session_token=token)
     key_a, key_b = (crypto_core.generate_symmetric_key() for _ in range(2))
     reply_a = stack.service.handle_frame(_seal(stack, request, key_a))
@@ -653,7 +625,7 @@ def test_a_reply_to_one_request_does_not_answer_another(local_stack, client_keyp
     assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
 
 
-def test_wire_errors_are_error_frames(local_stack, client_keypair):
+def test_wire_errors_are_error_frames(local_stack):
     stack = local_stack()
     reply = _sealed_exchange(
         stack,
@@ -663,9 +635,9 @@ def test_wire_errors_are_error_frames(local_stack, client_keypair):
     assert reply.code == "AUTH_FAILED"
 
 
-def test_failed_logins_answer_byte_identically(local_stack, client_keypair):
+def test_failed_logins_answer_byte_identically(local_stack):
     stack = local_stack()
-    stack.service.register("alice", "a@example.test", client_keypair.public)
+    stack.service.register("alice", "a@example.test")
     replies = [
         stack.service.handle_frame(
             _seal(stack, protocol.LoginRequest(username=username, otp="A" * 16))
@@ -675,11 +647,9 @@ def test_failed_logins_answer_byte_identically(local_stack, client_keypair):
     assert replies[0] == replies[1]
 
 
-def test_over_cap_sealed_reply_is_an_error_frame(
-    local_stack, client_keypair, monkeypatch
-):
+def test_over_cap_sealed_reply_is_an_error_frame(local_stack, monkeypatch):
     stack = local_stack()
-    token = stack.register_and_login("big", "big@example.test", client_keypair)
+    token = stack.register_and_login("big", "big@example.test")
     stack.service.upload(token, "big.bin", bytes(4096))
     request = protocol.DownloadRequest(session_token=token, label="big.bin")
     reply_len = len(stack.service.handle_frame(_seal(stack, request)).payload)
@@ -697,10 +667,102 @@ def test_plain_frames_rejected_without_sabotage(local_stack):
     assert reply.code == "MALFORMED_PAYLOAD"
 
 
-def test_response_messages_rejected_as_requests(local_stack, client_keypair):
+def test_response_messages_rejected_as_requests(local_stack):
     stack = local_stack()
     reply = _sealed_exchange(
         stack, protocol.UploadAck(label="x", status="OK")
     )
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "MALFORMED_PAYLOAD"
+
+
+# ---------------------------------------------------------------------
+# every client request gets one reply, and a refusal changes nothing
+
+CLIENT_REQUESTS = (
+    protocol.Register,
+    protocol.LoginRequest,
+    protocol.UploadRequest,
+    protocol.DownloadRequest,
+    protocol.ListRequest,
+)
+# Text with lone surrogates (category Cs): JSON can carry them as "\ud800"
+# escapes, and they do not encode as UTF-8.
+ANY_TEXT = st.text(
+    st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=6
+)
+FIELD_VALUES = {protocol._STR: ANY_TEXT, protocol._BYTES: st.binary(max_size=64)}
+LIVE_TOKEN = object()  # stands for the stack's logged-in session token
+
+
+@st.composite
+def _hand_built_requests(draw):
+    """(tag, field values) of a client request. The frame is built by hand:
+    the message writer refuses text that is not valid Unicode."""
+    cls = draw(st.sampled_from(CLIENT_REQUESTS))
+    fields = {}
+    for name, codec in protocol._SCHEMAS[cls].items():
+        values = FIELD_VALUES[codec]
+        if name == "session_token":
+            values = st.one_of(st.just(LIVE_TOKEN), values)
+        fields[name] = draw(values)
+    return protocol._TAG_BY_TYPE[cls], fields
+
+
+class CountingMailbox(mailbox.InMemoryMailbox):
+    def __init__(self):
+        super().__init__()
+        self.deliveries = 0
+
+    def deliver(self, address, body):
+        super().deliver(address, body)
+        self.deliveries += 1
+
+
+def _data_files(stack) -> dict:
+    files = {}
+    for root in [stack.config.data_dir] + [s.config.data_dir for s in stack.storages]:
+        for folder, _, names in os.walk(root):
+            for name in names:
+                with open(os.path.join(folder, name), "rb") as fh:
+                    files[os.path.join(folder, name)] = fh.read()
+    return files
+
+
+def test_every_request_gets_one_reply_and_a_refusal_changes_nothing(local_stack):
+    stack = local_stack()
+    stack.mail = CountingMailbox()
+    stack.reload()
+    token = stack.register_and_login("alice", "a@example.test")
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_hand_built_requests())
+    def check(request):
+        tag, fields = request
+        obj = {}
+        for name, value in fields.items():
+            if value is LIVE_TOKEN:
+                value = token
+            obj[name] = value.hex() if isinstance(value, bytes) else value
+        inner = protocol.Frame(
+            tag=tag, payload=json.dumps(obj, sort_keys=True).encode("ascii")
+        ).to_bytes()
+        session_key = crypto_core.generate_symmetric_key()
+        frame = protocol.Frame(
+            tag=protocol.SEALED_TAG,
+            payload=crypto_core.seal_envelope(
+                inner, stack.service.keypair.public, session_key
+            ),
+        )
+        files, mails = _data_files(stack), stack.mail.deliveries
+        reply = stack.service.handle_frame(frame)
+        assert isinstance(reply, protocol.Frame)
+        if reply.tag == protocol.REPLY_TAG:
+            msg = protocol.recv_reply(reply, session_key)
+        else:
+            msg = protocol.recv_plain(reply)
+        if isinstance(msg, protocol.ErrorFrame):
+            assert _data_files(stack) == files
+            assert stack.mail.deliveries == mails
+
+    check()
