@@ -585,6 +585,42 @@ def test_a_taken_username_is_refused_in_a_sealed_reply(local_stack):
     )
 
 
+def _seal_by_hand(stack, tag, obj, session_key) -> protocol.Frame:
+    """Seal a request whose JSON payload the message writer would refuse."""
+    inner = protocol.Frame(
+        tag=tag, payload=json.dumps(obj, sort_keys=True).encode("ascii")
+    ).to_bytes()
+    return protocol.Frame(
+        tag=protocol.SEALED_TAG,
+        payload=crypto_core.seal_envelope(
+            inner, stack.service.keypair.public, session_key
+        ),
+    )
+
+
+def test_an_old_register_with_a_client_key_is_refused(local_stack):
+    # Register used to carry the client's public key; an old client gets
+    # the one plain refusal, and nothing is registered or mailed.
+    stack = local_stack()
+    pair = crypto_core.rsa_generate(512)
+    old = {
+        "username": "old-user",
+        "mail_address": "o@example.test",
+        "client_public_key": {"e": str(pair.e), "n": str(pair.n)},
+    }
+    tag = protocol._TAG_BY_TYPE[protocol.Register]
+    files = _data_files(stack)
+    reply = stack.service.handle_frame(
+        _seal_by_hand(stack, tag, old, crypto_core.generate_symmetric_key())
+    )
+    assert reply.tag != protocol.REPLY_TAG
+    error = protocol.recv_plain(reply)
+    assert isinstance(error, protocol.ErrorFrame)
+    assert error.code == "DECRYPTION_FAILURE"
+    assert _data_files(stack) == files
+    assert not stack.mail.messages("o@example.test")
+
+
 def test_full_wire_flow(local_stack):
     stack = local_stack()
     _sealed_exchange(
@@ -744,16 +780,8 @@ def test_every_request_gets_one_reply_and_a_refusal_changes_nothing(local_stack)
             if value is LIVE_TOKEN:
                 value = token
             obj[name] = value.hex() if isinstance(value, bytes) else value
-        inner = protocol.Frame(
-            tag=tag, payload=json.dumps(obj, sort_keys=True).encode("ascii")
-        ).to_bytes()
         session_key = crypto_core.generate_symmetric_key()
-        frame = protocol.Frame(
-            tag=protocol.SEALED_TAG,
-            payload=crypto_core.seal_envelope(
-                inner, stack.service.keypair.public, session_key
-            ),
-        )
+        frame = _seal_by_hand(stack, tag, obj, session_key)
         files, mails = _data_files(stack), stack.mail.deliveries
         reply = stack.service.handle_frame(frame)
         assert isinstance(reply, protocol.Frame)
