@@ -28,13 +28,18 @@ class FrameServer(socketserver.ThreadingTCPServer):
         super().__init__(addr, _FrameRequestHandler)
 
 
+# Once a frame has started, the rest of it must arrive within this many
+# seconds, or the connection is dropped; an idle connection is kept.
+FRAME_STALL_TIMEOUT = 30.0
+
+
 class _FrameRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
         while True:
             try:
-                frame = protocol.read_frame(self.request)
+                frame = protocol.read_frame(self.request, FRAME_STALL_TIMEOUT)
             except (OSError, CloudVaultError):
-                return  # reset or garbled stream; drop the connection
+                return  # reset, stalled or garbled stream; drop the connection
             if frame is None:
                 return
             reply = self.server.frame_handler(frame)

@@ -7,7 +7,12 @@ produce byte-identical frames on the plain channel. The writer assembles
 that object itself, splicing each binary field's hex in unescaped (lowercase
 hex never needs escaping); the bytes are exactly what
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` would write.
-Reading goes through ``json.loads``.
+The reader accepts that layout and nothing else: ASCII only, ``{``, each
+field in sorted order as ``"name":value`` joined by ``,``, then ``}``. It
+unhexlifies a binary field where it lies (either case of hex) and parses any
+other value in place, which must be written as the writer writes it. Any
+other payload (whitespace, keys out of order or repeated, escapes in hex)
+raises ``MalformedPayload``.
 
 A client request is sealed: a ``SEALED_TAG`` frame whose payload is the raw
 bytes ``wrapped_key ‖ iv ‖ body``. ``wrapped_key`` is the RSA-wrapped
@@ -32,7 +37,9 @@ import binascii
 import json
 import socket
 import struct
+import time
 from dataclasses import dataclass, make_dataclass
+from typing import Callable, NamedTuple
 
 from . import crypto_core
 from .errors import (
@@ -82,7 +89,8 @@ class Frame:
 # Field codecs: one (python value -> JSON value, JSON value -> python value)
 # pair per field kind; each check is written once and run in both directions.
 # A binary field encodes to ASCII hex ``bytes``, which the payload writer
-# quotes and splices in as it is.
+# quotes and splices in as it is; the payload reader unhexlifies it and hands
+# its codec the raw bytes.
 
 def _str(value):
     if not isinstance(value, str):
@@ -104,15 +112,6 @@ def _bytes(value) -> bytes:
     if not isinstance(value, (bytes, bytearray)):
         raise MalformedPayload(f"expected bytes, got {type(value).__name__}")
     return bytes(value)
-
-
-def _from_hex(value) -> bytes:
-    if not isinstance(value, str):
-        raise MalformedPayload("binary fields travel as hex strings")
-    try:
-        return bytes.fromhex(value)
-    except ValueError as exc:
-        raise MalformedPayload(f"invalid hex: {exc}") from exc
 
 
 def _digest(raw: bytes) -> bytes:
@@ -138,25 +137,35 @@ def pubkey_from_json(value) -> tuple:
 def _strs(value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise MalformedPayload("label list must be a list")
-    return tuple(_str(item) for item in value)
+    try:
+        _str("".join(value))  # one UTF-8 check for every label
+    except TypeError:
+        raise MalformedPayload("labels must be str") from None
+    return tuple(value)
 
 
-_STR = (_str, _str)
-_POSITIVE_INT = (_positive_int, _positive_int)
-_BYTES = (lambda value: binascii.hexlify(_bytes(value)), _from_hex)  # lowercase hex
-_DIGEST = (
-    lambda value: binascii.hexlify(_digest(_bytes(value))),
-    lambda value: _digest(_from_hex(value)),
+class _Codec(NamedTuple):
+    encode: Callable
+    decode: Callable
+    binary: bool = False  # encodes to ASCII hex bytes, decodes from raw bytes
+
+
+_STR = _Codec(_str, _str)
+_POSITIVE_INT = _Codec(_positive_int, _positive_int)
+_BYTES = _Codec(lambda value: binascii.hexlify(_bytes(value)), _bytes, binary=True)
+_DIGEST = _Codec(
+    lambda value: binascii.hexlify(_digest(_bytes(value))), _digest, binary=True
 )
-_STRLIST = (lambda value: list(_strs(value)), _strs)
+_STRLIST = _Codec(lambda value: list(_strs(value)), _strs)
 
 
 # ---------------------------------------------------------------------------
 # Message kinds: one row each, giving the kind's name, its tag and its fields
 # in order, each with its codec. The row builds the frozen dataclass and fills
-# both the schema and the tag maps.
+# the schema, the payload layout and the tag maps.
 
-_SCHEMAS: dict[type, dict[str, tuple]] = {}
+_SCHEMAS: dict[type, dict[str, _Codec]] = {}
+_LAYOUTS: dict[type, tuple] = {}  # (name, b'{"name":' or b',"name":', codec), sorted
 _TAG_BY_TYPE: dict[type, int] = {}
 _TYPE_BY_TAG: dict[int, type] = {}
 
@@ -165,6 +174,10 @@ def _kind(name: str, tag: int, **codecs) -> type:
     cls = make_dataclass(name, list(codecs), frozen=True)
     cls.__module__ = __name__  # make_dataclass has no module= before 3.12
     _SCHEMAS[cls] = codecs
+    _LAYOUTS[cls] = tuple(
+        (field, (b"," if i else b"{") + json.dumps(field).encode("ascii") + b":", codec)
+        for i, (field, codec) in enumerate(sorted(codecs.items()))
+    )
     _TAG_BY_TYPE[cls] = tag
     _TYPE_BY_TAG[tag] = cls
     return cls
@@ -201,19 +214,26 @@ def tag_of(msg) -> int:
         raise UnknownTag(f"not a protocol message: {type(msg).__name__}") from None
 
 
+_JSON_WRITER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSON_READER = json.JSONDecoder()
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``; an int
+    skips the encoder, which is most of the cost of a small frame's int."""
+    return str(value) if type(value) is int else _JSON_WRITER.encode(value)
+
+
 def _payload_of(msg) -> bytes:
     """The canonical JSON object, written field by field in sorted order and
     joined once; hex from a binary field is never scanned for escapes."""
     parts = []
-    for name, (encode, _) in sorted(_SCHEMAS[type(msg)].items()):
-        parts += (b"," if parts else b"{", json.dumps(name).encode("ascii"), b":")
-        value = encode(getattr(msg, name))
-        if isinstance(value, bytes):
-            parts += (b'"', value, b'"')
+    for name, key, codec in _LAYOUTS[type(msg)]:
+        value = codec.encode(getattr(msg, name))
+        if codec.binary:
+            parts += (key, b'"', value, b'"')
         else:
-            parts.append(
-                json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
-            )
+            parts += (key, _json_text(value).encode("ascii"))
     parts.append(b"}")
     return b"".join(parts)
 
@@ -223,22 +243,50 @@ def encode_frame(msg) -> bytes:
     return Frame(tag=tag_of(msg), payload=_payload_of(msg)).to_bytes()
 
 
+def _fields_of(cls, payload: bytes) -> dict:
+    """Field values read back from the layout ``_payload_of`` writes, and no
+    other: each key in sorted order, no whitespace, ASCII only, each JSON
+    value written as the writer writes it. A binary field's hex is unhexlified
+    where it lies; any other value is parsed in place and must re-encode to
+    the same text. Raises ValueError or RecursionError on anything else."""
+    values = {}
+    text, base = None, 0  # payload[base:] as str, made at the first JSON value
+    pos = 0
+    for name, key, codec in _LAYOUTS[cls]:
+        if not payload.startswith(key, pos):
+            raise ValueError(f"expected {key.decode()} at byte {pos}")
+        pos += len(key)
+        if codec.binary:
+            end = payload.find(b'"', pos + 1)
+            if payload[pos:pos + 1] != b'"' or end < 0:
+                raise ValueError(f"{name} is not a hex string")
+            raw = binascii.unhexlify(memoryview(payload)[pos + 1:end])
+            pos = end + 1
+        else:
+            if text is None:
+                text, base = payload[pos:].decode("ascii"), pos
+            raw, end = _JSON_READER.raw_decode(text, pos - base)
+            if text[pos - base:end] != _json_text(raw):
+                raise ValueError(f"{name} is not written as the writer writes it")
+            pos = base + end
+        values[name] = codec.decode(raw)
+    if payload[pos:] != b"}":
+        raise ValueError(f"expected }} at byte {pos}")
+    return values
+
+
 def _message_from_frame(frame: Frame):
     cls = _TYPE_BY_TAG.get(frame.tag)
     if cls is None:
         raise UnknownTag(f"tag 0x{frame.tag:02x} is not a known message kind")
     try:
-        obj = json.loads(frame.payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays nested deeper than the interpreter's stack
-        raise MalformedPayload(f"payload is not valid JSON: {exc}") from exc
-    schema = _SCHEMAS[cls]
-    if not isinstance(obj, dict) or set(obj) != set(schema):
+        return cls(**_fields_of(cls, frame.payload))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, non-ASCII bytes, bad hex and integers
+        # too long to convert; RecursionError, values nested too deep
         raise MalformedPayload(
-            f"{cls.__name__} payload must have exactly fields {sorted(schema)}"
-        )
-    values = {name: decode(obj[name]) for name, (_, decode) in schema.items()}
-    return cls(**values)
+            f"{cls.__name__} payload is not its canonical JSON object: {exc}"
+        ) from exc
 
 
 def decode_frame(data: bytes):
@@ -305,15 +353,28 @@ def recv_reply(frame: Frame, session_key: bytes):
 # ---------------------------------------------------------------------------
 # Socket transport: one frame at a time
 
-def read_frame(sock: socket.socket):
-    """Next frame off the socket, or None on a clean EOF between frames."""
-    header = _read_exact(sock, HEADER_LEN, allow_eof=True)
-    if header is None:
-        return None
-    tag, length = struct.unpack(">BI", header)
-    if length > MAX_FRAME_LEN:
-        raise MalformedPayload(f"declared length {length} exceeds cap")
-    payload = _read_exact(sock, length) if length else b""
+def read_frame(sock: socket.socket, stall_timeout: float | None = None):
+    """Next frame off the socket, or None on a clean EOF between frames.
+
+    The wait for a frame to start is unbounded. With ``stall_timeout``, the
+    whole frame must then arrive within that many seconds of its first byte,
+    or ``TimeoutError`` is raised."""
+    deadline = None
+    if stall_timeout is not None:
+        sock.recv(1, socket.MSG_PEEK)  # returns once a frame starts, or at EOF
+        deadline = time.monotonic() + stall_timeout
+    previous = sock.gettimeout()
+    try:
+        header = _read_exact(sock, HEADER_LEN, deadline, allow_eof=True)
+        if header is None:
+            return None
+        tag, length = struct.unpack(">BI", header)
+        if length > MAX_FRAME_LEN:
+            raise MalformedPayload(f"declared length {length} exceeds cap")
+        payload = _read_exact(sock, length, deadline) if length else b""
+    finally:
+        if deadline is not None:
+            sock.settimeout(previous)
     return Frame(tag=tag, payload=payload)
 
 
@@ -321,10 +382,15 @@ def write_frame(sock: socket.socket, frame: Frame) -> None:
     sock.sendall(frame.to_bytes())
 
 
-def _read_exact(sock: socket.socket, count: int, allow_eof: bool = False):
+def _read_exact(sock: socket.socket, count: int, deadline, allow_eof: bool = False):
     chunks = []
     remaining = count
     while remaining:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"frame stalled with {remaining} bytes outstanding")
+            sock.settimeout(left)
         chunk = sock.recv(min(remaining, 65536))
         if not chunk:
             if allow_eof and remaining == count:

@@ -351,6 +351,67 @@ def test_client_session_reconnects_after_the_peer_restarts(
 
 
 # ---------------------------------------------------------------------
+# frame server
+
+@pytest.fixture
+def echo_server(monkeypatch):
+    """A frame server that echoes each frame, with a 0.2 s stall bound. Its
+    ``handlers`` list gains each connection's handler thread."""
+    monkeypatch.setattr(netutil, "FRAME_STALL_TIMEOUT", 0.2)
+    handle = netutil._FrameRequestHandler.handle
+    handlers = []
+
+    def recorded(self):
+        handlers.append(threading.current_thread())
+        handle(self)
+
+    monkeypatch.setattr(netutil._FrameRequestHandler, "handle", recorded)
+    server = netutil.start_frame_server("127.0.0.1", 0, lambda frame: frame)
+    server.handlers = handlers
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def _hang_up_time(sock, seconds: float, trickle: bool = False) -> float:
+    """When the server closed ``sock``, sending one byte each 20 ms meanwhile
+    if ``trickle``; fails after ``seconds``."""
+    started = time.monotonic()
+    sock.settimeout(0.02)
+    while time.monotonic() - started < seconds:
+        try:
+            if not sock.recv(1):
+                return time.monotonic()
+        except TimeoutError:
+            pass
+        except ConnectionResetError:
+            return time.monotonic()
+        if trickle:
+            sock.sendall(b"0")
+    raise AssertionError(f"the server kept the connection for {seconds} s")
+
+
+@pytest.mark.parametrize("trickle", [False, True], ids=["stalled", "trickling"])
+def test_a_frame_that_does_not_arrive_in_time_is_dropped(echo_server, trickle):
+    with socket.create_connection(echo_server.server_address, timeout=5.0) as sock:
+        sent = time.monotonic()
+        sock.sendall(b"\x0b\x00\x01\x00\x00" + b'{"file')  # 64 KiB declared
+        assert _hang_up_time(sock, 5.0, trickle) - sent >= 0.2
+    (handler,) = echo_server.handlers
+    handler.join(timeout=5.0)
+    assert not handler.is_alive()
+
+
+def test_an_idle_connection_is_kept_between_frames(echo_server):
+    frame = protocol.send_plain(FETCH)
+    with socket.create_connection(echo_server.server_address, timeout=5.0) as sock:
+        for _ in range(2):
+            time.sleep(0.5)  # idle for more than the stall bound
+            protocol.write_frame(sock, frame)
+            assert protocol.read_frame(sock) == frame
+
+
+# ---------------------------------------------------------------------
 # server process shell
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(netutil.__file__)))

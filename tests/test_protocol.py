@@ -5,6 +5,7 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloudvault import crypto_core, protocol
 from cloudvault.errors import (
@@ -185,7 +186,9 @@ def test_missing_and_extra_fields_rejected():
 def test_text_that_is_not_valid_unicode_is_refused_both_ways(msg):
     with pytest.raises(MalformedPayload):
         protocol.encode_frame(msg)
-    payload = json.dumps(dataclasses.asdict(msg)).encode("ascii")  # "\ud800"
+    payload = json.dumps(  # "\ud800", in the writer's layout
+        dataclasses.asdict(msg), sort_keys=True, separators=(",", ":")
+    ).encode("ascii")
     with pytest.raises(MalformedPayload):
         protocol.recv_plain(protocol.Frame(tag=protocol.tag_of(msg), payload=payload))
 
@@ -305,6 +308,123 @@ def test_binary_fields_travel_as_lowercase_hex():
         protocol.BlobPayload(blob=bytes.fromhex("deadbeef00ff"))
     )
     assert b'"deadbeef00ff"' in frame.payload
+
+
+# ---------------------------------------------------------------------
+# the payload reader
+
+STORE_PAYLOAD = (  # the writer's StoreBlob payload
+    b'{"blob":"00ff","file_number":7,"user_digest":"' + DIGEST.hex().encode() + b'"}'
+)
+STORE = protocol.StoreBlob(user_digest=DIGEST, file_number=7, blob=b"\x00\xff")
+
+
+def _edited_store(old: bytes, new: bytes) -> bytes:
+    assert old in STORE_PAYLOAD
+    return STORE_PAYLOAD.replace(old, new, 1)
+
+
+REFUSED_PAYLOADS = {  # name -> (kind, a payload the reader refuses)
+    "space after a colon": (protocol.StoreBlob, _edited_store(b'"blob":', b'"blob": ')),
+    "newline after a comma": (protocol.StoreBlob, _edited_store(b"7,", b"7,\n")),
+    "keys out of order": (
+        protocol.StoreBlob,
+        _edited_store(b'"blob":"00ff","file_number":7', b'"file_number":7,"blob":"00ff"'),
+    ),
+    "duplicate key": (
+        protocol.StoreBlob,
+        _edited_store(b'"blob":"00ff",', b'"blob":"00ff","blob":"00ff",'),
+    ),
+    "escape in hex": (protocol.StoreBlob, _edited_store(b'"00ff"', b'"0\\u0030ff"')),
+    "space in hex": (protocol.StoreBlob, _edited_store(b'"00ff"', b'"00 ff"')),
+    "odd-length hex": (protocol.StoreBlob, _edited_store(b'"00ff"', b'"0ff"')),
+    "non-ASCII in hex": (protocol.StoreBlob, _edited_store(b"ff", "\u00e9".encode())),
+    "unterminated hex": (protocol.StoreBlob, b'{"blob":"00ff'),
+    "bytes after the brace": (protocol.StoreBlob, STORE_PAYLOAD + b"x"),
+    "space after the brace": (protocol.StoreBlob, STORE_PAYLOAD + b" "),
+    "file number of 5000 digits": (
+        protocol.StoreBlob, _edited_store(b":7,", b":" + b"7" * 5000 + b","),
+    ),
+    "non-ASCII text": (
+        protocol.ErrorFrame, '{"code":"NOT_FOUND","text":"\u00e9"}'.encode("utf-8"),
+    ),
+    "space inside a list": (protocol.ListResponse, b'{"labels":["f", "g"]}'),
+    "labels nested 100 000 deep": (
+        protocol.ListResponse, b'{"labels":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ),
+}
+
+
+def _read(kind, payload: bytes):
+    return protocol.recv_plain(
+        protocol.Frame(tag=protocol._TAG_BY_TYPE[kind], payload=payload)
+    )
+
+
+def test_the_reader_takes_the_writers_store_payload():
+    assert protocol.send_plain(STORE).payload == STORE_PAYLOAD
+    assert _read(protocol.StoreBlob, STORE_PAYLOAD) == STORE
+
+
+@pytest.mark.parametrize("name", REFUSED_PAYLOADS)
+def test_the_reader_refuses_every_other_layout(name):
+    with pytest.raises(MalformedPayload):
+        _read(*REFUSED_PAYLOADS[name])
+
+
+def test_uppercase_hex_decodes_as_lowercase_does():
+    upper = _edited_store(b"00ff", b"00FF")
+    upper = upper.replace(b"0a0b0c0d0e0f", b"0A0B0C0D0E0F")
+    assert _read(protocol.StoreBlob, upper) == STORE
+
+
+FIELD_STRATEGIES = {
+    protocol._STR: st.text(max_size=12),
+    protocol._POSITIVE_INT: st.integers(min_value=1, max_value=2**64),
+    protocol._BYTES: st.binary(max_size=48),
+    protocol._DIGEST: st.binary(min_size=16, max_size=16),
+    protocol._STRLIST: st.lists(st.text(max_size=6), max_size=4).map(tuple),
+}
+
+
+@st.composite
+def _damaged_frames(draw) -> bytes:
+    """Random bytes, or a valid frame of any kind with one byte flipped,
+    inserted or deleted, or cut short. Half of the damaged frames get their
+    length field rewritten to fit, so the damage reaches the payload reader."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=120))
+    kind = draw(st.sampled_from(ALL_KINDS))
+    fields = {
+        name: draw(FIELD_STRATEGIES[codec])
+        for name, codec in protocol._SCHEMAS[kind].items()
+    }
+    frame = protocol.send_plain(kind(**fields))
+    reframe = draw(st.booleans())
+    data = bytearray(frame.payload if reframe else frame.to_bytes())
+    at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+    damage = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+    if damage == "flip":
+        data[at] ^= draw(st.integers(min_value=1, max_value=255))
+    elif damage == "insert":
+        data.insert(at, draw(st.integers(min_value=0, max_value=255)))
+    elif damage == "delete":
+        del data[at]
+    else:
+        del data[at:]
+    return protocol.Frame(frame.tag, bytes(data)).to_bytes() if reframe else bytes(data)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(_damaged_frames())
+def test_a_damaged_frame_decodes_to_a_message_or_raises_a_cloudvault_error(data):
+    try:
+        msg = protocol.decode_frame(data)
+    except CloudVaultError:
+        return
+    assert protocol.decode_frame(protocol.encode_frame(msg)) == msg
+    # The reader takes only the writer's bytes; hex may come in either case.
+    assert protocol.encode_frame(msg).lower() == data.lower()
 
 
 # ---------------------------------------------------------------------
@@ -444,7 +564,8 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
     body_flipped = good[: k + block] + first_block + good[k + 2 * block :]
     other = crypto_core.rsa_generate(pub[0].bit_length())
     list_tag = protocol.tag_of(protocol.ListRequest(session_token="ab"))
-    nested = protocol.Frame(list_tag, b"[" * 100_000 + b"]" * 100_000).to_bytes()
+    deep = b'{"session_token":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    nested = protocol.Frame(list_tag, deep).to_bytes()
     return {
         "empty": b"",
         "shorter than k": good[: k - 1],
@@ -465,6 +586,11 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
         ),
         "inner frame nested too deep": crypto_core.seal_envelope(
             nested, pub, SESSION_KEY
+        ),
+        "inner frame off the writer's layout": crypto_core.seal_envelope(
+            protocol.Frame(list_tag, b'{"session_token": "ab"}').to_bytes(),
+            pub,
+            SESSION_KEY,
         ),
     }
 

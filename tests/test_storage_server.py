@@ -16,6 +16,8 @@ from cloudvault.placement import PlacementEntry
 from cloudvault.storage_server import StorageConfig, StorageService
 from cloudvault.system_server import StorageClient
 
+from test_protocol import REFUSED_PAYLOADS
+
 ALICE = md5_digest(b"alice")
 BOB = md5_digest(b"bob")
 
@@ -296,6 +298,22 @@ def test_file_number_zero_gets_one_error_frame_and_changes_nothing(service):
     assert _data_files(service.config.data_dir) == before
     with pytest.raises(MalformedPayload):
         protocol.send_plain(protocol.FetchBlob(user_digest=ALICE, file_number=0))
+
+
+@pytest.mark.parametrize("name", REFUSED_PAYLOADS)
+def test_a_payload_off_the_writers_layout_gets_one_error_frame_and_changes_nothing(
+    service, name
+):
+    service.store_blob(ALICE, 1, b"\x00" * 32)
+    before = _data_files(service.config.data_dir)
+    kind, payload = REFUSED_PAYLOADS[name]
+    reply = service.handle_frame(
+        protocol.Frame(tag=protocol._TAG_BY_TYPE[kind], payload=payload)
+    )
+    error = protocol.recv_plain(reply)
+    assert isinstance(error, protocol.ErrorFrame)
+    assert error.code == "MALFORMED_PAYLOAD"
+    assert _data_files(service.config.data_dir) == before
 
 
 @pytest.mark.integration

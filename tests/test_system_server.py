@@ -586,10 +586,11 @@ def test_a_taken_username_is_refused_in_a_sealed_reply(local_stack):
 
 
 def _seal_by_hand(stack, tag, obj, session_key) -> protocol.Frame:
-    """Seal a request whose JSON payload the message writer would refuse."""
-    inner = protocol.Frame(
-        tag=tag, payload=json.dumps(obj, sort_keys=True).encode("ascii")
-    ).to_bytes()
+    """Seal a request whose JSON payload the message writer would refuse. The
+    payload keeps the writer's layout, so the reader gets as far as the field
+    codecs."""
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    inner = protocol.Frame(tag=tag, payload=payload.encode("ascii")).to_bytes()
     return protocol.Frame(
         tag=protocol.SEALED_TAG,
         payload=crypto_core.seal_envelope(
