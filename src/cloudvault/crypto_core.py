@@ -1,26 +1,30 @@
-"""Cryptographic primitives: AES-128 file encryption, RSA request envelopes,
-AEAD replies keyed from the request, MD5 digests, random key /
-one-time-password generation, and the RSA key file.
+"""Cryptographic primitives: one AEAD seal for every ciphertext, RSA request
+envelopes, MD5 digests, random key / one-time-password generation, and the
+RSA key file.
 
-File bodies are encrypted with AES-128 in CBC mode under a fresh random key
-and IV, padded with PKCS#7. A client request is sealed in a hybrid
-envelope: the caller's fresh 128-bit session key is RSA-wrapped with PKCS#1
-v1.5 padding and the message body rides under that session key with the
-same AES-CBC scheme. The reply is sealed under the same session key, so the
-asymmetric key system only carries keys, as in the source design: a fresh
-16-byte nonce salts HKDF-SHA256 (RFC 5869) over the session key, which
-yields an AES-128-GCM key and IV, the way Oblivious HTTP seals a response
-(RFC 9458 §4.4). Only the holder of the system private key recovers the
-session key, so only it can seal a reply the client opens, and a reply
-opens only for the request it answers. Identity strings (usernames,
-one-time passwords) are persisted only as MD5 digests of their exact UTF-8
-bytes.
+Every ciphertext is ``nonce(16) ‖ AES-128-GCM(k, iv, msg, aad)`` with
+``k ‖ iv = HKDF-SHA256(key, salt=nonce, info)`` (RFC 5869), the way Oblivious
+HTTP seals a response (RFC 9458 §4.4): a stored file under its own fresh
+key, a client request and the reply to it under the request's session key.
+The ``info`` string names which of the three a ciphertext is, so one never
+opens as another, and the AAD binds it to where it belongs: a request to its
+wrapped key, a blob to its owner and file number. Changing any byte, or
+moving a ciphertext, fails the GCM tag.
+
+A client request is sealed in a hybrid envelope: the caller's fresh 128-bit
+session key is RSA-wrapped with PKCS#1 v1.5 padding and the message rides
+under that session key. The reply is sealed under the same session key, so
+the asymmetric key system only carries keys, as in the source design. Only
+the holder of the system private key recovers the session key, so only it
+can seal a reply the client opens, and a reply opens only for the request it
+answers. Identity strings (usernames, one-time passwords) are persisted only
+as MD5 digests of their exact UTF-8 bytes.
 
 AES, AES-GCM, HKDF, RSA and MD5 come from vetted implementations
 (``cryptography``, ``hashlib``). The library's RSA private operation uses
 CRT with blinding and checks its own result, and its PKCS#1 v1.5 unwrap
 uses implicit rejection: a block that does not open yields pseudo-random
-bytes instead of an error, so the envelope's later checks must catch it.
+bytes instead of an error, so the envelope's GCM tag must catch it.
 What stays here is the key arithmetic the library does not offer: a prime
 search that also makes the small keys tests use, and recovering the primes
 from the ``{n, e, d}`` key files (NIST SP 800-56B Rev. 2, Appendix C).
@@ -42,11 +46,9 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import (
-    BadPadding,
     DecryptionFailure,
     InvalidKey,
     IoFailure,
-    MalformedCiphertext,
     MessageOutOfRange,
     PrimeGenerationFailure,
     RandomSourceUnavailable,
@@ -64,10 +66,12 @@ MIN_RSA_BITS = 16  # toy keypairs for tests; envelopes need far more
 # PKCS#1 v1.5 block: 00 02 <at least 8 nonzero pad bytes> 00 <data>
 _MIN_PAD_OVERHEAD = 11
 
-REPLY_NONCE_BYTES = 16
-REPLY_TAG_BYTES = 16
-_REPLY_IV_BYTES = 12
-_REPLY_INFO = b"cloudvault reply"
+NONCE_BYTES = 16
+TAG_BYTES = 16
+_IV_BYTES = 12
+REQUEST_INFO = b"cloudvault request"
+REPLY_INFO = b"cloudvault reply"
+BLOB_INFO = b"cloudvault blob"
 
 
 def _random_bytes(count: int) -> bytes:
@@ -80,10 +84,6 @@ def _random_bytes(count: int) -> bytes:
 def generate_symmetric_key() -> bytes:
     """Fresh 16-byte AES key. Single-use discipline is the caller's job."""
     return _random_bytes(KEY_BYTES)
-
-
-def generate_iv() -> bytes:
-    return _random_bytes(BLOCK_SIZE)
 
 
 def generate_otp() -> str:
@@ -105,43 +105,23 @@ def md5_digest(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """AES-CBC output: the random IV plus the padded encrypted body."""
+    """A sealed message: the fresh nonce, then the AES-128-GCM body with its
+    16-byte tag. ``body`` may be a view of the bytes it was read from."""
 
-    iv: bytes
+    nonce: bytes
     body: bytes
 
-    def __post_init__(self):
-        if len(self.iv) != BLOCK_SIZE:
-            raise MalformedCiphertext("IV must be exactly 16 bytes")
-        if len(self.body) == 0 or len(self.body) % BLOCK_SIZE != 0:
-            raise MalformedCiphertext("body must be a positive multiple of 16 bytes")
-
     def to_bytes(self) -> bytes:
-        return self.iv + self.body
+        return self.nonce + self.body
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "Ciphertext":
-        if len(raw) < 2 * BLOCK_SIZE or (len(raw) - BLOCK_SIZE) % BLOCK_SIZE != 0:
-            raise MalformedCiphertext(
-                f"serialized ciphertext has invalid length {len(raw)}"
-            )
-        return cls(iv=raw[:BLOCK_SIZE], body=raw[BLOCK_SIZE:])
-
-
-def _pkcs7_pad(data: bytes) -> bytes:
-    pad = BLOCK_SIZE - (len(data) % BLOCK_SIZE)
-    return data + bytes([pad]) * pad
-
-
-def _pkcs7_unpad(data: bytes) -> bytes:
-    if not data:
-        raise BadPadding("empty plaintext buffer")
-    pad = data[-1]
-    if pad < 1 or pad > BLOCK_SIZE or len(data) < pad:
-        raise BadPadding("invalid padding length")
-    if data[-pad:] != bytes([pad]) * pad:
-        raise BadPadding("inconsistent padding bytes")
-    return data[:-pad]
+    def from_bytes(cls, raw) -> "Ciphertext":
+        """Split ``nonce ‖ body`` without copying the body. Too short for a
+        nonce and a tag raises DecryptionFailure."""
+        if len(raw) < NONCE_BYTES + TAG_BYTES:
+            raise DecryptionFailure("ciphertext too short for a nonce and a tag")
+        view = memoryview(raw)
+        return cls(nonce=bytes(view[:NONCE_BYTES]), body=view[NONCE_BYTES:])
 
 
 def _check_key(key: bytes):
@@ -153,7 +133,7 @@ def aes_encrypt_block(block: bytes, key: bytes) -> bytes:
     """Raw single-block AES-128 transform (no mode, no padding).
 
     Exists so the block core can be pinned against the standard
-    known-answer vector independently of the CBC file path.
+    known-answer vector independently of the GCM seal.
     """
     _check_key(key)
     if len(block) != BLOCK_SIZE:
@@ -162,28 +142,46 @@ def aes_encrypt_block(block: bytes, key: bytes) -> bytes:
     return enc.update(block) + enc.finalize()
 
 
-def encrypt_file(plaintext: bytes, key: bytes) -> Ciphertext:
-    """AES-128-CBC with PKCS#7 padding and a fresh random IV."""
+def _key_and_iv(key: bytes, nonce: bytes, info: bytes) -> tuple[bytes, bytes]:
     _check_key(key)
-    iv = generate_iv()
-    enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
-    body = enc.update(_pkcs7_pad(plaintext)) + enc.finalize()
-    return Ciphertext(iv=iv, body=body)
+    okm = HKDF(
+        algorithm=hashes.SHA256(), length=KEY_BYTES + _IV_BYTES, salt=nonce, info=info
+    ).derive(key)
+    return okm[:KEY_BYTES], okm[KEY_BYTES:]
 
 
-def decrypt_file(ct: Ciphertext, key: bytes) -> bytes:
-    """Invert encrypt_file. Raises BadPadding on a wrong key or mangled body."""
-    _check_key(key)
-    dec = Cipher(algorithms.AES(key), modes.CBC(ct.iv)).decryptor()
-    padded = dec.update(ct.body) + dec.finalize()
-    return _pkcs7_unpad(padded)
+def encrypt_file(
+    plaintext: bytes, key: bytes, info: bytes, aad: bytes | None = None
+) -> Ciphertext:
+    """Seal ``plaintext`` under ``key`` for the use ``info`` names, binding
+    ``aad``. The nonce is fresh per call, so a key and IV pair never
+    repeats."""
+    nonce = _random_bytes(NONCE_BYTES)
+    gcm_key, iv = _key_and_iv(key, nonce, info)
+    return Ciphertext(nonce=nonce, body=AESGCM(gcm_key).encrypt(iv, plaintext, aad))
 
 
-def _cbc_decrypt_raw(iv: bytes, body: bytes, key: bytes) -> bytes:
-    """CBC decrypt without padding checks; used by the leakage auditor to
-    model an adversary who ignores padding errors."""
-    dec = Cipher(algorithms.AES(key), modes.CBC(iv)).decryptor()
-    return dec.update(body) + dec.finalize()
+def decrypt_file(
+    ct: Ciphertext, key: bytes, info: bytes, aad: bytes | None = None
+) -> bytes:
+    """Invert encrypt_file. A wrong key, ``info`` or ``aad``, and every bit
+    changed anywhere in ``ct``, raise DecryptionFailure."""
+    gcm_key, iv = _key_and_iv(key, ct.nonce, info)
+    try:
+        return AESGCM(gcm_key).decrypt(iv, ct.body, aad)
+    except InvalidTag:
+        raise DecryptionFailure("ciphertext does not authenticate") from None
+
+
+def _decrypt_ignoring_tag(ct: Ciphertext, key: bytes, info: bytes) -> bytes:
+    """GCM's keystream (AES-CTR from counter block ``iv ‖ 00000002``, NIST
+    SP 800-38D) over the whole body, tag and any bytes after it included,
+    with no tag check: the leakage auditor's adversary, who reads plaintext
+    even from a ciphertext that does not authenticate."""
+    gcm_key, iv = _key_and_iv(key, ct.nonce, info)
+    counter = iv + (2).to_bytes(4, "big")
+    dec = Cipher(algorithms.AES(gcm_key), modes.CTR(counter)).decryptor()
+    return dec.update(ct.body) + dec.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -429,59 +427,26 @@ def rsa_decrypt_block(wrapped: bytes, priv: RsaKeyPair) -> bytes:
 
 def seal_envelope(msg: bytes, pub: tuple[int, int], session_key: bytes) -> bytes:
     """Seal ``msg`` to the holder of ``pub``'s private half as the bytes
-    ``wrapped_key ‖ iv ‖ body``, with the wrapped key k bytes long.
+    ``wrapped_key ‖ nonce ‖ body``, with the wrapped key k bytes long and
+    bound to the body as its AAD.
 
     The caller passes a fresh session key and keeps it to open the reply.
-    The RSA block carries random padding and the IV is random, so sealing
+    The RSA block carries random padding and the nonce is random, so sealing
     the same message twice never repeats bytes.
     """
     wrapped = rsa_encrypt_block(session_key, pub)
-    payload = encrypt_file(msg, session_key)
-    return b"".join((wrapped, payload.iv, payload.body))
+    payload = encrypt_file(msg, session_key, REQUEST_INFO, wrapped)
+    return b"".join((wrapped, payload.nonce, payload.body))
 
 
 def open_envelope(sealed: bytes, priv: RsaKeyPair) -> tuple[bytes, bytes]:
     """Invert seal_envelope, splitting ``sealed`` at priv's k; returns the
-    message and its session key. Each way of failing raises its own
+    message and its session key. Each way of failing raises a
     CloudVaultError; ``protocol.recv_sealed`` gives them all one reply."""
     k = modulus_bytes(priv.n)
-    payload = Ciphertext.from_bytes(sealed[k:])
-    session_key = rsa_decrypt_block(sealed[:k], priv)
+    payload = Ciphertext.from_bytes(memoryview(sealed)[k:])
+    wrapped = sealed[:k]
+    session_key = rsa_decrypt_block(wrapped, priv)
     if len(session_key) != KEY_BYTES:
         raise DecryptionFailure("recovered session key has wrong length")
-    return decrypt_file(payload, session_key), session_key
-
-
-def _reply_cipher(session_key: bytes, nonce: bytes) -> tuple[AESGCM, bytes]:
-    _check_key(session_key)
-    okm = HKDF(
-        algorithm=hashes.SHA256(),
-        length=KEY_BYTES + _REPLY_IV_BYTES,
-        salt=nonce,
-        info=_REPLY_INFO,
-    ).derive(session_key)
-    return AESGCM(okm[:KEY_BYTES]), okm[KEY_BYTES:]
-
-
-def seal_reply(msg: bytes, session_key: bytes) -> bytes:
-    """Seal a reply under the session key of the request it answers:
-    ``nonce(16) ‖ AES-128-GCM(key, iv, msg)`` with
-    ``key ‖ iv = HKDF-SHA256(session_key, salt=nonce, info, 28 bytes)``.
-
-    The nonce is fresh per reply, so a key and IV pair never repeats."""
-    nonce = _random_bytes(REPLY_NONCE_BYTES)
-    aead, iv = _reply_cipher(session_key, nonce)
-    return nonce + aead.encrypt(iv, msg, None)
-
-
-def open_reply(sealed: bytes, session_key: bytes) -> bytes:
-    """Invert seal_reply. A payload too short for a nonce and a tag, and
-    every bit changed anywhere in it, raise DecryptionFailure, as does a
-    reply sealed under any other session key."""
-    if len(sealed) < REPLY_NONCE_BYTES + REPLY_TAG_BYTES:
-        raise DecryptionFailure("reply too short for a nonce and a tag")
-    aead, iv = _reply_cipher(session_key, sealed[:REPLY_NONCE_BYTES])
-    try:
-        return aead.decrypt(iv, sealed[REPLY_NONCE_BYTES:], None)
-    except InvalidTag:
-        raise DecryptionFailure("reply does not authenticate") from None
+    return decrypt_file(payload, session_key, REQUEST_INFO, wrapped), session_key

@@ -28,14 +28,6 @@ class RandomSourceUnavailable(CloudVaultError):
     pass
 
 
-class BadPadding(CloudVaultError):
-    pass
-
-
-class MalformedCiphertext(CloudVaultError):
-    pass
-
-
 class PrimeGenerationFailure(CloudVaultError):
     pass
 

@@ -616,13 +616,14 @@ def leakage_audit(topology: Topology, facts: WorkloadFacts) -> AuditReport:
             name: data for name, data in dump.items() if name.startswith("blobs/")
         }
         for blob_name, blob in sorted(blobs.items()):
-            if len(blob) < 2 * crypto_core.BLOCK_SIZE:
+            try:
+                sealed = crypto_core.Ciphertext.from_bytes(blob)
+            except CloudVaultError:
                 continue
-            iv = blob[: crypto_core.BLOCK_SIZE]
-            body = blob[crypto_core.BLOCK_SIZE :]
-            body = body[: len(body) - (len(body) % crypto_core.BLOCK_SIZE)]
             for candidate in candidates:
-                plain = crypto_core._cbc_decrypt_raw(iv, body, candidate)
+                plain = crypto_core._decrypt_ignoring_tag(
+                    sealed, candidate, crypto_core.BLOB_INFO
+                )
                 if any(sentinel in plain for sentinel in raw_sentinels):
                     evidence.append(
                         f"{server_id}/{blob_name} decrypts under 16-byte string "

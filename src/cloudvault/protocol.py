@@ -15,19 +15,19 @@ other payload (whitespace, keys out of order or repeated, escapes in hex)
 raises ``MalformedPayload``.
 
 A client request is sealed: a ``SEALED_TAG`` frame whose payload is the raw
-bytes ``wrapped_key ‖ iv ‖ body``. ``wrapped_key`` is the RSA-wrapped
-session key, k bytes for the receiver's k-byte modulus; ``iv`` is 16 bytes;
-``body`` is the AES-CBC encryption of the encoded inner frame. The layout is
-``crypto_core``'s envelope; the receiver splits it at its own k, so no length
-field is carried. Every sealed frame that does not open or decode gets the
-same ``DecryptionFailure`` text.
+bytes ``wrapped_key ‖ nonce ‖ body``. ``wrapped_key`` is the RSA-wrapped
+session key, k bytes for the receiver's k-byte modulus; ``nonce`` is 16
+bytes; ``body`` is the AES-128-GCM seal of the encoded inner frame, with the
+wrapped key as its AAD (``crypto_core.seal_envelope``). The receiver splits
+it at its own k, so no length field is carried. Every sealed frame that does
+not open or decode gets the same ``DecryptionFailure`` text; a changed byte
+anywhere in it fails the GCM tag, so no part of a request can be rewritten.
 The system server answers a sealed request with a ``REPLY_TAG`` frame whose
 payload is ``nonce(16) ‖ AES-128-GCM body ‖ tag(16)`` under a key derived
-from that request's session key (``crypto_core.seal_reply``). The client
-opens it with the session key it chose, so a forged reply, or a genuine
-reply to another request, does not open. A request that does not open, and
-a refusal sent before the peer is identified, are answered with a plain
-``ErrorFrame``.
+from that request's session key. The client opens it with the session key it
+chose, so a forged reply, or a genuine reply to another request, does not
+open. A request that does not open, and a refusal sent before the peer is
+identified, are answered with a plain ``ErrorFrame``.
 System/storage traffic is framed in the clear; every file byte on that
 channel is already ciphertext, and no message kind that could carry a
 symmetric key exists, so keys structurally cannot cross it.
@@ -70,20 +70,6 @@ class Frame:
 
     def to_bytes(self) -> bytes:
         return struct.pack(">BI", self.tag, len(self.payload)) + self.payload
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Frame":
-        if len(data) < HEADER_LEN:
-            raise TruncatedFrame(f"{len(data)} bytes, header needs {HEADER_LEN}")
-        tag, length = struct.unpack(">BI", data[:HEADER_LEN])
-        if length > MAX_FRAME_LEN:
-            raise MalformedPayload(f"declared length {length} exceeds cap")
-        if len(data) < HEADER_LEN + length:
-            raise TruncatedFrame(f"payload truncated at {len(data) - HEADER_LEN} bytes")
-        if len(data) > HEADER_LEN + length:
-            raise MalformedPayload("trailing bytes after frame")
-        return cls(tag=tag, payload=data[HEADER_LEN:])
-
 
 # ---------------------------------------------------------------------------
 # Field codecs: one (python value -> JSON value, JSON value -> python value)
@@ -226,14 +212,20 @@ def _json_text(value) -> str:
 
 def _payload_of(msg) -> bytes:
     """The canonical JSON object, written field by field in sorted order and
-    joined once; hex from a binary field is never scanned for escapes."""
+    joined once; hex from a binary field is never scanned for escapes. A
+    value the reader would refuse (an int past Python's int/str digit limit)
+    raises MalformedPayload."""
     parts = []
     for name, key, codec in _LAYOUTS[type(msg)]:
         value = codec.encode(getattr(msg, name))
         if codec.binary:
             parts += (key, b'"', value, b'"')
-        else:
-            parts += (key, _json_text(value).encode("ascii"))
+            continue
+        try:
+            text = _json_text(value)
+        except ValueError as exc:
+            raise MalformedPayload(f"{name} cannot be written: {exc}") from None
+        parts += (key, text.encode("ascii"))
     parts.append(b"}")
     return b"".join(parts)
 
@@ -243,44 +235,45 @@ def encode_frame(msg) -> bytes:
     return Frame(tag=tag_of(msg), payload=_payload_of(msg)).to_bytes()
 
 
-def _fields_of(cls, payload: bytes) -> dict:
+def _fields_of(cls, data: bytes, pos: int) -> dict:
     """Field values read back from the layout ``_payload_of`` writes, and no
-    other: each key in sorted order, no whitespace, ASCII only, each JSON
-    value written as the writer writes it. A binary field's hex is unhexlified
+    other, from the payload that starts at ``data[pos]`` and runs to its end:
+    each key in sorted order, no whitespace, ASCII only, each JSON value
+    written as the writer writes it. A binary field's hex is unhexlified
     where it lies; any other value is parsed in place and must re-encode to
     the same text. Raises ValueError or RecursionError on anything else."""
     values = {}
-    text, base = None, 0  # payload[base:] as str, made at the first JSON value
-    pos = 0
+    text, base = None, 0  # data[base:] as str, made at the first JSON value
     for name, key, codec in _LAYOUTS[cls]:
-        if not payload.startswith(key, pos):
+        if not data.startswith(key, pos):
             raise ValueError(f"expected {key.decode()} at byte {pos}")
         pos += len(key)
         if codec.binary:
-            end = payload.find(b'"', pos + 1)
-            if payload[pos:pos + 1] != b'"' or end < 0:
+            end = data.find(b'"', pos + 1)
+            if data[pos:pos + 1] != b'"' or end < 0:
                 raise ValueError(f"{name} is not a hex string")
-            raw = binascii.unhexlify(memoryview(payload)[pos + 1:end])
+            raw = binascii.unhexlify(memoryview(data)[pos + 1:end])
             pos = end + 1
         else:
             if text is None:
-                text, base = payload[pos:].decode("ascii"), pos
+                text, base = data[pos:].decode("ascii"), pos
             raw, end = _JSON_READER.raw_decode(text, pos - base)
             if text[pos - base:end] != _json_text(raw):
                 raise ValueError(f"{name} is not written as the writer writes it")
             pos = base + end
         values[name] = codec.decode(raw)
-    if payload[pos:] != b"}":
+    if data[pos:] != b"}":
         raise ValueError(f"expected }} at byte {pos}")
     return values
 
 
-def _message_from_frame(frame: Frame):
-    cls = _TYPE_BY_TAG.get(frame.tag)
+def _message_from(tag: int, data: bytes, start: int):
+    """The message of kind ``tag`` whose payload is ``data[start:]``."""
+    cls = _TYPE_BY_TAG.get(tag)
     if cls is None:
-        raise UnknownTag(f"tag 0x{frame.tag:02x} is not a known message kind")
+        raise UnknownTag(f"tag 0x{tag:02x} is not a known message kind")
     try:
-        return cls(**_fields_of(cls, frame.payload))
+        return cls(**_fields_of(cls, data, start))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, non-ASCII bytes, bad hex and integers
         # too long to convert; RecursionError, values nested too deep
@@ -290,8 +283,18 @@ def _message_from_frame(frame: Frame):
 
 
 def decode_frame(data: bytes):
-    """Inverse of encode_frame on complete frame bytes."""
-    return _message_from_frame(Frame.from_bytes(data))
+    """Inverse of encode_frame on complete frame bytes. The payload is read
+    where it lies in ``data``, not copied out."""
+    if len(data) < HEADER_LEN:
+        raise TruncatedFrame(f"{len(data)} bytes, header needs {HEADER_LEN}")
+    tag, length = struct.unpack_from(">BI", data)
+    if length > MAX_FRAME_LEN:
+        raise MalformedPayload(f"declared length {length} exceeds cap")
+    if len(data) < HEADER_LEN + length:
+        raise TruncatedFrame(f"payload truncated at {len(data) - HEADER_LEN} bytes")
+    if len(data) > HEADER_LEN + length:
+        raise MalformedPayload("trailing bytes after frame")
+    return _message_from(tag, data, HEADER_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ def send_plain(msg) -> Frame:
 def recv_plain(frame: Frame):
     if frame.tag == SEALED_TAG:
         raise MalformedPayload("sealed frame on the plain channel")
-    return _message_from_frame(frame)
+    return _message_from(frame.tag, frame.payload, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +323,8 @@ def send_sealed(msg, pub: tuple[int, int], session_key: bytes) -> Frame:
 def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair) -> tuple:
     """Open and decode a sealed frame into ``(message, session_key)``. Every
     way of failing raises the same DecryptionFailure, so no reply tells a bad
-    wrapped key from bad AES padding or a bad inner frame (Bleichenbacher,
-    CRYPTO '98; Vaudenay, EUROCRYPT '02)."""
+    wrapped key from a bad GCM tag or a bad inner frame (Bleichenbacher,
+    CRYPTO '98)."""
     if frame.tag != SEALED_TAG:
         raise MalformedPayload(f"expected a sealed frame, got tag 0x{frame.tag:02x}")
     try:
@@ -333,9 +336,10 @@ def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair) -> tuple:
 
 def send_reply(msg, session_key: bytes) -> Frame:
     """Seal a reply under the session key of the request it answers."""
-    return Frame(
-        tag=REPLY_TAG, payload=crypto_core.seal_reply(encode_frame(msg), session_key)
+    sealed = crypto_core.encrypt_file(
+        encode_frame(msg), session_key, crypto_core.REPLY_INFO
     )
+    return Frame(tag=REPLY_TAG, payload=sealed.to_bytes())
 
 
 def recv_reply(frame: Frame, session_key: bytes):
@@ -345,7 +349,10 @@ def recv_reply(frame: Frame, session_key: bytes):
     if frame.tag != REPLY_TAG:
         raise DecryptionFailure(UNOPENABLE_TEXT)
     try:
-        return decode_frame(crypto_core.open_reply(frame.payload, session_key))
+        sealed = crypto_core.Ciphertext.from_bytes(frame.payload)
+        return decode_frame(
+            crypto_core.decrypt_file(sealed, session_key, crypto_core.REPLY_INFO)
+        )
     except CloudVaultError:
         raise DecryptionFailure(UNOPENABLE_TEXT) from None
 

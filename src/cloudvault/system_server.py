@@ -3,9 +3,10 @@ table, file-number sequencing, and upload/download orchestration.
 
 Identity hygiene: usernames and OTPs exist in persistent state only as MD5
 digests. Every uploaded file gets a fresh single-use AES-128 key; the key
-stays here, the ciphertext goes to a storage server (round-robin), and a key
-record is written only after storage acknowledges the blob, so a crash can
-strand a blob but never a key without one.
+stays here, the AES-GCM blob, bound to its owner and file number, goes to a
+storage server (round-robin), and a key record is written only after storage
+acknowledges the blob, so a crash can strand a blob but never a key without
+one. A blob that was changed or moved fails to open: IntegrityFailure.
 """
 
 import os
@@ -139,6 +140,12 @@ class StorageClient:
             protocol.FetchBlob(user_digest=user_digest, file_number=file_number),
             protocol.BlobPayload,
         ).blob
+
+
+def _blob_aad(user_digest: bytes, file_number: int) -> bytes:
+    """What a blob's GCM tag binds it to: a storage server that moves a blob
+    to another file number or another user makes it fail to open."""
+    return user_digest + file_number.to_bytes(8, "big")
 
 
 @dataclass
@@ -324,11 +331,13 @@ class SystemService:
             upload_index = self._next_storage
             self._next_storage += 1
         try:
+            number = self.next_file_number()
             key = crypto_core.generate_symmetric_key()
-            blob = crypto_core.encrypt_file(file_bytes, key).to_bytes()
+            blob = crypto_core.encrypt_file(
+                file_bytes, key, crypto_core.BLOB_INFO, _blob_aad(digest, number)
+            ).to_bytes()
             if self.config.sabotage_keys_on_storage:
                 blob += key  # deliberately broken build; see SystemConfig
-            number = self.next_file_number()
             client = self.storage_clients[upload_index % len(self.storage_clients)]
             try:
                 client.store(digest, number, blob)
@@ -371,8 +380,10 @@ class SystemService:
                 f"storage {record.storage_id} lost file {record.file_number}"
             ) from exc
         try:
-            ct = crypto_core.Ciphertext.from_bytes(blob)
-            return crypto_core.decrypt_file(ct, record.key)
+            return crypto_core.decrypt_file(
+                crypto_core.Ciphertext.from_bytes(blob), record.key,
+                crypto_core.BLOB_INFO, _blob_aad(digest, record.file_number),
+            )
         except CloudVaultError as exc:
             raise IntegrityFailure(f"blob {record.file_number} corrupted") from exc
 

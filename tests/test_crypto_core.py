@@ -13,13 +13,7 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from cloudvault import crypto_core as cc
-from cloudvault.errors import (
-    BadPadding,
-    DecryptionFailure,
-    InvalidKey,
-    MalformedCiphertext,
-    MessageOutOfRange,
-)
+from cloudvault.errors import DecryptionFailure, InvalidKey, MessageOutOfRange
 
 # ---------------------------------------------------------------------
 # Known-answer vectors
@@ -87,73 +81,141 @@ def test_generators_never_repeat_in_ten_thousand_draws():
 
 
 # ---------------------------------------------------------------------
-# File encryption
+# The seal: requests, replies and blobs
+
+INFOS = (cc.REQUEST_INFO, cc.REPLY_INFO, cc.BLOB_INFO)
+
 
 def test_encrypt_decrypt_round_trip():
     rng = random.Random(0xC0FFEE)
     for size in (0, 1, 15, 16, 17, 31, 1000, 1 << 20):
         plaintext = rng.randbytes(size)
         key = cc.generate_symmetric_key()
-        ct = cc.encrypt_file(plaintext, key)
-        assert len(ct.body) % 16 == 0 and len(ct.body) > 0
-        assert cc.decrypt_file(ct, key) == plaintext
+        for info, aad in ((cc.BLOB_INFO, b"where it lives"), (cc.REPLY_INFO, None)):
+            ct = cc.encrypt_file(plaintext, key, info, aad)
+            assert len(ct.nonce) == cc.NONCE_BYTES
+            assert len(ct.body) == size + cc.TAG_BYTES
+            assert cc.decrypt_file(ct, key, info, aad) == plaintext
 
 
-def test_empty_plaintext_yields_one_padding_block():
-    ct = cc.encrypt_file(b"", cc.generate_symmetric_key())
-    assert len(ct.body) == 16
+def test_empty_plaintext_yields_only_the_tag():
+    ct = cc.encrypt_file(b"", cc.generate_symmetric_key(), cc.BLOB_INFO)
+    assert len(ct.body) == cc.TAG_BYTES
 
 
 def test_same_input_encrypts_differently():
     key = cc.generate_symmetric_key()
-    first = cc.encrypt_file(b"same bytes", key)
-    second = cc.encrypt_file(b"same bytes", key)
+    first = cc.encrypt_file(b"same bytes", key, cc.BLOB_INFO)
+    second = cc.encrypt_file(b"same bytes", key, cc.BLOB_INFO)
     assert first != second
-    assert first.iv != second.iv
+    assert first.nonce != second.nonce
+    assert first.body != second.body
 
 
 def test_ciphertext_never_echoes_plaintext():
     plaintext = secrets.token_bytes(64)
-    ct = cc.encrypt_file(plaintext, cc.generate_symmetric_key())
+    ct = cc.encrypt_file(plaintext, cc.generate_symmetric_key(), cc.BLOB_INFO)
     assert plaintext not in ct.body
 
 
 def test_wrong_key_fails_decryption():
-    # A random wrong key leaves valid-looking padding with probability
-    # ~1/255, so a handful of the 100 trials may "succeed"; those must
-    # still return garbage, never the plaintext.
+    # The tag fails under every wrong key: no garbage is ever returned.
     plaintext = b"the eagle lands at midnight"
     key = cc.generate_symmetric_key()
-    ct = cc.encrypt_file(plaintext, key)
-    rejected = 0
+    ct = cc.encrypt_file(plaintext, key, cc.BLOB_INFO)
     for _ in range(100):
         wrong = cc.generate_symmetric_key()
-        if wrong == key:
-            continue
-        try:
-            recovered = cc.decrypt_file(ct, wrong)
-        except BadPadding:
-            rejected += 1
-        else:
-            assert recovered != plaintext
-    assert rejected >= 95
+        with pytest.raises(DecryptionFailure):
+            cc.decrypt_file(ct, wrong, cc.BLOB_INFO)
 
 
-def test_truncated_body_is_malformed():
-    ct = cc.encrypt_file(b"some data", cc.generate_symmetric_key())
-    with pytest.raises(MalformedCiphertext):
-        cc.Ciphertext(iv=ct.iv, body=ct.body[:15])
-    with pytest.raises(MalformedCiphertext):
-        cc.Ciphertext(iv=ct.iv, body=b"")
-    with pytest.raises(MalformedCiphertext):
-        cc.Ciphertext(iv=ct.iv[:8], body=ct.body)
+def test_a_seal_opens_only_for_its_own_use_and_aad():
+    key = cc.generate_symmetric_key()
+    digest = cc.md5_digest(b"alice")
+    aad = digest + (7).to_bytes(8, "big")
+    ct = cc.encrypt_file(b"blob seven", key, cc.BLOB_INFO, aad)
+    assert cc.decrypt_file(ct, key, cc.BLOB_INFO, aad) == b"blob seven"
+    for info, other_aad in (
+        (cc.BLOB_INFO, digest + (8).to_bytes(8, "big")),  # moved to file 8
+        (cc.BLOB_INFO, cc.md5_digest(b"bob") + (7).to_bytes(8, "big")),  # to bob
+        (cc.BLOB_INFO, None),
+        (cc.REPLY_INFO, aad),  # a blob is not a reply, nor a request
+        (cc.REQUEST_INFO, aad),
+    ):
+        with pytest.raises(DecryptionFailure):
+            cc.decrypt_file(ct, key, info, other_aad)
+
+
+def test_short_ciphertext_does_not_open():
+    key = cc.generate_symmetric_key()
+    raw = cc.encrypt_file(b"some data", key, cc.BLOB_INFO).to_bytes()
+    for short in (b"", raw[: cc.NONCE_BYTES], raw[: cc.NONCE_BYTES + cc.TAG_BYTES - 1]):
+        with pytest.raises(DecryptionFailure):
+            cc.Ciphertext.from_bytes(short)
+    for truncated in (raw[:-1], raw[: cc.NONCE_BYTES + cc.TAG_BYTES]):
+        with pytest.raises(DecryptionFailure):
+            cc.decrypt_file(cc.Ciphertext.from_bytes(truncated), key, cc.BLOB_INFO)
 
 
 def test_ciphertext_byte_serialization():
-    ct = cc.encrypt_file(b"abc", cc.generate_symmetric_key())
-    assert cc.Ciphertext.from_bytes(ct.to_bytes()) == ct
-    with pytest.raises(MalformedCiphertext):
-        cc.Ciphertext.from_bytes(ct.to_bytes()[:17])
+    ct = cc.encrypt_file(b"abc", cc.generate_symmetric_key(), cc.BLOB_INFO)
+    raw = ct.to_bytes()
+    assert raw == ct.nonce + ct.body
+    assert cc.Ciphertext.from_bytes(raw) == ct
+
+
+def _hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
+    """RFC 5869 written out with hmac, as an independent reference."""
+    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
+    okm, block = b"", b""
+    for counter in range(1, -(-length // 32) + 1):
+        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        okm += block
+    return okm[:length]
+
+
+def test_hkdf_reference_matches_rfc_5869_case_1():
+    okm = _hkdf_sha256(
+        bytes.fromhex("0b" * 22),
+        bytes.fromhex("000102030405060708090a0b0c"),
+        bytes.fromhex("f0f1f2f3f4f5f6f7f8f9"),
+        42,
+    )
+    assert okm.hex() == (
+        "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+        "34007208d5b887185865"
+    )
+
+
+@pytest.mark.parametrize("info", INFOS)
+def test_layout_is_nonce_then_gcm_under_hkdf_of_the_key(info):
+    key = cc.generate_symmetric_key()
+    msg = b"sealed body " * 10
+    raw = cc.encrypt_file(msg, key, info, b"bound").to_bytes()
+    assert len(raw) == cc.NONCE_BYTES + len(msg) + cc.TAG_BYTES
+    nonce = raw[: cc.NONCE_BYTES]
+    okm = _hkdf_sha256(key, nonce, info, 28)
+    assert AESGCM(okm[:16]).decrypt(okm[16:], raw[cc.NONCE_BYTES :], b"bound") == msg
+
+
+def test_info_strings_are_pinned():
+    assert INFOS == (b"cloudvault request", b"cloudvault reply", b"cloudvault blob")
+
+
+def test_decrypting_ignoring_the_tag_reads_the_plaintext_and_what_follows():
+    # The leakage auditor's adversary: GCM's keystream, no tag check, so a
+    # key appended after the tag does not hide the plaintext in front of it.
+    key = cc.generate_symmetric_key()
+    plaintext = b"SENTINEL lorem ipsum " * 20
+    ct = cc.encrypt_file(plaintext, key, cc.BLOB_INFO, b"aad")
+    sabotaged = cc.Ciphertext.from_bytes(ct.to_bytes() + key)
+    raw = cc._decrypt_ignoring_tag(sabotaged, key, cc.BLOB_INFO)
+    assert len(raw) == len(plaintext) + cc.TAG_BYTES + len(key)
+    assert raw[: len(plaintext)] == plaintext
+    wrong = cc._decrypt_ignoring_tag(ct, cc.generate_symmetric_key(), cc.BLOB_INFO)
+    assert b"SENTINEL" not in wrong
+    other_use = cc._decrypt_ignoring_tag(ct, key, cc.REPLY_INFO)
+    assert b"SENTINEL" not in other_use
 
 
 # ---------------------------------------------------------------------
@@ -360,6 +422,21 @@ def test_envelope_round_trip(client_keypair):
         assert cc.open_envelope(sealed, client_keypair) == (msg, session_key)
 
 
+def test_envelope_is_wrapped_key_nonce_body_bound_to_the_wrapped_key(client_keypair):
+    msg = b"inner frame bytes"
+    session_key = cc.generate_symmetric_key()
+    sealed = cc.seal_envelope(msg, client_keypair.public, session_key)
+    k = cc.modulus_bytes(client_keypair.n)
+    assert len(sealed) == k + cc.NONCE_BYTES + len(msg) + cc.TAG_BYTES
+    wrapped = sealed[:k]
+    assert cc.rsa_decrypt_block(wrapped, client_keypair) == session_key
+    body = cc.Ciphertext.from_bytes(sealed[k:])
+    assert cc.decrypt_file(body, session_key, cc.REQUEST_INFO, wrapped) == msg
+    rewrapped = cc.rsa_encrypt_block(session_key, client_keypair.public)
+    with pytest.raises(DecryptionFailure):  # same key, another wrapping
+        cc.open_envelope(rewrapped + sealed[k:], client_keypair)
+
+
 def test_sealing_twice_differs(client_keypair):
     k = cc.modulus_bytes(client_keypair.n)
     key = cc.generate_symmetric_key()
@@ -379,64 +456,3 @@ def test_envelope_hides_message_bytes(client_keypair):
     marker = b"MARKER-not-on-the-wire"
     sealed = cc.seal_envelope(marker, client_keypair.public, cc.generate_symmetric_key())
     assert marker not in sealed
-
-
-# ---------------------------------------------------------------------
-# Replies
-
-
-def _hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
-    """RFC 5869 written out with hmac, as an independent reference."""
-    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
-    okm, block = b"", b""
-    for counter in range(1, -(-length // 32) + 1):
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
-        okm += block
-    return okm[:length]
-
-
-def test_hkdf_reference_matches_rfc_5869_case_1():
-    okm = _hkdf_sha256(
-        bytes.fromhex("0b" * 22),
-        bytes.fromhex("000102030405060708090a0b0c"),
-        bytes.fromhex("f0f1f2f3f4f5f6f7f8f9"),
-        42,
-    )
-    assert okm.hex() == (
-        "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
-        "34007208d5b887185865"
-    )
-
-
-def test_reply_layout_is_nonce_then_gcm_under_hkdf_of_the_session_key():
-    session_key = cc.generate_symmetric_key()
-    msg = b"reply body " * 10
-    sealed = cc.seal_reply(msg, session_key)
-    assert len(sealed) == cc.REPLY_NONCE_BYTES + len(msg) + cc.REPLY_TAG_BYTES
-    nonce = sealed[: cc.REPLY_NONCE_BYTES]
-    okm = _hkdf_sha256(session_key, nonce, b"cloudvault reply", 28)
-    body = sealed[cc.REPLY_NONCE_BYTES :]
-    assert AESGCM(okm[:16]).decrypt(okm[16:], body, None) == msg
-    assert cc.open_reply(sealed, session_key) == msg
-
-
-def test_reply_round_trip_and_fresh_nonce():
-    session_key = cc.generate_symmetric_key()
-    for size in (0, 1, 100, 1 << 20):
-        msg = random.Random(size).randbytes(size)
-        assert cc.open_reply(cc.seal_reply(msg, session_key), session_key) == msg
-    first = cc.seal_reply(b"same", session_key)
-    second = cc.seal_reply(b"same", session_key)
-    assert first[: cc.REPLY_NONCE_BYTES] != second[: cc.REPLY_NONCE_BYTES]
-    assert first[cc.REPLY_NONCE_BYTES :] != second[cc.REPLY_NONCE_BYTES :]
-
-
-def test_reply_does_not_open_short_or_under_another_key():
-    session_key = cc.generate_symmetric_key()
-    sealed = cc.seal_reply(b"", session_key)
-    assert len(sealed) == cc.REPLY_NONCE_BYTES + cc.REPLY_TAG_BYTES
-    for payload in (b"", sealed[:-1], sealed[: cc.REPLY_NONCE_BYTES]):
-        with pytest.raises(DecryptionFailure):
-            cc.open_reply(payload, session_key)
-    with pytest.raises(DecryptionFailure):
-        cc.open_reply(sealed, cc.generate_symmetric_key())

@@ -93,6 +93,22 @@ def test_keys_on_storage_mutation_is_caught(tmp_path):
     assert any("blobs/" in item for item in offender.evidence)
 
 
+def test_keys_on_storage_mutation_decrypts_its_blobs(tmp_path):
+    # The key rides after the GCM tag; an adversary who ignores the tag
+    # still reads each blob's sentinel under it.
+    config = make_config(tmp_path, sabotage="keys_on_storage")
+    with harness.run_topology(config) as topo:
+        facts = harness.run_sentinel_workload(
+            topo, users=1, files_per_user=2, download=False
+        )
+        report = harness.leakage_audit(topo, facts)
+    by_name = {check.name: check for check in report.checks}
+    offender = by_name["storage-compromise-cannot-decrypt"]
+    assert not offender.passed
+    assert len(offender.evidence) == 2  # both blobs
+    assert all("decrypts under 16-byte string" in item for item in offender.evidence)
+
+
 def test_plaintext_channel_mutation_is_caught(tmp_path):
     config = make_config(tmp_path, sabotage="plaintext_channel")
     with harness.run_topology(config) as topo:

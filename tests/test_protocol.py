@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import os
 import random
 import socket
 import threading
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from cloudvault import crypto_core, protocol
@@ -84,7 +86,7 @@ def test_empty_payload_frame_layout():
 
 def test_header_too_short():
     with pytest.raises(TruncatedFrame):
-        protocol.Frame.from_bytes(b"\x01\x00\x00")
+        protocol.decode_frame(b"\x01\x00\x00")
 
 
 def test_payload_truncated():
@@ -108,7 +110,7 @@ def test_unknown_tag_rejected():
 def test_oversized_declared_length():
     header = b"\x01" + (protocol.MAX_FRAME_LEN + 1).to_bytes(4, "big")
     with pytest.raises(MalformedPayload):
-        protocol.Frame.from_bytes(header)
+        protocol.decode_frame(header)
 
 
 EDGE_TEXT = ("", '"', "\\", "\n", "\x00", "\U0001f642", 'a"b\\c\nd\x00e\U0001f642\x7f\u2028')
@@ -427,6 +429,43 @@ def test_a_damaged_frame_decodes_to_a_message_or_raises_a_cloudvault_error(data)
     assert protocol.encode_frame(msg).lower() == data.lower()
 
 
+def test_the_writer_refuses_an_int_the_reader_refuses():
+    with pytest.raises(MalformedPayload):
+        protocol.encode_frame(
+            protocol.FetchBlob(user_digest=bytes(16), file_number=10**5000)
+        )
+
+
+# Any value of any type in any field: the writer may refuse it, but only with
+# MalformedPayload, and what it writes must read back equal.
+ANY_VALUE = st.one_of(
+    st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=8),
+    st.integers(),
+    st.sampled_from([0, True, 10**4299, 10**4300, 10**5000, 1.5, None]),
+    st.binary(max_size=24),
+    st.lists(st.text(max_size=4), max_size=3).map(tuple),
+)
+
+
+@st.composite
+def _any_messages(draw):
+    kind = draw(st.sampled_from(ALL_KINDS))
+    return kind(**{
+        name: draw(st.one_of(FIELD_STRATEGIES[codec], ANY_VALUE))
+        for name, codec in protocol._SCHEMAS[kind].items()
+    })
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(_any_messages())
+def test_whatever_the_writer_accepts_the_reader_reads_back_equal(msg):
+    try:
+        data = protocol.encode_frame(msg)
+    except MalformedPayload:
+        return
+    assert protocol.decode_frame(data) == msg
+
+
 # ---------------------------------------------------------------------
 # plain channel
 
@@ -516,9 +555,8 @@ def test_sealed_wrong_key(client_keypair):
 
 def test_envelope_wrong_key_fails(client_keypair):
     # The library's PKCS#1 v1.5 unwrap uses implicit rejection: under a wrong
-    # key it returns pseudo-random bytes, now and then 16 of them, and the
-    # AES padding then passes about once in 256. Only recv_sealed, which also
-    # decodes the inner frame, can promise that such a frame never opens.
+    # key it returns pseudo-random bytes, now and then 16 of them. The GCM
+    # tag then fails, and every such frame gets the one refusal text.
     frame = protocol.send_sealed(
         protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
     )
@@ -535,52 +573,71 @@ def test_recv_sealed_requires_sealed_tag(client_keypair):
         protocol.recv_sealed(frame, client_keypair)
 
 
-def test_sealed_payload_is_wrapped_key_iv_body(client_keypair):
+def test_sealed_payload_is_wrapped_key_nonce_body(client_keypair):
     msg = protocol.UploadRequest(
         session_token="cd" * 16, label="layout", file_bytes=bytes(range(256)) * 3
     )
     inner = protocol.encode_frame(msg)
     payload = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY).payload
     k = crypto_core.modulus_bytes(client_keypair.n)
-    padded = (len(inner) // crypto_core.BLOCK_SIZE + 1) * crypto_core.BLOCK_SIZE
-    assert len(payload) == k + crypto_core.BLOCK_SIZE + padded
-    session_key = crypto_core.rsa_decrypt_block(payload[:k], client_keypair)
+    overhead = crypto_core.NONCE_BYTES + crypto_core.TAG_BYTES
+    assert len(payload) == k + len(inner) + overhead
+    wrapped = payload[:k]
+    session_key = crypto_core.rsa_decrypt_block(wrapped, client_keypair)
     assert session_key == SESSION_KEY
     body = crypto_core.Ciphertext.from_bytes(payload[k:])
-    assert crypto_core.decrypt_file(body, session_key) == inner
+    assert crypto_core.decrypt_file(
+        body, session_key, crypto_core.REQUEST_INFO, wrapped
+    ) == inner
     assert crypto_core.open_envelope(payload, client_keypair) == (inner, SESSION_KEY)
+
+
+def old_cbc_seal(msg: bytes, key: bytes) -> bytes:
+    """``iv ‖ AES-128-CBC(PKCS#7)``: how request bodies and blobs were
+    encrypted before they moved to AES-GCM."""
+    iv = os.urandom(16)
+    pad = 16 - len(msg) % 16
+    enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+    return iv + enc.update(msg + bytes([pad]) * pad) + enc.finalize()
 
 
 def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
     """Sealed-frame payloads that no receiver holding ``pub``'s key may open."""
-    good = protocol.send_sealed(
-        protocol.ListRequest(session_token="ab"), pub, SESSION_KEY
-    ).payload
+    request = protocol.ListRequest(session_token="ab")
+    good = protocol.send_sealed(request, pub, SESSION_KEY).payload
     k = crypto_core.modulus_bytes(pub[0])
-    block = crypto_core.BLOCK_SIZE
-    flipped = bytearray(good)
-    flipped[k // 2] ^= 0x01
-    first_block = bytes(b ^ 0xFF for b in good[k + block : k + 2 * block])
-    body_flipped = good[: k + block] + first_block + good[k + 2 * block :]
+    nonce, tag = crypto_core.NONCE_BYTES, crypto_core.TAG_BYTES
+
+    def flipped(start: int, end: int, mask: int = 0xFF) -> bytes:
+        return good[:start] + bytes(b ^ mask for b in good[start:end]) + good[end:]
+
     other = crypto_core.rsa_generate(pub[0].bit_length())
-    list_tag = protocol.tag_of(protocol.ListRequest(session_token="ab"))
+    list_tag = protocol.tag_of(request)
     deep = b'{"session_token":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     nested = protocol.Frame(list_tag, deep).to_bytes()
     return {
         "empty": b"",
         "shorter than k": good[: k - 1],
         "wrapped key only": good[:k],
-        "no body block": good[: k + block],
-        "one byte short of k + 32": good[: k + 2 * block - 1],
-        "body not a multiple of 16": good[:-1],
+        "nonce only": good[: k + nonce],
+        "one byte short of a nonce and a tag": good[: k + nonce + tag - 1],
+        "tag one byte short": good[:-1],
         "body one byte over": good + b"\x00",
-        "wrapped key bit flipped": bytes(flipped),
+        "wrapped key bit flipped": flipped(k // 2, k // 2 + 1, 0x01),
         "wrapped key all ones": b"\xff" * k + good[k:],
         "wrapped key zero": bytes(k) + good[k:],
-        "first body block flipped": body_flipped,
+        "same session key wrapped again": crypto_core.rsa_encrypt_block(SESSION_KEY, pub)
+        + good[k:],
+        "nonce bit flipped": flipped(k + 15, k + 16, 0x01),
+        "first body block flipped": flipped(k + nonce, k + nonce + 16),
+        "tag bit flipped": flipped(len(good) - 1, len(good), 0x01),
         "sealed to another key": protocol.send_sealed(
-            protocol.ListRequest(session_token="ab"), other.public, SESSION_KEY
+            request, other.public, SESSION_KEY
         ).payload,
+        "sealed by an old client (AES-CBC)": crypto_core.rsa_encrypt_block(
+            SESSION_KEY, pub
+        )
+        + old_cbc_seal(protocol.encode_frame(request), SESSION_KEY),
         "inner frame does not decode": crypto_core.seal_envelope(
             b"not a frame", pub, SESSION_KEY
         ),
@@ -624,9 +681,10 @@ def test_reply_round_trip_and_layout():
     assert frame.tag == protocol.REPLY_TAG
     inner = protocol.encode_frame(msg)
     assert len(frame.payload) == (
-        crypto_core.REPLY_NONCE_BYTES + len(inner) + crypto_core.REPLY_TAG_BYTES
+        crypto_core.NONCE_BYTES + len(inner) + crypto_core.TAG_BYTES
     )
-    assert crypto_core.open_reply(frame.payload, SESSION_KEY) == inner
+    sealed = crypto_core.Ciphertext.from_bytes(frame.payload)
+    assert crypto_core.decrypt_file(sealed, SESSION_KEY, crypto_core.REPLY_INFO) == inner
     assert protocol.recv_reply(frame, SESSION_KEY) == msg
     assert protocol.send_reply(msg, SESSION_KEY) != frame
 
@@ -657,7 +715,18 @@ def test_malformed_replies_are_rejected_alike():
         protocol.Frame(protocol.SEALED_TAG, good.payload),
         protocol.send_plain(protocol.ListResponse(labels=())),
         protocol.Frame(
-            protocol.REPLY_TAG, crypto_core.seal_reply(b"not a frame", SESSION_KEY)
+            protocol.REPLY_TAG,
+            crypto_core.encrypt_file(
+                b"not a frame", SESSION_KEY, crypto_core.REPLY_INFO
+            ).to_bytes(),
+        ),
+        protocol.Frame(  # a request body is no reply, though the key is right
+            protocol.REPLY_TAG,
+            crypto_core.encrypt_file(
+                protocol.encode_frame(protocol.ListResponse(labels=())),
+                SESSION_KEY,
+                crypto_core.REQUEST_INFO,
+            ).to_bytes(),
         ),
     ):
         _assert_unopenable(frame, SESSION_KEY)

@@ -16,7 +16,6 @@ from cloudvault.errors import (
     DuplicateLabel,
     DuplicateUser,
     FileTooLarge,
-    IntegrityFailure,
     InvalidSession,
     MailDeliveryFailure,
     MalformedPayload,
@@ -243,24 +242,6 @@ def test_labels_survive_awkward_characters(local_stack):
     token2 = service.login("alice", stack.mail.latest("a@example.test"))
     assert service.list_labels(token2) == [label]
     assert service.download(token2, label) == b"data"
-
-
-def test_corrupted_blob_fails_integrity(local_stack):
-    stack = local_stack()
-    token = stack.register_and_login("alice", "a@example.test")
-    stack.service.upload(token, "doc", b"precious bytes")
-    record = next(iter(stack.service.key_records.values()))
-    storage = stack.storages[0]
-    blob_path = os.path.join(
-        storage.config.data_dir, storage.records[record.file_number].path
-    )
-    with open(blob_path, "r+b") as fh:
-        blob = bytearray(fh.read())
-        blob[-1] ^= 0x01
-        fh.seek(0)
-        fh.write(blob)
-    with pytest.raises(IntegrityFailure):
-        stack.service.download(token, "doc")
 
 
 def test_storage_outage_persists_no_key_record(local_stack):

@@ -1,0 +1,138 @@
+"""Tampered ciphertext is refused, never opened into something else: every
+byte of a sealed request and of a stored blob is covered by a GCM tag, and a
+blob's tag also binds the user and file number it was stored under."""
+
+import os
+
+import pytest
+
+from cloudvault import crypto_core, protocol
+from cloudvault.errors import IntegrityFailure
+
+from test_protocol import old_cbc_seal
+from test_system_server import CountingMailbox, _data_files, _seal
+
+REFUSAL = protocol.send_plain(
+    protocol.ErrorFrame(code="DECRYPTION_FAILURE", text=protocol.UNOPENABLE_TEXT)
+).to_bytes()
+
+
+def _flips(payload: bytes):
+    for index in range(len(payload)):
+        for mask in (0x01, 0x80):
+            flipped = bytearray(payload)
+            flipped[index] ^= mask
+            yield index, bytes(flipped)
+
+
+def _assert_refused_and_unchanged(stack, payload: bytes, where):
+    files, mails = _data_files(stack), stack.mail.deliveries
+    reply = stack.service.handle_frame(protocol.Frame(protocol.SEALED_TAG, payload))
+    assert reply.to_bytes() == REFUSAL, where
+    assert _data_files(stack) == files, where
+    assert stack.mail.deliveries == mails, where
+
+
+@pytest.fixture
+def stack(local_stack):
+    stack = local_stack()
+    stack.mail = CountingMailbox()
+    stack.reload()
+    return stack
+
+
+@pytest.mark.parametrize("kind", ["register", "upload", "download"])
+def test_every_byte_flip_of_a_sealed_request_gets_the_one_refusal(stack, kind):
+    # wrapped key, nonce, body and GCM tag alike: nothing runs, nothing changes
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "aaa", b"stored")
+    msg = {
+        "register": protocol.Register(username="bob", mail_address="b@example.test"),
+        "upload": protocol.UploadRequest(
+            session_token=token, label="new", file_bytes=b"fresh bytes"
+        ),
+        "download": protocol.DownloadRequest(session_token=token, label="aaa"),
+    }[kind]
+    payload = _seal(stack, msg).payload
+    for index, flipped in _flips(payload):
+        _assert_refused_and_unchanged(stack, flipped, (kind, index))
+
+
+def test_rewriting_the_first_block_of_a_download_is_refused(stack):
+    # Under CBC, XOR on the IV rewrote the inner frame's first block: this
+    # turned a download of "aaa" into a download of "baa" that nobody sent.
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "aaa", b"asked for")
+    stack.service.upload(token, "baa", b"never asked for")
+    request = protocol.DownloadRequest(session_token=token, label="aaa")
+    payload = bytearray(_seal(stack, request).payload)
+    inner = protocol.encode_frame(request)
+    assert inner[15:16] == b"a"  # the label's first letter ends the first block
+    k = crypto_core.modulus_bytes(stack.service.keypair.n)
+    payload[k + 15] ^= ord("a") ^ ord("b")
+    _assert_refused_and_unchanged(stack, bytes(payload), "first block")
+
+
+def _blob_path(stack, file_number: int) -> str:
+    for storage in stack.storages:
+        record = storage.records.get(file_number)
+        if record is not None:
+            return os.path.join(storage.config.data_dir, record.path)
+    raise AssertionError(f"no blob {file_number}")
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _write(path: str, data: bytes):
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def test_every_byte_flip_of_a_stored_blob_raises_integrity_failure(stack):
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "doc", b"precious bytes")
+    record = stack.service.key_records[(crypto_core.md5_digest(b"alice"), "doc")]
+    path = _blob_path(stack, record.file_number)
+    blob = _read(path)
+    for index, flipped in _flips(blob):
+        _write(path, flipped)
+        with pytest.raises(IntegrityFailure):
+            stack.service.download(token, "doc")
+    _write(path, blob)
+    assert stack.service.download(token, "doc") == b"precious bytes"
+
+
+def _swap(stack, first: int, second: int):
+    a, b = _blob_path(stack, first), _blob_path(stack, second)
+    blob_a, blob_b = _read(a), _read(b)
+    _write(a, blob_b)
+    _write(b, blob_a)
+
+
+@pytest.mark.parametrize(
+    "owners", [("alice", "alice"), ("alice", "bob")], ids=["file numbers", "users"]
+)
+def test_blobs_swapped_between_file_numbers_or_users_are_detected(stack, owners):
+    tokens = {}
+    for i, name in enumerate(owners):
+        if name not in tokens:
+            tokens[name] = stack.register_and_login(name, f"{name}@example.test")
+        stack.service.upload(tokens[name], f"doc{i}", f"{name}'s doc {i}".encode())
+    _swap(stack, *(r.file_number for r in stack.service.key_records.values()))
+    for i, name in enumerate(owners):
+        with pytest.raises(IntegrityFailure):
+            stack.service.download(tokens[name], f"doc{i}")
+
+
+def test_a_blob_stored_before_aes_gcm_is_refused(stack):
+    # Old AES-CBC blobs (iv ‖ PKCS#7 body) are refused, not converted.
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "old", b"stored by an older build")
+    record = stack.service.key_records[(crypto_core.md5_digest(b"alice"), "old")]
+    old = old_cbc_seal(b"stored by an older build", record.key)
+    _write(_blob_path(stack, record.file_number), old)
+    with pytest.raises(IntegrityFailure):
+        stack.service.download(token, "old")
