@@ -16,7 +16,7 @@ import sys
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 # Not used here: the benchmark's perfbench/run.py imports it from this module.
-from .crypto_core import write_keypair
+from .netutil import write_keypair
 from .errors import (
     CloudVaultError,
     InvalidSession,
@@ -121,12 +121,10 @@ class ClientSession:
     # -- session token cache -------------------------------------------------
 
     def _store_token(self, token: str) -> None:
-        fd = os.open(
-            self.config.token_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600
-        )
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            os.fchmod(fd, 0o600)  # O_CREAT's mode does not apply to a stale file
-            fh.write(token)
+        try:
+            netutil.write_atomic(self.config.token_path, token.encode("ascii"))
+        except OSError as exc:
+            raise IoFailure(f"session token cache: {exc}") from exc
 
     def _load_token(self) -> str:
         try:
@@ -134,6 +132,8 @@ class ClientSession:
                 token = fh.read().strip()
         except FileNotFoundError:
             raise InvalidSession("not logged in") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IoFailure(f"session token cache: {exc}") from exc
         if not token:
             raise InvalidSession("not logged in")
         return token
@@ -143,6 +143,8 @@ class ClientSession:
             os.unlink(self.config.token_path)
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            raise IoFailure(f"session token cache: {exc}") from exc
 
     # -- verbs ----------------------------------------------------------------
 

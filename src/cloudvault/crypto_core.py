@@ -1,6 +1,6 @@
 """Cryptographic primitives: one AEAD seal for every ciphertext, RSA request
-envelopes, MD5 digests, random key / one-time-password generation, and the
-RSA key file.
+envelopes, MD5 digests, and random key / one-time-password generation. No
+file I/O: ``netutil`` reads and writes the RSA key file.
 
 Every ciphertext is ``nonce(16) ‖ AES-128-GCM(k, iv, msg, aad)`` with
 ``k ‖ iv = HKDF-SHA256(key, salt=nonce, info)`` (RFC 5869), the way Oblivious
@@ -31,9 +31,7 @@ from the ``{n, e, d}`` key files (NIST SP 800-56B Rev. 2, Appendix C).
 """
 
 import hashlib
-import json
 import math
-import os
 import secrets
 import string
 from dataclasses import dataclass, field
@@ -48,7 +46,6 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from .errors import (
     DecryptionFailure,
     InvalidKey,
-    IoFailure,
     MessageOutOfRange,
     PrimeGenerationFailure,
     RandomSourceUnavailable,
@@ -356,41 +353,6 @@ def rsa_generate(bits: int = DEFAULT_RSA_BITS, e: int = 65537) -> RsaKeyPair:
         except PrimeGenerationFailure:
             continue
     raise PrimeGenerationFailure(f"could not build a {bits}-bit keypair")
-
-
-def write_keypair(path: str, pair: RsaKeyPair) -> None:
-    """Write the key file: JSON ``{n, e, d}`` as decimal strings, mode 0600,
-    replaced atomically so a crash leaves the old file or the new one."""
-    data = json.dumps({"n": str(pair.n), "e": str(pair.e), "d": str(pair.d)})
-    tmp = path + ".tmp"
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            os.fchmod(fd, 0o600)  # O_CREAT's mode does not apply to a stale tmp
-            fh.write(data)
-            fh.flush()
-            os.fsync(fd)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def read_keypair(path: str) -> RsaKeyPair:
-    """Load a key file written by write_keypair, recovering p and q.
-
-    Error messages never quote the file's contents.
-    """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    try:
-        obj = json.loads(raw)
-        n, e, d = (int(obj[name]) for name in ("n", "e", "d"))
-    except (ValueError, KeyError, TypeError):
-        raise InvalidKey("key file needs a JSON object of integer n, e, d") from None
-    return RsaKeyPair(n=n, e=e, d=d)
 
 
 def modulus_bytes(n: int) -> int:

@@ -206,11 +206,7 @@ class Topology:
             names = sorted(os.listdir(self.capture_dir))
         except FileNotFoundError:
             return b""
-        chunks = []
-        for name in names:
-            with open(os.path.join(self.capture_dir, name), "rb") as fh:
-                chunks.append(fh.read())
-        return b"".join(chunks)
+        return b"".join(netutil.read_files(self.capture_dir, names).values())
 
     def client_dir(self) -> str:
         path = os.path.join(self.workdir, "clients")
@@ -294,7 +290,7 @@ def run_topology(config: TopologyConfig) -> Topology:
     system_dir = os.path.join(workdir, "system")
     os.makedirs(system_dir, exist_ok=True)
     system_pair = crypto_core.rsa_generate(config.rsa_bits)
-    crypto_core.write_keypair(os.path.join(system_dir, SERVER_KEY_FILE), system_pair)
+    netutil.write_keypair(os.path.join(system_dir, SERVER_KEY_FILE), system_pair)
 
     storage_ids = [f"storage-{i + 1}" for i in range(config.storage_count)]
     storage_targets = []

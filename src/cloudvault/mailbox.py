@@ -12,6 +12,7 @@ import os
 import threading
 import urllib.parse
 
+from . import netutil
 from .errors import MailboxUnavailable, MailDeliveryFailure
 
 
@@ -37,10 +38,6 @@ class InMemoryMailbox:
         return messages[-1]
 
 
-def _box_filename(address: str) -> str:
-    return urllib.parse.quote(address, safe="") + ".mbox"
-
-
 class FileMailbox:
     """One file per address under ``root``; each line is one delivery."""
 
@@ -49,32 +46,14 @@ class FileMailbox:
         os.makedirs(root, exist_ok=True)
         self._lock = threading.Lock()
 
-    def _path(self, address: str) -> str:
-        return os.path.join(self.root, _box_filename(address))
-
     def deliver(self, address: str, body: str) -> None:
         if "\n" in body:
             raise MailDeliveryFailure("message body must be a single line")
         try:
-            with self._lock, open(self._path(address), "a", encoding="utf-8") as fh:
-                fh.write(body + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            with self._lock:
+                netutil.append_line(mailbox_file_path(self.root, address), body)
         except OSError as exc:
             raise MailDeliveryFailure(str(exc)) from exc
-
-    def messages(self, address: str) -> list[str]:
-        try:
-            with open(self._path(address), encoding="utf-8") as fh:
-                return [line.rstrip("\n") for line in fh if line.strip()]
-        except FileNotFoundError:
-            return []
-
-    def latest(self, address: str) -> str:
-        messages = self.messages(address)
-        if not messages:
-            raise MailboxUnavailable(f"no mail for {address}")
-        return messages[-1]
 
 
 def read_latest_otp(mailbox_path: str) -> str:
@@ -90,4 +69,4 @@ def read_latest_otp(mailbox_path: str) -> str:
 
 
 def mailbox_file_path(root: str, address: str) -> str:
-    return os.path.join(root, _box_filename(address))
+    return os.path.join(root, urllib.parse.quote(address, safe="") + ".mbox")

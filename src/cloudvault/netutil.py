@@ -1,8 +1,10 @@
 """Shared plumbing: the server process shell (threaded frame loop, local-only
 admin dump channel, start-up and shutdown), the keep-alive client side of a
-frame exchange, and crash-safe little table files."""
+frame exchange, and every file cloudvault keeps: the private, durable writer
+pair, the RSA key file and crash-safe little table files."""
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -14,7 +16,14 @@ import threading
 import urllib.parse
 
 from . import protocol
-from .errors import CloudVaultError, ConnectionFailure, StartupFailure
+from .crypto_core import RsaKeyPair
+from .errors import (
+    CloudVaultError,
+    ConnectionFailure,
+    InvalidKey,
+    IoFailure,
+    StartupFailure,
+)
 
 
 class FrameServer(socketserver.ThreadingTCPServer):
@@ -208,33 +217,88 @@ def fetch_admin_dump(host: str, port: int, timeout: float = 10.0) -> dict[str, b
 
 
 # ---------------------------------------------------------------------------
-# Table files
+# Files: every file cloudvault keeps is written here, mode 0600, durably.
 
-def append_line(path: str, line: str) -> None:
-    """Durably append one record line."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+@contextlib.contextmanager
+def _private_file(path: str, flags: int, mode: str):
+    """A binary write handle on ``path``, mode 0600, fsynced on a clean exit.
+    O_CREAT's mode covers only a new file; the fchmod also tightens a stale
+    tmp file or a table an older build left world-readable."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT | flags, 0o600), mode) as fh:
+        os.fchmod(fh.fileno(), 0o600)
+        yield fh
         fh.flush()
         os.fsync(fh.fileno())
 
 
-def write_atomic(path: str, data: bytes) -> None:
-    """Durably replace ``path`` with ``data``: a crash leaves the old file or
-    the new one. The directory is fsynced after the rename, because until
-    then a power loss can undo the rename (POSIX makes only the file's own
-    data durable through its fsync)."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+def _fsync_dir(path: str) -> None:
+    # POSIX makes only a file's data durable through its fsync, not its name.
     fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
 
+
+def append_line(path: str, line: str) -> None:
+    """Durably append one record line. The directory is fsynced too when
+    the file was empty, so a first row cannot vanish with its file's name."""
+    with _private_file(path, os.O_APPEND, "ab") as fh:
+        was_empty = os.fstat(fh.fileno()).st_size == 0
+        fh.write(line.encode("utf-8") + b"\n")
+    if was_empty:
+        _fsync_dir(path)
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``: a crash leaves the old file or
+    the new one. The directory is fsynced after the rename."""
+    tmp = path + ".tmp"
+    with _private_file(tmp, os.O_TRUNC, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+    _fsync_dir(path)
+
+
+def read_files(root: str, names) -> dict[str, bytes]:
+    """Name -> raw bytes of each of ``names`` under ``root`` that exists."""
+    snapshot = {}
+    for name in names:
+        try:
+            with open(os.path.join(root, name), "rb") as fh:
+                snapshot[name] = fh.read()
+        except FileNotFoundError:
+            pass
+    return snapshot
+
+
+def write_keypair(path: str, pair: RsaKeyPair) -> None:
+    """Write the key file: JSON ``{n, e, d}`` as decimal strings."""
+    data = json.dumps({"n": str(pair.n), "e": str(pair.e), "d": str(pair.d)})
+    try:
+        write_atomic(path, data.encode("ascii"))
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def read_keypair(path: str) -> RsaKeyPair:
+    """Load a key file written by write_keypair, recovering p and q. Error
+    messages never quote the file's contents."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    try:
+        obj = json.loads(raw)
+        n, e, d = (int(obj[name]) for name in ("n", "e", "d"))
+    except (ValueError, KeyError, TypeError):
+        raise InvalidKey("key file needs a JSON object of integer n, e, d") from None
+    return RsaKeyPair(n=n, e=e, d=d)
+
+
+# ---------------------------------------------------------------------------
+# Table files
 
 # A column codec is a (value -> cell, cell -> value) pair; a table's layout is
 # one tuple of them. Decoding raises ValueError on a cell it cannot read.

@@ -137,17 +137,14 @@ class StorageService:
         """Byte-faithful copy of everything persisted, plus the in-memory
         placement table rendered as ``placement.tbl`` (audit channel)."""
         with self._lock:
-            snapshot = {"placement.tbl": self.table.serialize().encode()}
-            try:
-                with open(self._path(RECORDS_FILE), "rb") as fh:
-                    snapshot[RECORDS_FILE] = fh.read()
-            except FileNotFoundError:
-                pass
-            blobs_dir = self._path(BLOBS_DIR)
-            for name in sorted(os.listdir(blobs_dir)):
-                with open(os.path.join(blobs_dir, name), "rb") as fh:
-                    snapshot[f"{BLOBS_DIR}/{name}"] = fh.read()
-        return snapshot
+            blobs = sorted(os.listdir(self._path(BLOBS_DIR)))
+            return {
+                "placement.tbl": self.table.serialize().encode(),
+                **netutil.read_files(
+                    self.config.data_dir,
+                    (RECORDS_FILE, *(f"{BLOBS_DIR}/{name}" for name in blobs)),
+                ),
+            }
 
     # -- protocol dispatch ----------------------------------------------------
 

@@ -198,10 +198,10 @@ class SystemService:
         path = self._path(SERVER_KEY_FILE)
         if not os.path.exists(path):
             pair = crypto_core.rsa_generate(self.config.rsa_bits)
-            crypto_core.write_keypair(path, pair)
+            netutil.write_keypair(path, pair)
             return pair
         try:
-            return crypto_core.read_keypair(path)
+            return netutil.read_keypair(path)
         except (InvalidKey, IoFailure) as exc:
             raise StartupFailure(f"server key file {path}: {exc}") from exc
 
@@ -396,15 +396,10 @@ class SystemService:
 
     def dump_tables(self) -> dict[str, bytes]:
         """Byte-faithful copy of the persisted tables (audit channel)."""
-        snapshot = {}
         with self._lock:
-            for name in (ACCOUNTS_FILE, KEYS_FILE, COUNTER_FILE):
-                try:
-                    with open(self._path(name), "rb") as fh:
-                        snapshot[name] = fh.read()
-                except FileNotFoundError:
-                    pass
-        return snapshot
+            return netutil.read_files(
+                self.config.data_dir, (ACCOUNTS_FILE, KEYS_FILE, COUNTER_FILE)
+            )
 
     # -- protocol dispatch --------------------------------------------------------
 

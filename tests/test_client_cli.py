@@ -255,6 +255,30 @@ def test_missing_local_file_is_io_failure(client_env, tmp_path, capsys):
     assert "IO_FAILURE" in capsys.readouterr().err
 
 
+def test_a_token_cache_it_cannot_use_is_io_failure(client_env, tmp_path, capsys):
+    config_path, mail = client_env("nocache")
+    with open(config_path) as fh:
+        config = json.load(fh)
+    assert run_cli(config_path, "register", "nocache", mail) == 0
+    damaged = tmp_path / "damaged.session"
+    damaged.write_bytes(b"\xff" * 32)
+    # A cache whose directory is missing, one that is a directory, and one
+    # that is not text.
+    for argv, token_path in (
+        (["login", "nocache"], tmp_path / "absent" / "s"),
+        (["list"], tmp_path),
+        (["logout"], tmp_path),
+        (["list"], damaged),
+    ):
+        config["token_path"] = str(token_path)
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        capsys.readouterr()
+        assert run_cli(config_path, *argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("IO_FAILURE: ")
+
+
 def test_unreachable_server_is_connection_failure(client_env, tmp_path, capsys):
     config_path, _ = client_env("conn")
     with open(config_path) as fh:

@@ -1,12 +1,9 @@
 import copy
 import hashlib
 import hmac
-import json
 import math
-import os
 import random
 import secrets
-import stat
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import rsa
@@ -386,28 +383,6 @@ def test_faulty_crt_component_never_returns_a_wrong_plaintext():
             assert cc.rsa_decrypt_block(wrapped, faulty) == session_key
         except DecryptionFailure:
             pass
-
-
-def test_key_file_round_trip(tmp_path):
-    pair = cc.rsa_generate(512)
-    path = str(tmp_path / "key.json")
-    cc.write_keypair(path, pair)
-    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
-    with open(path) as fh:
-        assert set(json.load(fh)) == {"n", "e", "d"}
-    assert cc.read_keypair(path) == pair
-    with open(path, "w", encoding="ascii") as fh:  # as perfbench/topology.py does
-        json.dump({"n": str(pair.n), "e": str(pair.e), "d": str(pair.d)}, fh)
-    assert cc.read_keypair(path) == pair
-
-
-def test_malformed_key_file_is_rejected_without_quoting_it(tmp_path):
-    path = tmp_path / "key.json"
-    for text in ("not json", '{"n": "12345678901", "e": "3"}', '["12345678901"]'):
-        path.write_text(text)
-        with pytest.raises(InvalidKey) as excinfo:
-            cc.read_keypair(str(path))
-        assert "12345678901" not in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------

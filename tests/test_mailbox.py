@@ -29,9 +29,11 @@ def test_file_mailbox_round_trip(tmp_path):
     box.deliver("a@x.test", "OTP-ONE")
     box.deliver("a@x.test", "OTP-TWO")
     box.deliver("b@x.test", "OTHER")
-    assert box.messages("a@x.test") == ["OTP-ONE", "OTP-TWO"]
-    assert box.latest("a@x.test") == "OTP-TWO"
-    assert box.latest("b@x.test") == "OTHER"
+    path = mailbox_file_path(str(tmp_path), "a@x.test")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "OTP-ONE\nOTP-TWO\n"
+    assert read_latest_otp(path) == "OTP-TWO"
+    assert read_latest_otp(mailbox_file_path(str(tmp_path), "b@x.test")) == "OTHER"
 
 
 def test_file_mailbox_path_is_client_readable(tmp_path):
@@ -51,7 +53,7 @@ def test_addresses_cannot_escape_the_mailbox_dir(tmp_path):
     # Separators are percent-encoded, so the name cannot traverse upward.
     assert "/" not in files[0].name
     assert files[0].resolve().parent == root.resolve()
-    assert box.latest("../../etc/passwd") == "harmless"
+    assert read_latest_otp(mailbox_file_path(str(root), "../../etc/passwd")) == "harmless"
 
 
 def test_multi_line_bodies_rejected(tmp_path):

@@ -3,6 +3,7 @@ that both servers share."""
 
 import json
 import os
+import re
 import signal
 import socket
 import stat
@@ -13,10 +14,15 @@ import time
 
 import pytest
 
-from cloudvault import crypto_core, harness, netutil, protocol
+from cloudvault import crypto_core, harness, mailbox, netutil, protocol
 from cloudvault.client_cli import ClientConfig, ClientSession
 from cloudvault.crypto_core import md5_digest
-from cloudvault.errors import ConnectionFailure, StartupFailure, StorageUnavailable
+from cloudvault.errors import (
+    ConnectionFailure,
+    InvalidKey,
+    StartupFailure,
+    StorageUnavailable,
+)
 from cloudvault.system_server import StorageClient
 
 ALICE = md5_digest(b"alice")
@@ -172,8 +178,18 @@ def test_a_torn_row_that_cannot_be_cut_off_stops_start_up(tmp_path, monkeypatch)
         netutil.read_rows(path, (netutil.INT, netutil.WORD))
 
 
-def test_write_atomic_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch):
-    path = str(tmp_path / "counter.txt")
+WRITERS = {
+    "write_atomic": lambda path, pair: netutil.write_atomic(path, b"7\n"),
+    "write_keypair": lambda path, pair: netutil.write_keypair(path, pair),
+    "append_line": lambda path, pair: netutil.append_line(path, "7"),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_write_atomic_fsyncs_the_file_then_its_directory(
+    tmp_path, monkeypatch, client_keypair, writer
+):
+    path = str(tmp_path / "state")
     synced = []
     real_fsync = os.fsync
 
@@ -183,9 +199,95 @@ def test_write_atomic_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch):
         real_fsync(fd)
 
     monkeypatch.setattr(netutil.os, "fsync", recording_fsync)
-    netutil.write_atomic(path, b"7\n")
-    # The directory is synced after the rename, so the new name is durable.
-    assert synced == [("file", None), ("dir", b"7\n")]
+    WRITERS[writer](path, client_keypair)
+    # The directory is synced once the new name holds the data, so a power
+    # loss cannot undo the rename or the create.
+    assert synced == [("file", None), ("dir", _read(path))]
+    synced.clear()
+    WRITERS[writer](path, client_keypair)
+    if writer == "append_line":  # the name is durable already
+        assert synced == [("file", None)]
+    else:
+        assert synced == [("file", None), ("dir", _read(path))]
+
+
+# ---------------------------------------------------------------------
+# file modes
+
+PRIVATE_FILES = {
+    "accounts.tsv", "keys.tsv", "counter.txt", "server_key.json",  # system
+    "records.tsv", "1.bin",  # storage
+    "a%40example.test.mbox", "user.key",
+}
+
+
+def test_every_file_written_is_private(local_stack, tmp_path, client_keypair):
+    old_umask = os.umask(0o022)
+    try:
+        stack = local_stack()
+        token = stack.register_and_login("alice", "a@example.test")
+        stack.service.upload(token, "first", b"one")
+        mailbox.FileMailbox(str(tmp_path / "mail")).deliver("a@example.test", "otp")
+        netutil.write_keypair(str(tmp_path / "user.key"), client_keypair)
+    finally:
+        os.umask(old_umask)
+    modes = {
+        name: stat.S_IMODE(os.stat(os.path.join(root, name)).st_mode)
+        for root, _, names in os.walk(tmp_path)
+        for name in names
+    }
+    assert PRIVATE_FILES <= set(modes)
+    assert {name: oct(mode) for name, mode in modes.items() if mode != 0o600} == {}
+
+
+def test_an_older_world_readable_file_is_private_after_its_next_write(tmp_path):
+    table, tmp = tmp_path / "keys.tsv", tmp_path / "counter.txt.tmp"
+    table.write_bytes(b"1\tone\n")
+    tmp.write_bytes(b"stale")
+    for path in (table, tmp):
+        os.chmod(path, 0o644)
+    netutil.append_line(str(table), "2\ttwo")
+    netutil.write_atomic(str(tmp_path / "counter.txt"), b"7\n")
+    assert table.read_bytes() == b"1\tone\n2\ttwo\n"
+    assert stat.S_IMODE(table.stat().st_mode) == 0o600
+    assert stat.S_IMODE((tmp_path / "counter.txt").stat().st_mode) == 0o600
+
+
+def test_only_netutil_makes_a_file_durable_or_sets_its_mode():
+    src_dir = os.path.dirname(netutil.__file__)
+    offenders = {}
+    for name in sorted(os.listdir(src_dir)):
+        if name.endswith(".py") and name != "netutil.py":
+            with open(os.path.join(src_dir, name), encoding="utf-8") as fh:
+                found = re.findall(r"\bos\.(?:fsync|replace|fchmod)\b", fh.read())
+            if found:
+                offenders[name] = found
+    assert offenders == {}
+
+
+# ---------------------------------------------------------------------
+# key file
+
+def test_key_file_round_trip(tmp_path):
+    pair = crypto_core.rsa_generate(512)
+    path = str(tmp_path / "key.json")
+    netutil.write_keypair(path, pair)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    with open(path) as fh:
+        assert set(json.load(fh)) == {"n", "e", "d"}
+    assert netutil.read_keypair(path) == pair
+    with open(path, "w", encoding="ascii") as fh:  # as perfbench/topology.py does
+        json.dump({"n": str(pair.n), "e": str(pair.e), "d": str(pair.d)}, fh)
+    assert netutil.read_keypair(path) == pair
+
+
+def test_malformed_key_file_is_rejected_without_quoting_it(tmp_path):
+    path = tmp_path / "key.json"
+    for text in ("not json", '{"n": "12345678901", "e": "3"}', '["12345678901"]'):
+        path.write_text(text)
+        with pytest.raises(InvalidKey) as excinfo:
+            netutil.read_keypair(str(path))
+        assert "12345678901" not in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------
