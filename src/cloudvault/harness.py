@@ -45,7 +45,8 @@ class TopologyConfig:
     workdir: str
     storage_count: int = 2
     seed: int = 100
-    # 1024-bit keys keep scripted runs quick; raise for anything long-lived.
+    # The key the system server makes on its first start. 1024, the library's
+    # least, keeps scripted runs quick; raise it for anything long-lived.
     rsa_bits: int = 1024
     sabotage: str = None
 
@@ -283,28 +284,23 @@ def run_topology(config: TopologyConfig) -> Topology:
     ports = _assign_ports(config.storage_count)
     workdir = os.path.abspath(config.workdir)
     os.makedirs(workdir, exist_ok=True)
+    # Each server makes its own data directory, and the system server the
+    # mailbox directory and, on its first start, its key pair.
     mailbox_dir = os.path.join(workdir, "mailbox")
-    os.makedirs(mailbox_dir, exist_ok=True)
     capture_dir = os.path.join(workdir, "capture")
-
     system_dir = os.path.join(workdir, "system")
-    os.makedirs(system_dir, exist_ok=True)
-    system_pair = crypto_core.rsa_generate(config.rsa_bits)
-    netutil.write_keypair(os.path.join(system_dir, SERVER_KEY_FILE), system_pair)
 
     storage_ids = [f"storage-{i + 1}" for i in range(config.storage_count)]
     storage_targets = []
     storage_configs = []
     for i, server_id in enumerate(storage_ids):
-        data_dir = os.path.join(workdir, server_id)
-        os.makedirs(data_dir, exist_ok=True)
         storage_configs.append(
             {
                 "server_id": server_id,
                 "host": "127.0.0.1",
                 "port": ports["storage"][i],
                 "admin_port": ports["storage_admin"][i],
-                "data_dir": data_dir,
+                "data_dir": os.path.join(workdir, server_id),
                 "seed": config.seed,
             }
         )
@@ -318,7 +314,6 @@ def run_topology(config: TopologyConfig) -> Topology:
         "admin_port": ports["system_admin"],
         "data_dir": system_dir,
         "storage": storage_targets,
-        "seed": config.seed,
         "mailbox_dir": mailbox_dir,
         "rsa_bits": config.rsa_bits,
         "sabotage_keys_on_storage": config.sabotage == "keys_on_storage",
@@ -331,7 +326,7 @@ def run_topology(config: TopologyConfig) -> Topology:
         system_host="127.0.0.1",
         system_port=ports["proxy"],
         system_admin_port=ports["system_admin"],
-        system_public_key=system_pair.public,
+        system_public_key=None,  # read back once the system server made it
         storage_admin_ports=list(ports["storage_admin"]),
         storage_ids=storage_ids,
         mailbox_dir=mailbox_dir,
@@ -361,6 +356,8 @@ def run_topology(config: TopologyConfig) -> Topology:
             )
         )
         _wait_healthy("127.0.0.1", ports["system"], topo.procs[-1], "system")
+        key_path = os.path.join(system_dir, SERVER_KEY_FILE)
+        n, e = topo.system_public_key = netutil.read_keypair(key_path).public
 
         topo.proxy = CaptureProxy(
             ports["proxy"], ("127.0.0.1", ports["system"]), capture_dir
@@ -370,10 +367,7 @@ def run_topology(config: TopologyConfig) -> Topology:
         template = {
             "system_host": "127.0.0.1",
             "system_port": ports["proxy"],
-            "system_public_key": {
-                "n": str(system_pair.n),
-                "e": str(system_pair.e),
-            },
+            "system_public_key": {"n": str(n), "e": str(e)},
             "keypair_path": "<path; the session token is cached at it + .session>",
             "mailbox_path": f"<{mailbox_dir}/<quoted mail address>.mbox>",
         }
@@ -747,12 +741,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _clear_workdir(path: str):
+    """Delete ``path`` if it is empty or an earlier run's (it holds a
+    ``system.json``); any other directory raises StartupFailure, untouched."""
+    if not os.path.isdir(path):
+        return
+    if os.listdir(path) and not os.path.isfile(os.path.join(path, "system.json")):
+        raise StartupFailure(f"workdir {path} holds no earlier run; not deleting it")
+    shutil.rmtree(path)
+
+
 def _cmd_audit(args) -> int:
     config = TopologyConfig.from_file(args.config)
     if args.mutation:
         config.sabotage = args.mutation
-    if os.path.isdir(config.workdir):
-        shutil.rmtree(config.workdir)  # audits require clean data directories
+    _clear_workdir(config.workdir)
     with run_topology(config) as topology:
         facts = run_sentinel_workload(topology, download=config.sabotage is None)
         report = leakage_audit(topology, facts)
@@ -766,8 +769,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = TopologyConfig.from_file(args.config)
-    if os.path.isdir(config.workdir):
-        shutil.rmtree(config.workdir)
+    _clear_workdir(config.workdir)
     sizes = (
         tuple(int(s) for s in args.sizes.split(","))
         if args.sizes

@@ -85,6 +85,8 @@ class SystemConfig:
     admin_port: int
     data_dir: str
     storage: list
+    # Read by nothing: it stays because perfbench/topology.py writes it and
+    # unknown keys are refused. Deleted with that writer (ROADMAP item 7).
     seed: int = 100
     admin_host: str = "127.0.0.1"
     mailbox_dir: str = ""

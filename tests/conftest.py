@@ -6,9 +6,9 @@ from cloudvault import crypto_core, mailbox
 from cloudvault import storage_server as storage_mod
 from cloudvault import system_server as system_mod
 
-# One shared toy-but-envelope-capable keypair keeps the suite fast; key
-# generation itself is covered in test_crypto_core.
-TEST_RSA_BITS = 512
+# One shared keypair at the least size the RSA library generates keeps the
+# suite fast; key generation itself is covered in test_crypto_core.
+TEST_RSA_BITS = 1024
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ class LocalStack:
                 port=0,
                 admin_port=0,
                 data_dir=os.path.join(self.root, f"s{i + 1}"),
-                seed=system_overrides.get("seed", 100),
+                seed=100,
             )
             self.storages.append(storage_mod.StorageService(config))
         system_kwargs = dict(
@@ -43,7 +43,6 @@ class LocalStack:
                 {"server_id": s.config.server_id, "host": "127.0.0.1", "port": 1}
                 for s in self.storages
             ],
-            seed=100,
             rsa_bits=TEST_RSA_BITS,
         )
         system_kwargs.update(system_overrides)
@@ -68,9 +67,7 @@ class LocalStack:
         self.service = self._build_service()
         return self.service
 
-    def register_and_login(self, username: str, mail_address: str, keypair=None):
-        """``keypair`` is ignored: clients hold no key pair, but the
-        acceptance module still passes one."""
+    def register_and_login(self, username: str, mail_address: str):
         self.service.register(username, mail_address)
         return self.service.login(username, self.mail.latest(mail_address))
 

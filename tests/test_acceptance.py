@@ -98,9 +98,7 @@ def test_criterion_4_end_to_end_round_trip(tmp_path):
 
 def test_criterion_5_otp_single_use(tmp_path):
     with criterion(5, "each one-time password logs in exactly once", budget_s=5.0):
-        config = harness.TopologyConfig(
-            workdir=str(tmp_path / "otp"), storage_count=1, rsa_bits=512
-        )
+        config = harness.TopologyConfig(workdir=str(tmp_path / "otp"), storage_count=1)
         with harness.run_topology(config) as topo:
             username, mail = "otp-user", "otp@example.test"
             session = topo.make_client(username, mail)
@@ -126,9 +124,7 @@ def test_criterion_5_otp_single_use(tmp_path):
 
 def test_criterion_6_leakage_audit(tmp_path):
     with criterion(6, "five leakage checks pass; both mutations caught", budget_s=60.0):
-        config = harness.TopologyConfig(
-            workdir=str(tmp_path / "honest"), storage_count=2, rsa_bits=512
-        )
+        config = harness.TopologyConfig(workdir=str(tmp_path / "honest"), storage_count=2)
         with harness.run_topology(config) as topo:
             facts = harness.run_sentinel_workload(topo)
             report = harness.leakage_audit(topo, facts)
@@ -142,7 +138,6 @@ def test_criterion_6_leakage_audit(tmp_path):
             config = harness.TopologyConfig(
                 workdir=str(tmp_path / mutation),
                 storage_count=2,
-                rsa_bits=512,
                 sabotage=mutation,
             )
             with harness.run_topology(config) as topo:
@@ -189,8 +184,7 @@ def test_criterion_7_timing_shape(tmp_path):
 def test_criterion_8_crash_consistency(tmp_path):
     with criterion(8, "no key record without an acknowledged blob", budget_s=60.0):
         stack = LocalStack(tmp_path / "crash", storage_count=1)
-        keypair = crypto_core.rsa_generate(512)
-        token = stack.register_and_login("crash-user", "crash@example.test", keypair)
+        token = stack.register_and_login("crash-user", "crash@example.test")
 
         class Crash(RuntimeError):
             pass

@@ -64,7 +64,7 @@ with tempfile.TemporaryDirectory() as root:
     mail = mailbox.InMemoryMailbox()
     service = system_server.SystemService(
         system_server.SystemConfig(
-            "127.0.0.1", 0, 0, root + "/system", storage=[], rsa_bits=512),
+            "127.0.0.1", 0, 0, root + "/system", storage=[], rsa_bits=1024),
         mail_channel=mail,
         storage_clients=[system_server.StorageClient("s1", storage.handle_frame)],
     )

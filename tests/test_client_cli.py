@@ -19,7 +19,7 @@ def topology(tmp_path_factory):
     config = harness.TopologyConfig(
         workdir=str(tmp_path_factory.mktemp("cli-topo")),
         storage_count=2,
-        rsa_bits=512,
+        rsa_bits=1024,
     )
     topo = harness.run_topology(config)
     yield topo

@@ -253,7 +253,7 @@ def _textbook_unwrap(wrapped: bytes, n: int, d: int) -> bytes:
     return block[sep + 1 :]
 
 
-@pytest.mark.parametrize("bits", [512, 2048])
+@pytest.mark.parametrize("bits", [1024, 2048])
 def test_pkcs1_v15_matches_a_textbook_reference(bits):
     # Pins the wire against peers that wrap and unwrap with plain integers.
     pair = cc.rsa_generate(bits)
@@ -276,44 +276,32 @@ def test_block_out_of_range(client_keypair):
         cc.rsa_encrypt_block(bytes(k - 10), client_keypair.public)
 
 
-@pytest.mark.parametrize("bits", [64, 128, 512])
+@pytest.mark.parametrize("bits", [1024, 2048])
 def test_generated_modulus_width(bits):
     pair = cc.rsa_generate(bits)
     assert pair.n.bit_length() == bits
 
 
-def test_generated_2048_bit_modulus():
-    pair = cc.rsa_generate(2048)
-    assert pair.n.bit_length() == 2048
-
-
 def test_generated_pair_round_trips():
-    pair = cc.rsa_generate(256)
+    pair = cc.rsa_generate(1024)
     for _ in range(100):
         key = cc.generate_symmetric_key()
         assert cc.rsa_decrypt_block(cc.rsa_encrypt_block(key, pair.public), pair) == key
 
 
 def test_tiny_modulus_rejected():
+    # The library generates no key under 1024 bits; smaller key files load.
     with pytest.raises(ValueError):
-        cc.rsa_generate(8)
-
-
-def test_probable_prime_matches_trial_division_below_5000():
-    def is_prime(k):
-        return k >= 2 and all(k % f for f in range(2, math.isqrt(k) + 1))
-
-    assert [k for k in range(5000) if cc._is_probable_prime(k)] == [
-        k for k in range(5000) if is_prime(k)
-    ]
+        cc.rsa_generate(512)
 
 
 def test_primes_recovered_from_n_e_d():
     toy = cc.RsaKeyPair.from_primes(61, 53, e=17)
-    big = cc.rsa_generate(512)
+    big = cc.rsa_generate(1024)
     for pair in (toy, big):
         lam = math.lcm(pair.p - 1, pair.q - 1)
-        # d as generated (mod phi), and d taken mod lambda(n) as other tools do
+        # d as made (the toy's is mod phi), and d taken mod lambda(n) as the
+        # library and other tools do
         for d in (pair.d, pair.d % lam):
             loaded = cc.RsaKeyPair(n=pair.n, e=pair.e, d=d)
             assert loaded.p * loaded.q == pair.n
@@ -339,7 +327,7 @@ MERSENNE_127 = (1 << 127) - 1
 
 
 def test_inconsistent_n_e_d_is_rejected_within_bounded_tries(monkeypatch):
-    pair = cc.rsa_generate(512)
+    pair = cc.rsa_generate(1024)
     draws = []
     real_randbelow = secrets.randbelow
 
@@ -367,7 +355,7 @@ def test_inconsistent_n_e_d_is_rejected_within_bounded_tries(monkeypatch):
 
 def test_faulty_crt_component_never_returns_a_wrong_plaintext():
     # The library refuses an even CRT exponent, so flip the second-lowest bit.
-    pair = cc.rsa_generate(512)
+    pair = cc.rsa_generate(1024)
     p, q, d = pair.p, pair.q, pair.d
     faulty = copy.copy(pair)
     numbers = rsa.RSAPrivateNumbers(

@@ -1,3 +1,4 @@
+import json
 import os
 import socket
 import subprocess
@@ -5,14 +6,14 @@ import sys
 
 import pytest
 
-from cloudvault import harness, netutil, system_server
+from cloudvault import crypto_core, harness, netutil, system_server
 from cloudvault.errors import StartupFailure
 
 pytestmark = pytest.mark.integration
 
 
 def make_config(tmp_path, **overrides):
-    kwargs = dict(workdir=str(tmp_path / "topo"), storage_count=2, rsa_bits=512)
+    kwargs = dict(workdir=str(tmp_path / "topo"), storage_count=2, rsa_bits=1024)
     kwargs.update(overrides)
     return harness.TopologyConfig(**kwargs)
 
@@ -28,6 +29,57 @@ def test_minimal_topology_starts_and_stops(tmp_path):
         topo.stop()
     for proc in topo.procs:
         assert proc.poll() is not None
+
+
+def _system_key_file(config) -> str:
+    return os.path.join(config.workdir, "system", system_server.SERVER_KEY_FILE)
+
+
+def test_a_restarted_topology_keeps_its_system_key(tmp_path):
+    # A client config copied from the first run's template must still open
+    # replies from the second run's system server.
+    config = make_config(tmp_path, storage_count=1)
+    keys = []
+    for _ in range(2):
+        with harness.run_topology(config) as topo:
+            keys.append(topo.system_public_key)
+    assert keys[0] == keys[1]
+    assert keys[0] == netutil.read_keypair(_system_key_file(config)).public
+    with open(os.path.join(config.workdir, "client-template.json")) as fh:
+        template = json.load(fh)["system_public_key"]
+    assert (int(template["n"]), int(template["e"])) == keys[0]
+    harness._clear_workdir(config.workdir)  # an earlier run's: audit may clear it
+    assert not os.path.exists(config.workdir)
+    os.makedirs(config.workdir)
+    harness._clear_workdir(config.workdir)  # an empty one too
+    assert not os.path.exists(config.workdir)
+
+
+def test_the_system_server_makes_its_own_key(tmp_path, monkeypatch):
+    def no_key_here(*args):
+        raise AssertionError("the harness generated a key")
+
+    monkeypatch.setattr(crypto_core, "rsa_generate", no_key_here)
+    config = make_config(tmp_path, storage_count=1)
+    with harness.run_topology(config) as topo:
+        pair = netutil.read_keypair(_system_key_file(config))
+        assert topo.system_public_key == pair.public
+        assert pair.bits == config.rsa_bits
+
+
+@pytest.mark.parametrize("verb", ["audit", "bench"])
+def test_a_workdir_from_no_earlier_run_is_not_deleted(tmp_path, verb):
+    # As with {"workdir": "."}: the config file lies in the workdir it names.
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    config_path = workdir / "topology.json"
+    config_path.write_text(json.dumps({"workdir": str(workdir)}))
+    (workdir / "notes.txt").write_text("keep me")
+    with pytest.raises(StartupFailure) as excinfo:
+        harness.main([verb, "--config", str(config_path)])
+    assert str(workdir) in str(excinfo.value)
+    assert sorted(os.listdir(workdir)) == ["notes.txt", "topology.json"]
+    assert (workdir / "notes.txt").read_text() == "keep me"
 
 
 def test_occupied_port_names_the_component(tmp_path, monkeypatch):
@@ -126,7 +178,7 @@ def test_audits_are_hermetic(tmp_path):
     vectors = []
     for run in range(2):
         config = harness.TopologyConfig(
-            workdir=str(tmp_path / f"run-{run}"), storage_count=2, rsa_bits=512
+            workdir=str(tmp_path / f"run-{run}"), storage_count=2, rsa_bits=1024
         )
         with harness.run_topology(config) as topo:
             facts = harness.run_sentinel_workload(topo, run_tag="fixed-tag")
@@ -172,7 +224,7 @@ def test_benchmark_times_every_size_on_every_storage_server(tmp_path):
 _SESSIONS_AND_LOGS_SCRIPT = """
 import sys
 from cloudvault import harness
-config = harness.TopologyConfig(workdir=sys.argv[1], storage_count=1, rsa_bits=512)
+config = harness.TopologyConfig(workdir=sys.argv[1], storage_count=1, rsa_bits=1024)
 with harness.run_topology(config) as topo:
     harness.run_sentinel_workload(topo, users=1, files_per_user=1)
     harness.timing_benchmark(topo, sizes=(1024,), trials=1)

@@ -269,7 +269,7 @@ def test_only_netutil_makes_a_file_durable_or_sets_its_mode():
 # key file
 
 def test_key_file_round_trip(tmp_path):
-    pair = crypto_core.rsa_generate(512)
+    pair = crypto_core.rsa_generate(1024)
     path = str(tmp_path / "key.json")
     netutil.write_keypair(path, pair)
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
@@ -520,7 +520,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(netutil.__file__)))
 SERVER_CONFIGS = {
     "system_server": {
         "storage": [{"server_id": "s1", "host": "127.0.0.1", "port": 1}],
-        "rsa_bits": 512,
+        "rsa_bits": 1024,
     },
     "storage_server": {"server_id": "s1"},
 }

@@ -545,7 +545,7 @@ def test_eavesdropper_sees_no_plaintext(client_keypair):
 
 
 def test_sealed_wrong_key(client_keypair):
-    other = crypto_core.rsa_generate(512)
+    other = crypto_core.rsa_generate(1024)
     frame = protocol.send_sealed(
         protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
     )
@@ -561,7 +561,7 @@ def test_envelope_wrong_key_fails(client_keypair):
         protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
     )
     for _ in range(20):
-        other = crypto_core.rsa_generate(512)  # independent 512-bit pair
+        other = crypto_core.rsa_generate(1024)  # independent pair
         with pytest.raises(DecryptionFailure) as excinfo:
             protocol.recv_sealed(frame, other)
         assert str(excinfo.value) == protocol.UNOPENABLE_TEXT

@@ -584,7 +584,7 @@ def test_an_old_register_with_a_client_key_is_refused(local_stack):
     # Register used to carry the client's public key; an old client gets
     # the one plain refusal, and nothing is registered or mailed.
     stack = local_stack()
-    pair = crypto_core.rsa_generate(512)
+    pair = crypto_core.rsa_generate(1024)
     old = {
         "username": "old-user",
         "mail_address": "o@example.test",
