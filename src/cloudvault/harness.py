@@ -27,11 +27,11 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .client_cli import ClientConfig, ClientSession
-from .errors import CloudVaultError, StartupFailure
+from .errors import CloudVaultError, ConnectionFailure, StartupFailure
 from .system_server import KEY_COLUMNS, KEYS_FILE, SERVER_KEY_FILE, KeyRecord
 
 DEFAULT_BENCH_SIZES = (1024, 4096, 7168, 9216, 14336, 17408)  # 1..17 KB
@@ -74,29 +74,23 @@ def _free_ports(count: int) -> list:
             sock.close()
 
 
-def _frame_ping(host: str, port: int) -> bool:
-    """True iff whatever owns the port answers the protocol with a frame.
-    Both servers answer any frame, so an empty one of tag 0 will do."""
-    try:
-        with socket.create_connection((host, port), timeout=1.0) as sock:
-            sock.settimeout(1.0)
-            protocol.write_frame(sock, protocol.Frame(tag=0, payload=b""))
-            return protocol.read_frame(sock) is not None
-    except (OSError, CloudVaultError):
-        return False
-
-
-def _wait_healthy(host: str, port: int, proc, name: str, timeout: float = 15.0):
-    """Wait until ``proc`` answers a ping on its frame port; its admin tap is
-    bound before that port, so it is up too."""
+def _wait_healthy(name: str, port: int, proc, log_path: str, timeout: float = 15.0):
+    """Wait until ``proc`` answers a frame on its port; its admin tap is bound
+    before that port, so it is up too. Both servers answer any frame, so an
+    empty one of tag 0 will do."""
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise StartupFailure(f"{name} exited with status {proc.returncode}")
-        if _frame_ping(host, port):
-            return
-        time.sleep(0.05)
-    raise StartupFailure(f"{name} on {host}:{port} never answered a health ping")
+    with contextlib.closing(netutil.FrameConnection("127.0.0.1", port, 1.0)) as ping:
+        while time.monotonic() < deadline:
+            if proc.poll() is not None:
+                raise StartupFailure(
+                    f"{name} exited with status {proc.returncode}; see {log_path}"
+                )
+            try:
+                ping.round_trip(protocol.Frame(tag=0, payload=b""))
+                return
+            except ConnectionFailure:
+                time.sleep(0.05)
+    raise StartupFailure(f"{name} on 127.0.0.1:{port} never answered a health ping")
 
 
 class CaptureProxy:
@@ -105,48 +99,25 @@ class CaptureProxy:
     ``capture_dir``, so every stream is contiguous by construction."""
 
     def __init__(self, port: int, target: tuple, capture_dir: str):
-        self.port = port
         self.target = target
         self.capture_dir = capture_dir
         os.makedirs(capture_dir, exist_ok=True)
         self._connections = itertools.count()
-        self._listener = socket.socket()
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", port))
-        self._listener.listen(32)
-        self._running = True
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
-
-    def _accept_loop(self):
-        while self._running:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection, args=(client,), daemon=True
-            ).start()
+        self._listener = netutil.Listener("127.0.0.1", port, self._serve_connection)
 
     def _serve_connection(self, client: socket.socket):
         try:
-            upstream = socket.create_connection(self.target, timeout=30.0)
+            system = socket.create_connection(self.target, timeout=30.0)
         except OSError:
-            client.close()
             return
         number = next(self._connections)
-        threads = [
-            threading.Thread(
-                target=self._pump, args=(src, dst, f"{number}-{way}"), daemon=True
+        with system:
+            down = threading.Thread(
+                target=self._pump, args=(system, client, f"{number}-down"), daemon=True
             )
-            for src, dst, way in ((client, upstream, "up"), (upstream, client, "down"))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        client.close()
-        upstream.close()
+            down.start()
+            self._pump(client, system, f"{number}-up")
+            down.join()
 
     def _pump(self, src: socket.socket, dst: socket.socket, stream: str):
         """Forward bytes until EOF, recording each chunk before it is sent on,
@@ -169,11 +140,7 @@ class CaptureProxy:
                     return
 
     def stop(self):
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._listener.stop()
 
 
 @dataclass
@@ -184,8 +151,7 @@ class Topology:
     system_port: int  # the proxy port clients must use
     system_admin_port: int
     system_public_key: tuple
-    storage_admin_ports: list
-    storage_ids: list
+    storage_admin_ports: dict  # server id -> admin port
     mailbox_dir: str
     capture_dir: str
     procs: list = field(default_factory=list)
@@ -198,26 +164,20 @@ class Topology:
     def storage_dumps(self) -> dict[str, dict[str, bytes]]:
         return {
             server_id: netutil.fetch_admin_dump("127.0.0.1", port)
-            for server_id, port in zip(self.storage_ids, self.storage_admin_ports)
+            for server_id, port in self.storage_admin_ports.items()
         }
 
     def captured_bytes(self) -> bytes:
         """Every recorded stream, joined one after another."""
-        try:
-            names = sorted(os.listdir(self.capture_dir))
-        except FileNotFoundError:
-            return b""
+        names = sorted(os.listdir(self.capture_dir))
         return b"".join(netutil.read_files(self.capture_dir, names).values())
-
-    def client_dir(self) -> str:
-        path = os.path.join(self.workdir, "clients")
-        os.makedirs(path, exist_ok=True)
-        return path
 
     def make_client(self, username: str, mail_address: str) -> ClientSession:
         """Config for one user, wired through the capture proxy; the client
         needs no key of its own. ``stop()`` closes the session."""
-        base = os.path.join(self.client_dir(), username)
+        client_dir = os.path.join(self.workdir, "clients")
+        os.makedirs(client_dir, exist_ok=True)
+        base = os.path.join(client_dir, username)
         config = ClientConfig(
             system_host=self.system_host,
             system_port=self.system_port,
@@ -266,17 +226,27 @@ def _assign_ports(storage_count: int) -> dict:
     }
 
 
-def _spawn(module: str, config_path: str, log_path: str) -> subprocess.Popen:
+def _start_servers(topo: Topology, servers: list) -> None:
+    """Start each ``(name, module, config)`` as ``python -m cloudvault.<module>``
+    on ``<name>.json`` in the workdir, its output appended to ``<name>.log``;
+    return once every one of them answers on its frame port."""
     env = dict(os.environ)
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    with open(log_path, "ab") as log:  # the child keeps its own descriptor
-        return subprocess.Popen(
-            [sys.executable, "-m", module, "--config", config_path],
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            env=env,
-        )
+    started = []
+    for name, module, config in servers:
+        config_path = os.path.join(topo.workdir, f"{name}.json")
+        log_path = os.path.join(topo.workdir, f"{name}.log")
+        netutil.write_atomic(config_path, json.dumps(config, indent=2).encode())
+        with open(log_path, "ab") as log:  # the child keeps its own descriptor
+            proc = subprocess.Popen(
+                [sys.executable, "-m", f"cloudvault.{module}", "--config", config_path],
+                stdout=log, stderr=subprocess.STDOUT, env=env,
+            )
+        topo.procs.append(proc)
+        started.append((name, config["port"], proc, log_path))
+    for args in started:
+        _wait_healthy(*args)
 
 
 def run_topology(config: TopologyConfig) -> Topology:
@@ -289,37 +259,10 @@ def run_topology(config: TopologyConfig) -> Topology:
     mailbox_dir = os.path.join(workdir, "mailbox")
     capture_dir = os.path.join(workdir, "capture")
     system_dir = os.path.join(workdir, "system")
-
-    storage_ids = [f"storage-{i + 1}" for i in range(config.storage_count)]
-    storage_targets = []
-    storage_configs = []
-    for i, server_id in enumerate(storage_ids):
-        storage_configs.append(
-            {
-                "server_id": server_id,
-                "host": "127.0.0.1",
-                "port": ports["storage"][i],
-                "admin_port": ports["storage_admin"][i],
-                "data_dir": os.path.join(workdir, server_id),
-                "seed": config.seed,
-            }
-        )
-        storage_targets.append(
-            {"server_id": server_id, "host": "127.0.0.1", "port": ports["storage"][i]}
-        )
-
-    system_config = {
-        "host": "127.0.0.1",
-        "port": ports["system"],
-        "admin_port": ports["system_admin"],
-        "data_dir": system_dir,
-        "storage": storage_targets,
-        "mailbox_dir": mailbox_dir,
-        "rsa_bits": config.rsa_bits,
-        "sabotage_keys_on_storage": config.sabotage == "keys_on_storage",
-        "sabotage_accept_plain": config.sabotage == "plaintext_channel",
-    }
-
+    storage = [
+        {"server_id": f"storage-{i + 1}", "host": "127.0.0.1", "port": port}
+        for i, port in enumerate(ports["storage"])
+    ]
     topo = Topology(
         config=config,
         workdir=workdir,
@@ -327,35 +270,34 @@ def run_topology(config: TopologyConfig) -> Topology:
         system_port=ports["proxy"],
         system_admin_port=ports["system_admin"],
         system_public_key=None,  # read back once the system server made it
-        storage_admin_ports=list(ports["storage_admin"]),
-        storage_ids=storage_ids,
+        storage_admin_ports={
+            target["server_id"]: admin_port
+            for target, admin_port in zip(storage, ports["storage_admin"])
+        },
         mailbox_dir=mailbox_dir,
         capture_dir=capture_dir,
     )
     try:
-        for i, storage_config in enumerate(storage_configs):
-            path = os.path.join(workdir, f"{storage_ids[i]}.json")
-            netutil.write_atomic(path, json.dumps(storage_config, indent=2).encode())
-            topo.procs.append(
-                _spawn(
-                    "cloudvault.storage_server",
-                    path,
-                    os.path.join(workdir, f"{storage_ids[i]}.log"),
-                )
-            )
-        for i, server_id in enumerate(storage_ids):
-            _wait_healthy("127.0.0.1", ports["storage"][i], topo.procs[i], server_id)
-
-        system_path = os.path.join(workdir, "system.json")
-        netutil.write_atomic(system_path, json.dumps(system_config, indent=2).encode())
-        topo.procs.append(
-            _spawn(
-                "cloudvault.system_server",
-                system_path,
-                os.path.join(workdir, "system.log"),
-            )
-        )
-        _wait_healthy("127.0.0.1", ports["system"], topo.procs[-1], "system")
+        _start_servers(topo, [
+            (target["server_id"], "storage_server", {
+                **target,
+                "admin_port": topo.storage_admin_ports[target["server_id"]],
+                "data_dir": os.path.join(workdir, target["server_id"]),
+                "seed": config.seed,
+            })
+            for target in storage
+        ])
+        _start_servers(topo, [("system", "system_server", {
+            "host": "127.0.0.1",
+            "port": ports["system"],
+            "admin_port": ports["system_admin"],
+            "data_dir": system_dir,
+            "storage": storage,
+            "mailbox_dir": mailbox_dir,
+            "rsa_bits": config.rsa_bits,
+            "sabotage_keys_on_storage": config.sabotage == "keys_on_storage",
+            "sabotage_accept_plain": config.sabotage == "plaintext_channel",
+        })])
         key_path = os.path.join(system_dir, SERVER_KEY_FILE)
         n, e = topo.system_public_key = netutil.read_keypair(key_path).public
 
@@ -388,7 +330,6 @@ def run_topology(config: TopologyConfig) -> Topology:
 class WorkloadFacts:
     usernames: list
     sentinels: list
-    labels: list
 
 
 def _sentinel_file(sentinel: str, size: int) -> bytes:
@@ -413,7 +354,7 @@ def run_sentinel_workload(
     """
     if run_tag is None:
         run_tag = secrets.token_hex(8)
-    facts = WorkloadFacts(usernames=[], sentinels=[], labels=[])
+    facts = WorkloadFacts(usernames=[], sentinels=[])
     for i in range(users):
         username = f"aud-user-{i:02d}"
         mail = f"box{i:02d}@example.test"
@@ -429,7 +370,6 @@ def run_sentinel_workload(
                 if download:
                     assert session.download(label) == data
                 facts.sentinels.append(sentinel)
-                facts.labels.append(label)
     return facts
 
 
@@ -440,8 +380,11 @@ def run_sentinel_workload(
 class AuditCheck:
     name: str
     claim: str
-    passed: bool
     evidence: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.evidence
 
 
 @dataclass
@@ -466,13 +409,7 @@ class AuditReport:
         return {
             "passed": self.passed,
             "checks": [
-                {
-                    "name": check.name,
-                    "claim": check.claim,
-                    "passed": check.passed,
-                    "evidence": check.evidence,
-                }
-                for check in self.checks
+                {**asdict(check), "passed": check.passed} for check in self.checks
             ],
         }
 
@@ -488,21 +425,28 @@ def _find_all(haystack: bytes, needle: bytes) -> list[int]:
         start = idx + 1
 
 
-def _scan_dump(dump: dict[str, bytes], needles: dict[str, bytes], where: str) -> list[str]:
+def _scan_dump(files: list, needles: dict[str, bytes]) -> list[str]:
+    """Every place one of ``needles`` occurs in the ``(path, bytes)`` files."""
     evidence = []
-    for file_name, data in sorted(dump.items()):
+    for path, data in files:
         for needle_name, needle in needles.items():
             for offset in _find_all(data, needle):
                 evidence.append(
-                    f"{where}/{file_name} offset {offset}: {needle_name} "
-                    f"({needle[:32]!r}...)"
+                    f"{path} offset {offset}: {needle_name} ({needle[:32]!r}...)"
                 )
     return evidence
 
 
-def _both_encodings(text: str) -> dict[str, bytes]:
-    raw = text.encode("utf-8")
-    return {f"{text} (raw)": raw, f"{text} (hex)": raw.hex().encode("ascii")}
+def _both_encodings(named: dict[str, bytes]) -> dict[str, bytes]:
+    needles = {}
+    for name, raw in named.items():
+        needles[f"{name} (raw)"] = raw
+        needles[f"{name} (hex)"] = raw.hex().encode("ascii")
+    return needles
+
+
+def _files(where: str, dump: dict[str, bytes]) -> list:
+    return [(f"{where}/{name}", data) for name, data in sorted(dump.items())]
 
 
 def _parse_key_table(system_dump: dict[str, bytes]) -> list[bytes]:
@@ -535,68 +479,36 @@ def leakage_audit(topology: Topology, facts: WorkloadFacts) -> AuditReport:
     system_dump = topology.system_dump()
     storage_dumps = topology.storage_dumps()
     capture = topology.captured_bytes()
-    keys = _parse_key_table(system_dump)
 
-    sentinel_needles = {}
-    for sentinel in facts.sentinels:
-        sentinel_needles.update(_both_encodings(sentinel))
-    username_needles = {}
-    for username in facts.usernames:
-        username_needles.update(_both_encodings(username))
-    key_needles = {}
-    for key in keys:
-        key_needles[f"key {key.hex()[:8]}... (raw)"] = key
-        key_needles[f"key {key.hex()[:8]}... (hex)"] = key.hex().encode("ascii")
-
-    checks = []
-
-    evidence = []
-    for server_id, dump in sorted(storage_dumps.items()):
-        evidence += _scan_dump(dump, key_needles, server_id)
-        evidence += _scan_dump(dump, sentinel_needles, server_id)
-    checks.append(
-        AuditCheck(
-            name="storage-holds-no-secrets",
-            claim="storage dumps contain no AES key bytes and no plaintext sentinels",
-            passed=not evidence,
-            evidence=evidence,
-        )
+    system_files = _files("system", system_dump)
+    storage_files = [
+        item for server_id, dump in sorted(storage_dumps.items())
+        for item in _files(server_id, dump)
+    ]
+    sentinels = _both_encodings({s: s.encode("utf-8") for s in facts.sentinels})
+    usernames = _both_encodings({u: u.encode("utf-8") for u in facts.usernames})
+    keys = _both_encodings(
+        {f"key {key.hex()[:8]}...": key for key in _parse_key_table(system_dump)}
     )
 
-    evidence = _scan_dump(system_dump, sentinel_needles, "system")
-    checks.append(
-        AuditCheck(
-            name="system-holds-no-file-bytes",
-            claim="system dump contains no uploaded file content",
-            passed=not evidence,
-            evidence=evidence,
-        )
+    scans = (
+        ("storage-holds-no-secrets",
+         "storage dumps contain no AES key bytes and no plaintext sentinels",
+         storage_files, {**keys, **sentinels}),
+        ("system-holds-no-file-bytes",
+         "system dump contains no uploaded file content",
+         system_files, sentinels),
+        ("no-plaintext-usernames",
+         "neither dump contains a registered username outside digest form",
+         system_files + storage_files, usernames),
+        ("wire-traffic-sealed",
+         "captured client/system traffic reveals no sentinel",
+         [("capture", capture)], sentinels),
     )
-
-    evidence = _scan_dump(system_dump, username_needles, "system")
-    for server_id, dump in sorted(storage_dumps.items()):
-        evidence += _scan_dump(dump, username_needles, server_id)
-    checks.append(
-        AuditCheck(
-            name="no-plaintext-usernames",
-            claim="neither dump contains a registered username outside digest form",
-            passed=not evidence,
-            evidence=evidence,
-        )
-    )
-
-    evidence = []
-    for needle_name, needle in sentinel_needles.items():
-        for offset in _find_all(capture, needle):
-            evidence.append(f"capture offset {offset}: {needle_name}")
-    checks.append(
-        AuditCheck(
-            name="wire-traffic-sealed",
-            claim="captured client/system traffic reveals no sentinel",
-            passed=not evidence,
-            evidence=evidence,
-        )
-    )
+    checks = [
+        AuditCheck(name, claim, _scan_dump(files, needles))
+        for name, claim, files, needles in scans
+    ]
 
     evidence = []
     raw_sentinels = [s.encode("utf-8") for s in facts.sentinels]
@@ -624,7 +536,6 @@ def leakage_audit(topology: Topology, facts: WorkloadFacts) -> AuditReport:
         AuditCheck(
             name="storage-compromise-cannot-decrypt",
             claim="no 16-byte string in a storage dump decrypts any blob there",
-            passed=not evidence,
             evidence=evidence,
         )
     )
@@ -720,24 +631,20 @@ def timing_benchmark(
 # ---------------------------------------------------------------------------
 # CLI
 
-def _cmd_run(args) -> int:
-    config = TopologyConfig.from_file(args.config)
-    topology = run_topology(config)
-    print(f"workdir:       {topology.workdir}", flush=True)
-    print(f"system server: {topology.system_host}:{topology.system_port} (via proxy)")
-    print(f"admin tap:     127.0.0.1:{topology.system_admin_port}")
-    for server_id, port in zip(topology.storage_ids, topology.storage_admin_ports):
-        print(f"{server_id} admin: 127.0.0.1:{port}")
-    template_path = os.path.join(topology.workdir, "client-template.json")
-    print(f"client config template: {template_path}")
-    print("Ctrl-C to stop", flush=True)
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        topology.stop()
+def _cmd_run(args, config: TopologyConfig) -> int:
+    with run_topology(config) as topology:
+        print(f"workdir:       {topology.workdir}", flush=True)
+        print(f"system server: {topology.system_host}:{topology.system_port}"
+              " (via proxy)")
+        print(f"admin tap:     127.0.0.1:{topology.system_admin_port}")
+        for server_id, port in topology.storage_admin_ports.items():
+            print(f"{server_id} admin: 127.0.0.1:{port}")
+        template_path = os.path.join(topology.workdir, "client-template.json")
+        print(f"client config template: {template_path}")
+        print("Ctrl-C to stop", flush=True)
+        with contextlib.suppress(KeyboardInterrupt):
+            while True:
+                time.sleep(1)
     return 0
 
 
@@ -751,24 +658,18 @@ def _clear_workdir(path: str):
     shutil.rmtree(path)
 
 
-def _cmd_audit(args) -> int:
-    config = TopologyConfig.from_file(args.config)
+def _cmd_audit(args, config: TopologyConfig) -> int:
     if args.mutation:
         config.sabotage = args.mutation
     _clear_workdir(config.workdir)
     with run_topology(config) as topology:
         facts = run_sentinel_workload(topology, download=config.sabotage is None)
         report = leakage_audit(topology, facts)
-    print(report.to_text())
-    out = args.out or os.path.join(config.workdir, "audit_report.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-    print(f"summary written to {out}")
+    _write_report(report, args.out or os.path.join(config.workdir, "audit_report.json"))
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args) -> int:
-    config = TopologyConfig.from_file(args.config)
+def _cmd_bench(args, config: TopologyConfig) -> int:
     _clear_workdir(config.workdir)
     sizes = (
         tuple(int(s) for s in args.sizes.split(","))
@@ -777,12 +678,16 @@ def _cmd_bench(args) -> int:
     )
     with run_topology(config) as topology:
         report = timing_benchmark(topology, sizes=sizes, trials=args.trials)
+    _write_report(report, args.out or os.path.join(config.workdir, "bench_report.json"))
+    return 0
+
+
+def _write_report(report, out: str) -> None:
+    """Print ``report``, write its JSON summary to ``out`` and name the path."""
     print(report.to_text())
-    out = args.out or os.path.join(config.workdir, "bench_report.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
     print(f"summary written to {out}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -809,7 +714,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args, TopologyConfig.from_file(args.config))
+    except CloudVaultError as exc:
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
-"""Shared plumbing: the server process shell (threaded frame loop, local-only
-admin dump channel, start-up and shutdown), the keep-alive client side of a
-frame exchange, and every file cloudvault keeps: the private, durable writer
-pair, the RSA key file and crash-safe little table files."""
+"""Shared plumbing: one threaded listener for every port (the frame loop, the
+local-only admin dump channel, the harness's capture proxy), the server
+process shell (start-up and shutdown), the keep-alive client side of a frame
+exchange, and every file cloudvault keeps: the private, durable writer pair,
+the RSA key file and crash-safe little table files."""
 
 import argparse
 import contextlib
@@ -26,15 +27,34 @@ from .errors import (
 )
 
 
-class FrameServer(socketserver.ThreadingTCPServer):
-    """One request frame, one response frame, repeated until the peer hangs up."""
+# How often a listener's accept loop looks for a stop request: the most a
+# stop waits for it.
+POLL_INTERVAL = 0.05
+
+
+class Listener(socketserver.ThreadingTCPServer):
+    """Listens on ``host:port`` from a daemon thread and runs
+    ``serve_connection(sock)`` for each connection on a daemon thread of its
+    own; the socket is closed after it returns."""
 
     allow_reuse_address = True
     daemon_threads = True
+    # A burst of connects beyond the backlog waits a second for a SYN retry.
+    request_queue_size = 32
 
-    def __init__(self, addr, handler):
-        self.frame_handler = handler
-        super().__init__(addr, _FrameRequestHandler)
+    def __init__(self, host: str, port: int, serve_connection):
+        self.serve_connection = serve_connection
+        super().__init__((host, port), None)
+        threading.Thread(
+            target=self.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        ).start()
+
+    def finish_request(self, request, client_address):
+        self.serve_connection(request)
+
+    def stop(self) -> None:
+        self.shutdown()
+        self.server_close()
 
 
 # Once a frame has started, the rest of it must arrive within this many
@@ -42,31 +62,26 @@ class FrameServer(socketserver.ThreadingTCPServer):
 FRAME_STALL_TIMEOUT = 30.0
 
 
-class _FrameRequestHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        while True:
-            try:
-                frame = protocol.read_frame(self.request, FRAME_STALL_TIMEOUT)
-            except (OSError, CloudVaultError):
-                return  # reset, stalled or garbled stream; drop the connection
-            if frame is None:
-                return
-            reply = self.server.frame_handler(frame)
-            if reply is None:
-                return
-            try:
-                protocol.write_frame(self.request, reply)
-            except OSError:
-                return
+def _serve_frames(frame_handler, sock: socket.socket) -> None:
+    """One request frame, one response frame, repeated until the peer hangs up."""
+    while True:
+        try:
+            frame = protocol.read_frame(sock, FRAME_STALL_TIMEOUT)
+        except (OSError, CloudVaultError):
+            return  # reset, stalled or garbled stream; drop the connection
+        if frame is None:
+            return
+        reply = frame_handler(frame)
+        if reply is None:
+            return
+        try:
+            protocol.write_frame(sock, reply)
+        except OSError:
+            return
 
 
-def start_frame_server(host: str, port: int, handler) -> FrameServer:
-    return _serve_forever(FrameServer((host, port), handler))
-
-
-def _serve_forever(server):
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
+def start_frame_server(host: str, port: int, handler) -> Listener:
+    return Listener(host, port, functools.partial(_serve_frames, handler))
 
 
 class FrameConnection:
@@ -127,58 +142,40 @@ def _peer_hung_up(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-class AdminDumpServer(socketserver.ThreadingTCPServer):
-    """Writes a JSON snapshot of persisted state to anyone who connects.
-
-    Bound to loopback only; this is the audit tap, not a public endpoint.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, addr, dump_callable):
-        self.dump_callable = dump_callable
-        super().__init__(addr, _AdminRequestHandler)
-
-
-class _AdminRequestHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        snapshot = self.server.dump_callable()
-        payload = json.dumps(
-            {name: data.hex() for name, data in sorted(snapshot.items())},
-            sort_keys=True,
-        ).encode("ascii")
-        try:
-            self.request.sendall(payload)
-        except OSError:
-            pass
+def _send_dump(dump_tables, sock: socket.socket) -> None:
+    """Write a JSON snapshot of persisted state to whoever connected."""
+    payload = json.dumps(
+        {name: data.hex() for name, data in sorted(dump_tables().items())},
+        sort_keys=True,
+    ).encode("ascii")
+    try:
+        sock.sendall(payload)
+    except OSError:
+        pass
 
 
 class Listeners:
-    """A running service's loopback admin tap and frame port.
+    """A running service's admin tap and frame port.
 
-    The admin tap is bound first, so once the frame port answers, the admin
-    dump is readable too.
+    The admin tap is bound to loopback only: it is the audit tap, not a
+    public endpoint. It is bound first, so once the frame port answers, the
+    admin dump is readable too.
     """
 
     def __init__(self, config, service):
-        self.admin = _serve_forever(
-            AdminDumpServer((config.admin_host, config.admin_port), service.dump_tables)
+        self.admin = Listener(
+            "127.0.0.1", config.admin_port,
+            functools.partial(_send_dump, service.dump_tables),
         )
         try:
             self.frame = start_frame_server(config.host, config.port, service.handle_frame)
         except OSError:
-            _stop(self.admin)
+            self.admin.stop()
             raise
 
     def close(self) -> None:
-        _stop(self.frame)
-        _stop(self.admin)
-
-
-def _stop(server) -> None:
-    server.shutdown()
-    server.server_close()
+        self.frame.stop()
+        self.admin.stop()
 
 
 def run_server(argv, config_cls, service_cls) -> int:
@@ -204,15 +201,11 @@ def fetch_admin_dump(host: str, port: int, timeout: float = 10.0) -> dict[str, b
     """Pull a server's snapshot: file name -> raw bytes."""
     try:
         with socket.create_connection((host, port), timeout=timeout) as sock:
-            chunks = []
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
+            with sock.makefile("rb") as stream:
+                data = stream.read()
     except OSError as exc:
         raise ConnectionFailure(f"admin dump from {host}:{port}: {exc}") from exc
-    obj = json.loads(b"".join(chunks).decode("ascii"))
+    obj = json.loads(data.decode("ascii"))
     return {name: bytes.fromhex(data) for name, data in obj.items()}
 
 

@@ -56,7 +56,6 @@ class StorageConfig:
     admin_port: int
     data_dir: str
     seed: int
-    admin_host: str = "127.0.0.1"
 
 
 class StorageService:

@@ -88,7 +88,6 @@ class SystemConfig:
     # Read by nothing: it stays because perfbench/topology.py writes it and
     # unknown keys are refused. Deleted with that writer (ROADMAP item 7).
     seed: int = 100
-    admin_host: str = "127.0.0.1"
     mailbox_dir: str = ""
     rsa_bits: int = crypto_core.DEFAULT_RSA_BITS
     # Deliberate mis-builds, used only to prove the leakage auditor catches
@@ -199,7 +198,10 @@ class SystemService:
     def _load_or_create_keypair(self) -> RsaKeyPair:
         path = self._path(SERVER_KEY_FILE)
         if not os.path.exists(path):
-            pair = crypto_core.rsa_generate(self.config.rsa_bits)
+            try:
+                pair = crypto_core.rsa_generate(self.config.rsa_bits)
+            except ValueError as exc:
+                raise StartupFailure(f"rsa_bits {self.config.rsa_bits}: {exc}") from exc
             netutil.write_keypair(path, pair)
             return pair
         try:

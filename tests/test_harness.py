@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cloudvault import crypto_core, harness, netutil, system_server
+from cloudvault import crypto_core, harness, netutil, protocol, system_server
 from cloudvault.errors import StartupFailure
 
 pytestmark = pytest.mark.integration
@@ -68,16 +68,16 @@ def test_the_system_server_makes_its_own_key(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("verb", ["audit", "bench"])
-def test_a_workdir_from_no_earlier_run_is_not_deleted(tmp_path, verb):
+def test_a_workdir_from_no_earlier_run_is_not_deleted(tmp_path, verb, capsys):
     # As with {"workdir": "."}: the config file lies in the workdir it names.
     workdir = tmp_path / "work"
     workdir.mkdir()
     config_path = workdir / "topology.json"
     config_path.write_text(json.dumps({"workdir": str(workdir)}))
     (workdir / "notes.txt").write_text("keep me")
-    with pytest.raises(StartupFailure) as excinfo:
-        harness.main([verb, "--config", str(config_path)])
-    assert str(workdir) in str(excinfo.value)
+    assert harness.main([verb, "--config", str(config_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("STARTUP_FAILURE: ") and str(workdir) in line
     assert sorted(os.listdir(workdir)) == ["notes.txt", "topology.json"]
     assert (workdir / "notes.txt").read_text() == "keep me"
 
@@ -98,6 +98,16 @@ def test_occupied_port_names_the_component(tmp_path, monkeypatch):
         assert "storage-1" in str(excinfo.value)
     finally:
         blocker.close()
+
+
+def test_a_system_server_that_cannot_start_names_its_log(tmp_path):
+    config = make_config(tmp_path, storage_count=1, rsa_bits=512)
+    with pytest.raises(StartupFailure, match="system exited with status 1") as excinfo:
+        harness.run_topology(config)
+    log_path = os.path.join(config.workdir, "system.log")
+    assert str(excinfo.value).endswith(f"see {log_path}")
+    with open(log_path) as fh:
+        assert "StartupFailure: rsa_bits 512" in fh.read()
 
 
 def test_ports_picked_in_one_call_are_distinct():
@@ -246,3 +256,37 @@ def test_workload_and_benchmark_close_sessions_and_logs(tmp_path):
 def test_unknown_sabotage_mode_rejected(tmp_path):
     with pytest.raises(ValueError):
         make_config(tmp_path, sabotage="unplug_everything")
+
+
+def _exchange(address, frames) -> tuple[bytes, bytes]:
+    """Write ``frames`` on one connection, reading each reply; hang up and
+    read to EOF. Returns (bytes written, bytes read)."""
+    written, read = b"", b""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        for frame in frames:
+            written += frame.to_bytes()
+            sock.sendall(frame.to_bytes())
+            reply = protocol.read_frame(sock)
+            assert reply is not None
+            read += reply.to_bytes()
+        sock.shutdown(socket.SHUT_WR)
+        while chunk := sock.recv(65536):
+            read += chunk
+    return written, read
+
+
+def test_the_capture_proxy_records_each_connection_both_ways(tmp_path):
+    unknown = [protocol.Frame(tag=0x7F, payload=b"%d" % i) for i in range(3)]
+    with harness.run_topology(make_config(tmp_path, storage_count=1)) as topo:
+        address = (topo.system_host, topo.system_port)
+        exchanges = [_exchange(address, unknown[:2]), _exchange(address, unknown[2:])]
+        names = sorted(os.listdir(topo.capture_dir))
+        assert names == ["0-down", "0-up", "1-down", "1-up"]
+        for number, (written, read) in enumerate(exchanges):
+            with open(os.path.join(topo.capture_dir, f"{number}-up"), "rb") as fh:
+                assert fh.read() == written
+            with open(os.path.join(topo.capture_dir, f"{number}-down"), "rb") as fh:
+                assert fh.read() == read
+        assert topo.captured_bytes() == b"".join(
+            read + written for written, read in exchanges
+        )

@@ -460,14 +460,14 @@ def echo_server(monkeypatch):
     """A frame server that echoes each frame, with a 0.2 s stall bound. Its
     ``handlers`` list gains each connection's handler thread."""
     monkeypatch.setattr(netutil, "FRAME_STALL_TIMEOUT", 0.2)
-    handle = netutil._FrameRequestHandler.handle
+    serve_frames = netutil._serve_frames
     handlers = []
 
-    def recorded(self):
+    def recorded(frame_handler, sock):
         handlers.append(threading.current_thread())
-        handle(self)
+        serve_frames(frame_handler, sock)
 
-    monkeypatch.setattr(netutil._FrameRequestHandler, "handle", recorded)
+    monkeypatch.setattr(netutil, "_serve_frames", recorded)
     server = netutil.start_frame_server("127.0.0.1", 0, lambda frame: frame)
     server.handlers = handlers
     yield server

@@ -419,6 +419,11 @@ def test_inconsistent_server_key_file_fails_startup(local_stack):
     assert bad_d not in message and str(pair.n) not in message
 
 
+def test_a_key_too_small_to_make_fails_startup_naming_rsa_bits(local_stack):
+    with pytest.raises(StartupFailure, match="^rsa_bits 512: "):
+        local_stack(rsa_bits=512)
+
+
 # ---------------------------------------------------------------------
 # concurrency
 
