@@ -2,10 +2,11 @@
 
 Every request/response exchange is a single sealed round trip: the request
 is sealed to the system public key under a fresh session key, and the reply
-must open under that session key (or be a plain error frame). The client
-holds no key pair of its own. One-time passwords and session tokens never
-appear in command output. The session token lives in a mode-0600 cache file
-until logout or expiry.
+must open under that session key. Any other reply, a plain frame included,
+raises ``DecryptionFailure``, with the text of the server's one plain
+refusal. The client holds no key pair of its own. One-time passwords and
+session tokens never appear in command output. The session token lives in a
+mode-0600 cache file until logout or expiry.
 """
 
 import argparse
@@ -90,23 +91,18 @@ class ClientSession:
 
     def _exchange(self, msg):
         """One sealed request; the reply must open under the request's session
-        key, or be a plain error frame. Any other reply is refused: anyone
-        can build a plain frame, and only the system server can seal one."""
+        key, or ``DecryptionFailure`` is raised: anyone can build a plain
+        frame, and only the system server can seal one."""
         if self.config.sabotage_plaintext_channel:  # mis-build for auditor self-tests
             reply = protocol.recv_plain(self._conn.round_trip(protocol.send_plain(msg)))
         else:
             session_key = crypto_core.generate_symmetric_key()
-            frame = self._conn.round_trip(
-                protocol.send_sealed(msg, self.config.system_public_key, session_key)
+            reply = protocol.recv_reply(
+                self._conn.round_trip(
+                    protocol.send_sealed(msg, self.config.system_public_key, session_key)
+                ),
+                session_key,
             )
-            if frame.tag == protocol.REPLY_TAG:
-                reply = protocol.recv_reply(frame, session_key)
-            else:
-                reply = protocol.recv_plain(frame)
-                if not isinstance(reply, protocol.ErrorFrame):
-                    raise MalformedPayload(
-                        f"refused an unsealed {type(reply).__name__} reply"
-                    )
         if isinstance(reply, protocol.ErrorFrame):
             raise error_for_code(reply.code, reply.text)
         return reply

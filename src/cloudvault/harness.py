@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .client_cli import ClientConfig, ClientSession
-from .errors import CloudVaultError, ConnectionFailure, StartupFailure
+from .errors import CloudVaultError, ConnectionFailure, IoFailure, StartupFailure
 from .system_server import KEY_COLUMNS, KEYS_FILE, SERVER_KEY_FILE, KeyRecord
 
 DEFAULT_BENCH_SIZES = (1024, 4096, 7168, 9216, 14336, 17408)  # 1..17 KB
@@ -56,8 +56,13 @@ class TopologyConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "TopologyConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls(**json.load(fh))
+        # ValueError: not JSON, or an unknown sabotage mode; TypeError: not
+        # an object of known settings
+        except (OSError, ValueError, TypeError) as exc:
+            raise IoFailure(f"config {path}: {exc}") from exc
 
 
 def _free_ports(count: int) -> list:
@@ -110,6 +115,7 @@ class CaptureProxy:
             system = socket.create_connection(self.target, timeout=30.0)
         except OSError:
             return
+        system.settimeout(None)  # the bound is for the connect; a client may idle
         number = next(self._connections)
         with system:
             down = threading.Thread(

@@ -72,8 +72,6 @@ def _serve_frames(frame_handler, sock: socket.socket) -> None:
         if frame is None:
             return
         reply = frame_handler(frame)
-        if reply is None:
-            return
         try:
             protocol.write_frame(sock, reply)
         except OSError:

@@ -26,8 +26,10 @@ The system server answers a sealed request with a ``REPLY_TAG`` frame whose
 payload is ``nonce(16) ‖ AES-128-GCM body ‖ tag(16)`` under a key derived
 from that request's session key. The client opens it with the session key it
 chose, so a forged reply, or a genuine reply to another request, does not
-open. A request that does not open, and a refusal sent before the peer is
-identified, are answered with a plain ``ErrorFrame``.
+open. Every request that opens gets a sealed reply, a refusal included. A
+sealed frame that does not open gets the one plain ``ErrorFrame`` with code
+``DECRYPTION_FAILURE`` and text ``UNOPENABLE_TEXT``, and ``recv_reply``
+turns any frame that is not ``REPLY_TAG`` into that same failure.
 System/storage traffic is framed in the clear; every file byte on that
 channel is already ciphertext, and no message kind that could carry a
 symmetric key exists, so keys structurally cannot cross it.

@@ -160,13 +160,14 @@ class SystemService:
 
     def __init__(self, config: SystemConfig, mail_channel=None, storage_clients=None):
         self.config = config
-        os.makedirs(config.data_dir, exist_ok=True)
         if mail_channel is None:
-            if config.mailbox_dir:
-                mail_channel = mailbox_mod.FileMailbox(config.mailbox_dir)
-            else:
-                mail_channel = mailbox_mod.InMemoryMailbox()
+            if not config.mailbox_dir:
+                raise StartupFailure(
+                    "mailbox_dir is empty: one-time passwords would reach no one"
+                )
+            mail_channel = mailbox_mod.FileMailbox(config.mailbox_dir)
         self.mail = mail_channel
+        os.makedirs(config.data_dir, exist_ok=True)
         if storage_clients is None:
             storage_clients = [
                 StorageClient(
@@ -407,61 +408,43 @@ class SystemService:
 
     # -- protocol dispatch --------------------------------------------------------
 
-    def dispatch(self, msg) -> tuple:
-        """Map one request message to ``(reply, identified)``: the reply, and
-        whether the peer was identified before it was built. A ``Register``
-        identifies its sender at once: only the holder of the session key
-        inside it can open the reply, so ``DUPLICATE_USER`` goes back sealed.
-        A login identifies its sender once the password matches, and any
-        other request once its session is live. Errors for unidentified
-        peers go back plain."""
-        identified = False
+    def dispatch(self, msg):
+        """Map one request message to its reply; a refusal is an ``ErrorFrame``."""
         try:
             if isinstance(msg, protocol.Register):
-                identified = True
                 self.register(msg.username, msg.mail_address)
-                reply = protocol.LoginResponse(session_token="", status="REGISTERED")
-            elif isinstance(msg, protocol.LoginRequest):
+                return protocol.LoginResponse(session_token="", status="REGISTERED")
+            if isinstance(msg, protocol.LoginRequest):
                 token = self.login(msg.username, msg.otp)
-                identified = True
-                reply = protocol.LoginResponse(session_token=token, status="OK")
-            elif isinstance(msg, protocol.UploadRequest):
-                self._session_digest(msg.session_token)
-                identified = True
+                return protocol.LoginResponse(session_token=token, status="OK")
+            if isinstance(msg, protocol.UploadRequest):
                 self.upload(msg.session_token, msg.label, msg.file_bytes)
-                reply = protocol.UploadAck(label=msg.label, status="OK")
-            elif isinstance(msg, protocol.DownloadRequest):
-                self._session_digest(msg.session_token)
-                identified = True
+                return protocol.UploadAck(label=msg.label, status="OK")
+            if isinstance(msg, protocol.DownloadRequest):
                 data = self.download(msg.session_token, msg.label)
-                reply = protocol.FilePayload(label=msg.label, file_bytes=data)
-            elif isinstance(msg, protocol.ListRequest):
-                self._session_digest(msg.session_token)
-                identified = True
+                return protocol.FilePayload(label=msg.label, file_bytes=data)
+            if isinstance(msg, protocol.ListRequest):
                 labels = self.list_labels(msg.session_token)
-                reply = protocol.ListResponse(labels=tuple(labels))
-            else:
-                raise MalformedPayload(
-                    f"{type(msg).__name__} is not a client request"
-                )
+                return protocol.ListResponse(labels=tuple(labels))
+            raise MalformedPayload(f"{type(msg).__name__} is not a client request")
         except CloudVaultError as exc:
-            reply = protocol.error_frame(exc)
-        return reply, identified
+            return protocol.error_frame(exc)
 
     def handle_frame(self, frame: protocol.Frame) -> protocol.Frame:
-        session_key = None
+        """A sealed request that opens gets a reply sealed under its session
+        key, refusals included. Any other frame gets a plain ``ErrorFrame``:
+        ``DECRYPTION_FAILURE`` for every sealed frame that does not open, so
+        the reply tells its sender nothing about the request."""
         try:
             if frame.tag == protocol.SEALED_TAG:
                 msg, session_key = protocol.recv_sealed(frame, self.keypair)
             elif self.config.sabotage_accept_plain:
-                msg = protocol.recv_plain(frame)
+                return protocol.send_plain(self.dispatch(protocol.recv_plain(frame)))
             else:
                 raise MalformedPayload("client traffic must be sealed")
         except CloudVaultError as exc:
             return protocol.send_plain(protocol.error_frame(exc))
-        reply, identified = self.dispatch(msg)
-        if session_key is None or not identified:
-            return protocol.send_plain(reply)
+        reply = self.dispatch(msg)
         try:
             return protocol.send_reply(reply, session_key)
         except CloudVaultError as exc:  # a reply over the frame cap

@@ -93,28 +93,31 @@ FORGED_FILE = protocol.FilePayload(label="doc", file_bytes=b"forged bytes")
 
 
 @pytest.mark.parametrize(
-    "forge, error",
+    "forge",
     [
-        (lambda pub: protocol.send_plain(FORGED_FILE), MalformedPayload),
-        (
-            lambda pub: protocol.send_sealed(
-                FORGED_FILE, pub, crypto_core.generate_symmetric_key()
-            ),
-            MalformedPayload,
+        lambda pub: protocol.send_plain(FORGED_FILE),
+        lambda pub: protocol.send_plain(
+            protocol.ErrorFrame(code="NO_SUCH_LABEL", text="forged refusal")
         ),
-        (
-            lambda pub: protocol.send_reply(
-                FORGED_FILE, crypto_core.generate_symmetric_key()
-            ),
-            DecryptionFailure,
+        lambda pub: protocol.send_sealed(
+            FORGED_FILE, pub, crypto_core.generate_symmetric_key()
+        ),
+        lambda pub: protocol.send_reply(
+            FORGED_FILE, crypto_core.generate_symmetric_key()
         ),
     ],
-    ids=["plain", "sealed in a request envelope", "reply under another session key"],
+    ids=[
+        "plain",
+        "plain error frame",
+        "sealed in a request envelope",
+        "reply under another session key",
+    ],
 )
-def test_download_refuses_a_forged_reply(tmp_path, client_keypair, forge, error):
+def test_download_refuses_a_forged_reply(tmp_path, client_keypair, forge):
     # The forger knows the system public key (client_keypair stands in for
     # it) but not the session key inside the request, which only the system
-    # private key opens.
+    # private key opens. A forged plain refusal cannot choose the error the
+    # client reports either.
     token_path = tmp_path / "client.session"
     token_path.write_text("ab" * 16)
     public = {"n": str(client_keypair.n), "e": str(client_keypair.e)}
@@ -127,7 +130,7 @@ def test_download_refuses_a_forged_reply(tmp_path, client_keypair, forge, error)
             token_path=str(token_path),
         )
         with client_cli.ClientSession(config) as session:
-            with pytest.raises(error):
+            with pytest.raises(DecryptionFailure, match=protocol.UNOPENABLE_TEXT):
                 session.download("doc")
     finally:
         server.shutdown()

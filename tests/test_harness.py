@@ -3,6 +3,7 @@ import os
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -258,6 +259,25 @@ def test_unknown_sabotage_mode_rejected(tmp_path):
         make_config(tmp_path, sabotage="unplug_everything")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        '{"workdir": "w", "bogus": 1}',
+        '{"workdir": "w", "sabotage": "unplug_everything"}',
+    ],
+    ids=["missing file", "unknown key", "unknown sabotage mode"],
+)
+def test_an_unreadable_topology_config_is_one_io_failure_line(tmp_path, content, capsys):
+    config_path = tmp_path / "topology.json"
+    if content is not None:
+        config_path.write_text(content)
+    assert harness.main(["audit", "--config", str(config_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("IO_FAILURE: ") and str(config_path) in line
+    assert not (tmp_path / "w").exists()
+
+
 def _exchange(address, frames) -> tuple[bytes, bytes]:
     """Write ``frames`` on one connection, reading each reply; hang up and
     read to EOF. Returns (bytes written, bytes read)."""
@@ -290,3 +310,28 @@ def test_the_capture_proxy_records_each_connection_both_ways(tmp_path):
         assert topo.captured_bytes() == b"".join(
             read + written for written, read in exchanges
         )
+
+
+def test_the_capture_proxy_keeps_an_idle_connection(tmp_path, monkeypatch):
+    # The proxy bounds its connect to the system server, not the wait for a
+    # reply: a client may sit idle between requests for as long as it likes.
+    # Every connect here gets a 0.5 s timeout, and the client idles for 1 s.
+    connect = socket.create_connection
+    monkeypatch.setattr(
+        socket, "create_connection", lambda address, *_, **__: connect(address, 0.5)
+    )
+    echo = netutil.start_frame_server("127.0.0.1", 0, lambda frame: frame)
+    (port,) = harness._free_ports(1)
+    proxy = harness.CaptureProxy(port, echo.server_address, str(tmp_path / "capture"))
+    frame = protocol.Frame(tag=0x7F, payload=b"ping")
+    try:
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            protocol.write_frame(sock, frame)
+            assert protocol.read_frame(sock) == frame
+            time.sleep(1.0)
+            protocol.write_frame(sock, frame)
+            assert protocol.read_frame(sock) == frame
+        assert sorted(os.listdir(tmp_path / "capture")) == ["0-down", "0-up"]
+    finally:
+        proxy.stop()
+        echo.stop()

@@ -547,6 +547,8 @@ def test_server_process_answers_then_exits_zero_on_sigterm(tmp_path, module):
         SERVER_CONFIGS[module], host="127.0.0.1", port=port, admin_port=admin_port,
         data_dir=str(tmp_path / "data"), seed=100,
     )
+    if module == "system_server":  # it will not start without a mailbox
+        config["mailbox_dir"] = str(tmp_path / "mailbox")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     proc = subprocess.Popen(

@@ -424,6 +424,18 @@ def test_a_key_too_small_to_make_fails_startup_naming_rsa_bits(local_stack):
         local_stack(rsa_bits=512)
 
 
+def test_a_server_with_nowhere_to_mail_passwords_fails_startup(local_stack):
+    # With no mail channel given, the one-time passwords go to mailbox_dir;
+    # an empty one would leave every account unable to log in.
+    stack = local_stack()
+    config = system_mod.SystemConfig(
+        **{**vars(stack.config), "data_dir": stack.config.data_dir + "-nomail"}
+    )
+    with pytest.raises(StartupFailure, match="mailbox_dir"):
+        system_mod.SystemService(config, storage_clients=stack.service.storage_clients)
+    assert not os.path.exists(config.data_dir)
+
+
 # ---------------------------------------------------------------------
 # concurrency
 
@@ -542,10 +554,9 @@ def _seal(stack, msg, session_key=None) -> protocol.Frame:
 
 def _sealed_exchange(stack, msg):
     session_key = crypto_core.generate_symmetric_key()
-    reply = stack.service.handle_frame(_seal(stack, msg, session_key))
-    if reply.tag == protocol.REPLY_TAG:
-        return protocol.recv_reply(reply, session_key)
-    return protocol.recv_plain(reply)
+    return protocol.recv_reply(
+        stack.service.handle_frame(_seal(stack, msg, session_key)), session_key
+    )
 
 
 def test_register_over_the_wire(local_stack):
@@ -658,16 +669,39 @@ def test_wire_errors_are_error_frames(local_stack):
     assert reply.code == "AUTH_FAILED"
 
 
-def test_failed_logins_answer_byte_identically(local_stack):
+def test_failed_logins_answer_alike(local_stack):
+    # Each reply has a fresh nonce, so two are never byte-equal; what must
+    # match is everything a wire observer or the requester can see.
     stack = local_stack()
     stack.service.register("alice", "a@example.test")
-    replies = [
-        stack.service.handle_frame(
-            _seal(stack, protocol.LoginRequest(username=username, otp="A" * 16))
-        ).to_bytes()
-        for username in ("alice", "ghost")  # wrong OTP, unknown user
-    ]
+    replies = []
+    for username in ("alice", "ghost"):  # wrong OTP, unknown user
+        session_key = crypto_core.generate_symmetric_key()
+        request = protocol.LoginRequest(username=username, otp="A" * 16)
+        frame = stack.service.handle_frame(_seal(stack, request, session_key))
+        assert frame.tag == protocol.REPLY_TAG
+        replies.append((len(frame.payload), protocol.recv_reply(frame, session_key)))
     assert replies[0] == replies[1]
+    assert replies[0][1].code == "AUTH_FAILED"
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        protocol.LoginRequest(username="alice", otp="A" * 16),
+        protocol.LoginRequest(username="ghost", otp="A" * 16),
+        protocol.ListRequest(session_token="ab" * 16),
+        protocol.DownloadRequest(session_token="ab" * 16, label="x"),
+    ],
+    ids=["wrong password", "unknown user", "unknown session", "unknown session download"],
+)
+def test_a_refusal_is_sealed_and_names_no_code_on_the_wire(local_stack, msg):
+    stack = local_stack()
+    stack.service.register("alice", "a@example.test")
+    wire = stack.service.handle_frame(_seal(stack, msg)).to_bytes()
+    for code in (b"AUTH_FAILED", b"INVALID_SESSION"):
+        assert code not in wire
+        assert code.hex().encode() not in wire
 
 
 def test_over_cap_sealed_reply_is_an_error_frame(local_stack, monkeypatch):
@@ -752,6 +786,12 @@ def _data_files(stack) -> dict:
     return files
 
 
+# The one reply that is not sealed: a request that does not open.
+UNOPENABLE_REPLY = protocol.send_plain(
+    protocol.error_frame(DecryptionFailure(protocol.UNOPENABLE_TEXT))
+)
+
+
 def test_every_request_gets_one_reply_and_a_refusal_changes_nothing(local_stack):
     stack = local_stack()
     stack.mail = CountingMailbox()
@@ -772,10 +812,11 @@ def test_every_request_gets_one_reply_and_a_refusal_changes_nothing(local_stack)
         files, mails = _data_files(stack), stack.mail.deliveries
         reply = stack.service.handle_frame(frame)
         assert isinstance(reply, protocol.Frame)
-        if reply.tag == protocol.REPLY_TAG:
-            msg = protocol.recv_reply(reply, session_key)
-        else:
+        if reply == UNOPENABLE_REPLY:
             msg = protocol.recv_plain(reply)
+        else:
+            assert reply.tag == protocol.REPLY_TAG
+            msg = protocol.recv_reply(reply, session_key)
         if isinstance(msg, protocol.ErrorFrame):
             assert _data_files(stack) == files
             assert stack.mail.deliveries == mails
