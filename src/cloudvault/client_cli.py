@@ -20,6 +20,7 @@ from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .netutil import write_keypair
 from .errors import (
     CloudVaultError,
+    FileTooLarge,
     InvalidSession,
     IoFailure,
     MalformedPayload,
@@ -162,6 +163,10 @@ class ClientSession:
         self._store_token(reply.session_token)
 
     def upload(self, label: str, data: bytes) -> None:
+        if len(data) > protocol.MAX_FILE_BYTES:
+            raise FileTooLarge(
+                f"{len(data)} bytes exceeds cap {protocol.MAX_FILE_BYTES}"
+            )
         token = self._load_token()
         reply = self._exchange(
             protocol.UploadRequest(session_token=token, label=label, file_bytes=data)

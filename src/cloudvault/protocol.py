@@ -53,6 +53,15 @@ from .errors import (
 )
 
 MAX_FRAME_LEN = 16 * 1024 * 1024
+# The largest frame a file travels in is the sealed UploadRequest: the file
+# as hex, two bytes per byte, and FRAME_ALLOWANCE bytes for the rest. The
+# allowance holds a label of up to 2048 bytes of JSON text and a wrapped key
+# of up to 1024 bytes (an 8192-bit RSA modulus); the nonce, GCM tag, inner
+# header, session token and JSON keys take under 200 more. StoreBlob,
+# BlobPayload and the sealed FilePayload carry the file's hex, a 32-byte blob
+# nonce and tag as hex, and less besides, so a file at the cap fits all four.
+FRAME_ALLOWANCE = 4096
+MAX_FILE_BYTES = (MAX_FRAME_LEN - FRAME_ALLOWANCE) // 2
 HEADER_LEN = 5
 SEALED_TAG = 0x10
 REPLY_TAG = 0x11

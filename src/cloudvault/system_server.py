@@ -1,6 +1,12 @@
 """System server: accounts, one-time-password rotation, the per-file key
 table, file-number sequencing, and upload/download orchestration.
 
+File numbers are leased: ``counter.txt`` holds the end of the current lease,
+written durably before any number in it is handed out, so it is at least
+every number ever issued. One write covers ``FILE_NUMBER_LEASE`` uploads; a
+restart resumes after the lease end, so numbers are never reused and the
+unissued rest of a lease is a gap.
+
 Identity hygiene: usernames and OTPs exist in persistent state only as MD5
 digests. Every uploaded file gets a fresh single-use AES-128 key; the key
 stays here, the AES-GCM blob, bound to its owner and file number, goes to a
@@ -42,7 +48,7 @@ KEYS_FILE = "keys.tsv"
 COUNTER_FILE = "counter.txt"
 SERVER_KEY_FILE = "server_key.json"
 
-DEFAULT_MAX_FILE_BYTES = 16 * 1024 * 1024
+FILE_NUMBER_LEASE = 1024  # file numbers made durable by one counter.txt write
 DEFAULT_SESSION_TTL = 30 * 60.0
 MAX_SESSIONS_PER_USER = 16  # a login past this ends the user's oldest session
 
@@ -86,7 +92,7 @@ class SystemConfig:
     data_dir: str
     storage: list
     # Read by nothing: it stays because perfbench/topology.py writes it and
-    # unknown keys are refused. Deleted with that writer (ROADMAP item 7).
+    # unknown keys are refused. Deleted with that writer (ROADMAP item 1).
     seed: int = 100
     mailbox_dir: str = ""
     rsa_bits: int = crypto_core.DEFAULT_RSA_BITS
@@ -182,7 +188,8 @@ class SystemService:
         self.keypair = self._load_or_create_keypair()
         self.accounts: dict[bytes, AccountRecord] = {}
         self.key_records: dict[tuple, KeyRecord] = {}
-        self._counter = 0
+        self._counter = 0  # the last file number issued
+        self._lease_end = 0  # the number counter.txt durably holds
         self._next_storage = 0  # round-robin position of the next upload
         self._sessions: dict[str, _Session] = {}
         self._pending_labels: set = set()
@@ -226,6 +233,7 @@ class SystemService:
         )
         for (counter,) in netutil.read_rows(self._path(COUNTER_FILE), (netutil.INT,)):
             self._counter = max(self._counter, counter)
+        self._lease_end = self._counter
 
     def _append_row(self, name: str, columns: tuple, record):
         try:
@@ -310,13 +318,19 @@ class SystemService:
     # -- files ------------------------------------------------------------------
 
     def next_file_number(self) -> int:
-        """Monotone global sequence, durable before first use."""
+        """Monotone global sequence, durable before first use: a number past
+        the lease end is issued only once the next lease is written."""
         with self._lock:
             number = self._counter + 1
-            try:
-                netutil.write_atomic(self._path(COUNTER_FILE), f"{number}\n".encode())
-            except OSError as exc:
-                raise PersistenceFailure(str(exc)) from exc
+            if number > self._lease_end:
+                lease_end = number + FILE_NUMBER_LEASE - 1
+                try:
+                    netutil.write_atomic(
+                        self._path(COUNTER_FILE), f"{lease_end}\n".encode()
+                    )
+                except OSError as exc:
+                    raise PersistenceFailure(str(exc)) from exc
+                self._lease_end = lease_end
             self._counter = number
             return number
 
@@ -324,9 +338,9 @@ class SystemService:
         digest = self._session_digest(token)
         if not label:
             raise MalformedPayload("label must be non-empty")
-        if len(file_bytes) > DEFAULT_MAX_FILE_BYTES:
+        if len(file_bytes) > protocol.MAX_FILE_BYTES:
             raise FileTooLarge(
-                f"{len(file_bytes)} bytes exceeds cap {DEFAULT_MAX_FILE_BYTES}"
+                f"{len(file_bytes)} bytes exceeds cap {protocol.MAX_FILE_BYTES}"
             )
         claim = (digest, label)
         with self._lock:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cloudvault import client_cli, crypto_core, harness, mailbox, netutil, protocol
-from cloudvault.errors import DecryptionFailure, MalformedPayload
+from cloudvault.errors import DecryptionFailure, FileTooLarge
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(client_cli.__file__)))
 
@@ -338,24 +338,24 @@ def _logged_in_session(topology, username: str):
     return session
 
 
-def test_over_cap_upload_fails_before_the_socket(topology):
+def test_over_cap_upload_fails_before_the_socket(topology, monkeypatch):
     with _logged_in_session(topology, "overcap") as session:
         assert session.list_labels() == []
         sock = session._conn._sock
-        with open(session.config.token_path, encoding="ascii") as fh:
-            token = fh.read().strip()
-        empty = protocol.UploadRequest(session_token=token, label="big", file_bytes=b"")
-        overhead = len(protocol.encode_frame(empty)) - protocol.HEADER_LEN
-        # The inner frame just fits the cap; the envelope around it does not.
-        size = (protocol.MAX_FRAME_LEN - overhead) // 2
-        with pytest.raises(MalformedPayload):
-            session.upload("big", bytes(size))
+        sealed = []
+        send_sealed = protocol.send_sealed
+        monkeypatch.setattr(
+            protocol, "send_sealed", lambda *args: sealed.append(1) or send_sealed(*args)
+        )
+        with pytest.raises(FileTooLarge):
+            session.upload("big", bytes(protocol.MAX_FILE_BYTES + 1))
+        assert sealed == []
         assert session._conn._sock is sock
         assert session.list_labels() == []
 
 
-def test_five_mib_file_round_trips(topology):
-    data = os.urandom(5 * 1024 * 1024)
-    with _logged_in_session(topology, "fivemib") as session:
-        session.upload("five.bin", data)
-        assert session.download("five.bin") == data
+def test_a_file_at_the_cap_round_trips(topology):
+    data = os.urandom(protocol.MAX_FILE_BYTES)
+    with _logged_in_session(topology, "atcap") as session:
+        session.upload("cap.bin", data)
+        assert session.download("cap.bin") == data

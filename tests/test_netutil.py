@@ -58,7 +58,7 @@ def test_table_rows_keep_their_format(local_stack, monkeypatch):
         b"6384e2b2184bcbf58eccf10ca7a6563c\tnotes%2F2024%20q1.txt\t1\t"
         b"000102030405060708090a0b0c0d0e0f\ts1\n"
     )
-    assert _read(os.path.join(system_dir, "counter.txt")) == b"1\n"
+    assert _read(os.path.join(system_dir, "counter.txt")) == b"1024\n"
     assert _read(os.path.join(storage_dir, "records.tsv")) == (
         b"6384e2b2184bcbf58eccf10ca7a6563c\t1\t1\t0\tblobs/1.bin\n"
     )

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloudvault import crypto_core, mailbox, protocol
+from cloudvault import crypto_core, mailbox, netutil, protocol
 from cloudvault import system_server as system_mod
 from cloudvault.crypto_core import md5_digest
 from cloudvault.errors import (
@@ -20,6 +20,7 @@ from cloudvault.errors import (
     MailDeliveryFailure,
     MalformedPayload,
     NoSuchLabel,
+    PersistenceFailure,
     StartupFailure,
     StorageUnavailable,
 )
@@ -218,12 +219,20 @@ def test_empty_label_rejected(local_stack):
         stack.service.upload(token, "", b"data")
 
 
-def test_file_size_cap(local_stack, monkeypatch):
-    monkeypatch.setattr(system_mod, "DEFAULT_MAX_FILE_BYTES", 100)
+def test_file_size_cap(local_stack):
     stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test")
+    over = bytes(protocol.MAX_FILE_BYTES + 1)
     with pytest.raises(FileTooLarge):
-        stack.service.upload(token, "big", b"x" * 101)
+        stack.service.upload(token, "big", over)
+    # The sealed request still fits a frame, so the wire reaches the check.
+    request = protocol.UploadRequest(session_token=token, label="big", file_bytes=over)
+    reply = _sealed_exchange(stack, request)
+    assert isinstance(reply, protocol.ErrorFrame)
+    assert reply.code == "FILE_TOO_LARGE"
+    assert stack.service.key_records == {}
+    assert not os.path.exists(os.path.join(stack.config.data_dir, "keys.tsv"))
+    assert stack.storages[0].records == {}
 
 
 def test_download_unknown_label(local_stack):
@@ -292,6 +301,9 @@ def test_ciphertext_bodies_never_reach_system_persistence(local_stack):
 # ---------------------------------------------------------------------
 # file numbering
 
+LEASE = system_mod.FILE_NUMBER_LEASE
+
+
 def test_file_numbers_start_at_one(local_stack):
     stack = local_stack()
     assert stack.service.next_file_number() == 1
@@ -311,7 +323,7 @@ def test_counter_survives_restart(local_stack):
     for i in range(3):
         stack.service.upload(token, f"doc-{i}", b"data")
     service = stack.reload()
-    assert service.next_file_number() == 4
+    assert service.next_file_number() == LEASE + 1
 
 
 def test_file_numbers_survive_a_lost_counter(local_stack):
@@ -344,6 +356,101 @@ def test_burned_numbers_are_never_reissued(local_stack):
     stack.service.upload(token, "after", b"data")
     numbers = sorted(r.file_number for r in stack.service.key_records.values())
     assert numbers == [1, 3]  # 2 burned by the failed attempt
+
+
+def _counter_file(stack) -> int:
+    with open(os.path.join(stack.config.data_dir, "counter.txt"), "rb") as fh:
+        return int(fh.read())
+
+
+def test_counter_file_covers_every_issued_number(local_stack):
+    stack = local_stack()
+    lease_ends = set()
+    for expected in range(1, 2 * LEASE + 3):
+        # Numbers only grow, so covering the latest covers every earlier one.
+        assert stack.service.next_file_number() == expected
+        durable = _counter_file(stack)
+        assert durable >= expected
+        lease_ends.add(durable)
+    assert sorted(lease_ends) == [LEASE, 2 * LEASE, 3 * LEASE]
+
+
+def test_a_failed_lease_write_fails_the_upload_cleanly(local_stack, monkeypatch):
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test")
+    for _ in range(LEASE):
+        stack.service.next_file_number()
+
+    def disk_full(path, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(netutil, "write_atomic", disk_full)
+    with pytest.raises(PersistenceFailure) as failure:
+        stack.service.upload(token, "doc", b"data")
+    assert failure.value.code == "PERSISTENCE_FAILURE"
+    assert stack.service.key_records == {}
+    assert not os.path.exists(os.path.join(stack.config.data_dir, "keys.tsv"))
+    assert stack.storages[0].records == {}
+    assert _counter_file(stack) == LEASE
+    monkeypatch.undo()
+    stack.service.upload(token, "doc", b"data")
+    assert stack.service.download(token, "doc") == b"data"
+
+
+@pytest.mark.parametrize(
+    "burned, resumes_at",
+    [(3, LEASE + 1), (LEASE, LEASE + 1), (LEASE + 1, 2 * LEASE + 1)],
+    ids=["mid-lease", "boundary before the lease write", "boundary after it"],
+)
+def test_a_restart_resumes_past_every_issued_number(local_stack, burned, resumes_at):
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test")
+    for _ in range(burned - 1):
+        stack.service.next_file_number()
+
+    def dead_transport(frame):
+        raise StorageUnavailable("down")
+
+    good_clients = stack.service.storage_clients
+    stack.service.storage_clients = [StorageClient("s1", dead_transport)]
+    with pytest.raises(StorageUnavailable):
+        stack.service.upload(token, "lost", b"data")  # burns number `burned`
+    stack.service.storage_clients = good_clients
+    service = stack.reload()
+    token = service.login("alice", stack.mail.latest("a@example.test"))
+    service.upload(token, "after", b"data")
+    number = service.key_records[(md5_digest(b"alice"), "after")].file_number
+    assert number > burned
+    assert number == resumes_at
+
+
+def test_an_upload_makes_one_durable_write_until_its_lease_runs_out(
+    local_stack, monkeypatch
+):
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test")
+
+    def stores_anything(frame):  # more blobs than a test storage has slots
+        return protocol.send_plain(protocol.UploadAck(label="", status="STORED 1"))
+
+    stack.service.storage_clients = [StorageClient("s1", stores_anything)]
+    system_dir = stack.config.data_dir
+    writes = []
+    for name in ("write_atomic", "append_line"):
+        def counted(path, data, write=getattr(netutil, name)):
+            if os.path.dirname(path) == system_dir:
+                writes.append(path)
+            write(path, data)
+
+        monkeypatch.setattr(netutil, name, counted)
+    per_upload = []
+    for i in range(LEASE + 1):
+        before = len(writes)
+        stack.service.upload(token, f"doc-{i}", b"data")
+        per_upload.append(len(writes) - before)
+    # Upload 1 writes the lease and its key row; the next 1023 only their
+    # key rows; upload 1025 writes the second lease and its key row.
+    assert per_upload == [2] + [1] * (LEASE - 1) + [2]
 
 
 # ---------------------------------------------------------------------
