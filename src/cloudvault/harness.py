@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .client_cli import ClientConfig, ClientSession
 from .errors import CloudVaultError, ConnectionFailure, IoFailure, StartupFailure
+from .storage_server import stored_blobs
 from .system_server import KEY_COLUMNS, KEYS_FILE, SERVER_KEY_FILE, KeyRecord
 
 DEFAULT_BENCH_SIZES = (1024, 4096, 7168, 9216, 14336, 17408)  # 1..17 KB
@@ -520,10 +521,7 @@ def leakage_audit(topology: Topology, facts: WorkloadFacts) -> AuditReport:
     raw_sentinels = [s.encode("utf-8") for s in facts.sentinels]
     for server_id, dump in sorted(storage_dumps.items()):
         candidates = _candidate_keys(dump)
-        blobs = {
-            name: data for name, data in dump.items() if name.startswith("blobs/")
-        }
-        for blob_name, blob in sorted(blobs.items()):
+        for blob_name, blob in stored_blobs(dump):
             try:
                 sealed = crypto_core.Ciphertext.from_bytes(blob)
             except CloudVaultError:

@@ -1,8 +1,9 @@
 """Shared plumbing: one threaded listener for every port (the frame loop, the
 local-only admin dump channel, the harness's capture proxy), the server
 process shell (start-up and shutdown), the keep-alive client side of a frame
-exchange, and every file cloudvault keeps: the private, durable writer pair,
-the RSA key file and crash-safe little table files."""
+exchange, and every file cloudvault keeps: the private, durable writers
+(append, replace, cut back), the RSA key file and crash-safe little table
+files."""
 
 import argparse
 import contextlib
@@ -231,14 +232,21 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def append_line(path: str, line: str) -> None:
-    """Durably append one record line. The directory is fsynced too when
-    the file was empty, so a first row cannot vanish with its file's name."""
+def append_bytes(path: str, data: bytes) -> int:
+    """Durably append ``data`` and return the offset it starts at. The
+    directory is fsynced too when the file was empty, so the first bytes
+    cannot vanish with the file's name. The caller serializes appends."""
     with _private_file(path, os.O_APPEND, "ab") as fh:
-        was_empty = os.fstat(fh.fileno()).st_size == 0
-        fh.write(line.encode("utf-8") + b"\n")
-    if was_empty:
+        start = os.fstat(fh.fileno()).st_size
+        fh.write(data)
+    if start == 0:
         _fsync_dir(path)
+    return start
+
+
+def append_line(path: str, line: str) -> None:
+    """Durably append one record line."""
+    append_bytes(path, line.encode("utf-8") + b"\n")
 
 
 def write_atomic(path: str, data: bytes) -> None:
@@ -249,6 +257,14 @@ def write_atomic(path: str, data: bytes) -> None:
         fh.write(data)
     os.replace(tmp, path)
     _fsync_dir(path)
+
+
+def cut_back(path: str, end: int) -> None:
+    """Durably cut ``path`` back to its first ``end`` bytes: the tail that an
+    append nobody acknowledged left behind."""
+    with open(path, "r+b") as fh:
+        fh.truncate(end)
+        os.fsync(fh.fileno())
 
 
 def read_files(root: str, names) -> dict[str, bytes]:
@@ -337,9 +353,7 @@ def read_rows(path: str, columns: tuple) -> list[tuple]:
         return []
     if torn:
         try:
-            with open(path, "r+b") as fh:
-                fh.truncate(end)
-                os.fsync(fh.fileno())
+            cut_back(path, end)
         except OSError as exc:
             raise StartupFailure(f"{path}: cannot cut off a torn row: {exc}") from exc
     return rows

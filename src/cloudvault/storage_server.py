@@ -1,13 +1,17 @@
-"""Storage server: ciphertext blobs, placement slots, paths — and nothing else.
+"""Storage server: ciphertext blobs, placement slots, blob regions — and
+nothing else.
 
 Rows are keyed by (md5 user digest, file number); the digest must match on
 fetch, so a guessed file number alone never returns a blob. No message kind
 arriving on this channel can carry a symmetric key, and none of the persisted
 state ever holds one.
 
-``records.tsv`` and ``blobs/`` are the only persisted state: the placement
-table is rebuilt at start from each record's (position, file number, offset)
-under the configured seed, and a blob that no record names is deleted.
+``records.tsv`` and ``blobs.dat`` are the only persisted state. Every blob is
+appended to the one log ``blobs.dat``, and its ``records.tsv`` row names the
+region ``[start, start + length)`` that holds it. The placement table is
+rebuilt at start from each record's (position, file number, offset) under the
+configured seed, and the log is cut back to the end of the last record: bytes
+past it were never acknowledged.
 """
 
 import contextlib
@@ -27,7 +31,9 @@ from .errors import (
 from .placement import PlacementEntry, PlacementTable
 
 RECORDS_FILE = "records.tsv"
-BLOBS_DIR = "blobs"
+BLOBS_FILE = "blobs.dat"
+# Where builds before the blob log kept one file per blob.
+OLD_BLOBS_DIR = "blobs"
 
 
 @dataclass(frozen=True)
@@ -38,14 +44,19 @@ class BlobRecord:
     file_number: int
     position: int
     offset: int
-    path: str  # relative to the data dir; derived from the position
+    start: int  # the blob's region of blobs.dat
+    length: int
 
     @property
     def entry(self) -> PlacementEntry:
         return PlacementEntry(position=self.position, offset=self.offset)
 
+    @property
+    def end(self) -> int:
+        return self.start + self.length
 
-RECORD_COLUMNS = (netutil.HEX16, netutil.INT, netutil.INT, netutil.INT, netutil.WORD)
+
+RECORD_COLUMNS = (netutil.HEX16, *(netutil.INT,) * 5)
 
 
 @dataclass
@@ -64,58 +75,100 @@ class StorageService:
     def __init__(self, config: StorageConfig):
         self.config = config
         self._lock = threading.RLock()
-        os.makedirs(os.path.join(config.data_dir, BLOBS_DIR), exist_ok=True)
-        self.records = {}
-        for row in netutil.read_rows(self._path(RECORDS_FILE), RECORD_COLUMNS):
-            record = BlobRecord(*row)
-            self.records[record.file_number] = record
-        rows = [(r.position, r.file_number, r.offset) for r in self.records.values()]
+        os.makedirs(config.data_dir, exist_ok=True)
+        if os.path.isdir(self._path(OLD_BLOBS_DIR)):
+            raise StartupFailure(
+                f"{self._path(OLD_BLOBS_DIR)}: one file per blob is the layout "
+                f"before {BLOBS_FILE}; see the README upgrade note"
+            )
+        records_path = self._path(RECORDS_FILE)
+        rows = netutil.read_rows(records_path, RECORD_COLUMNS)
+        records = [BlobRecord(*row) for row in rows]
+        self.records = {r.file_number: r for r in records}
         try:
-            self.table = PlacementTable.restore(config.seed, rows)
+            self.table = PlacementTable.restore(
+                config.seed,
+                [(r.position, r.file_number, r.offset) for r in records],
+            )
         except ValueError as exc:
-            raise StartupFailure(f"{self._path(RECORDS_FILE)}: {exc}") from exc
-        # A store acknowledges only after its record row, so a blob no record
-        # names (or a ``*.tmp`` from an interrupted write) was never acked.
-        named = {r.path for r in self.records.values()}
-        for name in os.listdir(self._path(BLOBS_DIR)):
-            if f"{BLOBS_DIR}/{name}" not in named:
-                os.unlink(os.path.join(self._path(BLOBS_DIR), name))
+            raise StartupFailure(f"{records_path}: {exc}") from exc
+        log_path = self._path(BLOBS_FILE)
+        try:
+            size = os.path.getsize(log_path)
+        except FileNotFoundError:
+            size = 0
+        self._log_end = self._check_regions(records, size)
+        # A store acknowledges only after its record row, so bytes past the
+        # last record's region were never acknowledged.
+        if size > self._log_end:
+            try:
+                netutil.cut_back(log_path, self._log_end)
+            except OSError as exc:
+                raise StartupFailure(
+                    f"{log_path}: cannot cut back to the last record: {exc}"
+                ) from exc
 
     def _path(self, name: str) -> str:
         return os.path.join(self.config.data_dir, name)
 
+    def _check_regions(self, records: list, size: int) -> int:
+        """The end of the last region, once every row names a region of its
+        own inside the ``size`` bytes of blobs.dat. A refusal names the row,
+        never a cell."""
+        end = 0
+        for start, stop, row in sorted(
+            (r.start, r.end, row) for row, r in enumerate(records, 1)
+        ):
+            if start < 0 or stop < start:
+                problem = "names a negative region"
+            elif start < end:
+                problem = "overlaps another region"
+            elif stop > size:
+                problem = "runs past the end"
+            else:
+                end = stop
+                continue
+            raise StartupFailure(
+                f"{self._path(RECORDS_FILE)}: row {row} {problem} of {BLOBS_FILE}"
+            )
+        return end
+
     def store_blob(
         self, user_digest: bytes, file_number: int, blob: bytes
     ) -> PlacementEntry:
-        """Assign a slot, write the blob, persist the record.
+        """Assign a slot, append the blob, persist the record.
 
-        Write order is blob file, then record row; a crash leaves at worst an
-        unreachable blob, deleted at the next start, never a record without
-        its bytes, and its slot comes back free because the table is rebuilt
-        from the records.
+        Write order is blob, then record row; a crash leaves at worst bytes
+        past the last record, cut off at the next start, never a record
+        without its bytes, and its slot comes back free because the table is
+        rebuilt from the records. A failed store cuts the log back at once,
+        if it can.
         """
+        log_path = self._path(BLOBS_FILE)
         with self._lock:
             if file_number in self.records:
                 raise DuplicateFileNumber(f"file number {file_number} already stored")
             entry = self.table.insert(file_number)
-            record = BlobRecord(
-                user_digest=user_digest,
-                file_number=file_number,
-                position=entry.position,
-                offset=entry.offset,
-                path=f"{BLOBS_DIR}/{entry.position}.bin",
-            )
             try:
-                netutil.write_atomic(self._path(record.path), blob)
+                start = netutil.append_bytes(log_path, blob)
+                record = BlobRecord(
+                    user_digest=user_digest,
+                    file_number=file_number,
+                    position=entry.position,
+                    offset=entry.offset,
+                    start=start,
+                    length=len(blob),
+                )
                 netutil.append_row(
                     self._path(RECORDS_FILE), RECORD_COLUMNS, astuple(record)
                 )
             except OSError as exc:
                 self.table.remove(file_number)
                 with contextlib.suppress(OSError):
-                    os.unlink(self._path(record.path))
+                    netutil.cut_back(log_path, self._log_end)
                 raise DiskFailure(str(exc)) from exc
             self.records[file_number] = record
+            self._log_end = record.end
             return entry
 
     def fetch_blob(self, user_digest: bytes, file_number: int) -> bytes:
@@ -125,24 +178,22 @@ class StorageService:
             record = self.records.get(file_number)
             if record is None or record.user_digest != user_digest:
                 raise NotFound("no blob for that user digest and file number")
-            path = self._path(record.path)
         try:
-            with open(path, "rb") as fh:
-                return fh.read()
+            with open(self._path(BLOBS_FILE), "rb", buffering=0) as fh:
+                blob = os.pread(fh.fileno(), record.length, record.start)
         except OSError as exc:
             raise DiskFailure(str(exc)) from exc
+        if len(blob) != record.length:
+            raise DiskFailure(f"{BLOBS_FILE} ends inside the blob of file {file_number}")
+        return blob
 
     def dump_tables(self) -> dict[str, bytes]:
         """Byte-faithful copy of everything persisted, plus the in-memory
         placement table rendered as ``placement.tbl`` (audit channel)."""
         with self._lock:
-            blobs = sorted(os.listdir(self._path(BLOBS_DIR)))
             return {
                 "placement.tbl": self.table.serialize().encode(),
-                **netutil.read_files(
-                    self.config.data_dir,
-                    (RECORDS_FILE, *(f"{BLOBS_DIR}/{name}" for name in blobs)),
-                ),
+                **netutil.read_files(self.config.data_dir, (RECORDS_FILE, BLOBS_FILE)),
             }
 
     # -- protocol dispatch ----------------------------------------------------
@@ -167,6 +218,17 @@ class StorageService:
         except CloudVaultError as exc:
             reply = protocol.error_frame(exc)
         return protocol.send_plain(reply)
+
+
+def stored_blobs(dump: dict[str, bytes]):
+    """(name, bytes) of each blob in a ``dump_tables`` snapshot: the region
+    of ``blobs.dat`` that its ``records.tsv`` row names."""
+    rows = netutil.decode_rows(
+        dump.get(RECORDS_FILE, b"").splitlines(), RECORD_COLUMNS, RECORDS_FILE
+    )
+    log = dump.get(BLOBS_FILE, b"")
+    for record in (BlobRecord(*row) for row in rows):
+        yield f"{BLOBS_FILE} offset {record.start}", log[record.start : record.end]
 
 
 def main(argv=None) -> int:

@@ -40,6 +40,7 @@ from .errors import (
     PersistenceFailure,
     StartupFailure,
     StorageUnavailable,
+    TableFull,
     error_for_code,
 )
 
@@ -360,6 +361,8 @@ class SystemService:
             client = self.storage_clients[upload_index % len(self.storage_clients)]
             try:
                 client.store(digest, number, blob)
+            except TableFull:
+                raise  # the storage answered; it is full, not unavailable
             except CloudVaultError as exc:
                 raise StorageUnavailable(
                     f"storage {client.server_id}: {exc}"

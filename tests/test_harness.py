@@ -153,7 +153,7 @@ def test_keys_on_storage_mutation_is_caught(tmp_path):
     offender = by_name["storage-holds-no-secrets"]
     assert not offender.passed
     assert offender.evidence  # names the file and offset
-    assert any("blobs/" in item for item in offender.evidence)
+    assert any("blobs.dat" in item for item in offender.evidence)
 
 
 def test_keys_on_storage_mutation_decrypts_its_blobs(tmp_path):

@@ -59,9 +59,11 @@ def test_table_rows_keep_their_format(local_stack, monkeypatch):
         b"000102030405060708090a0b0c0d0e0f\ts1\n"
     )
     assert _read(os.path.join(system_dir, "counter.txt")) == b"1024\n"
+    # The blob: a 16-byte nonce, the 9 bytes of "quarterly", a 16-byte tag.
     assert _read(os.path.join(storage_dir, "records.tsv")) == (
-        b"6384e2b2184bcbf58eccf10ca7a6563c\t1\t1\t0\tblobs/1.bin\n"
+        b"6384e2b2184bcbf58eccf10ca7a6563c\t1\t1\t0\t0\t41\n"
     )
+    assert os.path.getsize(os.path.join(storage_dir, "blobs.dat")) == 41
 
     service, storage = stack.service, stack.storages[0]
     reloaded = stack.reload()
@@ -123,8 +125,8 @@ def test_an_accounts_row_with_a_client_key_is_refused(local_stack):
     "row",
     [
         f"{DIGEST}\t1\t1\t0",  # torn mid-row
-        f"{DIGEST}\t1\t1\tzero\tblobs/1.bin",
-        f"{SHORT_KEY}\t1\t1\t0\tblobs/1.bin",
+        f"{DIGEST}\t1\t1\tzero\t0\t32",
+        f"{SHORT_KEY}\t1\t1\t0\t0\t32",
     ],
 )
 def test_storage_server_refuses_a_row_that_does_not_decode(local_stack, row):
@@ -182,6 +184,7 @@ WRITERS = {
     "write_atomic": lambda path, pair: netutil.write_atomic(path, b"7\n"),
     "write_keypair": lambda path, pair: netutil.write_keypair(path, pair),
     "append_line": lambda path, pair: netutil.append_line(path, "7"),
+    "append_bytes": lambda path, pair: netutil.append_bytes(path, b"7"),
 }
 
 
@@ -205,7 +208,7 @@ def test_write_atomic_fsyncs_the_file_then_its_directory(
     assert synced == [("file", None), ("dir", _read(path))]
     synced.clear()
     WRITERS[writer](path, client_keypair)
-    if writer == "append_line":  # the name is durable already
+    if writer.startswith("append_"):  # the name is durable already
         assert synced == [("file", None)]
     else:
         assert synced == [("file", None), ("dir", _read(path))]
@@ -216,7 +219,7 @@ def test_write_atomic_fsyncs_the_file_then_its_directory(
 
 PRIVATE_FILES = {
     "accounts.tsv", "keys.tsv", "counter.txt", "server_key.json",  # system
-    "records.tsv", "1.bin",  # storage
+    "records.tsv", "blobs.dat",  # storage
     "a%40example.test.mbox", "user.key",
 }
 
@@ -238,6 +241,13 @@ def test_every_file_written_is_private(local_stack, tmp_path, client_keypair):
     }
     assert PRIVATE_FILES <= set(modes)
     assert {name: oct(mode) for name, mode in modes.items() if mode != 0o600} == {}
+
+
+def test_append_bytes_returns_where_the_data_starts(tmp_path):
+    path = str(tmp_path / "blobs.dat")
+    assert netutil.append_bytes(path, b"abc") == 0
+    assert netutil.append_bytes(path, b"defg") == 3
+    assert _read(path) == b"abcdefg"
 
 
 def test_an_older_world_readable_file_is_private_after_its_next_write(tmp_path):

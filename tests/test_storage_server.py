@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import sys
+import threading
 
 import pytest
 
@@ -69,11 +71,22 @@ def test_unknown_number_is_not_found(service):
         service.fetch_blob(ALICE, 99)
 
 
-def test_blob_path_derives_from_position(service):
-    service.store_blob(ALICE, 1, b"\x00" * 32)
-    record = service.records[1]
-    assert record.path == "blobs/1.bin"
-    assert os.path.exists(os.path.join(service.config.data_dir, record.path))
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _log(service) -> bytes:
+    return _read(os.path.join(service.config.data_dir, "blobs.dat"))
+
+
+def test_blobs_are_appended_to_one_log(service):
+    blobs = [os.urandom(n) for n in (32, 17, 64)]
+    for n, blob in enumerate(blobs, 1):
+        service.store_blob(ALICE, n, blob)
+    regions = [(r.start, r.length) for r in service.records.values()]
+    assert regions == [(0, 32), (32, 17), (49, 64)]
+    assert _log(service) == b"".join(blobs)
 
 
 def test_placement_consistency(service):
@@ -81,6 +94,41 @@ def test_placement_consistency(service):
         service.store_blob(ALICE, n, b"\x00" * 32)
     for record in service.records.values():
         assert service.table.locate(record.file_number) == record.entry
+
+
+def test_concurrent_stores_and_fetches_keep_every_region_whole(service):
+    # Fetches read the log outside the lock while stores append to it.
+    blobs = {n: os.urandom(16 + n) for n in range(1, 81)}
+    errors = []
+
+    def worker(numbers):
+        try:
+            for n in numbers:
+                service.store_blob(ALICE, n, blobs[n])
+                for m in range(numbers[0], n + 1, 4):
+                    assert service.fetch_blob(ALICE, m) == blobs[m]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(list(range(k, 81, 4)),))
+            for k in range(1, 5)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(_log(service)) == sum(map(len, blobs.values()))
+    reloaded = StorageService(service.config)
+    for n, blob in blobs.items():
+        assert reloaded.fetch_blob(ALICE, n) == blob
 
 
 def test_restart_preserves_records(service):
@@ -96,72 +144,170 @@ def test_restart_preserves_records(service):
     assert reloaded.store_blob(ALICE, 6, blob) == PlacementEntry(36, 0)
 
 
-def test_disk_failure_leaves_no_partial_record(service, monkeypatch):
-    def boom(path, data):
-        raise OSError("disk gone")
+def _fail_halfway(path, data, _real=netutil.append_bytes):
+    _real(path, data[: len(data) // 2])
+    raise OSError("disk gone")
 
-    monkeypatch.setattr(netutil, "write_atomic", boom)
+
+def _fail(path, line):
+    raise OSError("disk gone")
+
+
+@pytest.mark.parametrize(
+    "name, fail",
+    [("append_bytes", _fail_halfway), ("append_line", _fail)],
+    ids=["blob append", "record row"],
+)
+def test_a_failed_store_cuts_the_log_back_and_frees_its_number(
+    service, monkeypatch, name, fail
+):
+    first = os.urandom(40)
+    service.store_blob(ALICE, 1, first)
+    monkeypatch.setattr(netutil, name, fail)
     with pytest.raises(DiskFailure):
-        service.store_blob(ALICE, 1, b"\x00" * 32)
+        service.store_blob(ALICE, 2, b"\x11" * 32)
     monkeypatch.undo()
-    assert 1 not in service.records
+    assert sorted(service.records) == [1]
+    assert _log(service) == first
+    assert service.dump_tables()["blobs.dat"] == first
     reloaded = StorageService(service.config)
-    assert reloaded.records == {}
-    # The number is usable again after the failed attempt.
-    assert reloaded.store_blob(ALICE, 1, b"\x00" * 32) == PlacementEntry(1, 0)
-
-
-def test_failed_record_row_removes_the_blob(service, monkeypatch):
-    def boom(path, line):
-        raise OSError("disk gone")
-
-    monkeypatch.setattr(netutil, "append_line", boom)
-    with pytest.raises(DiskFailure):
-        service.store_blob(ALICE, 1, b"\x00" * 32)
-    monkeypatch.undo()
-    assert os.listdir(os.path.join(service.config.data_dir, "blobs")) == []
-    assert "blobs/1.bin" not in service.dump_tables()
+    assert sorted(reloaded.records) == [1]
+    # The number is usable again, at its own slot, right after the first blob.
+    assert reloaded.store_blob(ALICE, 2, b"\x22" * 32) == PlacementEntry(4, 0)
+    assert reloaded.records[2].start == len(first)
+    assert reloaded.fetch_blob(ALICE, 2) == b"\x22" * 32
 
 
 class ProcessDeath(BaseException):
     """Stands in for the process dying: no ``except`` in the code catches it."""
 
 
-def test_crash_before_the_record_row_frees_the_slot(service, monkeypatch):
-    for n in range(1, 4):
-        service.store_blob(ALICE, n, b"\x00" * 32)
+def _torn_blob(path, data, _real=netutil.append_bytes):
+    _real(path, data[: len(data) // 2])
+    raise ProcessDeath
 
-    def die(path, line):
-        raise ProcessDeath
 
-    monkeypatch.setattr(netutil, "append_line", die)
+def _no_row(path, line):
+    raise ProcessDeath
+
+
+def _torn_row(path, line):
+    netutil.append_bytes(path, line.encode()[: len(line) // 2])
+    raise ProcessDeath
+
+
+def _whole_row(path, line, _real=netutil.append_line):
+    _real(path, line)
+    raise ProcessDeath  # after the row, before the ack
+
+
+# The four states one store can leave on disk: what the process was doing
+# when it died.
+CRASH_STATES = {
+    "blob append torn": ("append_bytes", _torn_blob),
+    "whole blob, no row": ("append_line", _no_row),
+    "row torn": ("append_line", _torn_row),
+    "blob and row whole": ("append_line", _whole_row),
+}
+
+
+@pytest.mark.parametrize("state", CRASH_STATES)
+def test_a_crash_inside_a_store_loses_no_acknowledged_blob(service, monkeypatch, state):
+    earlier = {n: os.urandom(30 + n) for n in (1, 2, 3)}
+    for n, blob in earlier.items():
+        service.store_blob(ALICE, n, blob)
+    log, rows = _log(service), _read(os.path.join(service.config.data_dir, "records.tsv"))
+    name, die = CRASH_STATES[state]
+    monkeypatch.setattr(netutil, name, die)
+    new = os.urandom(48)
     with pytest.raises(ProcessDeath):
-        service.store_blob(ALICE, 4, b"\x00" * 32)
+        service.store_blob(ALICE, 4, new)
     monkeypatch.undo()
+
     reloaded = StorageService(service.config)
-    assert sorted(reloaded.records) == [1, 2, 3]
-    assert reloaded.table.count == len(reloaded.records)
-    assert sorted(os.listdir(os.path.join(service.config.data_dir, "blobs"))) == [
-        "1.bin", "4.bin", "9.bin"
-    ]
-    assert reloaded.store_blob(ALICE, 4, b"\x11" * 32) == PlacementEntry(16, 0)
-    assert reloaded.fetch_blob(ALICE, 4) == b"\x11" * 32
+    for n, blob in earlier.items():
+        assert reloaded.fetch_blob(ALICE, n) == blob
+    records = _read(os.path.join(service.config.data_dir, "records.tsv"))
+    if state == "blob and row whole":  # committed, only the ack was lost
+        assert reloaded.fetch_blob(ALICE, 4) == new
+        assert _log(reloaded) == log + new
+        following, entry = 5, PlacementEntry(25, 0)
+    else:
+        assert sorted(reloaded.records) == [1, 2, 3]
+        assert reloaded.table.count == 3
+        with pytest.raises(NotFound):
+            reloaded.fetch_blob(ALICE, 4)
+        assert _log(reloaded) == log
+        assert records == rows
+        following, entry = 4, PlacementEntry(16, 0)  # file 4's slot is free
+    end = len(_log(reloaded))
+    assert reloaded.store_blob(ALICE, following, b"\x11" * 32) == entry
+    assert reloaded.records[following].start == end
+    assert StorageService(service.config).fetch_blob(ALICE, following) == b"\x11" * 32
 
 
-def test_crash_inside_the_blob_write_leaves_no_temp_file(service, monkeypatch):
-    service.store_blob(ALICE, 1, b"\x00" * 32)
+def _edit_row(service, row: int, column: int, value: int) -> None:
+    path = os.path.join(service.config.data_dir, "records.tsv")
+    lines = _read(path).decode().splitlines()
+    cells = lines[row - 1].split("\t")
+    cells[column] = str(value)
+    lines[row - 1] = "\t".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
-    def die(src, dst):
-        raise ProcessDeath
 
-    monkeypatch.setattr(os, "replace", die)
-    with pytest.raises(ProcessDeath):
-        service.store_blob(ALICE, 2, b"\x00" * 32)
-    monkeypatch.undo()
-    blobs = os.path.join(service.config.data_dir, "blobs")
-    assert sorted(os.listdir(blobs)) == ["1.bin", "4.bin.tmp"]
-    StorageService(service.config)
-    assert os.listdir(blobs) == ["1.bin"]
+START, LENGTH = 4, 5  # records.tsv columns
+
+
+@pytest.mark.parametrize(
+    "column, value, problem",
+    [
+        (START, 16, "overlaps another region"),
+        (START, -1, "names a negative region"),
+        (LENGTH, -1, "names a negative region"),
+        (LENGTH, 10**6, "runs past the end"),
+    ],
+)
+def test_a_record_whose_region_is_not_its_own_stops_start_up(
+    service, column, value, problem
+):
+    for n in (1, 2, 3):
+        service.store_blob(ALICE, n, b"\x00" * 32)
+    _edit_row(service, 2, column, value)
+    with pytest.raises(
+        StartupFailure, match=rf"records\.tsv: row 2 {problem} of blobs\.dat$"
+    ) as info:
+        StorageService(service.config)
+    assert ALICE.hex() not in str(info.value)
+
+
+def test_a_log_shorter_than_its_records_stops_start_up(service):
+    for n in (1, 2, 3):
+        service.store_blob(ALICE, n, b"\x00" * 32)
+    os.truncate(os.path.join(service.config.data_dir, "blobs.dat"), 95)
+    with pytest.raises(
+        StartupFailure, match=r"records\.tsv: row 3 runs past the end of blobs\.dat$"
+    ):
+        StorageService(service.config)
+
+
+def test_a_data_dir_with_a_blobs_directory_is_refused(service):
+    # Builds before the blob log kept one file per blob under blobs/.
+    os.mkdir(os.path.join(service.config.data_dir, "blobs"))
+    with pytest.raises(StartupFailure, match=r"/blobs: one file per blob") as info:
+        StorageService(service.config)
+    assert "README" in str(info.value)
+
+
+def test_a_record_row_without_a_region_is_refused(service):
+    # The five-column row of builds before the blob log: the last cell was
+    # the blob's path.
+    path = os.path.join(service.config.data_dir, "records.tsv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{ALICE.hex()}\t1\t1\t0\tblobs/1.bin\n")
+    with pytest.raises(StartupFailure, match=r"records\.tsv: row 1 does not decode$") as info:
+        StorageService(service.config)
+    assert ALICE.hex() not in str(info.value)
 
 
 def test_placement_modulus_comes_only_from_config(service):
@@ -178,25 +324,45 @@ def test_placement_modulus_comes_only_from_config(service):
 
 def test_a_store_makes_two_durable_writes(service, monkeypatch):
     service.store_blob(ALICE, 1, b"\x00" * 32)
-    calls = []
-    for name in ("write_atomic", "append_line"):
-        def counted(*args, _name=name, _real=getattr(netutil, name)):
-            calls.append(_name)
-            return _real(*args)
+    data_dir = service.config.data_dir
+    names = {
+        os.stat(os.path.join(data_dir, name)).st_ino: name
+        for name in ("blobs.dat", "records.tsv")
+    }
+    calls, synced = [], []
+    for name in ("append_bytes", "append_line", "write_atomic"):
+        def counted(path, data, _name=name, _real=getattr(netutil, name)):
+            calls.append((_name, os.path.basename(path)))
+            return _real(path, data)
 
         monkeypatch.setattr(netutil, name, counted)
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(names.get(os.fstat(fd).st_ino, "another file"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(netutil.os, "fsync", recording_fsync)
     service.store_blob(ALICE, 2, b"\x00" * 32)
-    assert calls == ["write_atomic", "append_line"]
     monkeypatch.undo()
-    service.store_blob(ALICE, 3, b"\x00" * 32)
-    assert sorted(os.listdir(service.config.data_dir)) == ["blobs", "records.tsv"]
+    # append_line is a thin call to append_bytes, so the row passes both.
+    assert calls == [
+        ("append_bytes", "blobs.dat"),
+        ("append_line", "records.tsv"),
+        ("append_bytes", "records.tsv"),
+    ]
+    # Two appends to files that exist: no directory fsync, no new file.
+    assert synced == ["blobs.dat", "records.tsv"]
+    for n in range(3, 60):
+        service.store_blob(ALICE, n, b"\x00" * 32)
+    assert sorted(os.listdir(data_dir)) == ["blobs.dat", "records.tsv"]
 
 
 def test_dump_contains_ciphertext_and_digests(service):
     blob = os.urandom(48)
     service.store_blob(ALICE, 1, blob)
     dump = service.dump_tables()
-    assert dump["blobs/1.bin"] == blob
+    assert dump["blobs.dat"] == blob
     assert ALICE.hex().encode() in dump["records.tsv"]
     assert dump["placement.tbl"].startswith(b"S=100\n")
 
@@ -340,7 +506,7 @@ def test_contracts_hold_over_tcp(tmp_path):
         assert ack == protocol.UploadAck(label="1", status="STORED 1 0")
         assert client.fetch(ALICE, 1) == blob
         dump = netutil.fetch_admin_dump("127.0.0.1", listeners.admin.server_address[1])
-        assert dump["blobs/1.bin"] == blob
+        assert dump["blobs.dat"] == blob
     finally:
         conn.close()
         listeners.close()

@@ -23,6 +23,7 @@ from cloudvault.errors import (
     PersistenceFailure,
     StartupFailure,
     StorageUnavailable,
+    TableFull,
 )
 from cloudvault.system_server import StorageClient
 
@@ -273,6 +274,28 @@ def test_storage_client_refuses_an_ack_that_is_not_stored():
 
     with pytest.raises(StorageUnavailable, match="unexpected ack 'OK'"):
         StorageClient("s1", answers_ok).store(md5_digest(b"alice"), 1, bytes(32))
+
+
+def test_a_full_storage_table_reaches_the_client_as_table_full(local_stack):
+    stack = local_stack()  # one storage, S = 100
+    token = stack.register_and_login("alice", "a@example.test")
+    files = {f"doc-{i}": f"file {i}".encode() for i in range(1, 101)}
+    for label, data in files.items():
+        stack.service.upload(token, label, data)
+    before = _data_files(stack)
+    with pytest.raises(TableFull):
+        stack.service.upload(token, "doc-101", b"one too many")
+    request = protocol.UploadRequest(
+        session_token=token, label="doc-101", file_bytes=b"one too many"
+    )
+    reply = _sealed_exchange(stack, request)
+    assert isinstance(reply, protocol.ErrorFrame)
+    assert reply.code == "TABLE_FULL"
+    # No key row, no record, no bytes appended to blobs.dat.
+    assert _data_files(stack) == before
+    assert len(stack.service.key_records) == len(stack.storages[0].records) == 100
+    for label, data in files.items():
+        assert stack.service.download(token, label) == data
 
 
 def test_uploaded_bytes_never_reach_system_persistence(local_stack):

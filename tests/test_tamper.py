@@ -73,43 +73,67 @@ def test_rewriting_the_first_block_of_a_download_is_refused(stack):
     _assert_refused_and_unchanged(stack, bytes(payload), "first block")
 
 
-def _blob_path(stack, file_number: int) -> str:
+def _stored(stack, file_number: int):
+    """The storage service that holds ``file_number`` and its record."""
     for storage in stack.storages:
         record = storage.records.get(file_number)
         if record is not None:
-            return os.path.join(storage.config.data_dir, record.path)
+            return storage, record
     raise AssertionError(f"no blob {file_number}")
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+def _log_path(storage) -> str:
+    return os.path.join(storage.config.data_dir, "blobs.dat")
 
 
-def _write(path: str, data: bytes):
-    with open(path, "wb") as fh:
-        fh.write(data)
+def _read_blob(stack, file_number: int) -> bytes:
+    storage, record = _stored(stack, file_number)
+    with open(_log_path(storage), "rb") as fh:
+        fh.seek(record.start)
+        return fh.read(record.length)
+
+
+def _write_blob(stack, file_number: int, blob: bytes):
+    """Overwrite the blob's region of blobs.dat in place."""
+    storage, record = _stored(stack, file_number)
+    assert len(blob) == record.length
+    with open(_log_path(storage), "r+b") as fh:
+        fh.seek(record.start)
+        fh.write(blob)
+
+
+def _repoint(stack, regions: dict) -> None:
+    """Rewrite each named file number's records.tsv row to name another
+    (start, length) region of blobs.dat, then restart the stack."""
+    for storage in stack.storages:
+        path = os.path.join(storage.config.data_dir, "records.tsv")
+        with open(path, encoding="utf-8") as fh:
+            rows = [line.split("\t") for line in fh.read().splitlines()]
+        for cells in rows:
+            if int(cells[1]) in regions:
+                cells[4:6] = map(str, regions[int(cells[1])])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join("\t".join(cells) + "\n" for cells in rows))
+    stack.reload()
 
 
 def test_every_byte_flip_of_a_stored_blob_raises_integrity_failure(stack):
     token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "doc", b"precious bytes")
     record = stack.service.key_records[(crypto_core.md5_digest(b"alice"), "doc")]
-    path = _blob_path(stack, record.file_number)
-    blob = _read(path)
+    blob = _read_blob(stack, record.file_number)
     for index, flipped in _flips(blob):
-        _write(path, flipped)
+        _write_blob(stack, record.file_number, flipped)
         with pytest.raises(IntegrityFailure):
             stack.service.download(token, "doc")
-    _write(path, blob)
+    _write_blob(stack, record.file_number, blob)
     assert stack.service.download(token, "doc") == b"precious bytes"
 
 
 def _swap(stack, first: int, second: int):
-    a, b = _blob_path(stack, first), _blob_path(stack, second)
-    blob_a, blob_b = _read(a), _read(b)
-    _write(a, blob_b)
-    _write(b, blob_a)
+    # Blobs may differ in length, so each row is pointed at the other's region.
+    a, b = _stored(stack, first)[1], _stored(stack, second)[1]
+    _repoint(stack, {first: (b.start, b.length), second: (a.start, a.length)})
 
 
 @pytest.mark.parametrize(
@@ -122,6 +146,10 @@ def test_blobs_swapped_between_file_numbers_or_users_are_detected(stack, owners)
             tokens[name] = stack.register_and_login(name, f"{name}@example.test")
         stack.service.upload(tokens[name], f"doc{i}", f"{name}'s doc {i}".encode())
     _swap(stack, *(r.file_number for r in stack.service.key_records.values()))
+    for name in tokens:  # the restart ended every session
+        tokens[name] = stack.service.login(
+            name, stack.mail.latest(f"{name}@example.test")
+        )
     for i, name in enumerate(owners):
         with pytest.raises(IntegrityFailure):
             stack.service.download(tokens[name], f"doc{i}")
@@ -133,6 +161,11 @@ def test_a_blob_stored_before_aes_gcm_is_refused(stack):
     stack.service.upload(token, "old", b"stored by an older build")
     record = stack.service.key_records[(crypto_core.md5_digest(b"alice"), "old")]
     old = old_cbc_seal(b"stored by an older build", record.key)
-    _write(_blob_path(stack, record.file_number), old)
+    storage, _ = _stored(stack, record.file_number)
+    with open(_log_path(storage), "ab") as fh:
+        start = fh.tell()
+        fh.write(old)
+    _repoint(stack, {record.file_number: (start, len(old))})
+    token = stack.service.login("alice", stack.mail.latest("a@example.test"))
     with pytest.raises(IntegrityFailure):
         stack.service.download(token, "old")
