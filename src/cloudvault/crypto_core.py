@@ -9,7 +9,10 @@ key, a client request and the reply to it under the request's session key.
 The ``info`` string names which of the three a ciphertext is, so one never
 opens as another, and the AAD binds it to where it belongs: a request to its
 wrapped key, a blob to its owner and file number. Changing any byte, or
-moving a ciphertext, fails the GCM tag.
+moving a ciphertext, fails the GCM tag. A seal is written once: into one
+new buffer behind an optional prefix (``AESGCM.encrypt_into``), which the
+request envelope uses for its wrapped key, so no seal is copied to be sent
+or stored.
 
 A client request is sealed in a hybrid envelope: the caller's fresh 128-bit
 session key is RSA-wrapped with PKCS#1 v1.5 padding and the message rides
@@ -104,12 +107,19 @@ def md5_digest(data: bytes) -> bytes:
 @dataclass(frozen=True)
 class Ciphertext:
     """A sealed message: the fresh nonce, then the AES-128-GCM body with its
-    16-byte tag. ``body`` may be a view of the bytes it was read from."""
+    16-byte tag. ``body`` may be a view of the bytes it was read from, or of
+    ``sealed``: the one buffer ``encrypt_file`` wrote, ``prefix ‖ nonce ‖
+    body``."""
 
     nonce: bytes
     body: bytes
+    sealed: bytearray | None = field(default=None, compare=False, repr=False)
 
-    def to_bytes(self) -> bytes:
+    def to_bytes(self):
+        """``nonce ‖ body``: ``sealed`` itself, uncopied, when it holds
+        nothing else."""
+        if self.sealed is not None and len(self.sealed) == NONCE_BYTES + len(self.body):
+            return self.sealed
         return self.nonce + self.body
 
     @classmethod
@@ -149,14 +159,21 @@ def _key_and_iv(key: bytes, nonce: bytes, info: bytes) -> tuple[bytes, bytes]:
 
 
 def encrypt_file(
-    plaintext: bytes, key: bytes, info: bytes, aad: bytes | None = None
+    plaintext: bytes, key: bytes, info: bytes, aad: bytes | None = None,
+    prefix: bytes = b"",
 ) -> Ciphertext:
     """Seal ``plaintext`` under ``key`` for the use ``info`` names, binding
     ``aad``. The nonce is fresh per call, so a key and IV pair never
-    repeats."""
+    repeats. The seal is written once, into one new buffer that starts with
+    ``prefix``: the returned ``sealed``."""
     nonce = _random_bytes(NONCE_BYTES)
     gcm_key, iv = _key_and_iv(key, nonce, info)
-    return Ciphertext(nonce=nonce, body=AESGCM(gcm_key).encrypt(iv, plaintext, aad))
+    head = len(prefix) + NONCE_BYTES
+    sealed = bytearray(head + len(plaintext) + TAG_BYTES)
+    sealed[:head] = prefix + nonce
+    body = memoryview(sealed)[head:]
+    AESGCM(gcm_key).encrypt_into(iv, plaintext, aad, body)
+    return Ciphertext(nonce=nonce, body=body, sealed=sealed)
 
 
 def decrypt_file(
@@ -323,13 +340,13 @@ def rsa_decrypt_block(wrapped: bytes, priv: RsaKeyPair) -> bytes:
     A block of the wrong length or out of range raises DecryptionFailure;
     one with bad padding returns pseudo-random bytes (implicit rejection).
     """
-    try:
-        return priv._key.decrypt(wrapped, padding.PKCS1v15())
+    try:  # the library takes bytes, not a bytearray or a view
+        return priv._key.decrypt(bytes(wrapped), padding.PKCS1v15())
     except ValueError:
         raise DecryptionFailure("wrapped key does not open") from None
 
 
-def seal_envelope(msg: bytes, pub: tuple[int, int], session_key: bytes) -> bytes:
+def seal_envelope(msg: bytes, pub: tuple[int, int], session_key: bytes) -> bytearray:
     """Seal ``msg`` to the holder of ``pub``'s private half as the bytes
     ``wrapped_key ‖ nonce ‖ body``, with the wrapped key k bytes long and
     bound to the body as its AAD.
@@ -339,8 +356,7 @@ def seal_envelope(msg: bytes, pub: tuple[int, int], session_key: bytes) -> bytes
     the same message twice never repeats bytes.
     """
     wrapped = rsa_encrypt_block(session_key, pub)
-    payload = encrypt_file(msg, session_key, REQUEST_INFO, wrapped)
-    return b"".join((wrapped, payload.nonce, payload.body))
+    return encrypt_file(msg, session_key, REQUEST_INFO, wrapped, prefix=wrapped).sealed
 
 
 def open_envelope(sealed: bytes, priv: RsaKeyPair) -> tuple[bytes, bytes]:

@@ -7,6 +7,7 @@ files."""
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -235,12 +236,21 @@ def _fsync_dir(path: str) -> None:
 def append_bytes(path: str, data: bytes) -> int:
     """Durably append ``data`` and return the offset it starts at. The
     directory is fsynced too when the file was empty, so the first bytes
-    cannot vanish with the file's name. The caller serializes appends."""
-    with _private_file(path, os.O_APPEND, "ab") as fh:
-        start = os.fstat(fh.fileno()).st_size
-        fh.write(data)
-    if start == 0:
-        _fsync_dir(path)
+    cannot vanish with the file's name. An append that fails with OSError is
+    cut back off first, so no torn tail is left for the next append to land
+    on. The caller serializes appends."""
+    start = None
+    try:
+        with _private_file(path, os.O_APPEND, "ab") as fh:
+            start = os.fstat(fh.fileno()).st_size
+            fh.write(data)
+        if start == 0:
+            _fsync_dir(path)
+    except OSError:
+        if start is not None:
+            with contextlib.suppress(OSError):  # the append's error is the one to see
+                cut_back(path, start)
+        raise
     return start
 
 
@@ -323,8 +333,11 @@ TEXT = (functools.partial(urllib.parse.quote, safe=""), urllib.parse.unquote)
 WORD = (str, str)  # stored as it is, so it must hold no tab or newline
 
 
-def append_row(path: str, columns: tuple, values: tuple) -> None:
-    """Durably append one row encoded under ``columns``."""
+def append_row(path: str, columns: tuple, record) -> None:
+    """Durably append ``record``, a dataclass whose fields are the row's
+    cells in order, encoded under ``columns``. The fields are read as they
+    are: ``dataclasses.astuple`` would deep-copy every cell."""
+    values = (getattr(record, field.name) for field in dataclasses.fields(record))
     cells = (encode(value) for (encode, _), value in zip(columns, values, strict=True))
     append_line(path, "\t".join(cells))
 

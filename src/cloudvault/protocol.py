@@ -33,6 +33,15 @@ turns any frame that is not ``REPLY_TAG`` into that same failure.
 System/storage traffic is framed in the clear; every file byte on that
 channel is already ciphertext, and no message kind that could carry a
 symmetric key exists, so keys structurally cannot cross it.
+
+Each frame is written once, into one buffer (``encode_frame``'s holds the
+header too): a binary field longer than 64 KiB is hexlified into its place
+64 KiB of input at a time, and a shorter one is joined in; a seal goes into
+one more buffer behind its prefix
+(``crypto_core.encrypt_file``). ``write_frame`` hands header and payload to
+one ``sendmsg``, and ``read_frame`` receives a payload into one buffer. A
+request thus holds a fixed few copies of its file on each side
+(``tests/test_memory_bound.py``).
 """
 
 import binascii
@@ -71,7 +80,7 @@ UNOPENABLE_TEXT = "sealed frame does not open"
 @dataclass(frozen=True)
 class Frame:
     tag: int
-    payload: bytes
+    payload: bytes  # or the bytearray a frame was written or read into
 
     def __post_init__(self):
         # Checked here, not when writing, so an over-cap message fails before
@@ -85,9 +94,9 @@ class Frame:
 # ---------------------------------------------------------------------------
 # Field codecs: one (python value -> JSON value, JSON value -> python value)
 # pair per field kind; each check is written once and run in both directions.
-# A binary field encodes to ASCII hex ``bytes``, which the payload writer
-# quotes and splices in as it is; the payload reader unhexlifies it and hands
-# its codec the raw bytes.
+# A binary field's codec takes and gives raw bytes: the payload writer
+# hexlifies them into their place in the frame, and the payload reader
+# unhexlifies them where they lie.
 
 def _str(value):
     if not isinstance(value, str):
@@ -108,7 +117,7 @@ def _positive_int(value):
 def _bytes(value) -> bytes:
     if not isinstance(value, (bytes, bytearray)):
         raise MalformedPayload(f"expected bytes, got {type(value).__name__}")
-    return bytes(value)
+    return value  # uncopied: the payload writer reads it where it lies
 
 
 def _digest(raw: bytes) -> bytes:
@@ -144,15 +153,13 @@ def _strs(value) -> tuple:
 class _Codec(NamedTuple):
     encode: Callable
     decode: Callable
-    binary: bool = False  # encodes to ASCII hex bytes, decodes from raw bytes
+    binary: bool = False  # travels as lowercase hex, between quotes
 
 
 _STR = _Codec(_str, _str)
 _POSITIVE_INT = _Codec(_positive_int, _positive_int)
-_BYTES = _Codec(lambda value: binascii.hexlify(_bytes(value)), _bytes, binary=True)
-_DIGEST = _Codec(
-    lambda value: binascii.hexlify(_digest(_bytes(value))), _digest, binary=True
-)
+_BYTES = _Codec(_bytes, _bytes, binary=True)
+_DIGEST = _Codec(lambda value: _digest(_bytes(value)), _digest, binary=True)
 _STRLIST = _Codec(lambda value: list(_strs(value)), _strs)
 
 
@@ -221,29 +228,65 @@ def _json_text(value) -> str:
     return str(value) if type(value) is int else _JSON_WRITER.encode(value)
 
 
-def _payload_of(msg) -> bytes:
-    """The canonical JSON object, written field by field in sorted order and
-    joined once; hex from a binary field is never scanned for escapes. A
-    value the reader would refuse (an int past Python's int/str digit limit)
-    raises MalformedPayload."""
-    parts = []
+# Input bytes hexlified per step: a binary field's only temporary, bounded
+# whatever the field's size.
+_HEX_CHUNK = 64 * 1024
+
+
+def _payload_of(msg, head: int = 0) -> bytearray:
+    """The canonical JSON object, written field by field in sorted order into
+    one buffer after ``head`` reserved bytes; a binary field's hex is never
+    scanned for escapes. A payload whose binary fields each fit one
+    ``_HEX_CHUNK`` step is joined from its parts, which skips the zero fill
+    of a preallocated buffer. A longer field makes the buffer preallocated
+    and is hexlified into its place a step at a time, so its whole hex never
+    exists twice. A payload over the frame cap is refused before any buffer
+    is made, and so is a value the reader would refuse (an int past Python's
+    int/str digit limit): both raise MalformedPayload."""
+    parts = [bytes(head)]  # bytes as written, or a memoryview still to hexlify
+    size = head + 1  # the closing brace
+    in_place = False
     for name, key, codec in _LAYOUTS[type(msg)]:
         value = codec.encode(getattr(msg, name))
         if codec.binary:
+            size += len(key) + 2 * len(value) + 2
+            if len(value) > _HEX_CHUNK:
+                value, in_place = memoryview(value), True
+            else:
+                value = binascii.hexlify(value)
             parts += (key, b'"', value, b'"')
             continue
         try:
-            text = _json_text(value)
+            value = _json_text(value).encode("ascii")
         except ValueError as exc:
             raise MalformedPayload(f"{name} cannot be written: {exc}") from None
-        parts += (key, text.encode("ascii"))
+        size += len(key) + len(value)
+        parts += (key, value)
     parts.append(b"}")
-    return b"".join(parts)
+    if size - head > MAX_FRAME_LEN:
+        raise MalformedPayload(f"payload of {size - head} bytes exceeds cap")
+    if not in_place:
+        return bytearray().join(parts)
+    buf = bytearray(size)
+    pos = 0
+    for part in parts:
+        if isinstance(part, memoryview):
+            for start in range(0, len(part), _HEX_CHUNK):
+                hexed = binascii.hexlify(part[start:start + _HEX_CHUNK])
+                buf[pos:pos + len(hexed)] = hexed
+                pos += len(hexed)
+        else:
+            buf[pos:pos + len(part)] = part
+            pos += len(part)
+    return buf
 
 
-def encode_frame(msg) -> bytes:
-    """Canonical bytes for a message: equal messages, identical frames."""
-    return Frame(tag=tag_of(msg), payload=_payload_of(msg)).to_bytes()
+def encode_frame(msg) -> bytearray:
+    """Canonical bytes for a message: equal messages, identical frames. The
+    header and payload are written into one buffer."""
+    buf = _payload_of(msg, HEADER_LEN)
+    struct.pack_into(">BI", buf, 0, tag_of(msg), len(buf) - HEADER_LEN)
+    return buf
 
 
 def _fields_of(cls, data: bytes, pos: int) -> dict:
@@ -397,26 +440,36 @@ def read_frame(sock: socket.socket, stall_timeout: float | None = None):
 
 
 def write_frame(sock: socket.socket, frame: Frame) -> None:
-    sock.sendall(frame.to_bytes())
+    """Header and payload in one ``sendmsg``, and the rest after a partial
+    send: a second small write could wait out Nagle and a delayed ACK."""
+    parts = [struct.pack(">BI", frame.tag, len(frame.payload)), frame.payload]
+    while parts:
+        sent = sock.sendmsg(parts)
+        while parts and sent >= len(parts[0]):
+            sent -= len(parts.pop(0))
+        if parts:
+            parts[0] = memoryview(parts[0])[sent:]
 
 
 def _read_exact(sock: socket.socket, count: int, deadline, allow_eof: bool = False):
-    chunks = []
-    remaining = count
-    while remaining:
+    """``count`` bytes received into one buffer; None for an EOF before the
+    first byte when ``allow_eof``."""
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0:
-                raise TimeoutError(f"frame stalled with {remaining} bytes outstanding")
+                raise TimeoutError(f"frame stalled with {count - got} bytes outstanding")
             sock.settimeout(left)
-        chunk = sock.recv(min(remaining, 65536))
-        if not chunk:
-            if allow_eof and remaining == count:
+        received = sock.recv_into(view[got:])
+        if not received:
+            if allow_eof and got == 0:
                 return None
-            raise TruncatedFrame(f"peer closed with {remaining} bytes outstanding")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+            raise TruncatedFrame(f"peer closed with {count - got} bytes outstanding")
+        got += received
+    return buf
 
 
 def schema_field_inventory() -> dict[str, tuple[str, ...]]:

@@ -17,7 +17,7 @@ past it were never acknowledged.
 import contextlib
 import os
 import threading
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from . import netutil, protocol
 from .errors import (
@@ -159,9 +159,7 @@ class StorageService:
                     start=start,
                     length=len(blob),
                 )
-                netutil.append_row(
-                    self._path(RECORDS_FILE), RECORD_COLUMNS, astuple(record)
-                )
+                netutil.append_row(self._path(RECORDS_FILE), RECORD_COLUMNS, record)
             except OSError as exc:
                 self.table.remove(file_number)
                 with contextlib.suppress(OSError):

@@ -19,7 +19,7 @@ import os
 import secrets
 import threading
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .crypto_core import RsaKeyPair, md5_digest
@@ -238,7 +238,7 @@ class SystemService:
 
     def _append_row(self, name: str, columns: tuple, record):
         try:
-            netutil.append_row(self._path(name), columns, astuple(record))
+            netutil.append_row(self._path(name), columns, record)
         except OSError as exc:
             raise PersistenceFailure(str(exc)) from exc
 

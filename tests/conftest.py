@@ -1,8 +1,10 @@
+import contextlib
+import errno
 import os
 
 import pytest
 
-from cloudvault import crypto_core, mailbox
+from cloudvault import crypto_core, mailbox, netutil
 from cloudvault import storage_server as storage_mod
 from cloudvault import system_server as system_mod
 
@@ -78,3 +80,39 @@ def local_stack(tmp_path):
         return LocalStack(tmp_path, storage_count=storage_count, **system_overrides)
 
     return build
+
+
+class _HalfWriter:
+    """A write handle whose next write lands half its bytes, then fails the
+    way a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.fixture
+def torn_append(monkeypatch):
+    """``torn_append(name)``: the next durable write to a file called
+    ``name`` writes half its bytes and then raises ENOSPC."""
+    armed = set()
+    real = netutil._private_file
+
+    @contextlib.contextmanager
+    def private_file(path, flags, mode):
+        with real(path, flags, mode) as fh:
+            name = os.path.basename(path)
+            if name in armed:
+                armed.discard(name)
+                fh = _HalfWriter(fh)
+            yield fh
+
+    monkeypatch.setattr(netutil, "_private_file", private_file)
+    return armed.add

@@ -4,6 +4,7 @@ import os
 import random
 import socket
 import threading
+import time
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -310,6 +311,18 @@ def test_binary_fields_travel_as_lowercase_hex():
         protocol.BlobPayload(blob=bytes.fromhex("deadbeef00ff"))
     )
     assert b'"deadbeef00ff"' in frame.payload
+
+
+@pytest.mark.parametrize(
+    "size", [protocol._HEX_CHUNK, protocol._HEX_CHUNK + 1, 3 * protocol._HEX_CHUNK + 5]
+)
+def test_a_binary_field_past_one_hex_step_is_written_alike(size):
+    blob = RNG.randbytes(size)
+    msg = protocol.StoreBlob(user_digest=DIGEST, file_number=7, blob=blob)
+    as_bytearray = dataclasses.replace(msg, blob=bytearray(blob))
+    assert protocol.send_plain(msg).payload == _reference_payload(msg)
+    assert protocol.send_plain(as_bytearray).payload == _reference_payload(msg)
+    assert protocol.decode_frame(protocol.encode_frame(as_bytearray)) == msg
 
 
 # ---------------------------------------------------------------------
@@ -781,3 +794,57 @@ def test_socket_mid_frame_eof_raises():
             protocol.read_frame(server)
     finally:
         server.close()
+
+
+class _Recorded:
+    """A socket whose ``sendmsg`` records each byte count it sends."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = []
+
+    def sendmsg(self, buffers):
+        count = self._sock.sendmsg(buffers)
+        self.sent.append(count)
+        return count
+
+
+class _Slow:
+    """A socket read at most 64 KiB at a time, with a pause before each."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def recv_into(self, view):
+        time.sleep(0.001)
+        return self._sock.recv_into(view[:65536])
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_frame_at_the_file_cap_survives_partial_sends():
+    msg = protocol.StoreBlob(
+        user_digest=b"\x05" * 16, file_number=1,
+        blob=os.urandom(protocol.MAX_FILE_BYTES),
+    )
+    frame = protocol.send_plain(msg)
+    server, client = socket.socketpair()
+    try:
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 256 * 1024)
+        client.settimeout(30)  # a socket with a timeout sends what fits, and returns
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(protocol.read_frame(_Slow(server)))
+        )
+        reader.start()
+        sender = _Recorded(client)
+        protocol.write_frame(sender, frame)
+        reader.join(timeout=60)
+    finally:
+        server.close()
+        client.close()
+    assert not reader.is_alive()
+    assert received == [frame]
+    assert len(sender.sent) > 1
+    assert sum(sender.sent) == protocol.HEADER_LEN + len(frame.payload)

@@ -13,6 +13,7 @@ from cloudvault.errors import (
     MalformedPayload,
     NotFound,
     StartupFailure,
+    StorageUnavailable,
 )
 from cloudvault.placement import PlacementEntry
 from cloudvault.storage_server import StorageConfig, StorageService
@@ -176,6 +177,22 @@ def test_a_failed_store_cuts_the_log_back_and_frees_its_number(
     assert reloaded.store_blob(ALICE, 2, b"\x22" * 32) == PlacementEntry(4, 0)
     assert reloaded.records[2].start == len(first)
     assert reloaded.fetch_blob(ALICE, 2) == b"\x22" * 32
+
+
+def test_a_record_row_torn_by_a_full_disk_is_cut_back(local_stack, torn_append):
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test")
+    files = {label: os.urandom(3000) for label in ("before", "after")}
+    stack.service.upload(token, "before", files["before"])
+    torn_append("records.tsv")
+    with pytest.raises(StorageUnavailable):
+        stack.service.upload(token, "refused", os.urandom(3000))
+    stack.service.upload(token, "after", files["after"])
+    stack.reload()  # refused at the parent: "records.tsv: row 2 does not decode"
+    token = stack.service.login("alice", stack.mail.latest("a@example.test"))
+    for label, data in files.items():
+        assert stack.service.download(token, label) == data
+    assert len(stack.storages[0].records) == 2
 
 
 class ProcessDeath(BaseException):

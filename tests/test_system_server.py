@@ -268,6 +268,22 @@ def test_storage_outage_persists_no_key_record(local_stack):
     assert not os.path.exists(os.path.join(stack.config.data_dir, "keys.tsv"))
 
 
+def test_a_key_row_torn_by_a_full_disk_is_cut_back(local_stack, torn_append):
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test")
+    files = {label: os.urandom(3000) for label in ("before", "after")}
+    stack.service.upload(token, "before", files["before"])
+    torn_append("keys.tsv")
+    with pytest.raises(PersistenceFailure):
+        stack.service.upload(token, "refused", os.urandom(3000))
+    stack.service.upload(token, "after", files["after"])
+    stack.reload()  # refused at the parent: "keys.tsv: row 2 does not decode"
+    token = stack.service.login("alice", stack.mail.latest("a@example.test"))
+    assert stack.service.list_labels(token) == sorted(files)
+    for label, data in files.items():
+        assert stack.service.download(token, label) == data
+
+
 def test_storage_client_refuses_an_ack_that_is_not_stored():
     def answers_ok(frame):
         return protocol.send_plain(protocol.UploadAck(label="1", status="OK"))
