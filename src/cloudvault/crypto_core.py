@@ -58,7 +58,6 @@ from .errors import (
 
 BLOCK_SIZE = 16
 KEY_BYTES = 16  # 128-bit file and session keys
-DIGEST_BYTES = 16
 OTP_LENGTH = 16
 OTP_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits
 

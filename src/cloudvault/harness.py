@@ -494,14 +494,18 @@ def leakage_audit(topology: Topology, facts: WorkloadFacts) -> AuditReport:
     ]
     sentinels = _both_encodings({s: s.encode("utf-8") for s in facts.sentinels})
     usernames = _both_encodings({u: u.encode("utf-8") for u in facts.usernames})
+    owners = _both_encodings(
+        {f"md5({u})": crypto_core.md5_digest(u.encode()) for u in facts.usernames}
+    )
     keys = _both_encodings(
         {f"key {key.hex()[:8]}...": key for key in _parse_key_table(system_dump)}
     )
 
     scans = (
         ("storage-holds-no-secrets",
-         "storage dumps contain no AES key bytes and no plaintext sentinels",
-         storage_files, {**keys, **sentinels}),
+         "storage dumps contain no AES key bytes, no plaintext sentinels and "
+         "no registered user's digest",
+         storage_files, {**keys, **sentinels, **owners}),
         ("system-holds-no-file-bytes",
          "system dump contains no uploaded file content",
          system_files, sentinels),

@@ -120,12 +120,6 @@ def _bytes(value) -> bytes:
     return value  # uncopied: the payload writer reads it where it lies
 
 
-def _digest(raw: bytes) -> bytes:
-    if len(raw) != crypto_core.DIGEST_BYTES:
-        raise MalformedPayload(f"digest must be 16 bytes, got {len(raw)}")
-    return raw
-
-
 def pubkey_from_json(value) -> tuple:
     """The ``{"e": dec-string, "n": dec-string}`` form of a public key, as
     client config files give the system key."""
@@ -159,7 +153,6 @@ class _Codec(NamedTuple):
 _STR = _Codec(_str, _str)
 _POSITIVE_INT = _Codec(_positive_int, _positive_int)
 _BYTES = _Codec(_bytes, _bytes, binary=True)
-_DIGEST = _Codec(lambda value: _digest(_bytes(value)), _digest, binary=True)
 _STRLIST = _Codec(lambda value: list(_strs(value)), _strs)
 
 
@@ -198,10 +191,8 @@ DownloadRequest = _kind("DownloadRequest", 0x06, session_token=_STR, label=_STR)
 FilePayload = _kind("FilePayload", 0x07, label=_STR, file_bytes=_BYTES)
 ListRequest = _kind("ListRequest", 0x08, session_token=_STR)
 ListResponse = _kind("ListResponse", 0x09, labels=_STRLIST)
-StoreBlob = _kind(
-    "StoreBlob", 0x0A, user_digest=_DIGEST, file_number=_POSITIVE_INT, blob=_BYTES
-)
-FetchBlob = _kind("FetchBlob", 0x0B, user_digest=_DIGEST, file_number=_POSITIVE_INT)
+StoreBlob = _kind("StoreBlob", 0x0A, file_number=_POSITIVE_INT, blob=_BYTES)
+FetchBlob = _kind("FetchBlob", 0x0B, file_number=_POSITIVE_INT)
 BlobPayload = _kind("BlobPayload", 0x0C, blob=_BYTES)
 ErrorFrame = _kind("ErrorFrame", 0x0E, code=_STR, text=_STR)
 

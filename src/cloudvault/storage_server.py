@@ -1,10 +1,11 @@
 """Storage server: ciphertext blobs, placement slots, blob regions — and
 nothing else.
 
-Rows are keyed by (md5 user digest, file number); the digest must match on
-fetch, so a guessed file number alone never returns a blob. No message kind
-arriving on this channel can carry a symmetric key, and none of the persisted
-state ever holds one.
+Rows are keyed by file number alone: numbers are global and never reused,
+and nothing here names a blob's owner. The system server binds each blob to
+its owner and number in the GCM tag, so a blob served for the wrong request
+fails to open there. No message kind arriving on this channel can carry a
+symmetric key, and none of the persisted state ever holds one.
 
 ``records.tsv`` and ``blobs.dat`` are the only persisted state. Every blob is
 appended to the one log ``blobs.dat``, and its ``records.tsv`` row names the
@@ -40,7 +41,6 @@ OLD_BLOBS_DIR = "blobs"
 class BlobRecord:
     """One ``records.tsv`` row; the fields are its columns, in order."""
 
-    user_digest: bytes
     file_number: int
     position: int
     offset: int
@@ -56,7 +56,7 @@ class BlobRecord:
         return self.start + self.length
 
 
-RECORD_COLUMNS = (netutil.HEX16, *(netutil.INT,) * 5)
+RECORD_COLUMNS = (netutil.INT,) * 5
 
 
 @dataclass
@@ -133,9 +133,7 @@ class StorageService:
             )
         return end
 
-    def store_blob(
-        self, user_digest: bytes, file_number: int, blob: bytes
-    ) -> PlacementEntry:
+    def store_blob(self, file_number: int, blob: bytes) -> PlacementEntry:
         """Assign a slot, append the blob, persist the record.
 
         Write order is blob, then record row; a crash leaves at worst bytes
@@ -152,7 +150,6 @@ class StorageService:
             try:
                 start = netutil.append_bytes(log_path, blob)
                 record = BlobRecord(
-                    user_digest=user_digest,
                     file_number=file_number,
                     position=entry.position,
                     offset=entry.offset,
@@ -169,13 +166,12 @@ class StorageService:
             self._log_end = record.end
             return entry
 
-    def fetch_blob(self, user_digest: bytes, file_number: int) -> bytes:
-        """Blob bytes iff both the number and the digest match; the caller
-        cannot tell a wrong digest from a missing file."""
+    def fetch_blob(self, file_number: int) -> bytes:
+        """The bytes stored under ``file_number``."""
         with self._lock:
             record = self.records.get(file_number)
-            if record is None or record.user_digest != user_digest:
-                raise NotFound("no blob for that user digest and file number")
+            if record is None:
+                raise NotFound("no blob for that file number")
         try:
             with open(self._path(BLOBS_FILE), "rb", buffering=0) as fh:
                 blob = os.pread(fh.fileno(), record.length, record.start)
@@ -200,15 +196,13 @@ class StorageService:
         try:
             msg = protocol.recv_plain(frame)
             if isinstance(msg, protocol.StoreBlob):
-                entry = self.store_blob(msg.user_digest, msg.file_number, msg.blob)
+                entry = self.store_blob(msg.file_number, msg.blob)
                 reply = protocol.UploadAck(
                     label=str(msg.file_number),
                     status=f"STORED {entry.position} {entry.offset}",
                 )
             elif isinstance(msg, protocol.FetchBlob):
-                reply = protocol.BlobPayload(
-                    blob=self.fetch_blob(msg.user_digest, msg.file_number)
-                )
+                reply = protocol.BlobPayload(blob=self.fetch_blob(msg.file_number))
             else:
                 raise MalformedPayload(
                     f"{type(msg).__name__} is not valid on the storage channel"

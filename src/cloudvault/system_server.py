@@ -133,26 +133,23 @@ class StorageClient:
             raise StorageUnavailable(f"unexpected reply {type(reply).__name__}")
         return reply
 
-    def store(self, user_digest: bytes, file_number: int, blob: bytes) -> None:
+    def store(self, file_number: int, blob: bytes) -> None:
         ack = self._call(
-            protocol.StoreBlob(
-                user_digest=user_digest, file_number=file_number, blob=blob
-            ),
-            protocol.UploadAck,
+            protocol.StoreBlob(file_number=file_number, blob=blob), protocol.UploadAck
         )
         if not ack.status.startswith("STORED "):
             raise StorageUnavailable(f"unexpected ack {ack.status!r}")
 
-    def fetch(self, user_digest: bytes, file_number: int) -> bytes:
+    def fetch(self, file_number: int) -> bytes:
         return self._call(
-            protocol.FetchBlob(user_digest=user_digest, file_number=file_number),
-            protocol.BlobPayload,
+            protocol.FetchBlob(file_number=file_number), protocol.BlobPayload
         ).blob
 
 
 def _blob_aad(user_digest: bytes, file_number: int) -> bytes:
-    """What a blob's GCM tag binds it to: a storage server that moves a blob
-    to another file number or another user makes it fail to open."""
+    """What a blob's GCM tag binds it to. Ownership is checked here, where
+    the key is: storage knows only file numbers, and a blob it serves under
+    another number, or another user's blob, fails to open."""
     return user_digest + file_number.to_bytes(8, "big")
 
 
@@ -360,7 +357,7 @@ class SystemService:
                 blob += key  # deliberately broken build; see SystemConfig
             client = self.storage_clients[upload_index % len(self.storage_clients)]
             try:
-                client.store(digest, number, blob)
+                client.store(number, blob)
             except TableFull:
                 raise  # the storage answered; it is full, not unavailable
             except CloudVaultError as exc:
@@ -396,7 +393,7 @@ class SystemService:
         if client is None:
             raise StorageUnavailable(f"storage {record.storage_id} not configured")
         try:
-            blob = client.fetch(digest, record.file_number)
+            blob = client.fetch(record.file_number)
         except NotFound as exc:
             raise StorageUnavailable(
                 f"storage {record.storage_id} lost file {record.file_number}"

@@ -208,7 +208,7 @@ def test_criterion_8_crash_consistency(tmp_path):
         labels = sorted(record.label for record in service.key_records.values())
         assert labels == sorted(survivors)
         for record in service.key_records.values():
-            blob = stack.storages[0].fetch_blob(record.user_digest, record.file_number)
+            blob = stack.storages[0].fetch_blob(record.file_number)
             assert blob  # acknowledged blob is really there
         token = service.login("crash-user", stack.mail.latest("crash@example.test"))
         assert service.download(token, "kept-7") == b"payload 7"

@@ -60,9 +60,7 @@ def test_table_rows_keep_their_format(local_stack, monkeypatch):
     )
     assert _read(os.path.join(system_dir, "counter.txt")) == b"1024\n"
     # The blob: a 16-byte nonce, the 9 bytes of "quarterly", a 16-byte tag.
-    assert _read(os.path.join(storage_dir, "records.tsv")) == (
-        b"6384e2b2184bcbf58eccf10ca7a6563c\t1\t1\t0\t0\t41\n"
-    )
+    assert _read(os.path.join(storage_dir, "records.tsv")) == b"1\t1\t0\t0\t41\n"
     assert os.path.getsize(os.path.join(storage_dir, "blobs.dat")) == 41
 
     service, storage = stack.service, stack.storages[0]
@@ -124,9 +122,9 @@ def test_an_accounts_row_with_a_client_key_is_refused(local_stack):
 @pytest.mark.parametrize(
     "row",
     [
-        f"{DIGEST}\t1\t1\t0",  # torn mid-row
-        f"{DIGEST}\t1\t1\tzero\t0\t32",
-        f"{SHORT_KEY}\t1\t1\t0\t0\t32",
+        "1\t1\t0",  # torn mid-row
+        "1\t1\tzero\t0\t32",
+        f"{SHORT_KEY}\t1\t0\t0\t32",
     ],
 )
 def test_storage_server_refuses_a_row_that_does_not_decode(local_stack, row):
@@ -378,8 +376,8 @@ def peer():
         p.stop()
 
 
-FETCH = protocol.FetchBlob(user_digest=ALICE, file_number=1)
-STORE = protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=b"\x00" * 32)
+FETCH = protocol.FetchBlob(file_number=1)
+STORE = protocol.StoreBlob(file_number=1, blob=b"\x00" * 32)
 BLOB_REPLY = protocol.send_plain(protocol.BlobPayload(blob=b"\x00" * 32))
 def registered(system_keypair):
     """A script step that answers a sealed Register as the system server does."""
@@ -397,10 +395,10 @@ def test_storage_client_never_resends_a_written_request(peer):
     conn = netutil.FrameConnection("127.0.0.1", fake.port, timeout=10.0)
     client = StorageClient("s1", conn.round_trip)
     try:
-        assert client.fetch(ALICE, 1) == b"\x00" * 32
+        assert client.fetch(1) == b"\x00" * 32
         with pytest.raises(StorageUnavailable):
             # the peer read it, so it may have stored the blob
-            client.store(ALICE, 1, b"\x00" * 32)
+            client.store(1, b"\x00" * 32)
         assert [protocol.recv_plain(f) for f in fake.seen] == [FETCH, STORE]
     finally:
         conn.close()
@@ -438,10 +436,10 @@ def test_storage_client_reconnects_after_the_peer_restarts(peer):
     conn = netutil.FrameConnection("127.0.0.1", fake.port, timeout=10.0)
     client = StorageClient("s1", conn.round_trip)
     try:
-        assert client.fetch(ALICE, 1) == b"\x00" * 32
+        assert client.fetch(1) == b"\x00" * 32
         first = conn._sock
         assert fake.restarted.wait(timeout=10)
-        assert client.fetch(ALICE, 1) == b"\x00" * 32
+        assert client.fetch(1) == b"\x00" * 32
         assert conn._sock is not first
         assert len(fake.seen) == 2
     finally:

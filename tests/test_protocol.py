@@ -59,14 +59,10 @@ def _random_message(cls):
         )
     if cls is protocol.StoreBlob:
         return protocol.StoreBlob(
-            user_digest=RNG.randbytes(16),
-            file_number=RNG.randint(1, 10_000),
-            blob=RNG.randbytes(32),
+            file_number=RNG.randint(1, 10_000), blob=RNG.randbytes(32)
         )
     if cls is protocol.FetchBlob:
-        return protocol.FetchBlob(
-            user_digest=RNG.randbytes(16), file_number=RNG.randint(1, 10_000)
-        )
+        return protocol.FetchBlob(file_number=RNG.randint(1, 10_000))
     if cls is protocol.BlobPayload:
         return protocol.BlobPayload(blob=RNG.randbytes(48))
     if cls is protocol.ErrorFrame:
@@ -159,9 +155,9 @@ def test_round_trip_every_kind(cls):
 
 
 def test_encoding_is_canonical():
-    msg = protocol.StoreBlob(user_digest=b"\x01" * 16, file_number=9, blob=b"zz")
+    msg = protocol.StoreBlob(file_number=9, blob=b"zz")
     assert protocol.encode_frame(msg) == protocol.encode_frame(
-        protocol.StoreBlob(user_digest=b"\x01" * 16, file_number=9, blob=b"zz")
+        protocol.StoreBlob(file_number=9, blob=b"zz")
     )
 
 
@@ -196,18 +192,6 @@ def test_text_that_is_not_valid_unicode_is_refused_both_ways(msg):
         protocol.recv_plain(protocol.Frame(tag=protocol.tag_of(msg), payload=payload))
 
 
-def test_digest_length_enforced():
-    frame = protocol.send_plain(
-        protocol.FetchBlob(user_digest=b"\x01" * 16, file_number=1)
-    )
-    tampered = protocol.Frame(
-        tag=frame.tag, payload=frame.payload.replace(b"01" * 16, b"0102")
-    )
-    with pytest.raises(MalformedPayload):
-        protocol.recv_plain(tampered)
-
-
-DIGEST = bytes(range(16))
 GOLDEN_FRAMES = [  # (message, tag | length, payload), every kind once
     (
         protocol.Register(username="al", mail_address="a@x.test"),
@@ -255,15 +239,14 @@ GOLDEN_FRAMES = [  # (message, tag | length, payload), every kind once
         b'{"labels":["f","g"]}',
     ),
     (
-        protocol.StoreBlob(user_digest=DIGEST, file_number=7, blob=b"\x00\xff"),
-        "0a00000050",
-        b'{"blob":"00ff","file_number":7,'
-        b'"user_digest":"000102030405060708090a0b0c0d0e0f"}',
+        protocol.StoreBlob(file_number=7, blob=b"\x00\xff"),
+        "0a0000001f",
+        b'{"blob":"00ff","file_number":7}',
     ),
     (
-        protocol.FetchBlob(user_digest=DIGEST, file_number=7),
-        "0b00000042",
-        b'{"file_number":7,"user_digest":"000102030405060708090a0b0c0d0e0f"}',
+        protocol.FetchBlob(file_number=7),
+        "0b00000011",
+        b'{"file_number":7}',
     ),
     (
         protocol.BlobPayload(blob=b"\x00\xff"),
@@ -318,7 +301,7 @@ def test_binary_fields_travel_as_lowercase_hex():
 )
 def test_a_binary_field_past_one_hex_step_is_written_alike(size):
     blob = RNG.randbytes(size)
-    msg = protocol.StoreBlob(user_digest=DIGEST, file_number=7, blob=blob)
+    msg = protocol.StoreBlob(file_number=7, blob=blob)
     as_bytearray = dataclasses.replace(msg, blob=bytearray(blob))
     assert protocol.send_plain(msg).payload == _reference_payload(msg)
     assert protocol.send_plain(as_bytearray).payload == _reference_payload(msg)
@@ -328,10 +311,10 @@ def test_a_binary_field_past_one_hex_step_is_written_alike(size):
 # ---------------------------------------------------------------------
 # the payload reader
 
-STORE_PAYLOAD = (  # the writer's StoreBlob payload
-    b'{"blob":"00ff","file_number":7,"user_digest":"' + DIGEST.hex().encode() + b'"}'
-)
-STORE = protocol.StoreBlob(user_digest=DIGEST, file_number=7, blob=b"\x00\xff")
+STORE_PAYLOAD = b'{"blob":"00ff","file_number":7}'  # the writer's StoreBlob payload
+STORE = protocol.StoreBlob(file_number=7, blob=b"\x00\xff")
+# What builds that named each blob's owner to storage wrote.
+OWNER = b',"user_digest":"000102030405060708090a0b0c0d0e0f"}'
 
 
 def _edited_store(old: bytes, new: bytes) -> bytes:
@@ -341,7 +324,7 @@ def _edited_store(old: bytes, new: bytes) -> bytes:
 
 REFUSED_PAYLOADS = {  # name -> (kind, a payload the reader refuses)
     "space after a colon": (protocol.StoreBlob, _edited_store(b'"blob":', b'"blob": ')),
-    "newline after a comma": (protocol.StoreBlob, _edited_store(b"7,", b"7,\n")),
+    "newline after a comma": (protocol.StoreBlob, _edited_store(b'",', b'",\n')),
     "keys out of order": (
         protocol.StoreBlob,
         _edited_store(b'"blob":"00ff","file_number":7', b'"file_number":7,"blob":"00ff"'),
@@ -358,7 +341,7 @@ REFUSED_PAYLOADS = {  # name -> (kind, a payload the reader refuses)
     "bytes after the brace": (protocol.StoreBlob, STORE_PAYLOAD + b"x"),
     "space after the brace": (protocol.StoreBlob, STORE_PAYLOAD + b" "),
     "file number of 5000 digits": (
-        protocol.StoreBlob, _edited_store(b":7,", b":" + b"7" * 5000 + b","),
+        protocol.StoreBlob, _edited_store(b":7}", b":" + b"7" * 5000 + b"}"),
     ),
     "non-ASCII text": (
         protocol.ErrorFrame, '{"code":"NOT_FOUND","text":"\u00e9"}'.encode("utf-8"),
@@ -367,6 +350,8 @@ REFUSED_PAYLOADS = {  # name -> (kind, a payload the reader refuses)
     "labels nested 100 000 deep": (
         protocol.ListResponse, b'{"labels":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     ),
+    "store naming its owner": (protocol.StoreBlob, _edited_store(b"}", OWNER)),
+    "fetch naming its owner": (protocol.FetchBlob, b'{"file_number":7' + OWNER),
 }
 
 
@@ -389,7 +374,6 @@ def test_the_reader_refuses_every_other_layout(name):
 
 def test_uppercase_hex_decodes_as_lowercase_does():
     upper = _edited_store(b"00ff", b"00FF")
-    upper = upper.replace(b"0a0b0c0d0e0f", b"0A0B0C0D0E0F")
     assert _read(protocol.StoreBlob, upper) == STORE
 
 
@@ -397,7 +381,6 @@ FIELD_STRATEGIES = {
     protocol._STR: st.text(max_size=12),
     protocol._POSITIVE_INT: st.integers(min_value=1, max_value=2**64),
     protocol._BYTES: st.binary(max_size=48),
-    protocol._DIGEST: st.binary(min_size=16, max_size=16),
     protocol._STRLIST: st.lists(st.text(max_size=6), max_size=4).map(tuple),
 }
 
@@ -444,9 +427,7 @@ def test_a_damaged_frame_decodes_to_a_message_or_raises_a_cloudvault_error(data)
 
 def test_the_writer_refuses_an_int_the_reader_refuses():
     with pytest.raises(MalformedPayload):
-        protocol.encode_frame(
-            protocol.FetchBlob(user_digest=bytes(16), file_number=10**5000)
-        )
+        protocol.encode_frame(protocol.FetchBlob(file_number=10**5000))
 
 
 # Any value of any type in any field: the writer may refuse it, but only with
@@ -483,7 +464,7 @@ def test_whatever_the_writer_accepts_the_reader_reads_back_equal(msg):
 # plain channel
 
 def test_plain_round_trip_store_blob():
-    msg = protocol.StoreBlob(user_digest=b"\x09" * 16, file_number=3, blob=b"\x00" * 32)
+    msg = protocol.StoreBlob(file_number=3, blob=b"\x00" * 32)
     assert protocol.recv_plain(protocol.send_plain(msg)) == msg
 
 
@@ -500,8 +481,8 @@ def test_no_message_kind_can_carry_a_symmetric_key():
         "FilePayload": ("label", "file_bytes"),
         "ListRequest": ("session_token",),
         "ListResponse": ("labels",),
-        "StoreBlob": ("user_digest", "file_number", "blob"),
-        "FetchBlob": ("user_digest", "file_number"),
+        "StoreBlob": ("file_number", "blob"),
+        "FetchBlob": ("file_number",),
         "BlobPayload": ("blob",),
         "ErrorFrame": ("code", "text"),
     }
@@ -763,7 +744,7 @@ def test_over_cap_frame_is_rejected_when_built():
 def test_socket_round_trip():
     server, client = socket.socketpair()
     try:
-        msg = protocol.StoreBlob(user_digest=b"\x05" * 16, file_number=1, blob=b"x" * 40)
+        msg = protocol.StoreBlob(file_number=1, blob=b"x" * 40)
         sender = threading.Thread(
             target=protocol.write_frame, args=(client, protocol.send_plain(msg))
         )
@@ -824,10 +805,7 @@ class _Slow:
 
 
 def test_a_frame_at_the_file_cap_survives_partial_sends():
-    msg = protocol.StoreBlob(
-        user_digest=b"\x05" * 16, file_number=1,
-        blob=os.urandom(protocol.MAX_FILE_BYTES),
-    )
+    msg = protocol.StoreBlob(file_number=1, blob=os.urandom(protocol.MAX_FILE_BYTES))
     frame = protocol.send_plain(msg)
     server, client = socket.socketpair()
     try:

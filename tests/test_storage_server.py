@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import subprocess
 import sys
 import threading
 
@@ -22,7 +23,6 @@ from cloudvault.system_server import StorageClient
 from test_protocol import REFUSED_PAYLOADS
 
 ALICE = md5_digest(b"alice")
-BOB = md5_digest(b"bob")
 
 
 @pytest.fixture
@@ -39,37 +39,31 @@ def service(tmp_path):
 
 
 def test_first_blob_lands_on_slot_one(service):
-    assert service.store_blob(ALICE, 1, b"\x00" * 32) == PlacementEntry(1, 0)
+    assert service.store_blob(1, b"\x00" * 32) == PlacementEntry(1, 0)
 
 
 def test_fifteenth_sequential_blob_probes_once(service):
     for n in range(1, 15):
-        service.store_blob(ALICE, n, b"\x00" * 32)
-    assert service.store_blob(ALICE, 15, b"\x00" * 32) == PlacementEntry(26, 1)
+        service.store_blob(n, b"\x00" * 32)
+    assert service.store_blob(15, b"\x00" * 32) == PlacementEntry(26, 1)
 
 
 def test_duplicate_file_number(service):
-    service.store_blob(ALICE, 1, b"\x00" * 32)
+    service.store_blob(1, b"\x00" * 32)
     with pytest.raises(DuplicateFileNumber):
-        service.store_blob(ALICE, 1, b"\x11" * 32)
+        service.store_blob(1, b"\x11" * 32)
 
 
 def test_fetch_round_trip(service):
     blob = os.urandom(96)
-    service.store_blob(ALICE, 7, blob)
-    assert service.fetch_blob(ALICE, 7) == blob
-    assert service.fetch_blob(ALICE, 7) == blob  # repeatable, byte-stable
-
-
-def test_wrong_digest_is_not_found(service):
-    service.store_blob(ALICE, 7, b"\x00" * 32)
-    with pytest.raises(NotFound):
-        service.fetch_blob(BOB, 7)
+    service.store_blob(7, blob)
+    assert service.fetch_blob(7) == blob
+    assert service.fetch_blob(7) == blob  # repeatable, byte-stable
 
 
 def test_unknown_number_is_not_found(service):
     with pytest.raises(NotFound):
-        service.fetch_blob(ALICE, 99)
+        service.fetch_blob(99)
 
 
 def _read(path: str) -> bytes:
@@ -84,7 +78,7 @@ def _log(service) -> bytes:
 def test_blobs_are_appended_to_one_log(service):
     blobs = [os.urandom(n) for n in (32, 17, 64)]
     for n, blob in enumerate(blobs, 1):
-        service.store_blob(ALICE, n, blob)
+        service.store_blob(n, blob)
     regions = [(r.start, r.length) for r in service.records.values()]
     assert regions == [(0, 32), (32, 17), (49, 64)]
     assert _log(service) == b"".join(blobs)
@@ -92,7 +86,7 @@ def test_blobs_are_appended_to_one_log(service):
 
 def test_placement_consistency(service):
     for n in (1, 2, 5, 11, 15):
-        service.store_blob(ALICE, n, b"\x00" * 32)
+        service.store_blob(n, b"\x00" * 32)
     for record in service.records.values():
         assert service.table.locate(record.file_number) == record.entry
 
@@ -105,9 +99,9 @@ def test_concurrent_stores_and_fetches_keep_every_region_whole(service):
     def worker(numbers):
         try:
             for n in numbers:
-                service.store_blob(ALICE, n, blobs[n])
+                service.store_blob(n, blobs[n])
                 for m in range(numbers[0], n + 1, 4):
-                    assert service.fetch_blob(ALICE, m) == blobs[m]
+                    assert service.fetch_blob(m) == blobs[m]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -129,20 +123,20 @@ def test_concurrent_stores_and_fetches_keep_every_region_whole(service):
     assert len(_log(service)) == sum(map(len, blobs.values()))
     reloaded = StorageService(service.config)
     for n, blob in blobs.items():
-        assert reloaded.fetch_blob(ALICE, n) == blob
+        assert reloaded.fetch_blob(n) == blob
 
 
 def test_restart_preserves_records(service):
     blob = os.urandom(64)
     for n in range(1, 6):
-        service.store_blob(ALICE, n, blob)
+        service.store_blob(n, blob)
     reloaded = StorageService(service.config)
-    assert reloaded.fetch_blob(ALICE, 3) == blob
+    assert reloaded.fetch_blob(3) == blob
     assert reloaded.table.slot_contents() == service.table.slot_contents()
     for record in reloaded.records.values():
         assert reloaded.table.locate(record.file_number) == record.entry
     # The sequence keeps going where it left off.
-    assert reloaded.store_blob(ALICE, 6, blob) == PlacementEntry(36, 0)
+    assert reloaded.store_blob(6, blob) == PlacementEntry(36, 0)
 
 
 def _fail_halfway(path, data, _real=netutil.append_bytes):
@@ -163,10 +157,10 @@ def test_a_failed_store_cuts_the_log_back_and_frees_its_number(
     service, monkeypatch, name, fail
 ):
     first = os.urandom(40)
-    service.store_blob(ALICE, 1, first)
+    service.store_blob(1, first)
     monkeypatch.setattr(netutil, name, fail)
     with pytest.raises(DiskFailure):
-        service.store_blob(ALICE, 2, b"\x11" * 32)
+        service.store_blob(2, b"\x11" * 32)
     monkeypatch.undo()
     assert sorted(service.records) == [1]
     assert _log(service) == first
@@ -174,9 +168,9 @@ def test_a_failed_store_cuts_the_log_back_and_frees_its_number(
     reloaded = StorageService(service.config)
     assert sorted(reloaded.records) == [1]
     # The number is usable again, at its own slot, right after the first blob.
-    assert reloaded.store_blob(ALICE, 2, b"\x22" * 32) == PlacementEntry(4, 0)
+    assert reloaded.store_blob(2, b"\x22" * 32) == PlacementEntry(4, 0)
     assert reloaded.records[2].start == len(first)
-    assert reloaded.fetch_blob(ALICE, 2) == b"\x22" * 32
+    assert reloaded.fetch_blob(2) == b"\x22" * 32
 
 
 def test_a_record_row_torn_by_a_full_disk_is_cut_back(local_stack, torn_append):
@@ -232,35 +226,35 @@ CRASH_STATES = {
 def test_a_crash_inside_a_store_loses_no_acknowledged_blob(service, monkeypatch, state):
     earlier = {n: os.urandom(30 + n) for n in (1, 2, 3)}
     for n, blob in earlier.items():
-        service.store_blob(ALICE, n, blob)
+        service.store_blob(n, blob)
     log, rows = _log(service), _read(os.path.join(service.config.data_dir, "records.tsv"))
     name, die = CRASH_STATES[state]
     monkeypatch.setattr(netutil, name, die)
     new = os.urandom(48)
     with pytest.raises(ProcessDeath):
-        service.store_blob(ALICE, 4, new)
+        service.store_blob(4, new)
     monkeypatch.undo()
 
     reloaded = StorageService(service.config)
     for n, blob in earlier.items():
-        assert reloaded.fetch_blob(ALICE, n) == blob
+        assert reloaded.fetch_blob(n) == blob
     records = _read(os.path.join(service.config.data_dir, "records.tsv"))
     if state == "blob and row whole":  # committed, only the ack was lost
-        assert reloaded.fetch_blob(ALICE, 4) == new
+        assert reloaded.fetch_blob(4) == new
         assert _log(reloaded) == log + new
         following, entry = 5, PlacementEntry(25, 0)
     else:
         assert sorted(reloaded.records) == [1, 2, 3]
         assert reloaded.table.count == 3
         with pytest.raises(NotFound):
-            reloaded.fetch_blob(ALICE, 4)
+            reloaded.fetch_blob(4)
         assert _log(reloaded) == log
         assert records == rows
         following, entry = 4, PlacementEntry(16, 0)  # file 4's slot is free
     end = len(_log(reloaded))
-    assert reloaded.store_blob(ALICE, following, b"\x11" * 32) == entry
+    assert reloaded.store_blob(following, b"\x11" * 32) == entry
     assert reloaded.records[following].start == end
-    assert StorageService(service.config).fetch_blob(ALICE, following) == b"\x11" * 32
+    assert StorageService(service.config).fetch_blob(following) == b"\x11" * 32
 
 
 def _edit_row(service, row: int, column: int, value: int) -> None:
@@ -273,7 +267,7 @@ def _edit_row(service, row: int, column: int, value: int) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-START, LENGTH = 4, 5  # records.tsv columns
+START, LENGTH = 3, 4  # records.tsv columns
 
 
 @pytest.mark.parametrize(
@@ -289,18 +283,17 @@ def test_a_record_whose_region_is_not_its_own_stops_start_up(
     service, column, value, problem
 ):
     for n in (1, 2, 3):
-        service.store_blob(ALICE, n, b"\x00" * 32)
+        service.store_blob(n, b"\x00" * 32)
     _edit_row(service, 2, column, value)
     with pytest.raises(
         StartupFailure, match=rf"records\.tsv: row 2 {problem} of blobs\.dat$"
-    ) as info:
+    ):
         StorageService(service.config)
-    assert ALICE.hex() not in str(info.value)
 
 
 def test_a_log_shorter_than_its_records_stops_start_up(service):
     for n in (1, 2, 3):
-        service.store_blob(ALICE, n, b"\x00" * 32)
+        service.store_blob(n, b"\x00" * 32)
     os.truncate(os.path.join(service.config.data_dir, "blobs.dat"), 95)
     with pytest.raises(
         StartupFailure, match=r"records\.tsv: row 3 runs past the end of blobs\.dat$"
@@ -316,31 +309,66 @@ def test_a_data_dir_with_a_blobs_directory_is_refused(service):
     assert "README" in str(info.value)
 
 
-def test_a_record_row_without_a_region_is_refused(service):
-    # The five-column row of builds before the blob log: the last cell was
-    # the blob's path.
+@pytest.mark.parametrize(
+    "row",
+    [
+        # Builds before the blob log: the last cell was the blob's path.
+        f"{ALICE.hex()}\t1\t1\t0\tblobs/1.bin",
+        # Builds that named each blob's owner: a digest cell came first.
+        f"{ALICE.hex()}\t1\t1\t0\t0\t32",
+    ],
+    ids=["path cell", "owner cell"],
+)
+def test_a_record_row_without_a_region_is_refused(service, row):
     path = os.path.join(service.config.data_dir, "records.tsv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{ALICE.hex()}\t1\t1\t0\tblobs/1.bin\n")
+        fh.write(row + "\n")
     with pytest.raises(StartupFailure, match=r"records\.tsv: row 1 does not decode$") as info:
         StorageService(service.config)
     assert ALICE.hex() not in str(info.value)
 
 
+def test_the_readme_upgrade_drops_the_owner_cell_and_keeps_every_blob(service):
+    blobs = {n: os.urandom(20 + n) for n in (1, 2, 3)}
+    for n, blob in blobs.items():
+        service.store_blob(n, blob)
+    data_dir = service.config.data_dir
+    path = os.path.join(data_dir, "records.tsv")
+    log, records = _log(service), _read(path)
+    owners = [ALICE, md5_digest(b"bob"), ALICE]
+    rows = records.decode().splitlines()
+    with open(path, "w", encoding="utf-8") as fh:  # as owner-naming builds wrote it
+        fh.writelines(f"{d.hex()}\t{row}\n" for d, row in zip(owners, rows))
+    with pytest.raises(StartupFailure, match=r"records\.tsv: row 1 does not decode$"):
+        StorageService(service.config)
+    subprocess.run(
+        "umask 077; cut -f2- records.tsv > records.tsv.new"
+        " && mv records.tsv.new records.tsv",
+        shell=True, cwd=data_dir, check=True,
+    )
+    assert _read(path) == records
+    assert os.stat(path).st_mode & 0o777 == 0o600
+    assert sorted(os.listdir(data_dir)) == ["blobs.dat", "records.tsv"]
+    reloaded = StorageService(service.config)
+    for n, blob in blobs.items():
+        assert reloaded.fetch_blob(n) == blob
+    assert _log(reloaded) == log
+
+
 def test_placement_modulus_comes_only_from_config(service):
     for n in range(1, 4):  # positions 1, 4, 9 hold under S=1000 too
-        service.store_blob(ALICE, n, b"\x00" * 32)
+        service.store_blob(n, b"\x00" * 32)
     wider = StorageService(dataclasses.replace(service.config, seed=1000))
     assert wider.table.seed == 1000
     for n in range(4, 16):
-        service.store_blob(ALICE, n, b"\x00" * 32)
+        service.store_blob(n, b"\x00" * 32)
     # File 10 sits at 100 mod 100 = 0, which is not 100 mod 101.
     with pytest.raises(StartupFailure, match="S=101"):
         StorageService(dataclasses.replace(service.config, seed=101))
 
 
 def test_a_store_makes_two_durable_writes(service, monkeypatch):
-    service.store_blob(ALICE, 1, b"\x00" * 32)
+    service.store_blob(1, b"\x00" * 32)
     data_dir = service.config.data_dir
     names = {
         os.stat(os.path.join(data_dir, name)).st_ino: name
@@ -360,7 +388,7 @@ def test_a_store_makes_two_durable_writes(service, monkeypatch):
         real_fsync(fd)
 
     monkeypatch.setattr(netutil.os, "fsync", recording_fsync)
-    service.store_blob(ALICE, 2, b"\x00" * 32)
+    service.store_blob(2, b"\x00" * 32)
     monkeypatch.undo()
     # append_line is a thin call to append_bytes, so the row passes both.
     assert calls == [
@@ -371,21 +399,21 @@ def test_a_store_makes_two_durable_writes(service, monkeypatch):
     # Two appends to files that exist: no directory fsync, no new file.
     assert synced == ["blobs.dat", "records.tsv"]
     for n in range(3, 60):
-        service.store_blob(ALICE, n, b"\x00" * 32)
+        service.store_blob(n, b"\x00" * 32)
     assert sorted(os.listdir(data_dir)) == ["blobs.dat", "records.tsv"]
 
 
-def test_dump_contains_ciphertext_and_digests(service):
+def test_dump_holds_the_blob_and_a_row_of_numbers(service):
     blob = os.urandom(48)
-    service.store_blob(ALICE, 1, blob)
+    service.store_blob(1, blob)
     dump = service.dump_tables()
     assert dump["blobs.dat"] == blob
-    assert ALICE.hex().encode() in dump["records.tsv"]
+    assert dump["records.tsv"] == b"1\t1\t0\t0\t48\n"
     assert dump["placement.tbl"].startswith(b"S=100\n")
 
 
 def test_dump_never_contains_usernames(service):
-    service.store_blob(ALICE, 1, b"\x00" * 32)
+    service.store_blob(1, b"\x00" * 32)
     for data in service.dump_tables().values():
         assert b"alice" not in data
 
@@ -399,20 +427,14 @@ def _exchange(service, msg):
 
 def test_store_ack_carries_the_entry(service):
     for n in range(1, 15):
-        reply = _exchange(
-            service,
-            protocol.StoreBlob(user_digest=ALICE, file_number=n, blob=b"\x00" * 32),
-        )
+        reply = _exchange(service, protocol.StoreBlob(file_number=n, blob=b"\x00" * 32))
         assert isinstance(reply, protocol.UploadAck)
-    reply = _exchange(
-        service,
-        protocol.StoreBlob(user_digest=ALICE, file_number=15, blob=b"\x00" * 32),
-    )
+    reply = _exchange(service, protocol.StoreBlob(file_number=15, blob=b"\x00" * 32))
     assert reply == protocol.UploadAck(label="15", status="STORED 26 1")
 
 
 def test_fetch_unknown_file_yields_not_found_error_frame(service):
-    reply = _exchange(service, protocol.FetchBlob(user_digest=ALICE, file_number=1234))
+    reply = _exchange(service, protocol.FetchBlob(file_number=1234))
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "NOT_FOUND"
 
@@ -433,20 +455,17 @@ def test_table_full_surfaces_over_protocol(tmp_path):
         seed=2,
     )
     service = StorageService(config)
-    service.store_blob(ALICE, 1, b"\x00" * 32)
-    service.store_blob(ALICE, 2, b"\x00" * 32)
-    reply = _exchange(
-        service,
-        protocol.StoreBlob(user_digest=ALICE, file_number=3, blob=b"\x00" * 32),
-    )
+    service.store_blob(1, b"\x00" * 32)
+    service.store_blob(2, b"\x00" * 32)
+    reply = _exchange(service, protocol.StoreBlob(file_number=3, blob=b"\x00" * 32))
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "TABLE_FULL"
 
 
 def test_handle_frame_round_trip(service):
     blob = os.urandom(64)
-    service.store_blob(ALICE, 4, blob)
-    request = protocol.send_plain(protocol.FetchBlob(user_digest=ALICE, file_number=4))
+    service.store_blob(4, blob)
+    request = protocol.send_plain(protocol.FetchBlob(file_number=4))
     reply = protocol.recv_plain(service.handle_frame(request))
     assert reply == protocol.BlobPayload(blob=blob)
 
@@ -465,11 +484,11 @@ def test_file_number_zero_gets_one_error_frame_and_changes_nothing(service):
     # File numbers start at 1; the codec refuses 0 before the placement
     # table or the records see it. The frame is edited by hand because the
     # writer refuses to encode 0 at all.
-    service.store_blob(ALICE, 1, b"\x00" * 32)
+    service.store_blob(1, b"\x00" * 32)
     before = _data_files(service.config.data_dir)
     for msg in (
-        protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=b"\x11" * 32),
-        protocol.FetchBlob(user_digest=ALICE, file_number=1),
+        protocol.StoreBlob(file_number=1, blob=b"\x11" * 32),
+        protocol.FetchBlob(file_number=1),
     ):
         frame = protocol.send_plain(msg)
         payload = frame.payload.replace(b'"file_number":1', b'"file_number":0')
@@ -480,14 +499,14 @@ def test_file_number_zero_gets_one_error_frame_and_changes_nothing(service):
         assert error.code == "MALFORMED_PAYLOAD"
     assert _data_files(service.config.data_dir) == before
     with pytest.raises(MalformedPayload):
-        protocol.send_plain(protocol.FetchBlob(user_digest=ALICE, file_number=0))
+        protocol.send_plain(protocol.FetchBlob(file_number=0))
 
 
 @pytest.mark.parametrize("name", REFUSED_PAYLOADS)
 def test_a_payload_off_the_writers_layout_gets_one_error_frame_and_changes_nothing(
     service, name
 ):
-    service.store_blob(ALICE, 1, b"\x00" * 32)
+    service.store_blob(1, b"\x00" * 32)
     before = _data_files(service.config.data_dir)
     kind, payload = REFUSED_PAYLOADS[name]
     reply = service.handle_frame(
@@ -513,15 +532,13 @@ def test_contracts_hold_over_tcp(tmp_path):
     conn = netutil.FrameConnection("127.0.0.1", listeners.frame.server_address[1], 30.0)
     client = StorageClient("net", conn.round_trip)
     try:
-        with pytest.raises(
-            NotFound, match="^no blob for that user digest and file number$"
-        ):
-            client.fetch(ALICE, 77)
+        with pytest.raises(NotFound, match="^no blob for that file number$"):
+            client.fetch(77)
         blob = os.urandom(80)
-        store = protocol.StoreBlob(user_digest=ALICE, file_number=1, blob=blob)
+        store = protocol.StoreBlob(file_number=1, blob=blob)
         ack = protocol.recv_plain(conn.round_trip(protocol.send_plain(store)))
         assert ack == protocol.UploadAck(label="1", status="STORED 1 0")
-        assert client.fetch(ALICE, 1) == blob
+        assert client.fetch(1) == blob
         dump = netutil.fetch_admin_dump("127.0.0.1", listeners.admin.server_address[1])
         assert dump["blobs.dat"] == blob
     finally:
@@ -544,14 +561,14 @@ def test_over_cap_store_fails_before_the_socket(tmp_path):
     client = StorageClient("cap", conn.round_trip)
     try:
         with pytest.raises(NotFound):
-            client.fetch(ALICE, 1)
+            client.fetch(1)
         sock = conn._sock
         blob = bytes(protocol.MAX_FRAME_LEN // 2 + 1)  # hex form exceeds the cap
         with pytest.raises(MalformedPayload):
-            client.store(ALICE, 1, blob)
+            client.store(1, blob)
         assert conn._sock is sock
         with pytest.raises(NotFound):
-            client.fetch(ALICE, 1)
+            client.fetch(1)
     finally:
         conn.close()
         listeners.close()

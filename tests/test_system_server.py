@@ -289,7 +289,7 @@ def test_storage_client_refuses_an_ack_that_is_not_stored():
         return protocol.send_plain(protocol.UploadAck(label="1", status="OK"))
 
     with pytest.raises(StorageUnavailable, match="unexpected ack 'OK'"):
-        StorageClient("s1", answers_ok).store(md5_digest(b"alice"), 1, bytes(32))
+        StorageClient("s1", answers_ok).store(1, bytes(32))
 
 
 def test_a_full_storage_table_reaches_the_client_as_table_full(local_stack):
@@ -330,7 +330,7 @@ def test_ciphertext_bodies_never_reach_system_persistence(local_stack):
     token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "doc", os.urandom(600))
     record = next(iter(stack.service.key_records.values()))
-    blob = stack.storages[0].fetch_blob(record.user_digest, record.file_number)
+    blob = stack.storages[0].fetch_blob(record.file_number)
     sample = blob[16:48]  # a slice of the ciphertext body
     for name, data in stack.service.dump_tables().items():
         assert sample not in data, name
@@ -668,7 +668,7 @@ def test_crash_between_store_and_key_write(local_stack):
     assert service.key_records == {}
     # Every surviving key record must reference an acknowledged blob.
     for record in service.key_records.values():
-        stack.storages[0].fetch_blob(record.user_digest, record.file_number)
+        stack.storages[0].fetch_blob(record.file_number)
     # The label is free for a clean retry.
     token = service.login("alice", stack.mail.latest("a@example.test"))
     service.upload(token, "doc", b"data")
@@ -688,6 +688,44 @@ def test_dump_contains_keys_but_no_identities(local_stack):
     assert md5_digest(b"alice").hex().encode() in dump["keys.tsv"]
     for data in dump.values():
         assert b"alice" not in data
+
+
+def test_storage_never_sees_whose_blob_it_holds(local_stack, monkeypatch):
+    # The plain channel bypasses any capture proxy, so record it here.
+    payloads = []
+    real_init = StorageClient.__init__
+
+    def recording_init(self, server_id, round_trip):
+        def recorded(frame):
+            reply = round_trip(frame)
+            payloads.extend((frame.payload, reply.payload))
+            return reply
+
+        real_init(self, server_id, recorded)
+
+    monkeypatch.setattr(StorageClient, "__init__", recording_init)
+    stack = local_stack(storage_count=2)
+    files = {}
+    for name in ("alice", "bob"):
+        token = stack.register_and_login(name, f"{name}@example.test")
+        for i in range(2):
+            files[name, f"doc{i}"] = os.urandom(500)
+            stack.service.upload(token, f"doc{i}", files[name, f"doc{i}"])
+    for restarted in (False, True):
+        if restarted:
+            stack.reload()
+        for name in ("alice", "bob"):
+            token = stack.service.login(name, stack.mail.latest(f"{name}@example.test"))
+            for (owner, label), data in files.items():
+                if owner == name:
+                    assert stack.service.download(token, label) == data
+    assert len(payloads) == 2 * (4 + 4 + 4)  # request and reply per call
+    seen = [bytes(p) for p in payloads]
+    seen += [data for s in stack.storages for data in s.dump_tables().values()]
+    for name in ("alice", "bob"):
+        digest = md5_digest(name.encode())
+        for needle in (digest, digest.hex().encode()):
+            assert not any(needle in data for data in seen), name
 
 
 # ---------------------------------------------------------------------

@@ -110,8 +110,8 @@ def _repoint(stack, regions: dict) -> None:
         with open(path, encoding="utf-8") as fh:
             rows = [line.split("\t") for line in fh.read().splitlines()]
         for cells in rows:
-            if int(cells[1]) in regions:
-                cells[4:6] = map(str, regions[int(cells[1])])
+            if int(cells[0]) in regions:
+                cells[3:5] = map(str, regions[int(cells[0])])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join("\t".join(cells) + "\n" for cells in rows))
     stack.reload()
