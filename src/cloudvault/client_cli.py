@@ -1,8 +1,10 @@
 """Command-line client: register, login, logout, upload, download, list.
 
-Every request/response exchange is a single sealed round trip: the request
-is sealed to the system public key under a fresh session key, and the reply
-must open under that session key. Any other reply, a plain frame included,
+Every request/response exchange is a single sealed round trip. The first
+request on a connection is sealed to the system public key under a fresh
+session key, and its reply, which must open under that session key, keys
+the connection; each later request on it is numbered and sealed under the
+connection key alone. Any reply that does not open, a plain frame included,
 raises ``DecryptionFailure``, with the text of the server's one plain
 refusal. The client holds no key pair of its own. One-time passwords and
 session tokens never appear in command output. The session token lives in a
@@ -10,16 +12,19 @@ mode-0600 cache file until logout or expiry.
 """
 
 import argparse
+import functools
 import getpass
 import json
 import os
 import sys
+import threading
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 # Not used here: the benchmark's perfbench/run.py imports it from this module.
 from .netutil import write_keypair
 from .errors import (
     CloudVaultError,
+    DecryptionFailure,
     FileTooLarge,
     InvalidSession,
     IoFailure,
@@ -69,10 +74,14 @@ class ClientSession:
     """Library form of the client; the CLI verbs are thin wrappers.
 
     The connection stays open across exchanges (one request/response per
-    turn). A socket the server has hung up on since the last reply is
-    replaced before the next request is written; a request once written is
-    never resent, so an exchange that fails after that point raises
-    ``ConnectionFailure`` even though the server may have carried it out.
+    turn), so only its first request pays the server's RSA private
+    operation. A socket the server has hung up on since the last reply is
+    replaced before the next request is written, and keyed anew; a request
+    once written is never resent, so an exchange that fails after that point
+    raises ``ConnectionFailure`` even though the server may have carried it
+    out. After a reply that does not open, the two ends may disagree on the
+    request number, so the socket is closed and the next request keys a new
+    one.
     """
 
     def __init__(self, config: ClientConfig):
@@ -80,6 +89,9 @@ class ClientSession:
         self._conn = netutil.FrameConnection(
             config.system_host, config.system_port, timeout=60.0
         )
+        self._channel = protocol.ConnectionState()
+        # one exchange at a time: each seals, sends and opens under _channel
+        self._lock = threading.Lock()
 
     def close(self) -> None:
         self._conn.close()
@@ -90,20 +102,29 @@ class ClientSession:
     def __exit__(self, *exc_info):
         self.close()
 
+    def _seal(self, msg, session_key: bytes, fresh: bool) -> protocol.Frame:
+        if fresh:  # the server holds no key for a new socket
+            self._channel = protocol.ConnectionState()
+        return protocol.send_sealed(
+            msg, self.config.system_public_key, session_key, self._channel
+        )
+
     def _exchange(self, msg):
-        """One sealed request; the reply must open under the request's session
-        key, or ``DecryptionFailure`` is raised: anyone can build a plain
-        frame, and only the system server can seal one."""
+        """One sealed request; the reply must open as the answer to it, or
+        ``DecryptionFailure`` is raised: anyone can build a plain frame, and
+        only the system server can seal one."""
         if self.config.sabotage_plaintext_channel:  # mis-build for auditor self-tests
             reply = protocol.recv_plain(self._conn.round_trip(protocol.send_plain(msg)))
         else:
+            # used only if this request keys the connection
             session_key = crypto_core.generate_symmetric_key()
-            reply = protocol.recv_reply(
-                self._conn.round_trip(
-                    protocol.send_sealed(msg, self.config.system_public_key, session_key)
-                ),
-                session_key,
-            )
+            with self._lock:
+                frame = self._conn.exchange(functools.partial(self._seal, msg, session_key))
+                try:
+                    reply = protocol.recv_reply(frame, session_key, self._channel)
+                except DecryptionFailure:
+                    self._conn.close()
+                    raise
         if isinstance(reply, protocol.ErrorFrame):
             raise error_for_code(reply.code, reply.text)
         return reply

@@ -14,13 +14,18 @@ new buffer behind an optional prefix (``AESGCM.encrypt_into``), which the
 request envelope uses for its wrapped key, so no seal is copied to be sent
 or stored.
 
-A client request is sealed in a hybrid envelope: the caller's fresh 128-bit
-session key is RSA-wrapped with PKCS#1 v1.5 padding and the message rides
-under that session key. The reply is sealed under the same session key, so
-the asymmetric key system only carries keys, as in the source design. Only
-the holder of the system private key recovers the session key, so only it
-can seal a reply the client opens, and a reply opens only for the request it
-answers. Identity strings (usernames, one-time passwords) are persisted only
+A connection's first client request is sealed in a hybrid envelope: the
+caller's fresh 128-bit session key is RSA-wrapped with PKCS#1 v1.5 padding
+and the message rides under that session key. The reply is sealed under the
+same session key, so the asymmetric key system only carries keys, as in the
+source design. Only the holder of the system private key recovers the
+session key, so only it can seal a reply the client opens, and a reply opens
+only for the request it answers. That first exchange keys the connection:
+``HKDF-SHA256(session key, salt=the reply's nonce, info="cloudvault
+connection")``. Each later request on it is numbered, ``seq ‖ nonce ‖
+body``, and sealed under the connection key with AES alone, its ``seq`` as
+the AAD of the request and of its reply (the TLS 1.3 record rule, RFC 8446
+§5.3). Identity strings (usernames, one-time passwords) are persisted only
 as MD5 digests of their exact UTF-8 bytes.
 
 AES, AES-GCM, HKDF, RSA key generation, the RSA operations and MD5 come
@@ -72,6 +77,8 @@ _IV_BYTES = 12
 REQUEST_INFO = b"cloudvault request"
 REPLY_INFO = b"cloudvault reply"
 BLOB_INFO = b"cloudvault blob"
+CONNECTION_INFO = b"cloudvault connection"
+SEQ_BYTES = 8
 
 
 def _random_bytes(count: int) -> bytes:
@@ -369,3 +376,42 @@ def open_envelope(sealed: bytes, priv: RsaKeyPair) -> tuple[bytes, bytes]:
     if len(session_key) != KEY_BYTES:
         raise DecryptionFailure("recovered session key has wrong length")
     return decrypt_file(payload, session_key, REQUEST_INFO, wrapped), session_key
+
+
+# ---------------------------------------------------------------------------
+# Keyed connections
+
+
+def connection_key(session_key: bytes, reply_nonce: bytes) -> bytes:
+    """The key of a connection keyed by a request sealed under
+    ``session_key`` and the reply whose nonce is ``reply_nonce``. The server
+    picks that nonce fresh, so a replayed first request keys another
+    connection with another key."""
+    _check_key(session_key)
+    return HKDF(
+        algorithm=hashes.SHA256(), length=KEY_BYTES, salt=reply_nonce,
+        info=CONNECTION_INFO,
+    ).derive(session_key)
+
+
+def seq_aad(seq: int) -> bytes:
+    """A request number as its 8-byte big-endian AAD."""
+    return seq.to_bytes(SEQ_BYTES, "big")
+
+
+def seal_numbered(msg: bytes, conn_key: bytes, seq: int) -> bytearray:
+    """Seal ``msg`` as request ``seq`` on the connection keyed by
+    ``conn_key``: the bytes ``seq ‖ nonce ‖ body``, with ``seq`` bound to
+    the body as its AAD."""
+    aad = seq_aad(seq)
+    return encrypt_file(msg, conn_key, REQUEST_INFO, aad, prefix=aad).sealed
+
+
+def open_numbered(sealed: bytes, conn_key: bytes, seq: int) -> bytes:
+    """Invert seal_numbered for request ``seq`` and no other: a payload too
+    short, numbered otherwise or whose tag fails raises DecryptionFailure."""
+    aad = seq_aad(seq)
+    if sealed[:SEQ_BYTES] != aad:
+        raise DecryptionFailure("not the connection's next request")
+    payload = Ciphertext.from_bytes(memoryview(sealed)[SEQ_BYTES:])
+    return decrypt_file(payload, conn_key, REQUEST_INFO, aad)

@@ -65,7 +65,11 @@ FRAME_STALL_TIMEOUT = 30.0
 
 
 def _serve_frames(frame_handler, sock: socket.socket) -> None:
-    """One request frame, one response frame, repeated until the peer hangs up."""
+    """One request frame, one response frame, repeated until the peer hangs
+    up. ``frame_handler(frame, conn)`` gets this connection's
+    ``protocol.ConnectionState``: the sealed channel's key and ``seq`` live
+    here, on this thread, and go when the connection does."""
+    conn = protocol.ConnectionState()
     while True:
         try:
             frame = protocol.read_frame(sock, FRAME_STALL_TIMEOUT)
@@ -73,15 +77,23 @@ def _serve_frames(frame_handler, sock: socket.socket) -> None:
             return  # reset, stalled or garbled stream; drop the connection
         if frame is None:
             return
-        reply = frame_handler(frame)
+        reply = frame_handler(frame, conn)
         try:
             protocol.write_frame(sock, reply)
         except OSError:
             return
 
 
-def start_frame_server(host: str, port: int, handler) -> Listener:
+def start_frame_server(host: str, port: int, handler, keyed: bool = False) -> Listener:
+    """Answer each frame with ``handler(frame)``, or with ``handler(frame,
+    conn)`` when ``keyed``, ``conn`` being the connection's state."""
+    if not keyed:
+        handler = functools.partial(_without_state, handler)
     return Listener(host, port, functools.partial(_serve_frames, handler))
+
+
+def _without_state(handler, frame, conn):
+    return handler(frame)
 
 
 class FrameConnection:
@@ -90,7 +102,8 @@ class FrameConnection:
     A socket the peer has hung up on since the last reply is replaced before
     the request is written. Once a request is written it is never resent: the
     peer may already have acted on it, so any later failure reaches the caller
-    as ``ConnectionFailure``. Calls from several threads are serialized.
+    as ``ConnectionFailure``, and the socket is closed. Calls from several
+    threads are serialized.
     """
 
     def __init__(self, host: str, port: int, timeout: float):
@@ -101,9 +114,16 @@ class FrameConnection:
         self._lock = threading.Lock()
 
     def round_trip(self, frame: protocol.Frame) -> protocol.Frame:
+        return self.exchange(lambda fresh: frame)
+
+    def exchange(self, build) -> protocol.Frame:
+        """Send the frame ``build(fresh)`` makes once the socket is chosen,
+        and return the reply. ``fresh`` is True when the request is the
+        first on a new socket: the peer has seen nothing on it before."""
         with self._lock:
             if self._sock is not None and _peer_hung_up(self._sock):
                 self._close()
+            frame = build(self._sock is None)
             try:
                 if self._sock is None:
                     self._sock = socket.create_connection(
@@ -162,13 +182,15 @@ class Listeners:
     admin dump is readable too.
     """
 
-    def __init__(self, config, service):
+    def __init__(self, config, service, keyed: bool = False):
         self.admin = Listener(
             "127.0.0.1", config.admin_port,
             functools.partial(_send_dump, service.dump_tables),
         )
         try:
-            self.frame = start_frame_server(config.host, config.port, service.handle_frame)
+            self.frame = start_frame_server(
+                config.host, config.port, service.handle_frame, keyed
+            )
         except OSError:
             self.admin.stop()
             raise
@@ -178,10 +200,11 @@ class Listeners:
         self.admin.stop()
 
 
-def run_server(argv, config_cls, service_cls) -> int:
+def run_server(argv, config_cls, service_cls, keyed: bool = False) -> int:
     """A server process from start to exit: read ``--config`` as the keyword
     arguments of ``config_cls``, serve ``service_cls(config)`` until SIGTERM
-    or SIGINT, then close both listeners and return 0."""
+    or SIGINT, then close both listeners and return 0. With ``keyed``, the
+    service's ``handle_frame`` also gets each connection's state."""
     parser = argparse.ArgumentParser()
     parser.add_argument("--config", required=True, help="JSON config path")
     args = parser.parse_args(argv)
@@ -190,7 +213,7 @@ def run_server(argv, config_cls, service_cls) -> int:
     stop = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *_: stop.set())
-    listeners = Listeners(config, service_cls(config))
+    listeners = Listeners(config, service_cls(config), keyed)
     print(f"{service_cls.__name__} on {config.host}:{config.port}", flush=True)
     stop.wait()
     listeners.close()

@@ -14,12 +14,13 @@ other value in place, which must be written as the writer writes it. Any
 other payload (whitespace, keys out of order or repeated, escapes in hex)
 raises ``MalformedPayload``.
 
-A client request is sealed: a ``SEALED_TAG`` frame whose payload is the raw
-bytes ``wrapped_key ‖ nonce ‖ body``. ``wrapped_key`` is the RSA-wrapped
-session key, k bytes for the receiver's k-byte modulus; ``nonce`` is 16
-bytes; ``body`` is the AES-128-GCM seal of the encoded inner frame, with the
-wrapped key as its AAD (``crypto_core.seal_envelope``). The receiver splits
-it at its own k, so no length field is carried. Every sealed frame that does
+A client request is sealed. A connection's first is a ``SEALED_TAG``
+frame whose payload is the raw bytes ``wrapped_key ‖ nonce ‖ body``.
+``wrapped_key`` is the RSA-wrapped session key, k bytes for the receiver's
+k-byte modulus; ``nonce`` is 16 bytes; ``body`` is the AES-128-GCM seal of
+the encoded inner frame, with the wrapped key as its AAD
+(``crypto_core.seal_envelope``). The receiver splits it at its own k, so no
+length field is carried. Every sealed frame that does
 not open or decode gets the same ``DecryptionFailure`` text; a changed byte
 anywhere in it fails the GCM tag, so no part of a request can be rewritten.
 The system server answers a sealed request with a ``REPLY_TAG`` frame whose
@@ -30,6 +31,17 @@ open. Every request that opens gets a sealed reply, a refusal included. A
 sealed frame that does not open gets the one plain ``ErrorFrame`` with code
 ``DECRYPTION_FAILURE`` and text ``UNOPENABLE_TEXT``, and ``recv_reply``
 turns any frame that is not ``REPLY_TAG`` into that same failure.
+
+The reply to a ``SEALED_TAG`` request keys its connection
+(``crypto_core.connection_key``), and each later request on it is a
+``KEYED_TAG`` frame, ``seq(8) ‖ nonce ‖ body``: AES-128-GCM under the
+connection key with ``seq`` as AAD (``crypto_core.seal_numbered``). Its
+reply is a ``REPLY_TAG`` frame under the connection key with the same AAD,
+so it opens only as the answer to that request. The server takes only
+``seq`` = last + 1, and any ``SEALED_TAG`` request re-keys the connection
+and restarts ``seq``. Each end keeps the key and ``seq`` in a
+``ConnectionState`` in memory, for as long as the connection lasts.
+
 System/storage traffic is framed in the clear; every file byte on that
 channel is already ciphertext, and no message kind that could carry a
 symmetric key exists, so keys structurally cannot cross it.
@@ -74,6 +86,7 @@ MAX_FILE_BYTES = (MAX_FRAME_LEN - FRAME_ALLOWANCE) // 2
 HEADER_LEN = 5
 SEALED_TAG = 0x10
 REPLY_TAG = 0x11
+KEYED_TAG = 0x12
 UNOPENABLE_TEXT = "sealed frame does not open"
 
 
@@ -358,48 +371,100 @@ def recv_plain(frame: Frame):
 # ---------------------------------------------------------------------------
 # Sealed channel (client <-> system)
 
-def send_sealed(msg, pub: tuple[int, int], session_key: bytes) -> Frame:
-    """Envelope the encoded message to ``pub`` under ``session_key``, a fresh
-    key the caller keeps to open the reply."""
-    payload = crypto_core.seal_envelope(encode_frame(msg), pub, session_key)
-    return Frame(tag=SEALED_TAG, payload=payload)
+@dataclass
+class ConnectionState:
+    """One end's state of one connection's sealed channel. ``key`` is None
+    until the reply to a ``SEALED_TAG`` request keys the connection; ``seq``
+    numbers the last request sealed under it. It lives in memory only, and
+    goes with the connection."""
+
+    key: bytes | None = None
+    seq: int = 0
 
 
-def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair) -> tuple:
-    """Open and decode a sealed frame into ``(message, session_key)``. Every
-    way of failing raises the same DecryptionFailure, so no reply tells a bad
-    wrapped key from a bad GCM tag or a bad inner frame (Bleichenbacher,
-    CRYPTO '98)."""
-    if frame.tag != SEALED_TAG:
+def send_sealed(msg, pub: tuple[int, int], session_key: bytes,
+                conn: ConnectionState | None = None) -> Frame:
+    """Seal a request. Without a keyed ``conn``, the encoded message goes in
+    an envelope to ``pub`` under ``session_key``, a fresh key the caller
+    keeps to open the reply. On a keyed ``conn`` it goes as the connection's
+    next request, under the connection key alone, and ``conn.seq`` advances;
+    ``pub`` and ``session_key`` are then not used."""
+    inner = encode_frame(msg)
+    if conn is None or conn.key is None:
+        return Frame(SEALED_TAG, crypto_core.seal_envelope(inner, pub, session_key))
+    frame = Frame(KEYED_TAG, crypto_core.seal_numbered(inner, conn.key, conn.seq + 1))
+    conn.seq += 1
+    return frame
+
+
+def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair,
+                conn: ConnectionState | None = None) -> tuple:
+    """Open and decode a sealed request into ``(message, key)``; the reply is
+    sealed under ``key`` (``send_reply``). A ``SEALED_TAG`` envelope opens
+    with ``priv``, and its key is the session key inside; with ``conn`` it
+    also unkeys the connection until ``send_reply`` keys it anew. A
+    ``KEYED_TAG`` request opens only on a keyed ``conn``, under its key, and
+    only as request ``conn.seq + 1``; ``conn.seq`` advances once it opens.
+    Every way of failing raises the same DecryptionFailure and changes
+    nothing, so no reply tells a bad wrapped key from a bad GCM tag, a stale
+    ``seq`` or a bad inner frame (Bleichenbacher, CRYPTO '98)."""
+    if frame.tag not in (SEALED_TAG, KEYED_TAG):
         raise MalformedPayload(f"expected a sealed frame, got tag 0x{frame.tag:02x}")
     try:
-        inner, session_key = crypto_core.open_envelope(frame.payload, priv)
-        return decode_frame(inner), session_key
+        if frame.tag == SEALED_TAG:
+            inner, key = crypto_core.open_envelope(frame.payload, priv)
+            msg = decode_frame(inner)
+            if conn is not None:
+                conn.key, conn.seq = None, 0
+            return msg, key
+        if conn is None or conn.key is None:
+            raise DecryptionFailure("the connection is not keyed")
+        msg = decode_frame(
+            crypto_core.open_numbered(frame.payload, conn.key, conn.seq + 1)
+        )
+        conn.seq += 1
+        return msg, conn.key
     except CloudVaultError:
         raise DecryptionFailure(UNOPENABLE_TEXT) from None
 
 
-def send_reply(msg, session_key: bytes) -> Frame:
-    """Seal a reply under the session key of the request it answers."""
+def send_reply(msg, key: bytes, conn: ConnectionState | None = None) -> Frame:
+    """Seal a reply under ``key``, as ``recv_sealed`` gave it with the
+    request. On a keyed ``conn`` the reply binds ``conn.seq`` as its AAD.
+    Otherwise it answers an envelope and has no AAD; with ``conn``, it then
+    keys the connection from ``key`` and the reply's own fresh nonce."""
+    keyed = conn is not None and conn.key is not None
     sealed = crypto_core.encrypt_file(
-        encode_frame(msg), session_key, crypto_core.REPLY_INFO
+        encode_frame(msg), key, crypto_core.REPLY_INFO,
+        crypto_core.seq_aad(conn.seq) if keyed else None,
     )
+    if conn is not None and not keyed:
+        conn.key = crypto_core.connection_key(key, sealed.nonce)
     return Frame(tag=REPLY_TAG, payload=sealed.to_bytes())
 
 
-def recv_reply(frame: Frame, session_key: bytes):
-    """Open and decode a reply to the request sealed under ``session_key``.
-    A wrong tag, a short payload, a bad GCM tag and an inner frame that does
-    not decode all raise the same DecryptionFailure."""
+def recv_reply(frame: Frame, session_key: bytes,
+               conn: ConnectionState | None = None):
+    """Open and decode the reply to the request ``send_sealed`` sealed last,
+    with the same ``session_key`` and ``conn``: on a keyed ``conn`` under its
+    key and ``conn.seq``; otherwise under ``session_key``, and then a reply
+    that opens keys ``conn``. A wrong tag, a short payload, a bad GCM tag and
+    an inner frame that does not decode all raise the same
+    DecryptionFailure."""
     if frame.tag != REPLY_TAG:
         raise DecryptionFailure(UNOPENABLE_TEXT)
+    keyed = conn is not None and conn.key is not None
     try:
         sealed = crypto_core.Ciphertext.from_bytes(frame.payload)
-        return decode_frame(
-            crypto_core.decrypt_file(sealed, session_key, crypto_core.REPLY_INFO)
-        )
+        msg = decode_frame(crypto_core.decrypt_file(
+            sealed, conn.key if keyed else session_key, crypto_core.REPLY_INFO,
+            crypto_core.seq_aad(conn.seq) if keyed else None,
+        ))
     except CloudVaultError:
         raise DecryptionFailure(UNOPENABLE_TEXT) from None
+    if conn is not None and not keyed:
+        conn.key = crypto_core.connection_key(session_key, sealed.nonce)
+    return msg
 
 
 # ---------------------------------------------------------------------------

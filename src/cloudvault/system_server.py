@@ -36,7 +36,6 @@ from .errors import (
     IoFailure,
     MalformedPayload,
     NoSuchLabel,
-    NotFound,
     PersistenceFailure,
     StartupFailure,
     StorageUnavailable,
@@ -394,9 +393,9 @@ class SystemService:
             raise StorageUnavailable(f"storage {record.storage_id} not configured")
         try:
             blob = client.fetch(record.file_number)
-        except NotFound as exc:
+        except CloudVaultError as exc:  # lost the blob, or refused to serve it
             raise StorageUnavailable(
-                f"storage {record.storage_id} lost file {record.file_number}"
+                f"storage {record.storage_id}, file {record.file_number}: {exc}"
             ) from exc
         try:
             return crypto_core.decrypt_file(
@@ -444,14 +443,19 @@ class SystemService:
         except CloudVaultError as exc:
             return protocol.error_frame(exc)
 
-    def handle_frame(self, frame: protocol.Frame) -> protocol.Frame:
-        """A sealed request that opens gets a reply sealed under its session
-        key, refusals included. Any other frame gets a plain ``ErrorFrame``:
+    def handle_frame(
+        self, frame: protocol.Frame, conn: protocol.ConnectionState | None = None
+    ) -> protocol.Frame:
+        """A sealed request that opens gets a sealed reply, refusals
+        included. Any other frame gets a plain ``ErrorFrame``:
         ``DECRYPTION_FAILURE`` for every sealed frame that does not open, so
-        the reply tells its sender nothing about the request."""
+        the reply tells its sender nothing about the request. ``conn`` is the
+        state of the connection the frame came on: with it, the first
+        exchange keys the connection and later requests open under that key
+        alone. Without it, only an envelope opens, each on its own."""
         try:
-            if frame.tag == protocol.SEALED_TAG:
-                msg, session_key = protocol.recv_sealed(frame, self.keypair)
+            if frame.tag in (protocol.SEALED_TAG, protocol.KEYED_TAG):
+                msg, key = protocol.recv_sealed(frame, self.keypair, conn)
             elif self.config.sabotage_accept_plain:
                 return protocol.send_plain(self.dispatch(protocol.recv_plain(frame)))
             else:
@@ -460,13 +464,13 @@ class SystemService:
             return protocol.send_plain(protocol.error_frame(exc))
         reply = self.dispatch(msg)
         try:
-            return protocol.send_reply(reply, session_key)
+            return protocol.send_reply(reply, key, conn)
         except CloudVaultError as exc:  # a reply over the frame cap
-            return protocol.send_reply(protocol.error_frame(exc), session_key)
+            return protocol.send_reply(protocol.error_frame(exc), key, conn)
 
 
 def main(argv=None) -> int:
-    return netutil.run_server(argv, SystemConfig, SystemService)
+    return netutil.run_server(argv, SystemConfig, SystemService, keyed=True)
 
 
 if __name__ == "__main__":

@@ -197,6 +197,7 @@ def test_layout_is_nonce_then_gcm_under_hkdf_of_the_key(info):
 
 def test_info_strings_are_pinned():
     assert INFOS == (b"cloudvault request", b"cloudvault reply", b"cloudvault blob")
+    assert cc.CONNECTION_INFO == b"cloudvault connection"
 
 
 def test_decrypting_ignoring_the_tag_reads_the_plaintext_and_what_follows():
@@ -419,3 +420,43 @@ def test_envelope_hides_message_bytes(client_keypair):
     marker = b"MARKER-not-on-the-wire"
     sealed = cc.seal_envelope(marker, client_keypair.public, cc.generate_symmetric_key())
     assert marker not in sealed
+
+
+# ---------------------------------------------------------------------
+# Keyed connections
+
+def test_connection_key_is_hkdf_of_the_session_key_salted_by_the_reply_nonce():
+    session_key = cc.generate_symmetric_key()
+    nonce = secrets.token_bytes(cc.NONCE_BYTES)
+    expected = _hkdf_sha256(session_key, nonce, b"cloudvault connection", 16)
+    assert cc.connection_key(session_key, nonce) == expected
+    # a fresh reply nonce keys a replayed first request's connection anew
+    assert cc.connection_key(session_key, secrets.token_bytes(cc.NONCE_BYTES)) != expected
+
+
+def test_a_numbered_request_is_seq_nonce_body_bound_to_its_seq():
+    key = cc.generate_symmetric_key()
+    sealed = cc.seal_numbered(b"inner frame", key, 7)
+    seq = (7).to_bytes(8, "big")
+    assert sealed[: cc.SEQ_BYTES] == seq == cc.seq_aad(7)
+    assert len(sealed) == cc.SEQ_BYTES + cc.NONCE_BYTES + len(b"inner frame") + cc.TAG_BYTES
+    body = cc.Ciphertext.from_bytes(sealed[cc.SEQ_BYTES :])
+    assert cc.decrypt_file(body, key, cc.REQUEST_INFO, seq) == b"inner frame"
+    assert cc.open_numbered(sealed, key, 7) == b"inner frame"
+
+
+def test_a_numbered_request_opens_as_its_own_number_only():
+    key = cc.generate_symmetric_key()
+    sealed = cc.seal_numbered(b"inner frame", key, 7)
+    renumbered = cc.seq_aad(8) + sealed[cc.SEQ_BYTES :]
+    for payload, seq, other_key in (
+        (sealed, 6, key),
+        (sealed, 8, key),
+        (renumbered, 8, key),  # the number is the AAD: changing it fails the tag
+        (sealed, 7, cc.generate_symmetric_key()),
+        (sealed[: cc.SEQ_BYTES + cc.NONCE_BYTES + cc.TAG_BYTES - 1], 7, key),
+        (sealed[:3], 7, key),
+        (b"", 7, key),
+    ):
+        with pytest.raises(DecryptionFailure):
+            cc.open_numbered(payload, other_key, seq)

@@ -460,6 +460,49 @@ def test_client_session_reconnects_after_the_peer_restarts(
 
 
 
+def test_exchange_tells_the_builder_when_its_socket_is_new(peer):
+    fake = peer([BLOB_REPLY, BLOB_REPLY, RESTART, BLOB_REPLY])
+    conn = netutil.FrameConnection("127.0.0.1", fake.port, timeout=10.0)
+    fresh = []
+
+    def build(is_fresh):
+        fresh.append(is_fresh)
+        return protocol.send_plain(FETCH)
+
+    try:
+        conn.exchange(build)
+        conn.exchange(build)
+        assert fake.restarted.wait(timeout=10)
+        conn.exchange(build)
+    finally:
+        conn.close()
+    assert fresh == [True, False, True]
+
+
+def test_a_keyed_frame_server_gives_each_connection_its_own_state():
+    states = []
+
+    def handler(frame, conn):
+        conn.seq += 1
+        states.append(conn)
+        return protocol.Frame(frame.tag, str(conn.seq).encode())
+
+    server = netutil.start_frame_server("127.0.0.1", 0, handler, keyed=True)
+    replies = []
+    try:
+        for _ in range(2):
+            conn = netutil.FrameConnection("127.0.0.1", server.server_address[1], 10.0)
+            try:
+                for _ in range(2):
+                    replies.append(conn.round_trip(protocol.Frame(0, b"")).payload)
+            finally:
+                conn.close()
+    finally:
+        server.stop()
+    assert replies == [b"1", b"2", b"1", b"2"]
+    assert states[0] is states[1] and states[1] is not states[2]
+
+
 # ---------------------------------------------------------------------
 # frame server
 

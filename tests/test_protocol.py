@@ -667,6 +667,106 @@ def test_server_answers_malformed_sealed_payloads_with_plain_errors(local_stack)
 
 
 # ---------------------------------------------------------------------
+# keyed connections
+
+LIST = protocol.ListRequest(session_token="ab" * 16)
+LISTED = protocol.ListResponse(labels=("a",))
+
+
+def _keyed_ends(keypair, session_key=SESSION_KEY):
+    """A client's and a server's ConnectionState after one genuine first
+    exchange, and that exchange's reply."""
+    client, server = protocol.ConnectionState(), protocol.ConnectionState()
+    request = protocol.send_sealed(LIST, keypair.public, session_key, client)
+    assert request.tag == protocol.SEALED_TAG
+    _, key = protocol.recv_sealed(request, keypair, server)
+    reply = protocol.send_reply(LISTED, key, server)
+    assert protocol.recv_reply(reply, session_key, client) == LISTED
+    return client, server, reply
+
+
+def test_the_first_reply_keys_both_ends_from_its_own_nonce(client_keypair):
+    client, server, reply = _keyed_ends(client_keypair)
+    # the reply itself is the one an unkeyed client opens: no AAD
+    assert protocol.recv_reply(reply, SESSION_KEY) == LISTED
+    nonce = bytes(reply.payload[: crypto_core.NONCE_BYTES])
+    key = crypto_core.connection_key(SESSION_KEY, nonce)
+    assert client == server == protocol.ConnectionState(key=key, seq=0)
+    # the same first request answered again keys another connection
+    again = protocol.ConnectionState()
+    protocol.send_reply(LISTED, SESSION_KEY, again)
+    assert again.key != key
+
+
+def test_a_keyed_request_is_seq_nonce_body_under_the_connection_key(client_keypair):
+    client, server, _ = _keyed_ends(client_keypair)
+    msg = protocol.DownloadRequest(session_token="cd" * 16, label="layout")
+    frame = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY, client)
+    assert frame.tag == protocol.KEYED_TAG and client.seq == 1
+    inner = protocol.encode_frame(msg)
+    seq = (1).to_bytes(8, "big")
+    assert len(frame.payload) == 8 + crypto_core.NONCE_BYTES + len(inner) + crypto_core.TAG_BYTES
+    assert frame.payload[:8] == seq
+    body = crypto_core.Ciphertext.from_bytes(frame.payload[8:])
+    assert crypto_core.decrypt_file(body, client.key, crypto_core.REQUEST_INFO, seq) == inner
+    assert protocol.recv_sealed(frame, client_keypair, server) == (msg, server.key)
+    assert server.seq == 1
+    reply = protocol.send_reply(LISTED, server.key, server)
+    sealed = crypto_core.Ciphertext.from_bytes(reply.payload)
+    assert crypto_core.decrypt_file(
+        sealed, client.key, crypto_core.REPLY_INFO, seq
+    ) == protocol.encode_frame(LISTED)
+    assert protocol.recv_reply(reply, None, client) == LISTED
+
+
+def _assert_refused(frame, keypair, conn):
+    before = dataclasses.replace(conn) if conn is not None else None
+    with pytest.raises(DecryptionFailure) as excinfo:
+        protocol.recv_sealed(frame, keypair, conn)
+    assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
+    assert conn == before
+
+
+def test_a_server_takes_only_the_next_seq(client_keypair):
+    client, server, _ = _keyed_ends(client_keypair)
+    first, second = (
+        protocol.send_sealed(LIST, client_keypair.public, SESSION_KEY, client)
+        for _ in range(2)
+    )
+    _assert_refused(second, client_keypair, server)  # skips seq 1
+    assert protocol.recv_sealed(first, client_keypair, server)[0] == LIST
+    _assert_refused(first, client_keypair, server)  # stale: seq 1 again
+    assert protocol.recv_sealed(second, client_keypair, server)[0] == LIST
+    assert server.seq == 2
+
+
+def test_a_keyed_request_opens_only_on_its_own_keyed_connection(client_keypair):
+    client, server, _ = _keyed_ends(client_keypair)
+    frame = protocol.send_sealed(LIST, client_keypair.public, SESSION_KEY, client)
+    _, other, _ = _keyed_ends(client_keypair, crypto_core.generate_symmetric_key())
+    for conn in (None, protocol.ConnectionState(), other):
+        _assert_refused(frame, client_keypair, conn)
+    for payload in (b"", frame.payload[:8], frame.payload[:-1]):
+        _assert_refused(protocol.Frame(protocol.KEYED_TAG, payload), client_keypair, server)
+    assert protocol.recv_sealed(frame, client_keypair, server)[0] == LIST
+
+
+def test_an_envelope_rekeys_its_connection_and_restarts_seq(client_keypair):
+    client, server, _ = _keyed_ends(client_keypair)
+    frame = protocol.send_sealed(LIST, client_keypair.public, SESSION_KEY, client)
+    protocol.recv_sealed(frame, client_keypair, server)
+    old_key = server.key
+    new_client = protocol.ConnectionState()
+    session_key = crypto_core.generate_symmetric_key()
+    frame = protocol.send_sealed(LIST, client_keypair.public, session_key, new_client)
+    assert protocol.recv_sealed(frame, client_keypair, server) == (LIST, session_key)
+    assert server == protocol.ConnectionState()  # unkeyed until the reply goes
+    reply = protocol.send_reply(LISTED, session_key, server)
+    assert protocol.recv_reply(reply, session_key, new_client) == LISTED
+    assert new_client == server and server.key != old_key and server.seq == 0
+
+
+# ---------------------------------------------------------------------
 # replies
 
 def test_reply_round_trip_and_layout():

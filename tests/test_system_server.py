@@ -243,6 +243,25 @@ def test_download_unknown_label(local_stack):
         stack.service.download(token, "ghost")
 
 
+def test_every_storage_refusal_of_a_download_is_storage_unavailable(local_stack):
+    # A storage server of another version answers MALFORMED_PAYLOAD, a
+    # failing disk DISK_FAILURE: either way the file cannot be served, and
+    # the client is told so in one code, never the storage's own.
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "doc", b"data")
+    (client,) = stack.service.storage_clients
+    for code in ("MALFORMED_PAYLOAD", "DISK_FAILURE"):
+        refusal = protocol.send_plain(protocol.ErrorFrame(code=code, text="refused"))
+        client._round_trip = lambda frame, refusal=refusal: refusal
+        with pytest.raises(StorageUnavailable, match="^storage s1, file 1: refused$"):
+            stack.service.download(token, "doc")
+        request = protocol.DownloadRequest(session_token=token, label="doc")
+        reply = _sealed_exchange(stack, request)
+        assert isinstance(reply, protocol.ErrorFrame)
+        assert reply.code == "STORAGE_UNAVAILABLE", code
+
+
 def test_labels_survive_awkward_characters(local_stack):
     stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test")
@@ -894,6 +913,11 @@ def test_over_cap_sealed_reply_is_an_error_frame(local_stack, monkeypatch):
     stack.service.upload(token, "big.bin", bytes(4096))
     request = protocol.DownloadRequest(session_token=token, label="big.bin")
     reply_len = len(stack.service.handle_frame(_seal(stack, request)).payload)
+    # The blob's own frame is longer than the reply: fetch it under the real
+    # cap, so the lowered cap refuses the reply and not the storage's frame.
+    (client,) = stack.service.storage_clients
+    blob = client.fetch(stack.service.key_records[(md5_digest(b"big"), "big.bin")].file_number)
+    monkeypatch.setattr(client, "fetch", lambda file_number: blob)
     monkeypatch.setattr(protocol, "MAX_FRAME_LEN", reply_len - 1)
     reply = _sealed_exchange(stack, request)
     assert isinstance(reply, protocol.ErrorFrame)

@@ -1,13 +1,14 @@
 """Tampered ciphertext is refused, never opened into something else: every
-byte of a sealed request and of a stored blob is covered by a GCM tag, and a
-blob's tag also binds the user and file number it was stored under."""
+byte of a sealed request and of a stored blob is covered by a GCM tag, a
+blob's tag also binds the user and file number it was stored under, and a
+request on a keyed connection and its reply bind the request's number."""
 
 import os
 
 import pytest
 
 from cloudvault import crypto_core, protocol
-from cloudvault.errors import IntegrityFailure
+from cloudvault.errors import DecryptionFailure, IntegrityFailure
 
 from test_protocol import old_cbc_seal
 from test_system_server import CountingMailbox, _data_files, _seal
@@ -25,12 +26,16 @@ def _flips(payload: bytes):
             yield index, bytes(flipped)
 
 
-def _assert_refused_and_unchanged(stack, payload: bytes, where):
+def _assert_refused_and_unchanged(
+    stack, payload: bytes, where, tag=protocol.SEALED_TAG, conn=None
+):
     files, mails = _data_files(stack), stack.mail.deliveries
-    reply = stack.service.handle_frame(protocol.Frame(protocol.SEALED_TAG, payload))
+    state = None if conn is None else protocol.ConnectionState(conn.key, conn.seq)
+    reply = stack.service.handle_frame(protocol.Frame(tag, payload), conn)
     assert reply.to_bytes() == REFUSAL, where
     assert _data_files(stack) == files, where
     assert stack.mail.deliveries == mails, where
+    assert conn == state, where
 
 
 @pytest.fixture
@@ -41,21 +46,71 @@ def stack(local_stack):
     return stack
 
 
-@pytest.mark.parametrize("kind", ["register", "upload", "download"])
-def test_every_byte_flip_of_a_sealed_request_gets_the_one_refusal(stack, kind):
-    # wrapped key, nonce, body and GCM tag alike: nothing runs, nothing changes
-    token = stack.register_and_login("alice", "a@example.test")
-    stack.service.upload(token, "aaa", b"stored")
-    msg = {
+def _request(kind: str, token: str):
+    return {
         "register": protocol.Register(username="bob", mail_address="b@example.test"),
         "upload": protocol.UploadRequest(
             session_token=token, label="new", file_bytes=b"fresh bytes"
         ),
         "download": protocol.DownloadRequest(session_token=token, label="aaa"),
     }[kind]
-    payload = _seal(stack, msg).payload
+
+
+@pytest.mark.parametrize("kind", ["register", "upload", "download"])
+def test_every_byte_flip_of_a_sealed_request_gets_the_one_refusal(stack, kind):
+    # wrapped key, nonce, body and GCM tag alike: nothing runs, nothing changes
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "aaa", b"stored")
+    payload = _seal(stack, _request(kind, token)).payload
     for index, flipped in _flips(payload):
         _assert_refused_and_unchanged(stack, flipped, (kind, index))
+
+
+def _keyed(stack, token: str):
+    """A client's and the server's state of one connection, keyed by a
+    genuine first exchange."""
+    client, server = protocol.ConnectionState(), protocol.ConnectionState()
+    session_key = crypto_core.generate_symmetric_key()
+    frame = protocol.send_sealed(
+        protocol.ListRequest(session_token=token), stack.service.keypair.public,
+        session_key, client,
+    )
+    protocol.recv_reply(stack.service.handle_frame(frame, server), session_key, client)
+    return client, server
+
+
+@pytest.mark.parametrize("kind", ["register", "upload", "download"])
+def test_every_byte_flip_of_a_keyed_request_gets_the_one_refusal(stack, kind):
+    # seq, nonce, body and GCM tag alike: nothing runs, nothing changes, and
+    # the connection still waits for the same seq
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "aaa", b"stored")
+    client, server = _keyed(stack, token)
+    frame = protocol.send_sealed(_request(kind, token), None, None, client)
+    assert frame.tag == protocol.KEYED_TAG
+    for index, flipped in _flips(frame.payload):
+        _assert_refused_and_unchanged(
+            stack, flipped, (kind, index), protocol.KEYED_TAG, server
+        )
+    reply = protocol.recv_reply(stack.service.handle_frame(frame, server), None, client)
+    assert not isinstance(reply, protocol.ErrorFrame)
+
+
+def test_a_reply_opens_only_as_the_answer_to_its_own_request(stack):
+    token = stack.register_and_login("alice", "a@example.test")
+    client, server = _keyed(stack, token)
+    replies = {}
+    for _ in range(2):
+        frame = protocol.send_sealed(protocol.ListRequest(session_token=token), None, None, client)
+        replies[client.seq] = stack.service.handle_frame(frame, server)
+    for answered, reply in replies.items():
+        for seq in (1, 2):
+            asked = protocol.ConnectionState(client.key, seq)
+            if seq == answered:
+                assert protocol.recv_reply(reply, None, asked) == protocol.ListResponse(labels=())
+            else:
+                with pytest.raises(DecryptionFailure, match=protocol.UNOPENABLE_TEXT):
+                    protocol.recv_reply(reply, None, asked)
 
 
 def test_rewriting_the_first_block_of_a_download_is_refused(stack):
