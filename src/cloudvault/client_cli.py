@@ -12,19 +12,16 @@ mode-0600 cache file until logout or expiry.
 """
 
 import argparse
-import functools
 import getpass
 import json
 import os
 import sys
-import threading
 
-from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
+from . import mailbox as mailbox_mod, netutil, protocol
 # Not used here: the benchmark's perfbench/run.py imports it from this module.
 from .netutil import write_keypair
 from .errors import (
     CloudVaultError,
-    DecryptionFailure,
     FileTooLarge,
     InvalidSession,
     IoFailure,
@@ -79,9 +76,8 @@ class ClientSession:
     replaced before the next request is written, and keyed anew; a request
     once written is never resent, so an exchange that fails after that point
     raises ``ConnectionFailure`` even though the server may have carried it
-    out. After a reply that does not open, the two ends may disagree on the
-    request number, so the socket is closed and the next request keys a new
-    one.
+    out. After a reply that does not open, the socket is closed and the next
+    request keys a new one (``netutil.FrameConnection.exchange``).
     """
 
     def __init__(self, config: ClientConfig):
@@ -89,9 +85,6 @@ class ClientSession:
         self._conn = netutil.FrameConnection(
             config.system_host, config.system_port, timeout=60.0
         )
-        self._channel = protocol.ConnectionState()
-        # one exchange at a time: each seals, sends and opens under _channel
-        self._lock = threading.Lock()
 
     def close(self) -> None:
         self._conn.close()
@@ -102,13 +95,6 @@ class ClientSession:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _seal(self, msg, session_key: bytes, fresh: bool) -> protocol.Frame:
-        if fresh:  # the server holds no key for a new socket
-            self._channel = protocol.ConnectionState()
-        return protocol.send_sealed(
-            msg, self.config.system_public_key, session_key, self._channel
-        )
-
     def _exchange(self, msg):
         """One sealed request; the reply must open as the answer to it, or
         ``DecryptionFailure`` is raised: anyone can build a plain frame, and
@@ -116,15 +102,10 @@ class ClientSession:
         if self.config.sabotage_plaintext_channel:  # mis-build for auditor self-tests
             reply = protocol.recv_plain(self._conn.round_trip(protocol.send_plain(msg)))
         else:
-            # used only if this request keys the connection
-            session_key = crypto_core.generate_symmetric_key()
-            with self._lock:
-                frame = self._conn.exchange(functools.partial(self._seal, msg, session_key))
-                try:
-                    reply = protocol.recv_reply(frame, session_key, self._channel)
-                except DecryptionFailure:
-                    self._conn.close()
-                    raise
+            pub = self.config.system_public_key
+            reply = self._conn.exchange(
+                lambda conn: protocol.send_sealed(msg, pub, conn), protocol.recv_reply
+            )
         if isinstance(reply, protocol.ErrorFrame):
             raise error_for_code(reply.code, reply.text)
         return reply

@@ -15,6 +15,7 @@ import select
 import signal
 import socket
 import socketserver
+import sys
 import threading
 import urllib.parse
 
@@ -84,16 +85,10 @@ def _serve_frames(frame_handler, sock: socket.socket) -> None:
             return
 
 
-def start_frame_server(host: str, port: int, handler, keyed: bool = False) -> Listener:
-    """Answer each frame with ``handler(frame)``, or with ``handler(frame,
-    conn)`` when ``keyed``, ``conn`` being the connection's state."""
-    if not keyed:
-        handler = functools.partial(_without_state, handler)
+def start_frame_server(host: str, port: int, handler) -> Listener:
+    """Answer each frame with ``handler(frame, conn)``, ``conn`` being the
+    ``protocol.ConnectionState`` of the connection it came on."""
     return Listener(host, port, functools.partial(_serve_frames, handler))
-
-
-def _without_state(handler, frame, conn):
-    return handler(frame)
 
 
 class FrameConnection:
@@ -102,8 +97,9 @@ class FrameConnection:
     A socket the peer has hung up on since the last reply is replaced before
     the request is written. Once a request is written it is never resent: the
     peer may already have acted on it, so any later failure reaches the caller
-    as ``ConnectionFailure``, and the socket is closed. Calls from several
-    threads are serialized.
+    as ``ConnectionFailure``, and the socket is closed. Each new socket gets
+    a new ``protocol.ConnectionState``: the client end of its sealed
+    channel. Calls from several threads are serialized.
     """
 
     def __init__(self, host: str, port: int, timeout: float):
@@ -111,19 +107,24 @@ class FrameConnection:
         self.port = port
         self.timeout = timeout
         self._sock = None
+        self._state = None  # the socket's ConnectionState
         self._lock = threading.Lock()
 
     def round_trip(self, frame: protocol.Frame) -> protocol.Frame:
-        return self.exchange(lambda fresh: frame)
+        return self.exchange(lambda conn: frame, lambda reply, conn: reply)
 
-    def exchange(self, build) -> protocol.Frame:
-        """Send the frame ``build(fresh)`` makes once the socket is chosen,
-        and return the reply. ``fresh`` is True when the request is the
-        first on a new socket: the peer has seen nothing on it before."""
+    def exchange(self, seal, open_reply):
+        """Send the frame ``seal(conn)`` makes once the socket is chosen, and
+        return ``open_reply(reply, conn)``, ``conn`` being that socket's
+        state. If ``open_reply`` raises a CloudVaultError, the two ends may
+        no longer agree on that state, so the socket is closed and the next
+        exchange opens a new one."""
         with self._lock:
             if self._sock is not None and _peer_hung_up(self._sock):
                 self._close()
-            frame = build(self._sock is None)
+            if self._sock is None:
+                self._state = protocol.ConnectionState()
+            frame = seal(self._state)
             try:
                 if self._sock is None:
                     self._sock = socket.create_connection(
@@ -139,7 +140,11 @@ class FrameConnection:
                 raise ConnectionFailure(
                     f"{self.host}:{self.port} closed the connection without replying"
                 )
-            return reply
+            try:
+                return open_reply(reply, self._state)
+            except CloudVaultError:
+                self._close()
+                raise
 
     def close(self) -> None:
         with self._lock:
@@ -182,15 +187,13 @@ class Listeners:
     admin dump is readable too.
     """
 
-    def __init__(self, config, service, keyed: bool = False):
+    def __init__(self, config, service):
         self.admin = Listener(
             "127.0.0.1", config.admin_port,
             functools.partial(_send_dump, service.dump_tables),
         )
         try:
-            self.frame = start_frame_server(
-                config.host, config.port, service.handle_frame, keyed
-            )
+            self.frame = start_frame_server(config.host, config.port, service.handle_frame)
         except OSError:
             self.admin.stop()
             raise
@@ -200,20 +203,34 @@ class Listeners:
         self.admin.stop()
 
 
-def run_server(argv, config_cls, service_cls, keyed: bool = False) -> int:
+def run_server(argv, config_cls, service_cls) -> int:
     """A server process from start to exit: read ``--config`` as the keyword
     arguments of ``config_cls``, serve ``service_cls(config)`` until SIGTERM
-    or SIGINT, then close both listeners and return 0. With ``keyed``, the
-    service's ``handle_frame`` also gets each connection's state."""
+    or SIGINT, then close both listeners and return 0. A server that cannot
+    start prints one ``CODE: message`` line on stderr and returns 1."""
     parser = argparse.ArgumentParser()
     parser.add_argument("--config", required=True, help="JSON config path")
     args = parser.parse_args(argv)
-    with open(args.config, encoding="utf-8") as fh:
-        config = config_cls(**json.load(fh))
+    try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = config_cls(**json.load(fh))
+        # ValueError: not JSON; TypeError: not an object of known settings
+        except (OSError, ValueError, TypeError) as exc:
+            raise StartupFailure(f"config {args.config}: {exc}") from exc
+        service = service_cls(config)
+        try:
+            listeners = Listeners(config, service)
+        except OSError as exc:
+            raise StartupFailure(
+                f"ports {config.port} and {config.admin_port}: {exc}"
+            ) from exc
+    except CloudVaultError as exc:
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return 1
     stop = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *_: stop.set())
-    listeners = Listeners(config, service_cls(config), keyed)
     print(f"{service_cls.__name__} on {config.host}:{config.port}", flush=True)
     stop.wait()
     listeners.close()

@@ -39,8 +39,9 @@ connection key with ``seq`` as AAD (``crypto_core.seal_numbered``). Its
 reply is a ``REPLY_TAG`` frame under the connection key with the same AAD,
 so it opens only as the answer to that request. The server takes only
 ``seq`` = last + 1, and any ``SEALED_TAG`` request re-keys the connection
-and restarts ``seq``. Each end keeps the key and ``seq`` in a
-``ConnectionState`` in memory, for as long as the connection lasts.
+and restarts ``seq``. Each end keeps the key and ``seq`` in memory, in the
+socket's ``ConnectionState``: ``netutil._serve_frames`` holds the server's,
+``netutil.FrameConnection`` the client's.
 
 System/storage traffic is framed in the clear; every file byte on that
 channel is already ciphertext, and no message kind that could carry a
@@ -373,97 +374,95 @@ def recv_plain(frame: Frame):
 
 @dataclass
 class ConnectionState:
-    """One end's state of one connection's sealed channel. ``key`` is None
-    until the reply to a ``SEALED_TAG`` request keys the connection; ``seq``
-    numbers the last request sealed under it. It lives in memory only, and
-    goes with the connection."""
+    """One end's state of one connection's sealed channel. Until the reply
+    to an envelope keys the connection, ``key`` is that envelope's session
+    key; then ``keyed`` is True, ``key`` is the connection key, and ``seq``
+    numbers the last request sealed under it."""
 
     key: bytes | None = None
+    keyed: bool = False
     seq: int = 0
 
 
-def send_sealed(msg, pub: tuple[int, int], session_key: bytes,
-                conn: ConnectionState | None = None) -> Frame:
-    """Seal a request. Without a keyed ``conn``, the encoded message goes in
-    an envelope to ``pub`` under ``session_key``, a fresh key the caller
-    keeps to open the reply. On a keyed ``conn`` it goes as the connection's
-    next request, under the connection key alone, and ``conn.seq`` advances;
-    ``pub`` and ``session_key`` are then not used."""
+def send_sealed(msg, pub: tuple[int, int], conn: ConnectionState) -> Frame:
+    """Seal a request as the next on ``conn``. On a keyed ``conn`` it goes
+    under the connection key alone, numbered ``conn.seq + 1``, and
+    ``conn.seq`` advances. Otherwise it goes in an envelope to ``pub`` under
+    a fresh session key, which ``conn`` keeps to open the reply."""
     inner = encode_frame(msg)
-    if conn is None or conn.key is None:
-        return Frame(SEALED_TAG, crypto_core.seal_envelope(inner, pub, session_key))
-    frame = Frame(KEYED_TAG, crypto_core.seal_numbered(inner, conn.key, conn.seq + 1))
-    conn.seq += 1
+    if conn.keyed:
+        frame = Frame(KEYED_TAG, crypto_core.seal_numbered(inner, conn.key, conn.seq + 1))
+        conn.seq += 1
+    else:
+        key = crypto_core.generate_symmetric_key()
+        frame = Frame(SEALED_TAG, crypto_core.seal_envelope(inner, pub, key))
+        conn.key = key
     return frame
 
 
-def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair,
-                conn: ConnectionState | None = None) -> tuple:
-    """Open and decode a sealed request into ``(message, key)``; the reply is
-    sealed under ``key`` (``send_reply``). A ``SEALED_TAG`` envelope opens
-    with ``priv``, and its key is the session key inside; with ``conn`` it
-    also unkeys the connection until ``send_reply`` keys it anew. A
-    ``KEYED_TAG`` request opens only on a keyed ``conn``, under its key, and
-    only as request ``conn.seq + 1``; ``conn.seq`` advances once it opens.
-    Every way of failing raises the same DecryptionFailure and changes
-    nothing, so no reply tells a bad wrapped key from a bad GCM tag, a stale
-    ``seq`` or a bad inner frame (Bleichenbacher, CRYPTO '98)."""
+def recv_sealed(frame: Frame, priv: crypto_core.RsaKeyPair, conn: ConnectionState):
+    """Open and decode a sealed request; ``send_reply`` seals its reply. A
+    ``SEALED_TAG`` envelope opens with ``priv``; it unkeys ``conn``, whose
+    ``key`` becomes the session key inside, until ``send_reply`` keys the
+    connection anew. A ``KEYED_TAG`` request opens only on a keyed
+    ``conn``, under its key, and only as request ``conn.seq + 1``;
+    ``conn.seq`` advances once it opens. Every way of failing raises the
+    same DecryptionFailure and changes nothing in ``conn``, so no reply
+    tells a bad wrapped key from a bad GCM tag, a stale ``seq`` or a bad
+    inner frame (Bleichenbacher, CRYPTO '98)."""
     if frame.tag not in (SEALED_TAG, KEYED_TAG):
         raise MalformedPayload(f"expected a sealed frame, got tag 0x{frame.tag:02x}")
     try:
         if frame.tag == SEALED_TAG:
             inner, key = crypto_core.open_envelope(frame.payload, priv)
             msg = decode_frame(inner)
-            if conn is not None:
-                conn.key, conn.seq = None, 0
-            return msg, key
-        if conn is None or conn.key is None:
+            conn.key, conn.keyed, conn.seq = key, False, 0
+            return msg
+        if not conn.keyed:
             raise DecryptionFailure("the connection is not keyed")
         msg = decode_frame(
             crypto_core.open_numbered(frame.payload, conn.key, conn.seq + 1)
         )
         conn.seq += 1
-        return msg, conn.key
+        return msg
     except CloudVaultError:
         raise DecryptionFailure(UNOPENABLE_TEXT) from None
 
 
-def send_reply(msg, key: bytes, conn: ConnectionState | None = None) -> Frame:
-    """Seal a reply under ``key``, as ``recv_sealed`` gave it with the
-    request. On a keyed ``conn`` the reply binds ``conn.seq`` as its AAD.
-    Otherwise it answers an envelope and has no AAD; with ``conn``, it then
-    keys the connection from ``key`` and the reply's own fresh nonce."""
-    keyed = conn is not None and conn.key is not None
+def send_reply(msg, conn: ConnectionState) -> Frame:
+    """Seal the reply to the request ``recv_sealed`` opened last on
+    ``conn``. On a keyed ``conn`` it goes under the connection key with
+    ``conn.seq`` as its AAD. The reply to an envelope goes under its
+    session key with no AAD, and then keys ``conn`` from that key and the
+    reply's own fresh nonce."""
     sealed = crypto_core.encrypt_file(
-        encode_frame(msg), key, crypto_core.REPLY_INFO,
-        crypto_core.seq_aad(conn.seq) if keyed else None,
+        encode_frame(msg), conn.key, crypto_core.REPLY_INFO,
+        crypto_core.seq_aad(conn.seq) if conn.keyed else None,
     )
-    if conn is not None and not keyed:
-        conn.key = crypto_core.connection_key(key, sealed.nonce)
-    return Frame(tag=REPLY_TAG, payload=sealed.to_bytes())
+    frame = Frame(tag=REPLY_TAG, payload=sealed.to_bytes())
+    if not conn.keyed:
+        conn.key, conn.keyed = crypto_core.connection_key(conn.key, sealed.nonce), True
+    return frame
 
 
-def recv_reply(frame: Frame, session_key: bytes,
-               conn: ConnectionState | None = None):
-    """Open and decode the reply to the request ``send_sealed`` sealed last,
-    with the same ``session_key`` and ``conn``: on a keyed ``conn`` under its
-    key and ``conn.seq``; otherwise under ``session_key``, and then a reply
-    that opens keys ``conn``. A wrong tag, a short payload, a bad GCM tag and
-    an inner frame that does not decode all raise the same
-    DecryptionFailure."""
+def recv_reply(frame: Frame, conn: ConnectionState):
+    """Open and decode the reply to the request ``send_sealed`` sealed last
+    on ``conn``, as ``send_reply`` sealed it; the reply to an envelope keys
+    ``conn``. A wrong tag, a short payload, a bad GCM tag and an inner frame
+    that does not decode all raise the same DecryptionFailure and change
+    nothing in ``conn``."""
     if frame.tag != REPLY_TAG:
         raise DecryptionFailure(UNOPENABLE_TEXT)
-    keyed = conn is not None and conn.key is not None
     try:
         sealed = crypto_core.Ciphertext.from_bytes(frame.payload)
         msg = decode_frame(crypto_core.decrypt_file(
-            sealed, conn.key if keyed else session_key, crypto_core.REPLY_INFO,
-            crypto_core.seq_aad(conn.seq) if keyed else None,
+            sealed, conn.key, crypto_core.REPLY_INFO,
+            crypto_core.seq_aad(conn.seq) if conn.keyed else None,
         ))
     except CloudVaultError:
         raise DecryptionFailure(UNOPENABLE_TEXT) from None
-    if conn is not None and not keyed:
-        conn.key = crypto_core.connection_key(session_key, sealed.nonce)
+    if not conn.keyed:
+        conn.key, conn.keyed = crypto_core.connection_key(conn.key, sealed.nonce), True
     return msg
 
 

@@ -192,7 +192,8 @@ class StorageService:
 
     # -- protocol dispatch ----------------------------------------------------
 
-    def handle_frame(self, frame: protocol.Frame) -> protocol.Frame:
+    def handle_frame(self, frame: protocol.Frame, conn=None) -> protocol.Frame:
+        # conn: the frame server's connection state; this channel is not sealed
         try:
             msg = protocol.recv_plain(frame)
             if isinstance(msg, protocol.StoreBlob):

@@ -180,7 +180,7 @@ class SystemService:
             ]
         self.storage_clients = list(storage_clients)
         if not self.storage_clients:
-            raise ValueError("at least one storage server is required")
+            raise StartupFailure("at least one storage server is required")
         self._lock = threading.RLock()
         self.keypair = self._load_or_create_keypair()
         self.accounts: dict[bytes, AccountRecord] = {}
@@ -444,18 +444,17 @@ class SystemService:
             return protocol.error_frame(exc)
 
     def handle_frame(
-        self, frame: protocol.Frame, conn: protocol.ConnectionState | None = None
+        self, frame: protocol.Frame, conn: protocol.ConnectionState
     ) -> protocol.Frame:
         """A sealed request that opens gets a sealed reply, refusals
         included. Any other frame gets a plain ``ErrorFrame``:
         ``DECRYPTION_FAILURE`` for every sealed frame that does not open, so
         the reply tells its sender nothing about the request. ``conn`` is the
-        state of the connection the frame came on: with it, the first
-        exchange keys the connection and later requests open under that key
-        alone. Without it, only an envelope opens, each on its own."""
+        state of the connection the frame came on: its first exchange keys
+        it, and later requests open under that key alone."""
         try:
             if frame.tag in (protocol.SEALED_TAG, protocol.KEYED_TAG):
-                msg, key = protocol.recv_sealed(frame, self.keypair, conn)
+                msg = protocol.recv_sealed(frame, self.keypair, conn)
             elif self.config.sabotage_accept_plain:
                 return protocol.send_plain(self.dispatch(protocol.recv_plain(frame)))
             else:
@@ -464,13 +463,13 @@ class SystemService:
             return protocol.send_plain(protocol.error_frame(exc))
         reply = self.dispatch(msg)
         try:
-            return protocol.send_reply(reply, key, conn)
+            return protocol.send_reply(reply, conn)
         except CloudVaultError as exc:  # a reply over the frame cap
-            return protocol.send_reply(protocol.error_frame(exc), key, conn)
+            return protocol.send_reply(protocol.error_frame(exc), conn)
 
 
 def main(argv=None) -> int:
-    return netutil.run_server(argv, SystemConfig, SystemService, keyed=True)
+    return netutil.run_server(argv, SystemConfig, SystemService)
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ import sys
 import tempfile
 
 import spans
-from cloudvault import crypto_core, mailbox, protocol, storage_server, system_server
+from cloudvault import mailbox, protocol, storage_server, system_server
 
 recorder = spans.Recorder()
 spans.install(sys.argv[1], recorder)
@@ -70,9 +70,10 @@ with tempfile.TemporaryDirectory() as root:
     )
 
     def exchange(msg):
-        session_key = crypto_core.generate_symmetric_key()
-        frame = protocol.send_sealed(msg, service.keypair.public, session_key)
-        return protocol.recv_reply(service.handle_frame(frame), session_key)
+        client = protocol.ConnectionState()
+        frame = protocol.send_sealed(msg, service.keypair.public, client)
+        return protocol.recv_reply(
+            service.handle_frame(frame, protocol.ConnectionState()), client)
 
     exchange(protocol.Register(username="u", mail_address="u@bench.test"))
     otp = mail.latest("u@bench.test")
@@ -111,11 +112,11 @@ def test_wire_counter_sees_a_client_exchange(tmp_path, client_keypair):
     requests = []
     replies = []
 
-    def handler(frame):  # client_keypair is the system key in this exchange
+    def handler(frame, conn):  # client_keypair is the system key in this exchange
         requests.append(frame)
-        _, session_key = protocol.recv_sealed(frame, client_keypair)
+        protocol.recv_sealed(frame, client_keypair, conn)
         reply = protocol.LoginResponse(session_token="", status="REGISTERED")
-        replies.append(protocol.send_reply(reply, session_key))
+        replies.append(protocol.send_reply(reply, conn))
         return replies[-1]
 
     server = netutil.start_frame_server("127.0.0.1", 0, handler)

@@ -99,11 +99,10 @@ FORGED_FILE = protocol.FilePayload(label="doc", file_bytes=b"forged bytes")
         lambda pub: protocol.send_plain(
             protocol.ErrorFrame(code="NO_SUCH_LABEL", text="forged refusal")
         ),
-        lambda pub: protocol.send_sealed(
-            FORGED_FILE, pub, crypto_core.generate_symmetric_key()
-        ),
+        lambda pub: protocol.send_sealed(FORGED_FILE, pub, protocol.ConnectionState()),
         lambda pub: protocol.send_reply(
-            FORGED_FILE, crypto_core.generate_symmetric_key()
+            FORGED_FILE,
+            protocol.ConnectionState(key=crypto_core.generate_symmetric_key()),
         ),
     ],
     ids=[
@@ -122,7 +121,7 @@ def test_download_refuses_a_forged_reply(tmp_path, client_keypair, forge):
     token_path.write_text("ab" * 16)
     public = {"n": str(client_keypair.n), "e": str(client_keypair.e)}
     server = netutil.start_frame_server(
-        "127.0.0.1", 0, lambda frame: forge(client_keypair.public)
+        "127.0.0.1", 0, lambda frame, conn: forge(client_keypair.public)
     )
     try:
         config = client_cli.ClientConfig(

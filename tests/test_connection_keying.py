@@ -4,6 +4,7 @@ on it is numbered and sealed under the connection key alone. These tests run
 the system service behind a real frame server, where each connection's key
 and ``seq`` live."""
 
+import dataclasses
 import json
 import select
 import socket
@@ -34,19 +35,19 @@ class Wire:
 
     def request(self, msg):
         """Seal ``msg`` as this connection's next request; returns the frame
-        sent, its session key and the reply message."""
-        session_key = crypto_core.generate_symmetric_key()
-        frame = protocol.send_sealed(msg, self.pub, session_key, self.conn)
-        return frame, session_key, protocol.recv_reply(
-            self.send(frame), session_key, self.conn
-        )
+        sent, a copy of the state its reply opens in, and the reply message."""
+        frame = protocol.send_sealed(msg, self.pub, self.conn)
+        sent = dataclasses.replace(self.conn)
+        return frame, sent, protocol.recv_reply(self.send(frame), self.conn)
 
 
 class Served:
     """A LocalStack's system service behind a frame server on a free port.
-    ``sockets`` gains the server's end of each connection."""
+    ``sockets`` gains the server's end of each connection. Unless it
+    ``keys_connections``, the server handles every frame on a fresh
+    connection state, as a server from before keyed connections did."""
 
-    def __init__(self, stack, monkeypatch, keyed: bool = True):
+    def __init__(self, stack, monkeypatch, keys_connections: bool = True):
         self.stack = stack
         self.sockets = []
         serve_frames = netutil._serve_frames
@@ -56,9 +57,11 @@ class Served:
             serve_frames(frame_handler, sock)
 
         monkeypatch.setattr(netutil, "_serve_frames", recorded)
-        self.server = netutil.start_frame_server(
-            "127.0.0.1", 0, stack.service.handle_frame, keyed
-        )
+        handler = stack.service.handle_frame
+        if not keys_connections:
+            def handler(frame, conn):
+                return stack.service.handle_frame(frame, protocol.ConnectionState())
+        self.server = netutil.start_frame_server("127.0.0.1", 0, handler)
         self.port = self.server.server_address[1]
         self.wires = []
 
@@ -86,8 +89,8 @@ class Served:
 def served(local_stack, monkeypatch):
     servers = []
 
-    def build(keyed: bool = True) -> Served:
-        servers.append(Served(local_stack(), monkeypatch, keyed))
+    def build(keys_connections: bool = True) -> Served:
+        servers.append(Served(local_stack(), monkeypatch, keys_connections))
         return servers[-1]
 
     yield build
@@ -212,12 +215,12 @@ def test_a_replayed_first_request_is_still_carried_out(served):
     s = served()
     token = s.stack.register_and_login("alice", "a@example.test")
     s.stack.service.upload(token, "doc", b"stored")
-    captured, session_key, reply = s.wire().request(
+    captured, sent, reply = s.wire().request(
         protocol.DownloadRequest(session_token=token, label="doc")
     )
     assert captured.tag == protocol.SEALED_TAG
     assert reply == protocol.FilePayload(label="doc", file_bytes=b"stored")
-    assert protocol.recv_reply(s.wire().send(captured), session_key) == reply
+    assert protocol.recv_reply(s.wire().send(captured), sent) == reply
 
 
 def test_an_old_client_sending_only_envelopes_keeps_working(served, rsa_private_calls):
@@ -225,11 +228,11 @@ def test_an_old_client_sending_only_envelopes_keeps_working(served, rsa_private_
     token = s.stack.register_and_login("alice", "a@example.test")
     wire = s.wire()
     for _ in range(3):
-        session_key = crypto_core.generate_symmetric_key()
+        conn = protocol.ConnectionState()  # keeps no key: each request is an envelope
         frame = protocol.send_sealed(
-            protocol.ListRequest(session_token=token), wire.pub, session_key
+            protocol.ListRequest(session_token=token), wire.pub, conn
         )
-        assert protocol.recv_reply(wire.send(frame), session_key) == protocol.ListResponse(
+        assert protocol.recv_reply(wire.send(frame), conn) == protocol.ListResponse(
             labels=()
         )
     assert len(rsa_private_calls) == 3
@@ -238,7 +241,7 @@ def test_an_old_client_sending_only_envelopes_keeps_working(served, rsa_private_
 def test_a_server_that_keys_no_connection_refuses_the_second_request(served, tmp_path):
     # A system server from before keyed connections takes envelopes only:
     # the client's second request fails, and the next one keys a new socket.
-    s = served(keyed=False)
+    s = served(keys_connections=False)
     config = client_cli.ClientConfig(**s.client_config(tmp_path))
     with client_cli.ClientSession(config) as session:
         session.register("alice", "a@example.test")

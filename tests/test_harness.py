@@ -108,7 +108,7 @@ def test_a_system_server_that_cannot_start_names_its_log(tmp_path):
     log_path = os.path.join(config.workdir, "system.log")
     assert str(excinfo.value).endswith(f"see {log_path}")
     with open(log_path) as fh:
-        assert "StartupFailure: rsa_bits 512" in fh.read()
+        assert "STARTUP_FAILURE: rsa_bits 512" in fh.read()
 
 
 def test_ports_picked_in_one_call_are_distinct():
@@ -320,7 +320,7 @@ def test_the_capture_proxy_keeps_an_idle_connection(tmp_path, monkeypatch):
     monkeypatch.setattr(
         socket, "create_connection", lambda address, *_, **__: connect(address, 0.5)
     )
-    echo = netutil.start_frame_server("127.0.0.1", 0, lambda frame: frame)
+    echo = netutil.start_frame_server("127.0.0.1", 0, lambda frame, conn: frame)
     (port,) = harness._free_ports(1)
     proxy = harness.CaptureProxy(port, echo.server_address, str(tmp_path / "capture"))
     frame = protocol.Frame(tag=0x7F, payload=b"ping")

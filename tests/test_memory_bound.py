@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from cloudvault import crypto_core, protocol
+from cloudvault import protocol
 from conftest import LocalStack
 
 FILE_BYTES = 4 * 1024 * 1024
@@ -27,21 +27,23 @@ BOUNDS = {
 @pytest.fixture(scope="module")
 def stack(tmp_path_factory):
     """A system server and one storage server, in-process, holding one
-    4 MiB file, with a session and a request key."""
+    4 MiB file, with a session."""
     stack = LocalStack(tmp_path_factory.mktemp("memory"))
     stack.token = stack.register_and_login("alice", "a@example.test")
     stack.data = os.urandom(FILE_BYTES)
-    stack.key = crypto_core.generate_symmetric_key()
     stack.service.upload(stack.token, "stored", stack.data)
     return stack
 
 
-def _seal(stack, msg) -> protocol.Frame:
-    return protocol.send_sealed(msg, stack.service.keypair.public, stack.key)
+def _seal(stack, msg):
+    """``msg`` sealed as the first request on a new connection, and the
+    client's state of that connection."""
+    client = protocol.ConnectionState()
+    return protocol.send_sealed(msg, stack.service.keypair.public, client), client
 
 
-def _reply(stack, frame):
-    return protocol.recv_reply(frame, stack.key)
+def _handle(stack, frame) -> protocol.Frame:
+    return stack.service.handle_frame(frame, protocol.ConnectionState())
 
 
 def _case(stack, name):
@@ -51,24 +53,30 @@ def _case(stack, name):
     )
     download = protocol.DownloadRequest(session_token=stack.token, label="stored")
     if name == "system and storage: upload":
-        frame = _seal(stack, upload)
+        frame, client = _seal(stack, upload)
         return (
-            lambda: stack.service.handle_frame(frame),
-            lambda reply: isinstance(_reply(stack, reply), protocol.UploadAck),
+            lambda: _handle(stack, frame),
+            lambda reply: isinstance(protocol.recv_reply(reply, client), protocol.UploadAck),
         )
     if name == "system and storage: download":
-        frame = _seal(stack, download)
+        frame, client = _seal(stack, download)
         return (
-            lambda: stack.service.handle_frame(frame),
-            lambda reply: _reply(stack, reply).file_bytes == stack.data,
+            lambda: _handle(stack, frame),
+            lambda reply: protocol.recv_reply(reply, client).file_bytes == stack.data,
         )
     if name == "client: seal an upload":
         return (
             lambda: _seal(stack, upload),
-            lambda sealed: protocol.recv_sealed(sealed, stack.service.keypair)[0] == upload,
+            lambda sealed: protocol.recv_sealed(
+                sealed[0], stack.service.keypair, protocol.ConnectionState()
+            ) == upload,
         )
-    reply = stack.service.handle_frame(_seal(stack, download))
-    return lambda: _reply(stack, reply), lambda msg: msg.file_bytes == stack.data
+    frame, client = _seal(stack, download)
+    reply = _handle(stack, frame)
+    return (
+        lambda: protocol.recv_reply(reply, client),
+        lambda msg: msg.file_bytes == stack.data,
+    )
 
 
 @pytest.mark.parametrize("name", BOUNDS)

@@ -1,9 +1,9 @@
 """Table rows, the keep-alive frame exchange and the server process shell
 that both servers share."""
 
+import ast
 import json
 import os
-import re
 import signal
 import socket
 import stat
@@ -15,10 +15,13 @@ import time
 import pytest
 
 from cloudvault import crypto_core, harness, mailbox, netutil, protocol
+from cloudvault import storage_server as storage_mod
+from cloudvault import system_server as system_mod
 from cloudvault.client_cli import ClientConfig, ClientSession
 from cloudvault.crypto_core import md5_digest
 from cloudvault.errors import (
     ConnectionFailure,
+    DecryptionFailure,
     InvalidKey,
     StartupFailure,
     StorageUnavailable,
@@ -261,16 +264,44 @@ def test_an_older_world_readable_file_is_private_after_its_next_write(tmp_path):
     assert stat.S_IMODE((tmp_path / "counter.txt").stat().st_mode) == 0o600
 
 
+DURABLE_CALLS = {"fsync", "replace", "fchmod"}
+
+
+def _durable_calls(tree: ast.AST):
+    """Line numbers of the calls to os.fsync, os.replace and os.fchmod in
+    ``tree``, however os or the function was imported."""
+    os_names = {"os"}
+    direct = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            os_names |= {a.asname for a in node.names if a.name == "os" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            direct |= {a.asname or a.name for a in node.names if a.name in DURABLE_CALLS}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute) and func.attr in DURABLE_CALLS
+            and isinstance(func.value, ast.Name) and func.value.id in os_names
+        ) or (isinstance(func, ast.Name) and func.id in direct):
+            yield node.lineno
+
+
 def test_only_netutil_makes_a_file_durable_or_sets_its_mode():
+    # Every durable write goes through netutil's writers, the one seam a
+    # crash explorer has to record.
     src_dir = os.path.dirname(netutil.__file__)
     offenders = {}
     for name in sorted(os.listdir(src_dir)):
         if name.endswith(".py") and name != "netutil.py":
             with open(os.path.join(src_dir, name), encoding="utf-8") as fh:
-                found = re.findall(r"\bos\.(?:fsync|replace|fchmod)\b", fh.read())
+                found = list(_durable_calls(ast.parse(fh.read(), name)))
             if found:
                 offenders[name] = found
     assert offenders == {}
+    sample = "import os as o\nfrom os import replace as r\no.fsync(1)\nr('a', 'b')\n"
+    assert list(_durable_calls(ast.parse(sample))) == [3, 4]
 
 
 # ---------------------------------------------------------------------
@@ -382,10 +413,11 @@ BLOB_REPLY = protocol.send_plain(protocol.BlobPayload(blob=b"\x00" * 32))
 def registered(system_keypair):
     """A script step that answers a sealed Register as the system server does."""
 
-    def answer(frame):
-        _, session_key = protocol.recv_sealed(frame, system_keypair)
+    def answer(frame):  # only the first request on a connection opens
+        conn = protocol.ConnectionState()
+        protocol.recv_sealed(frame, system_keypair, conn)
         reply = protocol.LoginResponse(session_token="", status="REGISTERED")
-        return protocol.send_reply(reply, session_key)
+        return protocol.send_reply(reply, conn)
 
     return answer
 
@@ -460,26 +492,50 @@ def test_client_session_reconnects_after_the_peer_restarts(
 
 
 
-def test_exchange_tells_the_builder_when_its_socket_is_new(peer):
+def test_each_new_socket_gets_a_new_connection_state(peer):
     fake = peer([BLOB_REPLY, BLOB_REPLY, RESTART, BLOB_REPLY])
     conn = netutil.FrameConnection("127.0.0.1", fake.port, timeout=10.0)
-    fresh = []
+    sealed_in, opened_in = [], []
 
-    def build(is_fresh):
-        fresh.append(is_fresh)
+    def seal(state):
+        sealed_in.append(state)
         return protocol.send_plain(FETCH)
 
+    def open_reply(reply, state):
+        opened_in.append(state)
+        return reply
+
     try:
-        conn.exchange(build)
-        conn.exchange(build)
+        conn.exchange(seal, open_reply)
+        conn.exchange(seal, open_reply)
         assert fake.restarted.wait(timeout=10)
-        conn.exchange(build)
+        conn.exchange(seal, open_reply)
     finally:
         conn.close()
-    assert fresh == [True, False, True]
+    assert all(s is o for s, o in zip(sealed_in, opened_in, strict=True))
+    assert sealed_in[0] is sealed_in[1] and sealed_in[1] is not sealed_in[2]
+    assert sealed_in[2] == protocol.ConnectionState()
 
 
-def test_a_keyed_frame_server_gives_each_connection_its_own_state():
+def test_a_reply_that_does_not_open_closes_the_socket_and_the_next_request_rekeys(
+    peer, session_for, client_keypair
+):
+    # The second reply is plain, so the client cannot open it: the two ends
+    # may disagree on the connection's state from there on.
+    forged = protocol.send_plain(protocol.LoginResponse(session_token="", status="OK"))
+    fake = peer([registered(client_keypair), forged, registered(client_keypair)])
+    session = session_for(fake.port)
+    session.register("alice", "a@example.test")
+    with pytest.raises(DecryptionFailure, match=protocol.UNOPENABLE_TEXT):
+        session.register("bob", "b@example.test")
+    assert session._conn._sock is None
+    session.register("carol", "c@example.test")
+    assert [frame.tag for frame in fake.seen] == [
+        protocol.SEALED_TAG, protocol.KEYED_TAG, protocol.SEALED_TAG
+    ]
+
+
+def test_a_frame_server_gives_each_connection_its_own_state():
     states = []
 
     def handler(frame, conn):
@@ -487,7 +543,7 @@ def test_a_keyed_frame_server_gives_each_connection_its_own_state():
         states.append(conn)
         return protocol.Frame(frame.tag, str(conn.seq).encode())
 
-    server = netutil.start_frame_server("127.0.0.1", 0, handler, keyed=True)
+    server = netutil.start_frame_server("127.0.0.1", 0, handler)
     replies = []
     try:
         for _ in range(2):
@@ -519,7 +575,7 @@ def echo_server(monkeypatch):
         serve_frames(frame_handler, sock)
 
     monkeypatch.setattr(netutil, "_serve_frames", recorded)
-    server = netutil.start_frame_server("127.0.0.1", 0, lambda frame: frame)
+    server = netutil.start_frame_server("127.0.0.1", 0, lambda frame, conn: frame)
     server.handlers = handlers
     yield server
     server.shutdown()
@@ -575,6 +631,62 @@ SERVER_CONFIGS = {
     },
     "storage_server": {"server_id": "s1"},
 }
+
+
+def _storage_config(tmp_path, **changes) -> str:
+    port, admin_port = harness._free_ports(2)
+    config = dict(
+        server_id="s1", host="127.0.0.1", port=port, admin_port=admin_port,
+        data_dir=str(tmp_path / "data"), seed=100,
+    )
+    config.update(changes)
+    path = tmp_path / "storage.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_a_server_that_cannot_start_prints_one_coded_line(tmp_path, capsys):
+    path = _storage_config(tmp_path, seed=0)
+    assert storage_mod.main(["--config", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "INVALID_SEED: seed must be a positive integer, got 0"
+    ]
+    path = _storage_config(tmp_path, colour="blue")
+    assert storage_mod.main(["--config", path]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"STARTUP_FAILURE: config {path}: ")
+    assert "'colour'" in line
+    path = _storage_config(tmp_path)
+    (tmp_path / "data" / "blobs").mkdir(parents=True)
+    assert storage_mod.main(["--config", path]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("STARTUP_FAILURE: ") and "blobs" in line
+    for bad in ("{", "[]"):
+        (tmp_path / "storage.json").write_text(bad)
+        assert storage_mod.main(["--config", path]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"STARTUP_FAILURE: config {path}: ")
+
+
+def test_a_system_server_with_no_storage_prints_one_coded_line(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({
+        "host": "127.0.0.1", "port": 0, "admin_port": 0, "storage": [],
+        "data_dir": str(tmp_path / "data"), "mailbox_dir": str(tmp_path / "mail"),
+    }))
+    assert system_mod.main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "STARTUP_FAILURE: at least one storage server is required"
+    ]
+
+
+def test_a_server_whose_port_is_taken_prints_one_coded_line(tmp_path, capsys):
+    path = _storage_config(tmp_path)
+    port = json.loads((tmp_path / "storage.json").read_text())["port"]
+    with socket.create_server(("127.0.0.1", port)):
+        assert storage_mod.main(["--config", path]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"STARTUP_FAILURE: ports {port} and ")
 
 
 def _unknown_tag_reply(port: int, proc, timeout: float = 15.0) -> protocol.Frame:

@@ -23,6 +23,16 @@ RNG = random.Random(0xF7A3E)
 SESSION_KEY = bytes(range(16))
 
 
+def _fresh():
+    return protocol.ConnectionState()
+
+
+def _in_flight(session_key=SESSION_KEY):
+    """An unkeyed connection's state while the envelope sealed under
+    ``session_key`` awaits its reply."""
+    return protocol.ConnectionState(key=session_key)
+
+
 def _random_label():
     return "".join(RNG.choice("abcdefghij-._ £µ") for _ in range(RNG.randint(1, 12)))
 
@@ -493,7 +503,7 @@ def test_no_message_kind_can_carry_a_symmetric_key():
 
 def test_plain_channel_rejects_sealed_frames(client_keypair):
     frame = protocol.send_sealed(
-        protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
+        protocol.ListRequest(session_token="ab"), client_keypair.public, _fresh()
     )
     with pytest.raises(MalformedPayload):
         protocol.recv_plain(frame)
@@ -506,14 +516,16 @@ def test_sealed_round_trip(client_keypair):
     msg = protocol.UploadRequest(
         session_token="cd" * 16, label="x.txt", file_bytes=b"payload bytes"
     )
-    frame = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY)
-    assert protocol.recv_sealed(frame, client_keypair) == (msg, SESSION_KEY)
+    client, server = _fresh(), _fresh()
+    frame = protocol.send_sealed(msg, client_keypair.public, client)
+    assert protocol.recv_sealed(frame, client_keypair, server) == msg
+    assert server == client == _in_flight(client.key)
 
 
 def test_sealed_frames_differ_each_time(client_keypair):
     msg = protocol.ListRequest(session_token="ee" * 16)
-    first = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY)
-    second = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY)
+    first = protocol.send_sealed(msg, client_keypair.public, _fresh())
+    second = protocol.send_sealed(msg, client_keypair.public, _fresh())
     assert first != second
 
 
@@ -527,7 +539,7 @@ def test_eavesdropper_sees_no_plaintext(client_keypair):
             session_token="ab" * 16, label="secret-label", file_bytes=file_marker
         ),
     ):
-        wire = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY).to_bytes()
+        wire = protocol.send_sealed(msg, client_keypair.public, _fresh()).to_bytes()
         for marker in (
             username.encode(),
             otp.encode(),
@@ -541,10 +553,10 @@ def test_eavesdropper_sees_no_plaintext(client_keypair):
 def test_sealed_wrong_key(client_keypair):
     other = crypto_core.rsa_generate(1024)
     frame = protocol.send_sealed(
-        protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
+        protocol.ListRequest(session_token="ab"), client_keypair.public, _fresh()
     )
     with pytest.raises(DecryptionFailure):
-        protocol.recv_sealed(frame, other)
+        protocol.recv_sealed(frame, other, _fresh())
 
 
 def test_envelope_wrong_key_fails(client_keypair):
@@ -552,19 +564,19 @@ def test_envelope_wrong_key_fails(client_keypair):
     # key it returns pseudo-random bytes, now and then 16 of them. The GCM
     # tag then fails, and every such frame gets the one refusal text.
     frame = protocol.send_sealed(
-        protocol.ListRequest(session_token="ab"), client_keypair.public, SESSION_KEY
+        protocol.ListRequest(session_token="ab"), client_keypair.public, _fresh()
     )
     for _ in range(20):
         other = crypto_core.rsa_generate(1024)  # independent pair
         with pytest.raises(DecryptionFailure) as excinfo:
-            protocol.recv_sealed(frame, other)
+            protocol.recv_sealed(frame, other, _fresh())
         assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
 
 
 def test_recv_sealed_requires_sealed_tag(client_keypair):
     frame = protocol.send_plain(protocol.ListRequest(session_token="ab"))
     with pytest.raises(MalformedPayload):
-        protocol.recv_sealed(frame, client_keypair)
+        protocol.recv_sealed(frame, client_keypair, _fresh())
 
 
 def test_sealed_payload_is_wrapped_key_nonce_body(client_keypair):
@@ -572,18 +584,19 @@ def test_sealed_payload_is_wrapped_key_nonce_body(client_keypair):
         session_token="cd" * 16, label="layout", file_bytes=bytes(range(256)) * 3
     )
     inner = protocol.encode_frame(msg)
-    payload = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY).payload
+    client = _fresh()
+    payload = protocol.send_sealed(msg, client_keypair.public, client).payload
     k = crypto_core.modulus_bytes(client_keypair.n)
     overhead = crypto_core.NONCE_BYTES + crypto_core.TAG_BYTES
     assert len(payload) == k + len(inner) + overhead
     wrapped = payload[:k]
     session_key = crypto_core.rsa_decrypt_block(wrapped, client_keypair)
-    assert session_key == SESSION_KEY
+    assert session_key == client.key
     body = crypto_core.Ciphertext.from_bytes(payload[k:])
     assert crypto_core.decrypt_file(
         body, session_key, crypto_core.REQUEST_INFO, wrapped
     ) == inner
-    assert crypto_core.open_envelope(payload, client_keypair) == (inner, SESSION_KEY)
+    assert crypto_core.open_envelope(payload, client_keypair) == (inner, session_key)
 
 
 def old_cbc_seal(msg: bytes, key: bytes) -> bytes:
@@ -598,7 +611,8 @@ def old_cbc_seal(msg: bytes, key: bytes) -> bytes:
 def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
     """Sealed-frame payloads that no receiver holding ``pub``'s key may open."""
     request = protocol.ListRequest(session_token="ab")
-    good = protocol.send_sealed(request, pub, SESSION_KEY).payload
+    conn = protocol.ConnectionState()
+    good = protocol.send_sealed(request, pub, conn).payload
     k = crypto_core.modulus_bytes(pub[0])
     nonce, tag = crypto_core.NONCE_BYTES, crypto_core.TAG_BYTES
 
@@ -620,13 +634,13 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
         "wrapped key bit flipped": flipped(k // 2, k // 2 + 1, 0x01),
         "wrapped key all ones": b"\xff" * k + good[k:],
         "wrapped key zero": bytes(k) + good[k:],
-        "same session key wrapped again": crypto_core.rsa_encrypt_block(SESSION_KEY, pub)
+        "same session key wrapped again": crypto_core.rsa_encrypt_block(conn.key, pub)
         + good[k:],
         "nonce bit flipped": flipped(k + 15, k + 16, 0x01),
         "first body block flipped": flipped(k + nonce, k + nonce + 16),
         "tag bit flipped": flipped(len(good) - 1, len(good), 0x01),
         "sealed to another key": protocol.send_sealed(
-            request, other.public, SESSION_KEY
+            request, other.public, protocol.ConnectionState()
         ).payload,
         "sealed by an old client (AES-CBC)": crypto_core.rsa_encrypt_block(
             SESSION_KEY, pub
@@ -650,7 +664,7 @@ def test_malformed_sealed_payloads_raise_cloudvault_errors(client_keypair):
     for payload in malformed_sealed_payloads(client_keypair.public).values():
         frame = protocol.Frame(tag=protocol.SEALED_TAG, payload=payload)
         with pytest.raises(CloudVaultError):  # never IndexError or ValueError
-            protocol.recv_sealed(frame, client_keypair)
+            protocol.recv_sealed(frame, client_keypair, _fresh())
 
 
 def test_server_answers_malformed_sealed_payloads_with_plain_errors(local_stack):
@@ -658,7 +672,7 @@ def test_server_answers_malformed_sealed_payloads_with_plain_errors(local_stack)
     replies = set()
     for name, payload in malformed_sealed_payloads(service.keypair.public).items():
         reply = service.handle_frame(
-            protocol.Frame(tag=protocol.SEALED_TAG, payload=payload)
+            protocol.Frame(tag=protocol.SEALED_TAG, payload=payload), _fresh()
         )
         assert reply.tag not in (protocol.SEALED_TAG, protocol.REPLY_TAG), name
         assert isinstance(protocol.recv_plain(reply), protocol.ErrorFrame), name
@@ -673,35 +687,36 @@ LIST = protocol.ListRequest(session_token="ab" * 16)
 LISTED = protocol.ListResponse(labels=("a",))
 
 
-def _keyed_ends(keypair, session_key=SESSION_KEY):
+def _keyed_ends(keypair):
     """A client's and a server's ConnectionState after one genuine first
-    exchange, and that exchange's reply."""
-    client, server = protocol.ConnectionState(), protocol.ConnectionState()
-    request = protocol.send_sealed(LIST, keypair.public, session_key, client)
+    exchange, that exchange's reply and its session key."""
+    client, server = _fresh(), _fresh()
+    request = protocol.send_sealed(LIST, keypair.public, client)
     assert request.tag == protocol.SEALED_TAG
-    _, key = protocol.recv_sealed(request, keypair, server)
-    reply = protocol.send_reply(LISTED, key, server)
-    assert protocol.recv_reply(reply, session_key, client) == LISTED
-    return client, server, reply
+    session_key = client.key
+    assert protocol.recv_sealed(request, keypair, server) == LIST
+    reply = protocol.send_reply(LISTED, server)
+    assert protocol.recv_reply(reply, client) == LISTED
+    return client, server, reply, session_key
 
 
 def test_the_first_reply_keys_both_ends_from_its_own_nonce(client_keypair):
-    client, server, reply = _keyed_ends(client_keypair)
+    client, server, reply, session_key = _keyed_ends(client_keypair)
     # the reply itself is the one an unkeyed client opens: no AAD
-    assert protocol.recv_reply(reply, SESSION_KEY) == LISTED
+    assert protocol.recv_reply(reply, _in_flight(session_key)) == LISTED
     nonce = bytes(reply.payload[: crypto_core.NONCE_BYTES])
-    key = crypto_core.connection_key(SESSION_KEY, nonce)
-    assert client == server == protocol.ConnectionState(key=key, seq=0)
+    key = crypto_core.connection_key(session_key, nonce)
+    assert client == server == protocol.ConnectionState(key=key, keyed=True, seq=0)
     # the same first request answered again keys another connection
-    again = protocol.ConnectionState()
-    protocol.send_reply(LISTED, SESSION_KEY, again)
-    assert again.key != key
+    again = _in_flight(session_key)
+    protocol.send_reply(LISTED, again)
+    assert again.keyed and again.key != key
 
 
 def test_a_keyed_request_is_seq_nonce_body_under_the_connection_key(client_keypair):
-    client, server, _ = _keyed_ends(client_keypair)
+    client, server, _, _ = _keyed_ends(client_keypair)
     msg = protocol.DownloadRequest(session_token="cd" * 16, label="layout")
-    frame = protocol.send_sealed(msg, client_keypair.public, SESSION_KEY, client)
+    frame = protocol.send_sealed(msg, client_keypair.public, client)
     assert frame.tag == protocol.KEYED_TAG and client.seq == 1
     inner = protocol.encode_frame(msg)
     seq = (1).to_bytes(8, "big")
@@ -709,18 +724,18 @@ def test_a_keyed_request_is_seq_nonce_body_under_the_connection_key(client_keypa
     assert frame.payload[:8] == seq
     body = crypto_core.Ciphertext.from_bytes(frame.payload[8:])
     assert crypto_core.decrypt_file(body, client.key, crypto_core.REQUEST_INFO, seq) == inner
-    assert protocol.recv_sealed(frame, client_keypair, server) == (msg, server.key)
+    assert protocol.recv_sealed(frame, client_keypair, server) == msg
     assert server.seq == 1
-    reply = protocol.send_reply(LISTED, server.key, server)
+    reply = protocol.send_reply(LISTED, server)
     sealed = crypto_core.Ciphertext.from_bytes(reply.payload)
     assert crypto_core.decrypt_file(
         sealed, client.key, crypto_core.REPLY_INFO, seq
     ) == protocol.encode_frame(LISTED)
-    assert protocol.recv_reply(reply, None, client) == LISTED
+    assert protocol.recv_reply(reply, client) == LISTED
 
 
 def _assert_refused(frame, keypair, conn):
-    before = dataclasses.replace(conn) if conn is not None else None
+    before = dataclasses.replace(conn)
     with pytest.raises(DecryptionFailure) as excinfo:
         protocol.recv_sealed(frame, keypair, conn)
     assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
@@ -728,41 +743,40 @@ def _assert_refused(frame, keypair, conn):
 
 
 def test_a_server_takes_only_the_next_seq(client_keypair):
-    client, server, _ = _keyed_ends(client_keypair)
+    client, server, _, _ = _keyed_ends(client_keypair)
     first, second = (
-        protocol.send_sealed(LIST, client_keypair.public, SESSION_KEY, client)
-        for _ in range(2)
+        protocol.send_sealed(LIST, client_keypair.public, client) for _ in range(2)
     )
     _assert_refused(second, client_keypair, server)  # skips seq 1
-    assert protocol.recv_sealed(first, client_keypair, server)[0] == LIST
+    assert protocol.recv_sealed(first, client_keypair, server) == LIST
     _assert_refused(first, client_keypair, server)  # stale: seq 1 again
-    assert protocol.recv_sealed(second, client_keypair, server)[0] == LIST
+    assert protocol.recv_sealed(second, client_keypair, server) == LIST
     assert server.seq == 2
 
 
 def test_a_keyed_request_opens_only_on_its_own_keyed_connection(client_keypair):
-    client, server, _ = _keyed_ends(client_keypair)
-    frame = protocol.send_sealed(LIST, client_keypair.public, SESSION_KEY, client)
-    _, other, _ = _keyed_ends(client_keypair, crypto_core.generate_symmetric_key())
-    for conn in (None, protocol.ConnectionState(), other):
+    client, server, _, session_key = _keyed_ends(client_keypair)
+    frame = protocol.send_sealed(LIST, client_keypair.public, client)
+    _, other, _, _ = _keyed_ends(client_keypair)
+    for conn in (_fresh(), _in_flight(session_key), other):
         _assert_refused(frame, client_keypair, conn)
     for payload in (b"", frame.payload[:8], frame.payload[:-1]):
         _assert_refused(protocol.Frame(protocol.KEYED_TAG, payload), client_keypair, server)
-    assert protocol.recv_sealed(frame, client_keypair, server)[0] == LIST
+    assert protocol.recv_sealed(frame, client_keypair, server) == LIST
 
 
 def test_an_envelope_rekeys_its_connection_and_restarts_seq(client_keypair):
-    client, server, _ = _keyed_ends(client_keypair)
-    frame = protocol.send_sealed(LIST, client_keypair.public, SESSION_KEY, client)
+    client, server, _, _ = _keyed_ends(client_keypair)
+    frame = protocol.send_sealed(LIST, client_keypair.public, client)
     protocol.recv_sealed(frame, client_keypair, server)
     old_key = server.key
-    new_client = protocol.ConnectionState()
-    session_key = crypto_core.generate_symmetric_key()
-    frame = protocol.send_sealed(LIST, client_keypair.public, session_key, new_client)
-    assert protocol.recv_sealed(frame, client_keypair, server) == (LIST, session_key)
-    assert server == protocol.ConnectionState()  # unkeyed until the reply goes
-    reply = protocol.send_reply(LISTED, session_key, server)
-    assert protocol.recv_reply(reply, session_key, new_client) == LISTED
+    new_client = _fresh()
+    frame = protocol.send_sealed(LIST, client_keypair.public, new_client)
+    session_key = new_client.key
+    assert protocol.recv_sealed(frame, client_keypair, server) == LIST
+    assert server == _in_flight(session_key)  # unkeyed until the reply goes
+    reply = protocol.send_reply(LISTED, server)
+    assert protocol.recv_reply(reply, new_client) == LISTED
     assert new_client == server and server.key != old_key and server.seq == 0
 
 
@@ -771,7 +785,7 @@ def test_an_envelope_rekeys_its_connection_and_restarts_seq(client_keypair):
 
 def test_reply_round_trip_and_layout():
     msg = protocol.FilePayload(label="r.bin", file_bytes=bytes(range(256)))
-    frame = protocol.send_reply(msg, SESSION_KEY)
+    frame = protocol.send_reply(msg, _in_flight())
     assert frame.tag == protocol.REPLY_TAG
     inner = protocol.encode_frame(msg)
     assert len(frame.payload) == (
@@ -779,18 +793,20 @@ def test_reply_round_trip_and_layout():
     )
     sealed = crypto_core.Ciphertext.from_bytes(frame.payload)
     assert crypto_core.decrypt_file(sealed, SESSION_KEY, crypto_core.REPLY_INFO) == inner
-    assert protocol.recv_reply(frame, SESSION_KEY) == msg
-    assert protocol.send_reply(msg, SESSION_KEY) != frame
+    assert protocol.recv_reply(frame, _in_flight()) == msg
+    assert protocol.send_reply(msg, _in_flight()) != frame
 
 
 def _assert_unopenable(frame, session_key):
+    conn = _in_flight(session_key)
     with pytest.raises(DecryptionFailure) as excinfo:
-        protocol.recv_reply(frame, session_key)
+        protocol.recv_reply(frame, conn)
     assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
+    assert conn == _in_flight(session_key)
 
 
 def test_every_byte_flip_in_a_reply_is_rejected_alike():
-    frame = protocol.send_reply(protocol.ListResponse(labels=("a", "b")), SESSION_KEY)
+    frame = protocol.send_reply(protocol.ListResponse(labels=("a", "b")), _in_flight())
     # nonce, then body, then the GCM tag: every byte of each
     for index in range(len(frame.payload)):
         for mask in (0x01, 0x80):
@@ -801,7 +817,7 @@ def test_every_byte_flip_in_a_reply_is_rejected_alike():
 
 
 def test_malformed_replies_are_rejected_alike():
-    good = protocol.send_reply(protocol.ListResponse(labels=()), SESSION_KEY)
+    good = protocol.send_reply(protocol.ListResponse(labels=()), _in_flight())
     for frame in (
         protocol.Frame(protocol.REPLY_TAG, b""),
         protocol.Frame(protocol.REPLY_TAG, good.payload[:-1]),
@@ -827,7 +843,7 @@ def test_malformed_replies_are_rejected_alike():
 
 
 def test_a_reply_opens_only_under_its_own_session_key():
-    frame = protocol.send_reply(protocol.ListResponse(labels=("a",)), SESSION_KEY)
+    frame = protocol.send_reply(protocol.ListResponse(labels=("a",)), _in_flight())
     for _ in range(20):
         _assert_unopenable(frame, crypto_core.generate_symmetric_key())
 

@@ -750,16 +750,19 @@ def test_storage_never_sees_whose_blob_it_holds(local_stack, monkeypatch):
 # ---------------------------------------------------------------------
 # protocol dispatch
 
-def _seal(stack, msg, session_key=None) -> protocol.Frame:
-    session_key = session_key or crypto_core.generate_symmetric_key()
-    return protocol.send_sealed(msg, stack.service.keypair.public, session_key)
+def _seal(stack, msg, client=None) -> protocol.Frame:
+    client = client or protocol.ConnectionState()
+    return protocol.send_sealed(msg, stack.service.keypair.public, client)
+
+
+def _handle(stack, frame) -> protocol.Frame:
+    """The reply to ``frame``, the first request on a connection of its own."""
+    return stack.service.handle_frame(frame, protocol.ConnectionState())
 
 
 def _sealed_exchange(stack, msg):
-    session_key = crypto_core.generate_symmetric_key()
-    return protocol.recv_reply(
-        stack.service.handle_frame(_seal(stack, msg, session_key)), session_key
-    )
+    client = protocol.ConnectionState()
+    return protocol.recv_reply(_handle(stack, _seal(stack, msg, client)), client)
 
 
 def test_register_over_the_wire(local_stack):
@@ -776,10 +779,10 @@ def test_a_taken_username_is_refused_in_a_sealed_reply(local_stack):
     stack = local_stack()
     msg = protocol.Register(username="wire-user", mail_address="w@example.test")
     _sealed_exchange(stack, msg)
-    session_key = crypto_core.generate_symmetric_key()
-    reply = stack.service.handle_frame(_seal(stack, msg, session_key))
+    client = protocol.ConnectionState()
+    reply = _handle(stack, _seal(stack, msg, client))
     assert reply.tag == protocol.REPLY_TAG
-    error = protocol.recv_reply(reply, session_key)
+    error = protocol.recv_reply(reply, client)
     assert error == protocol.ErrorFrame(
         code="DUPLICATE_USER", text="that username is taken"
     )
@@ -811,8 +814,8 @@ def test_an_old_register_with_a_client_key_is_refused(local_stack):
     }
     tag = protocol._TAG_BY_TYPE[protocol.Register]
     files = _data_files(stack)
-    reply = stack.service.handle_frame(
-        _seal_by_hand(stack, tag, old, crypto_core.generate_symmetric_key())
+    reply = _handle(
+        stack, _seal_by_hand(stack, tag, old, crypto_core.generate_symmetric_key())
     )
     assert reply.tag != protocol.REPLY_TAG
     error = protocol.recv_plain(reply)
@@ -853,12 +856,12 @@ def test_a_reply_to_one_request_does_not_answer_another(local_stack):
     stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test")
     request = protocol.ListRequest(session_token=token)
-    key_a, key_b = (crypto_core.generate_symmetric_key() for _ in range(2))
-    reply_a = stack.service.handle_frame(_seal(stack, request, key_a))
-    stack.service.handle_frame(_seal(stack, request, key_b))  # request B
-    assert protocol.recv_reply(reply_a, key_a) == protocol.ListResponse(labels=())
+    client_a, client_b = protocol.ConnectionState(), protocol.ConnectionState()
+    reply_a = _handle(stack, _seal(stack, request, client_a))
+    _handle(stack, _seal(stack, request, client_b))  # request B
+    assert protocol.recv_reply(reply_a, client_a) == protocol.ListResponse(labels=())
     with pytest.raises(DecryptionFailure) as excinfo:
-        protocol.recv_reply(reply_a, key_b)
+        protocol.recv_reply(reply_a, client_b)
     assert str(excinfo.value) == protocol.UNOPENABLE_TEXT
 
 
@@ -879,11 +882,11 @@ def test_failed_logins_answer_alike(local_stack):
     stack.service.register("alice", "a@example.test")
     replies = []
     for username in ("alice", "ghost"):  # wrong OTP, unknown user
-        session_key = crypto_core.generate_symmetric_key()
+        client = protocol.ConnectionState()
         request = protocol.LoginRequest(username=username, otp="A" * 16)
-        frame = stack.service.handle_frame(_seal(stack, request, session_key))
+        frame = _handle(stack, _seal(stack, request, client))
         assert frame.tag == protocol.REPLY_TAG
-        replies.append((len(frame.payload), protocol.recv_reply(frame, session_key)))
+        replies.append((len(frame.payload), protocol.recv_reply(frame, client)))
     assert replies[0] == replies[1]
     assert replies[0][1].code == "AUTH_FAILED"
 
@@ -901,7 +904,7 @@ def test_failed_logins_answer_alike(local_stack):
 def test_a_refusal_is_sealed_and_names_no_code_on_the_wire(local_stack, msg):
     stack = local_stack()
     stack.service.register("alice", "a@example.test")
-    wire = stack.service.handle_frame(_seal(stack, msg)).to_bytes()
+    wire = _handle(stack, _seal(stack, msg)).to_bytes()
     for code in (b"AUTH_FAILED", b"INVALID_SESSION"):
         assert code not in wire
         assert code.hex().encode() not in wire
@@ -912,7 +915,7 @@ def test_over_cap_sealed_reply_is_an_error_frame(local_stack, monkeypatch):
     token = stack.register_and_login("big", "big@example.test")
     stack.service.upload(token, "big.bin", bytes(4096))
     request = protocol.DownloadRequest(session_token=token, label="big.bin")
-    reply_len = len(stack.service.handle_frame(_seal(stack, request)).payload)
+    reply_len = len(_handle(stack, _seal(stack, request)).payload)
     # The blob's own frame is longer than the reply: fetch it under the real
     # cap, so the lowered cap refuses the reply and not the storage's frame.
     (client,) = stack.service.storage_clients
@@ -927,7 +930,7 @@ def test_over_cap_sealed_reply_is_an_error_frame(local_stack, monkeypatch):
 def test_plain_frames_rejected_without_sabotage(local_stack):
     stack = local_stack()
     frame = protocol.send_plain(protocol.ListRequest(session_token="ab"))
-    reply = protocol.recv_plain(stack.service.handle_frame(frame))
+    reply = protocol.recv_plain(_handle(stack, frame))
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "MALFORMED_PAYLOAD"
 
@@ -1018,13 +1021,13 @@ def test_every_request_gets_one_reply_and_a_refusal_changes_nothing(local_stack)
         session_key = crypto_core.generate_symmetric_key()
         frame = _seal_by_hand(stack, tag, obj, session_key)
         files, mails = _data_files(stack), stack.mail.deliveries
-        reply = stack.service.handle_frame(frame)
+        reply = _handle(stack, frame)
         assert isinstance(reply, protocol.Frame)
         if reply == UNOPENABLE_REPLY:
             msg = protocol.recv_plain(reply)
         else:
             assert reply.tag == protocol.REPLY_TAG
-            msg = protocol.recv_reply(reply, session_key)
+            msg = protocol.recv_reply(reply, protocol.ConnectionState(key=session_key))
         if isinstance(msg, protocol.ErrorFrame):
             assert _data_files(stack) == files
             assert stack.mail.deliveries == mails

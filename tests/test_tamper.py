@@ -3,6 +3,7 @@ byte of a sealed request and of a stored blob is covered by a GCM tag, a
 blob's tag also binds the user and file number it was stored under, and a
 request on a keyed connection and its reply bind the request's number."""
 
+import dataclasses
 import os
 
 import pytest
@@ -30,7 +31,9 @@ def _assert_refused_and_unchanged(
     stack, payload: bytes, where, tag=protocol.SEALED_TAG, conn=None
 ):
     files, mails = _data_files(stack), stack.mail.deliveries
-    state = None if conn is None else protocol.ConnectionState(conn.key, conn.seq)
+    if conn is None:
+        conn = protocol.ConnectionState()
+    state = dataclasses.replace(conn)
     reply = stack.service.handle_frame(protocol.Frame(tag, payload), conn)
     assert reply.to_bytes() == REFUSAL, where
     assert _data_files(stack) == files, where
@@ -70,12 +73,10 @@ def _keyed(stack, token: str):
     """A client's and the server's state of one connection, keyed by a
     genuine first exchange."""
     client, server = protocol.ConnectionState(), protocol.ConnectionState()
-    session_key = crypto_core.generate_symmetric_key()
     frame = protocol.send_sealed(
-        protocol.ListRequest(session_token=token), stack.service.keypair.public,
-        session_key, client,
+        protocol.ListRequest(session_token=token), stack.service.keypair.public, client
     )
-    protocol.recv_reply(stack.service.handle_frame(frame, server), session_key, client)
+    protocol.recv_reply(stack.service.handle_frame(frame, server), client)
     return client, server
 
 
@@ -86,13 +87,13 @@ def test_every_byte_flip_of_a_keyed_request_gets_the_one_refusal(stack, kind):
     token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "aaa", b"stored")
     client, server = _keyed(stack, token)
-    frame = protocol.send_sealed(_request(kind, token), None, None, client)
+    frame = protocol.send_sealed(_request(kind, token), None, client)
     assert frame.tag == protocol.KEYED_TAG
     for index, flipped in _flips(frame.payload):
         _assert_refused_and_unchanged(
             stack, flipped, (kind, index), protocol.KEYED_TAG, server
         )
-    reply = protocol.recv_reply(stack.service.handle_frame(frame, server), None, client)
+    reply = protocol.recv_reply(stack.service.handle_frame(frame, server), client)
     assert not isinstance(reply, protocol.ErrorFrame)
 
 
@@ -101,16 +102,16 @@ def test_a_reply_opens_only_as_the_answer_to_its_own_request(stack):
     client, server = _keyed(stack, token)
     replies = {}
     for _ in range(2):
-        frame = protocol.send_sealed(protocol.ListRequest(session_token=token), None, None, client)
+        frame = protocol.send_sealed(protocol.ListRequest(session_token=token), None, client)
         replies[client.seq] = stack.service.handle_frame(frame, server)
     for answered, reply in replies.items():
         for seq in (1, 2):
-            asked = protocol.ConnectionState(client.key, seq)
+            asked = protocol.ConnectionState(key=client.key, keyed=True, seq=seq)
             if seq == answered:
-                assert protocol.recv_reply(reply, None, asked) == protocol.ListResponse(labels=())
+                assert protocol.recv_reply(reply, asked) == protocol.ListResponse(labels=())
             else:
                 with pytest.raises(DecryptionFailure, match=protocol.UNOPENABLE_TEXT):
-                    protocol.recv_reply(reply, None, asked)
+                    protocol.recv_reply(reply, asked)
 
 
 def test_rewriting_the_first_block_of_a_download_is_refused(stack):
