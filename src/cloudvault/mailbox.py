@@ -56,16 +56,34 @@ class FileMailbox:
             raise MailDeliveryFailure(str(exc)) from exc
 
 
+# How much of a mailbox file read_latest_otp reads back at a time.
+TAIL_CHUNK = 512
+
+
 def read_latest_otp(mailbox_path: str) -> str:
-    """Client-side test-mode fetch: last line of this user's mailbox file."""
+    """Client-side test-mode fetch: the last non-blank line of this user's
+    mailbox file, stripped. The file is read back from its end, a chunk at a
+    time, so a login costs the same however many OTPs the mailbox holds.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode; neither byte
+    occurs inside a UTF-8 character, so each whole line decodes on its own."""
     try:
-        with open(mailbox_path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+        with open(mailbox_path, "rb", buffering=0) as fh:
+            pos = fh.seek(0, os.SEEK_END)
+            head = b""  # the bytes before the earliest line end read so far
+            while pos:
+                step = min(TAIL_CHUNK, pos)
+                pos -= step
+                fh.seek(pos)
+                lines = (fh.read(step) + head).splitlines()
+                if pos:
+                    head = lines.pop(0)  # may start in an earlier chunk
+                for line in reversed(lines):
+                    text = line.decode("utf-8").strip()
+                    if text:
+                        return text
     except OSError as exc:
         raise MailboxUnavailable(str(exc)) from exc
-    if not lines:
-        raise MailboxUnavailable(f"mailbox {mailbox_path} is empty")
-    return lines[-1]
+    raise MailboxUnavailable(f"mailbox {mailbox_path} is empty")
 
 
 def mailbox_file_path(root: str, address: str) -> str:

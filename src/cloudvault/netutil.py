@@ -273,17 +273,19 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def append_bytes(path: str, data: bytes) -> int:
-    """Durably append ``data`` and return the offset it starts at. The
-    directory is fsynced too when the file was empty, so the first bytes
-    cannot vanish with the file's name. An append that fails with OSError is
-    cut back off first, so no torn tail is left for the next append to land
-    on. The caller serializes appends."""
+def append_bytes(path: str, *parts: bytes) -> int:
+    """Durably append ``parts``, one after another, and return the offset the
+    first starts at. Each part is written as it is, never joined to another,
+    and one fsync covers them all. The directory is fsynced too when the file
+    was empty, so the first bytes cannot vanish with the file's name. An
+    append that fails with OSError is cut back off first, so no torn tail is
+    left for the next append to land on. The caller serializes appends."""
     start = None
     try:
         with _private_file(path, os.O_APPEND, "ab") as fh:
             start = os.fstat(fh.fileno()).st_size
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         if start == 0:
             _fsync_dir(path)
     except OSError:
@@ -373,13 +375,29 @@ TEXT = (functools.partial(urllib.parse.quote, safe=""), urllib.parse.unquote)
 WORD = (str, str)  # stored as it is, so it must hold no tab or newline
 
 
+def encode_row(columns: tuple, values) -> str:
+    """One row's line, without its newline: ``values`` encoded under
+    ``columns``, joined by tabs."""
+    return "\t".join(
+        encode(value) for (encode, _), value in zip(columns, values, strict=True)
+    )
+
+
+def decode_row(line: bytes, columns: tuple) -> tuple:
+    """The cells of one row's line, its newline optional, decoded under
+    ``columns``; ValueError if it does not decode."""
+    cells = line.decode("utf-8").rstrip("\n").split("\t")
+    if len(cells) != len(columns):
+        raise ValueError(f"expected {len(columns)} cells, got {len(cells)}")
+    return tuple(decode(cell) for (_, decode), cell in zip(columns, cells))
+
+
 def append_row(path: str, columns: tuple, record) -> None:
     """Durably append ``record``, a dataclass whose fields are the row's
     cells in order, encoded under ``columns``. The fields are read as they
     are: ``dataclasses.astuple`` would deep-copy every cell."""
     values = (getattr(record, field.name) for field in dataclasses.fields(record))
-    cells = (encode(value) for (encode, _), value in zip(columns, values, strict=True))
-    append_line(path, "\t".join(cells))
+    append_line(path, encode_row(columns, values))
 
 
 def read_rows(path: str, columns: tuple) -> list[tuple]:
@@ -421,12 +439,7 @@ def decode_rows(lines, columns: tuple, source: str) -> list[tuple]:
         if not line.strip():
             continue
         try:
-            cells = line.decode("utf-8").rstrip("\n").split("\t")
-            if len(cells) != len(columns):
-                raise ValueError
-            rows.append(
-                tuple(decode(cell) for (_, decode), cell in zip(columns, cells))
-            )
+            rows.append(decode_row(line, columns))
         except ValueError:
             raise StartupFailure(f"{source}: row {number} does not decode") from None
     return rows

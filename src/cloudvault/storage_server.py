@@ -7,15 +7,17 @@ its owner and number in the GCM tag, so a blob served for the wrong request
 fails to open there. No message kind arriving on this channel can carry a
 symmetric key, and none of the persisted state ever holds one.
 
-``records.tsv`` and ``blobs.dat`` are the only persisted state. Every blob is
-appended to the one log ``blobs.dat``, and its ``records.tsv`` row names the
-region ``[start, start + length)`` that holds it. The placement table is
-rebuilt at start from each record's (position, file number, offset) under the
-configured seed, and the log is cut back to the end of the last record: bytes
-past it were never acknowledged.
+The one log ``blobs.dat`` is the only persisted state. Each store appends one
+entry, a header line ``file_number position offset length`` and then the
+blob, with one fsync, and is acknowledged after it (a Haystack needle: Beaver
+et al., OSDI 2010). At start the log is scanned, the records and the
+placement table are rebuilt from the headers under the configured seed, and
+a torn last entry is cut off: an entry is acknowledged only once it is whole
+on disk, so a crash can leave nothing else to recover (Pillai et al., OSDI
+2014).
 """
 
-import contextlib
+import io
 import os
 import threading
 from dataclasses import dataclass
@@ -31,21 +33,29 @@ from .errors import (
 )
 from .placement import PlacementEntry, PlacementTable
 
-RECORDS_FILE = "records.tsv"
 BLOBS_FILE = "blobs.dat"
-# Where builds before the blob log kept one file per blob.
-OLD_BLOBS_DIR = "blobs"
+# What older builds kept, and the layout each belongs to; a data dir holding
+# one is refused, not converted.
+OLD_LAYOUTS = {
+    "blobs": "one file per blob",
+    "records.tsv": "a record table beside the blob log",
+}
+
+# An entry's header line: file_number position offset length.
+HEADER_COLUMNS = (netutil.INT,) * 4
+# The longest header line a scan reads: four integers of up to 20 digits.
+HEADER_LIMIT = 4 * 21
 
 
 @dataclass(frozen=True)
 class BlobRecord:
-    """One ``records.tsv`` row; the fields are its columns, in order."""
+    """One entry of blobs.dat: its header's cells, and where its blob starts."""
 
     file_number: int
     position: int
     offset: int
-    start: int  # the blob's region of blobs.dat
     length: int
+    start: int  # the blob's region of blobs.dat is [start, end)
 
     @property
     def entry(self) -> PlacementEntry:
@@ -56,7 +66,45 @@ class BlobRecord:
         return self.start + self.length
 
 
-RECORD_COLUMNS = (netutil.INT,) * 5
+def read_log(fh, source: str) -> list[BlobRecord]:
+    """The whole entries of the blob log open as ``fh``, in order, up to a
+    torn last entry: a header cut off by the end of the file, or a blob that
+    runs past it. A header line that does not decode, or that repeats a file
+    number, raises StartupFailure naming ``source`` and the entry's byte
+    offset, never a cell."""
+    size = fh.seek(0, os.SEEK_END)
+    records, seen = [], set()
+    end = 0
+    while end < size:
+        fh.seek(end)
+        header = fh.readline(HEADER_LIMIT)
+        if not header.endswith(b"\n") and end + len(header) == size:
+            break  # a torn header
+        try:
+            if not header.endswith(b"\n"):
+                raise ValueError("no header line")
+            file_number, position, offset, length = netutil.decode_row(
+                header, HEADER_COLUMNS
+            )
+            if length < 0:
+                raise ValueError("negative length")
+        except ValueError:
+            raise StartupFailure(
+                f"{source}: entry at byte {end} does not decode"
+            ) from None
+        record = BlobRecord(
+            file_number, position, offset, length, start=end + len(header)
+        )
+        if record.end > size:
+            break  # a torn blob
+        if file_number in seen:
+            raise StartupFailure(
+                f"{source}: entry at byte {end} stores a file number again"
+            )
+        seen.add(file_number)
+        records.append(record)
+        end = record.end
+    return records
 
 
 @dataclass
@@ -76,14 +124,20 @@ class StorageService:
         self.config = config
         self._lock = threading.RLock()
         os.makedirs(config.data_dir, exist_ok=True)
-        if os.path.isdir(self._path(OLD_BLOBS_DIR)):
-            raise StartupFailure(
-                f"{self._path(OLD_BLOBS_DIR)}: one file per blob is the layout "
-                f"before {BLOBS_FILE}; see the README upgrade note"
-            )
-        records_path = self._path(RECORDS_FILE)
-        rows = netutil.read_rows(records_path, RECORD_COLUMNS)
-        records = [BlobRecord(*row) for row in rows]
+        for name, layout in OLD_LAYOUTS.items():
+            if os.path.exists(self._path(name)):
+                raise StartupFailure(
+                    f"{self._path(name)}: {layout} is the layout before each "
+                    f"{BLOBS_FILE} entry carried its own record; see the README "
+                    f"upgrade note"
+                )
+        log_path = self._path(BLOBS_FILE)
+        try:
+            with open(log_path, "rb") as fh:
+                records = read_log(fh, log_path)
+                size = fh.seek(0, os.SEEK_END)
+        except FileNotFoundError:
+            records, size = [], 0
         self.records = {r.file_number: r for r in records}
         try:
             self.table = PlacementTable.restore(
@@ -91,77 +145,55 @@ class StorageService:
                 [(r.position, r.file_number, r.offset) for r in records],
             )
         except ValueError as exc:
-            raise StartupFailure(f"{records_path}: {exc}") from exc
-        log_path = self._path(BLOBS_FILE)
-        try:
-            size = os.path.getsize(log_path)
-        except FileNotFoundError:
-            size = 0
-        self._log_end = self._check_regions(records, size)
-        # A store acknowledges only after its record row, so bytes past the
-        # last record's region were never acknowledged.
+            raise StartupFailure(f"{log_path}: {exc}") from exc
+        # Where the next entry starts; None while a failed store's torn
+        # entry could not be cut off, so that no entry lands behind it.
+        self._log_end = records[-1].end if records else 0
         if size > self._log_end:
             try:
                 netutil.cut_back(log_path, self._log_end)
             except OSError as exc:
                 raise StartupFailure(
-                    f"{log_path}: cannot cut back to the last record: {exc}"
+                    f"{log_path}: cannot cut off a torn entry: {exc}"
                 ) from exc
 
     def _path(self, name: str) -> str:
         return os.path.join(self.config.data_dir, name)
 
-    def _check_regions(self, records: list, size: int) -> int:
-        """The end of the last region, once every row names a region of its
-        own inside the ``size`` bytes of blobs.dat. A refusal names the row,
-        never a cell."""
-        end = 0
-        for start, stop, row in sorted(
-            (r.start, r.end, row) for row, r in enumerate(records, 1)
-        ):
-            if start < 0 or stop < start:
-                problem = "names a negative region"
-            elif start < end:
-                problem = "overlaps another region"
-            elif stop > size:
-                problem = "runs past the end"
-            else:
-                end = stop
-                continue
-            raise StartupFailure(
-                f"{self._path(RECORDS_FILE)}: row {row} {problem} of {BLOBS_FILE}"
-            )
-        return end
-
     def store_blob(self, file_number: int, blob: bytes) -> PlacementEntry:
-        """Assign a slot, append the blob, persist the record.
+        """Assign a slot and append the entry, header and blob, with one fsync.
 
-        Write order is blob, then record row; a crash leaves at worst bytes
-        past the last record, cut off at the next start, never a record
-        without its bytes, and its slot comes back free because the table is
-        rebuilt from the records. A failed store cuts the log back at once,
-        if it can.
+        A crash leaves at worst a torn last entry, cut off at the next start,
+        and its slot comes back free because the table is rebuilt from the
+        log. A failed store cuts its entry back off at once; if that fails
+        too, stores are refused until a restart cuts it.
         """
         log_path = self._path(BLOBS_FILE)
         with self._lock:
+            if self._log_end is None:
+                raise DiskFailure(
+                    f"{BLOBS_FILE} ends in a torn entry that could not be cut off"
+                )
             if file_number in self.records:
                 raise DuplicateFileNumber(f"file number {file_number} already stored")
             entry = self.table.insert(file_number)
+            header = netutil.encode_row(
+                HEADER_COLUMNS, (file_number, entry.position, entry.offset, len(blob))
+            ).encode("ascii") + b"\n"
             try:
-                start = netutil.append_bytes(log_path, blob)
-                record = BlobRecord(
-                    file_number=file_number,
-                    position=entry.position,
-                    offset=entry.offset,
-                    start=start,
-                    length=len(blob),
-                )
-                netutil.append_row(self._path(RECORDS_FILE), RECORD_COLUMNS, record)
+                start = netutil.append_bytes(log_path, header, blob) + len(header)
             except OSError as exc:
                 self.table.remove(file_number)
-                with contextlib.suppress(OSError):
+                try:
                     netutil.cut_back(log_path, self._log_end)
+                except FileNotFoundError:
+                    pass  # no log, so no torn entry
+                except OSError:
+                    self._log_end = None
                 raise DiskFailure(str(exc)) from exc
+            record = BlobRecord(
+                file_number, entry.position, entry.offset, len(blob), start
+            )
             self.records[file_number] = record
             self._log_end = record.end
             return entry
@@ -187,7 +219,7 @@ class StorageService:
         with self._lock:
             return {
                 "placement.tbl": self.table.serialize().encode(),
-                **netutil.read_files(self.config.data_dir, (RECORDS_FILE, BLOBS_FILE)),
+                **netutil.read_files(self.config.data_dir, (BLOBS_FILE,)),
             }
 
     # -- protocol dispatch ----------------------------------------------------
@@ -214,13 +246,10 @@ class StorageService:
 
 
 def stored_blobs(dump: dict[str, bytes]):
-    """(name, bytes) of each blob in a ``dump_tables`` snapshot: the region
-    of ``blobs.dat`` that its ``records.tsv`` row names."""
-    rows = netutil.decode_rows(
-        dump.get(RECORDS_FILE, b"").splitlines(), RECORD_COLUMNS, RECORDS_FILE
-    )
+    """(name, bytes) of each blob in a ``dump_tables`` snapshot, read from
+    ``blobs.dat`` by the scan that start-up runs."""
     log = dump.get(BLOBS_FILE, b"")
-    for record in (BlobRecord(*row) for row in rows):
+    for record in read_log(io.BytesIO(log), BLOBS_FILE):
         yield f"{BLOBS_FILE} offset {record.start}", log[record.start : record.end]
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from cloudvault import crypto_core, harness, netutil, protocol, system_server
 from cloudvault.errors import StartupFailure
+from cloudvault.storage_server import stored_blobs
 
 pytestmark = pytest.mark.integration
 
@@ -126,7 +127,7 @@ def test_round_robin_lands_two_per_storage(tmp_path):
             session.upload(f"doc-{i}", b"round robin payload")
         dumps = topo.storage_dumps()
     counts = {
-        server_id: len(dump.get("records.tsv", b"").splitlines())
+        server_id: len(list(stored_blobs(dump)))
         for server_id, dump in dumps.items()
     }
     assert counts == {"storage-1": 2, "storage-2": 2, "storage-3": 2}

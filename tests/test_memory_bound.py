@@ -21,6 +21,8 @@ BOUNDS = {
     "system and storage: download": 5,
     "client: seal an upload": 4,
     "client: open a download reply": 3,
+    # The decoded blob only: its header is written beside it, never joined.
+    "storage: store a blob": 1,
 }
 
 
@@ -63,6 +65,14 @@ def _case(stack, name):
         return (
             lambda: _handle(stack, frame),
             lambda reply: protocol.recv_reply(reply, client).file_bytes == stack.data,
+        )
+    if name == "storage: store a blob":
+        frame = protocol.send_plain(
+            protocol.StoreBlob(file_number=10**6, blob=stack.data)
+        )
+        return (
+            lambda: stack.storages[0].handle_frame(frame),
+            lambda reply: isinstance(protocol.recv_plain(reply), protocol.UploadAck),
         )
     if name == "client: seal an upload":
         return (

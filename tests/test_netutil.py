@@ -2,6 +2,7 @@
 that both servers share."""
 
 import ast
+import contextlib
 import json
 import os
 import signal
@@ -62,9 +63,10 @@ def test_table_rows_keep_their_format(local_stack, monkeypatch):
         b"000102030405060708090a0b0c0d0e0f\ts1\n"
     )
     assert _read(os.path.join(system_dir, "counter.txt")) == b"1024\n"
-    # The blob: a 16-byte nonce, the 9 bytes of "quarterly", a 16-byte tag.
-    assert _read(os.path.join(storage_dir, "records.tsv")) == b"1\t1\t0\t0\t41\n"
-    assert os.path.getsize(os.path.join(storage_dir, "blobs.dat")) == 41
+    # The entry: its header line, then the blob: a 16-byte nonce, the 9 bytes
+    # of "quarterly", a 16-byte tag.
+    log = _read(os.path.join(storage_dir, "blobs.dat"))
+    assert log.startswith(b"1\t1\t0\t41\n") and len(log) == 9 + 41
 
     service, storage = stack.service, stack.storages[0]
     reloaded = stack.reload()
@@ -123,35 +125,42 @@ def test_an_accounts_row_with_a_client_key_is_refused(local_stack):
 
 
 @pytest.mark.parametrize(
-    "row",
+    "header",
     [
-        "1\t1\t0",  # torn mid-row
-        "1\t1\tzero\t0\t32",
-        f"{SHORT_KEY}\t1\t0\t0\t32",
+        "1\t1\t0",  # a cell short
+        "1\t1\tzero\t32",
+        f"{SHORT_KEY}\t1\t0\t32",
     ],
 )
-def test_storage_server_refuses_a_row_that_does_not_decode(local_stack, row):
+def test_storage_server_refuses_a_header_that_does_not_decode(local_stack, header):
     stack = local_stack()
-    path = os.path.join(stack.storages[0].config.data_dir, "records.tsv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(row + "\n")
-    with pytest.raises(StartupFailure, match=r"records\.tsv: row 1 ") as info:
+    token = stack.register_and_login("alice", "a@example.test")
+    stack.service.upload(token, "first", b"one")
+    path = os.path.join(stack.storages[0].config.data_dir, "blobs.dat")
+    end = os.path.getsize(path)
+    with open(path, "ab") as fh:
+        fh.write(header.encode() + b"\n" + bytes(64))
+    with pytest.raises(
+        StartupFailure, match=rf"blobs\.dat: entry at byte {end} does not decode$"
+    ) as info:
         stack.reload()
     assert SHORT_KEY not in str(info.value)
 
 
-@pytest.mark.parametrize("name", ["accounts.tsv", "keys.tsv", "records.tsv"])
+@pytest.mark.parametrize("name", ["accounts.tsv", "keys.tsv", "blobs.dat"])
 def test_a_torn_final_row_is_dropped_and_cut_off(local_stack, name):
-    # A crash inside an append leaves an unterminated last line. That row was
-    # never acknowledged (the ack follows the fsync), so start-up drops it and
-    # cuts the file back, and the next append starts a row of its own.
+    # A crash inside an append leaves an unterminated last line, or a log
+    # entry cut short. It was never acknowledged (the ack follows the fsync),
+    # so start-up drops it and cuts the file back, and the next append starts
+    # a row or entry of its own.
     stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test")
     stack.service.upload(token, "first", b"one")
-    owner = stack.storages[0] if name == "records.tsv" else stack
+    owner = stack.storages[0] if name == "blobs.dat" else stack
     path = os.path.join(owner.config.data_dir, name)
     whole = _read(path)
-    last_row = whole.splitlines(keepends=True)[-1]
+    # blobs.dat holds the one entry, which may hold a newline of its own.
+    last_row = whole.splitlines(keepends=True)[-1] if name != "blobs.dat" else whole
     with open(path, "ab") as fh:
         fh.write(last_row[: len(last_row) // 2])
 
@@ -162,7 +171,8 @@ def test_a_torn_final_row_is_dropped_and_cut_off(local_stack, name):
     service.upload(token, "second", b"two")
 
     service = stack.reload()
-    assert _read(path).startswith(whole) and _read(path).endswith(b"\n")
+    assert _read(path).startswith(whole) and len(_read(path)) > len(whole)
+    assert name == "blobs.dat" or _read(path).endswith(b"\n")
     token = service.login("alice", stack.mail.latest("a@example.test"))
     assert service.download(token, "first") == b"one"
     assert service.download(token, "second") == b"two"
@@ -220,7 +230,7 @@ def test_write_atomic_fsyncs_the_file_then_its_directory(
 
 PRIVATE_FILES = {
     "accounts.tsv", "keys.tsv", "counter.txt", "server_key.json",  # system
-    "records.tsv", "blobs.dat",  # storage
+    "blobs.dat",  # storage
     "a%40example.test.mbox", "user.key",
 }
 
@@ -249,6 +259,36 @@ def test_append_bytes_returns_where_the_data_starts(tmp_path):
     assert netutil.append_bytes(path, b"abc") == 0
     assert netutil.append_bytes(path, b"defg") == 3
     assert _read(path) == b"abcdefg"
+
+
+def test_append_bytes_writes_each_part_as_it_is_under_one_fsync(tmp_path, monkeypatch):
+    path = str(tmp_path / "blobs.dat")
+    netutil.append_bytes(path, b"abc")
+    parts = (b"de", bytearray(b"fgh"), memoryview(b"ij"))
+    written, synced = [], []
+    real = netutil._private_file
+
+    @contextlib.contextmanager
+    def recording_file(path, flags, mode):
+        with real(path, flags, mode) as fh:
+            real_write = fh.write
+
+            def write(data):
+                written.append(data)
+                return real_write(data)
+
+            fh.write = write
+            yield fh
+
+    real_fsync = os.fsync
+    monkeypatch.setattr(netutil, "_private_file", recording_file)
+    monkeypatch.setattr(netutil.os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+    assert netutil.append_bytes(path, *parts) == 3
+    monkeypatch.undo()
+    # Each part reaches the file object itself: none is joined to another.
+    assert [id(data) for data in written] == [id(part) for part in parts]
+    assert len(synced) == 1
+    assert _read(path) == b"abcdefghij"
 
 
 def test_an_older_world_readable_file_is_private_after_its_next_write(tmp_path):

@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import subprocess
 import sys
 import threading
 
@@ -17,7 +16,12 @@ from cloudvault.errors import (
     StorageUnavailable,
 )
 from cloudvault.placement import PlacementEntry
-from cloudvault.storage_server import StorageConfig, StorageService
+from cloudvault.storage_server import (
+    HEADER_LIMIT,
+    StorageConfig,
+    StorageService,
+    stored_blobs,
+)
 from cloudvault.system_server import StorageClient
 
 from test_protocol import REFUSED_PAYLOADS
@@ -71,17 +75,36 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+def _log_path(service) -> str:
+    return os.path.join(service.config.data_dir, "blobs.dat")
+
+
 def _log(service) -> bytes:
-    return _read(os.path.join(service.config.data_dir, "blobs.dat"))
+    return _read(_log_path(service))
 
 
-def test_blobs_are_appended_to_one_log(service):
+def _append_to_log(service, data: bytes) -> None:
+    with open(_log_path(service), "ab") as fh:
+        fh.write(data)
+
+
+def _entry(record, blob: bytes) -> bytes:
+    """A blobs.dat entry as the writer lays it out: header line, then blob."""
+    return (
+        f"{record.file_number}\t{record.position}\t{record.offset}\t{len(blob)}\n"
+    ).encode() + blob
+
+
+def test_blobs_are_appended_to_one_log_each_behind_its_header(service):
     blobs = [os.urandom(n) for n in (32, 17, 64)]
     for n, blob in enumerate(blobs, 1):
         service.store_blob(n, blob)
+    assert _log(service) == (
+        b"1\t1\t0\t32\n" + blobs[0] + b"2\t4\t0\t17\n" + blobs[1]
+        + b"3\t9\t0\t64\n" + blobs[2]
+    )
     regions = [(r.start, r.length) for r in service.records.values()]
-    assert regions == [(0, 32), (32, 17), (49, 64)]
-    assert _log(service) == b"".join(blobs)
+    assert regions == [(9, 32), (50, 17), (76, 64)]
 
 
 def test_placement_consistency(service):
@@ -120,7 +143,10 @@ def test_concurrent_stores_and_fetches_keep_every_region_whole(service):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(_log(service)) == sum(map(len, blobs.values()))
+    in_log_order = sorted(service.records.values(), key=lambda r: r.start)
+    assert _log(service) == b"".join(
+        _entry(r, blobs[r.file_number]) for r in in_log_order
+    )
     reloaded = StorageService(service.config)
     for n, blob in blobs.items():
         assert reloaded.fetch_blob(n) == blob
@@ -132,6 +158,7 @@ def test_restart_preserves_records(service):
         service.store_blob(n, blob)
     reloaded = StorageService(service.config)
     assert reloaded.fetch_blob(3) == blob
+    assert reloaded.records == service.records
     assert reloaded.table.slot_contents() == service.table.slot_contents()
     for record in reloaded.records.values():
         assert reloaded.table.locate(record.file_number) == record.entry
@@ -139,26 +166,62 @@ def test_restart_preserves_records(service):
     assert reloaded.store_blob(6, blob) == PlacementEntry(36, 0)
 
 
-def _fail_halfway(path, data, _real=netutil.append_bytes):
-    _real(path, data[: len(data) // 2])
-    raise OSError("disk gone")
+def test_start_up_and_the_audit_read_the_same_entries(service):
+    blobs = {n: os.urandom(20 + n) for n in (1, 2, 3)}
+    for n, blob in blobs.items():
+        service.store_blob(n, blob)
+    _append_to_log(service, b"4\t16\t0\t40\n" + b"\x11" * 8)  # a torn entry
+    dump = service.dump_tables()
+    seen = list(stored_blobs(dump))
+    assert seen == [
+        (f"blobs.dat offset {r.start}", blobs[r.file_number])
+        for r in service.records.values()
+    ]
+    reloaded = StorageService(service.config)
+    assert reloaded.records == service.records
+    assert list(stored_blobs(reloaded.dump_tables())) == seen
 
 
-def _fail(path, line):
-    raise OSError("disk gone")
+# What a failed append leaves on disk before it raises: the header cut in
+# half, or the whole header and half the blob.
+def _half_header(header, blob):
+    return (header[: len(header) // 2],)
+
+
+def _half_blob(header, blob):
+    return (header, blob[: len(blob) // 2])
+
+
+def _whole_header(header, blob):
+    return (header,)
+
+
+def _whole_entry(header, blob):
+    return (header, blob)
+
+
+def _append_then_raise(written, exc):
+    """An ``append_bytes`` that durably writes ``written(*parts)`` and then
+    raises ``exc``."""
+
+    def append_bytes(path, *parts, _real=netutil.append_bytes):
+        _real(path, *written(*parts))
+        raise exc
+
+    return append_bytes
 
 
 @pytest.mark.parametrize(
-    "name, fail",
-    [("append_bytes", _fail_halfway), ("append_line", _fail)],
-    ids=["blob append", "record row"],
+    "written", [_half_header, _half_blob], ids=["header torn", "blob torn"]
 )
 def test_a_failed_store_cuts_the_log_back_and_frees_its_number(
-    service, monkeypatch, name, fail
+    service, monkeypatch, written
 ):
-    first = os.urandom(40)
-    service.store_blob(1, first)
-    monkeypatch.setattr(netutil, name, fail)
+    service.store_blob(1, os.urandom(40))
+    first = _log(service)
+    monkeypatch.setattr(
+        netutil, "append_bytes", _append_then_raise(written, OSError("disk gone"))
+    )
     with pytest.raises(DiskFailure):
         service.store_blob(2, b"\x11" * 32)
     monkeypatch.undo()
@@ -167,22 +230,50 @@ def test_a_failed_store_cuts_the_log_back_and_frees_its_number(
     assert service.dump_tables()["blobs.dat"] == first
     reloaded = StorageService(service.config)
     assert sorted(reloaded.records) == [1]
-    # The number is usable again, at its own slot, right after the first blob.
+    # The number is usable again, at its own slot, right after the first entry.
     assert reloaded.store_blob(2, b"\x22" * 32) == PlacementEntry(4, 0)
-    assert reloaded.records[2].start == len(first)
+    assert _log(reloaded) == first + b"2\t4\t0\t32\n" + b"\x22" * 32
     assert reloaded.fetch_blob(2) == b"\x22" * 32
 
 
-def test_a_record_row_torn_by_a_full_disk_is_cut_back(local_stack, torn_append):
+def test_a_torn_entry_that_cannot_be_cut_off_stops_stores_until_a_restart(
+    service, monkeypatch
+):
+    service.store_blob(1, os.urandom(40))
+    first = _log(service)
+
+    def refuse(path, end):
+        raise OSError(30, "Read-only file system")
+
+    monkeypatch.setattr(netutil, "cut_back", refuse)
+    monkeypatch.setattr(
+        netutil, "append_bytes", _append_then_raise(_half_blob, OSError("disk gone"))
+    )
+    with pytest.raises(DiskFailure):
+        service.store_blob(2, b"\x11" * 32)
+    monkeypatch.undo()
+    # No later entry may land behind the torn one, where a scan cannot reach.
+    with pytest.raises(DiskFailure, match="torn entry"):
+        service.store_blob(3, b"\x33" * 32)
+    assert _log(service).startswith(first) and len(_log(service)) > len(first)
+    reloaded = StorageService(service.config)
+    assert _log(reloaded) == first
+    assert reloaded.store_blob(3, b"\x33" * 32) == PlacementEntry(9, 0)
+    assert StorageService(service.config).fetch_blob(3) == b"\x33" * 32
+
+
+def test_an_entry_torn_by_a_full_disk_is_cut_back(local_stack, torn_append):
     stack = local_stack()
     token = stack.register_and_login("alice", "a@example.test")
     files = {label: os.urandom(3000) for label in ("before", "after")}
     stack.service.upload(token, "before", files["before"])
-    torn_append("records.tsv")
+    log = _log(stack.storages[0])
+    torn_append("blobs.dat")
     with pytest.raises(StorageUnavailable):
         stack.service.upload(token, "refused", os.urandom(3000))
+    assert _log(stack.storages[0]) == log
     stack.service.upload(token, "after", files["after"])
-    stack.reload()  # refused at the parent: "records.tsv: row 2 does not decode"
+    stack.reload()
     token = stack.service.login("alice", stack.mail.latest("a@example.test"))
     for label, data in files.items():
         assert stack.service.download(token, label) == data
@@ -193,32 +284,13 @@ class ProcessDeath(BaseException):
     """Stands in for the process dying: no ``except`` in the code catches it."""
 
 
-def _torn_blob(path, data, _real=netutil.append_bytes):
-    _real(path, data[: len(data) // 2])
-    raise ProcessDeath
-
-
-def _no_row(path, line):
-    raise ProcessDeath
-
-
-def _torn_row(path, line):
-    netutil.append_bytes(path, line.encode()[: len(line) // 2])
-    raise ProcessDeath
-
-
-def _whole_row(path, line, _real=netutil.append_line):
-    _real(path, line)
-    raise ProcessDeath  # after the row, before the ack
-
-
-# The four states one store can leave on disk: what the process was doing
-# when it died.
+# The states one store can leave on disk: what the process had written when
+# it died.
 CRASH_STATES = {
-    "blob append torn": ("append_bytes", _torn_blob),
-    "whole blob, no row": ("append_line", _no_row),
-    "row torn": ("append_line", _torn_row),
-    "blob and row whole": ("append_line", _whole_row),
+    "header torn": _half_header,
+    "header whole, no blob": _whole_header,
+    "blob torn": _half_blob,
+    "entry whole, not acknowledged": _whole_entry,
 }
 
 
@@ -227,9 +299,10 @@ def test_a_crash_inside_a_store_loses_no_acknowledged_blob(service, monkeypatch,
     earlier = {n: os.urandom(30 + n) for n in (1, 2, 3)}
     for n, blob in earlier.items():
         service.store_blob(n, blob)
-    log, rows = _log(service), _read(os.path.join(service.config.data_dir, "records.tsv"))
-    name, die = CRASH_STATES[state]
-    monkeypatch.setattr(netutil, name, die)
+    log = _log(service)
+    monkeypatch.setattr(
+        netutil, "append_bytes", _append_then_raise(CRASH_STATES[state], ProcessDeath)
+    )
     new = os.urandom(48)
     with pytest.raises(ProcessDeath):
         service.store_blob(4, new)
@@ -238,66 +311,106 @@ def test_a_crash_inside_a_store_loses_no_acknowledged_blob(service, monkeypatch,
     reloaded = StorageService(service.config)
     for n, blob in earlier.items():
         assert reloaded.fetch_blob(n) == blob
-    records = _read(os.path.join(service.config.data_dir, "records.tsv"))
-    if state == "blob and row whole":  # committed, only the ack was lost
+    if state == "entry whole, not acknowledged":  # only the ack was lost
         assert reloaded.fetch_blob(4) == new
-        assert _log(reloaded) == log + new
+        assert _log(reloaded) == log + b"4\t16\t0\t48\n" + new
         following, entry = 5, PlacementEntry(25, 0)
     else:
         assert sorted(reloaded.records) == [1, 2, 3]
         assert reloaded.table.count == 3
         with pytest.raises(NotFound):
             reloaded.fetch_blob(4)
-        assert _log(reloaded) == log
-        assert records == rows
+        assert _log(reloaded) == log  # the torn tail is cut off
         following, entry = 4, PlacementEntry(16, 0)  # file 4's slot is free
     end = len(_log(reloaded))
     assert reloaded.store_blob(following, b"\x11" * 32) == entry
-    assert reloaded.records[following].start == end
+    header = f"{following}\t{entry.position}\t0\t32\n".encode()
+    assert reloaded.records[following].start == end + len(header)
+    assert _log(reloaded)[end:] == header + b"\x11" * 32
     assert StorageService(service.config).fetch_blob(following) == b"\x11" * 32
 
 
-def _edit_row(service, row: int, column: int, value: int) -> None:
-    path = os.path.join(service.config.data_dir, "records.tsv")
-    lines = _read(path).decode().splitlines()
-    cells = lines[row - 1].split("\t")
-    cells[column] = str(value)
-    lines[row - 1] = "\t".join(cells)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-START, LENGTH = 3, 4  # records.tsv columns
+def test_a_log_cut_inside_its_last_entry_loses_only_that_blob(local_stack):
+    # Cut inside its last entry, the log looks just like a torn append, so the
+    # entry is cut off at start, as a torn one is. The blob is lost, and its
+    # download is refused; it never returns other bytes.
+    stack = local_stack()
+    token = stack.register_and_login("alice", "a@example.test")
+    kept = os.urandom(3000)
+    stack.service.upload(token, "kept", kept)
+    end = len(_log(stack.storages[0]))
+    stack.service.upload(token, "lost", os.urandom(3000))
+    os.truncate(_log_path(stack.storages[0]), len(_log(stack.storages[0])) - 10)
+    stack.reload()
+    assert len(_log(stack.storages[0])) == end
+    token = stack.service.login("alice", stack.mail.latest("a@example.test"))
+    assert stack.service.download(token, "kept") == kept
+    with pytest.raises(StorageUnavailable):
+        stack.service.download(token, "lost")
+    stack.service.upload(token, "later", b"later bytes")
+    assert stack.reload().download(
+        stack.service.login("alice", stack.mail.latest("a@example.test")), "later"
+    ) == b"later bytes"
 
 
 @pytest.mark.parametrize(
-    "column, value, problem",
+    "header",
     [
-        (START, 16, "overlaps another region"),
-        (START, -1, "names a negative region"),
-        (LENGTH, -1, "names a negative region"),
-        (LENGTH, 10**6, "runs past the end"),
+        b"2\t4\t0\n",
+        b"2\t4\t0\t32\t0\n",
+        b"2\t4\tzero\t32\n",
+        b"2\t4\t0\t-1\n",
+        b"\n",
+        b"2" * HEADER_LIMIT,
     ],
+    ids=["three cells", "five cells", "not an integer", "negative length",
+         "blank line", "no line end"],
 )
-def test_a_record_whose_region_is_not_its_own_stops_start_up(
-    service, column, value, problem
-):
-    for n in (1, 2, 3):
-        service.store_blob(n, b"\x00" * 32)
-    _edit_row(service, 2, column, value)
+def test_a_header_that_does_not_decode_stops_start_up(service, header):
+    service.store_blob(1, b"\x00" * 32)
+    _append_to_log(service, header + b"\x00" * 100)
     with pytest.raises(
-        StartupFailure, match=rf"records\.tsv: row 2 {problem} of blobs\.dat$"
+        StartupFailure, match=r"blobs\.dat: entry at byte 41 does not decode$"
+    ) as info:
+        StorageService(service.config)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_a_file_number_stored_twice_stops_start_up(service):
+    # Accepted, a fetch would serve the later blob, and the earlier entry's
+    # slot would stay taken for good.
+    service.store_blob(1, b"\x00" * 32)
+    _append_to_log(service, b"1\t2\t1\t32\n" + b"\x11" * 32)  # slot 1 + 1 probe
+    with pytest.raises(
+        StartupFailure, match=r"blobs\.dat: entry at byte 41 stores a file number again$"
     ):
         StorageService(service.config)
 
 
-def test_a_log_shorter_than_its_records_stops_start_up(service):
-    for n in (1, 2, 3):
-        service.store_blob(n, b"\x00" * 32)
-    os.truncate(os.path.join(service.config.data_dir, "blobs.dat"), 95)
-    with pytest.raises(
-        StartupFailure, match=r"records\.tsv: row 3 runs past the end of blobs\.dat$"
-    ):
+@pytest.mark.parametrize(
+    "header, problem",
+    [
+        (b"2\t5\t0\t32\n", r"row \(5, 2, 0\) breaks the placement law under S=100"),
+        (b"101\t1\t0\t32\n", "slot 1 assigned twice"),  # 101 * 101 mod 100 = 1
+        (b"2\t100\t96\t32\n", r"position 100 outside \[0, 100\)"),
+    ],
+)
+def test_a_header_off_the_placement_table_stops_start_up(service, header, problem):
+    service.store_blob(1, b"\x00" * 32)
+    _append_to_log(service, header + b"\x11" * 32)
+    with pytest.raises(StartupFailure, match=rf"blobs\.dat: {problem}$"):
+        StorageService(service.config)
+
+
+def test_a_torn_entry_that_cannot_be_cut_off_stops_start_up(service, monkeypatch):
+    service.store_blob(1, b"\x00" * 32)
+    _append_to_log(service, b"2\t4\t0\t32\n" + b"\x11" * 8)
+
+    def refuse(path, end):
+        raise OSError(30, "Read-only file system")
+
+    monkeypatch.setattr(netutil, "cut_back", refuse)
+    with pytest.raises(StartupFailure, match=r"blobs\.dat: cannot cut off a torn entry"):
         StorageService(service.config)
 
 
@@ -316,43 +429,23 @@ def test_a_data_dir_with_a_blobs_directory_is_refused(service):
         f"{ALICE.hex()}\t1\t1\t0\tblobs/1.bin",
         # Builds that named each blob's owner: a digest cell came first.
         f"{ALICE.hex()}\t1\t1\t0\t0\t32",
+        # Builds whose records named each blob's region of blobs.dat.
+        "1\t1\t0\t0\t32",
     ],
-    ids=["path cell", "owner cell"],
+    ids=["path cell", "owner cell", "region cells"],
 )
-def test_a_record_row_without_a_region_is_refused(service, row):
-    path = os.path.join(service.config.data_dir, "records.tsv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(row + "\n")
-    with pytest.raises(StartupFailure, match=r"records\.tsv: row 1 does not decode$") as info:
-        StorageService(service.config)
-    assert ALICE.hex() not in str(info.value)
-
-
-def test_the_readme_upgrade_drops_the_owner_cell_and_keeps_every_blob(service):
-    blobs = {n: os.urandom(20 + n) for n in (1, 2, 3)}
-    for n, blob in blobs.items():
-        service.store_blob(n, blob)
+def test_a_data_dir_with_a_record_table_is_refused_and_left_as_it_is(service, row):
     data_dir = service.config.data_dir
-    path = os.path.join(data_dir, "records.tsv")
-    log, records = _log(service), _read(path)
-    owners = [ALICE, md5_digest(b"bob"), ALICE]
-    rows = records.decode().splitlines()
-    with open(path, "w", encoding="utf-8") as fh:  # as owner-naming builds wrote it
-        fh.writelines(f"{d.hex()}\t{row}\n" for d, row in zip(owners, rows))
-    with pytest.raises(StartupFailure, match=r"records\.tsv: row 1 does not decode$"):
+    with open(os.path.join(data_dir, "records.tsv"), "w", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with open(_log_path(service), "wb") as fh:
+        fh.write(b"\x00" * 32)
+    before = _data_files(data_dir)
+    with pytest.raises(StartupFailure, match=r"/records\.tsv: a record table") as info:
         StorageService(service.config)
-    subprocess.run(
-        "umask 077; cut -f2- records.tsv > records.tsv.new"
-        " && mv records.tsv.new records.tsv",
-        shell=True, cwd=data_dir, check=True,
-    )
-    assert _read(path) == records
-    assert os.stat(path).st_mode & 0o777 == 0o600
-    assert sorted(os.listdir(data_dir)) == ["blobs.dat", "records.tsv"]
-    reloaded = StorageService(service.config)
-    for n, blob in blobs.items():
-        assert reloaded.fetch_blob(n) == blob
-    assert _log(reloaded) == log
+    assert "README" in str(info.value)
+    assert ALICE.hex() not in str(info.value)
+    assert _data_files(data_dir) == before
 
 
 def test_placement_modulus_comes_only_from_config(service):
@@ -367,48 +460,41 @@ def test_placement_modulus_comes_only_from_config(service):
         StorageService(dataclasses.replace(service.config, seed=101))
 
 
-def test_a_store_makes_two_durable_writes(service, monkeypatch):
+def test_a_store_makes_one_durable_write(service, monkeypatch):
     service.store_blob(1, b"\x00" * 32)
-    data_dir = service.config.data_dir
-    names = {
-        os.stat(os.path.join(data_dir, name)).st_ino: name
-        for name in ("blobs.dat", "records.tsv")
-    }
+    log_inode = os.stat(_log_path(service)).st_ino
     calls, synced = [], []
     for name in ("append_bytes", "append_line", "write_atomic"):
-        def counted(path, data, _name=name, _real=getattr(netutil, name)):
+        def counted(path, *data, _name=name, _real=getattr(netutil, name)):
             calls.append((_name, os.path.basename(path)))
-            return _real(path, data)
+            return _real(path, *data)
 
         monkeypatch.setattr(netutil, name, counted)
     real_fsync = os.fsync
 
     def recording_fsync(fd):
-        synced.append(names.get(os.fstat(fd).st_ino, "another file"))
+        is_log = os.fstat(fd).st_ino == log_inode
+        synced.append("blobs.dat" if is_log else "another file")
         real_fsync(fd)
 
     monkeypatch.setattr(netutil.os, "fsync", recording_fsync)
     service.store_blob(2, b"\x00" * 32)
     monkeypatch.undo()
-    # append_line is a thin call to append_bytes, so the row passes both.
-    assert calls == [
-        ("append_bytes", "blobs.dat"),
-        ("append_line", "records.tsv"),
-        ("append_bytes", "records.tsv"),
-    ]
-    # Two appends to files that exist: no directory fsync, no new file.
-    assert synced == ["blobs.dat", "records.tsv"]
-    for n in range(3, 60):
+    assert calls == [("append_bytes", "blobs.dat")]
+    # One append to a file that exists: no directory fsync, no new file.
+    assert synced == ["blobs.dat"]
+    for n in range(3, 61):
         service.store_blob(n, b"\x00" * 32)
-    assert sorted(os.listdir(data_dir)) == ["blobs.dat", "records.tsv"]
+    assert len(service.records) == 60
+    assert os.listdir(service.config.data_dir) == ["blobs.dat"]
 
 
-def test_dump_holds_the_blob_and_a_row_of_numbers(service):
+def test_dump_holds_the_log_of_headers_and_blobs(service):
     blob = os.urandom(48)
     service.store_blob(1, blob)
     dump = service.dump_tables()
-    assert dump["blobs.dat"] == blob
-    assert dump["records.tsv"] == b"1\t1\t0\t0\t48\n"
+    assert sorted(dump) == ["blobs.dat", "placement.tbl"]
+    assert dump["blobs.dat"] == b"1\t1\t0\t48\n" + blob
     assert dump["placement.tbl"].startswith(b"S=100\n")
 
 
@@ -540,7 +626,7 @@ def test_contracts_hold_over_tcp(tmp_path):
         assert ack == protocol.UploadAck(label="1", status="STORED 1 0")
         assert client.fetch(1) == blob
         dump = netutil.fetch_admin_dump("127.0.0.1", listeners.admin.server_address[1])
-        assert dump["blobs.dat"] == blob
+        assert dump["blobs.dat"] == b"1\t1\t0\t80\n" + blob
     finally:
         conn.close()
         listeners.close()

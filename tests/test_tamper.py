@@ -158,18 +158,20 @@ def _write_blob(stack, file_number: int, blob: bytes):
         fh.write(blob)
 
 
-def _repoint(stack, regions: dict) -> None:
-    """Rewrite each named file number's records.tsv row to name another
-    (start, length) region of blobs.dat, then restart the stack."""
+def _rewrite_log(stack, edit) -> None:
+    """Rewrite each storage's blobs.dat entry by entry, as the writer lays it
+    out, after ``edit`` has changed the list of ``[file_number, position,
+    offset, blob]`` entries in place; then restart the stack."""
     for storage in stack.storages:
-        path = os.path.join(storage.config.data_dir, "records.tsv")
-        with open(path, encoding="utf-8") as fh:
-            rows = [line.split("\t") for line in fh.read().splitlines()]
-        for cells in rows:
-            if int(cells[0]) in regions:
-                cells[3:5] = map(str, regions[int(cells[0])])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join("\t".join(cells) + "\n" for cells in rows))
+        entries = [
+            [r.file_number, r.position, r.offset, storage.fetch_blob(r.file_number)]
+            for r in sorted(storage.records.values(), key=lambda r: r.start)
+        ]
+        edit(entries)
+        with open(_log_path(storage), "wb") as fh:
+            for file_number, position, offset, blob in entries:
+                fh.write(f"{file_number}\t{position}\t{offset}\t{len(blob)}\n".encode())
+                fh.write(blob)
     stack.reload()
 
 
@@ -187,9 +189,13 @@ def test_every_byte_flip_of_a_stored_blob_raises_integrity_failure(stack):
 
 
 def _swap(stack, first: int, second: int):
-    # Blobs may differ in length, so each row is pointed at the other's region.
-    a, b = _stored(stack, first)[1], _stored(stack, second)[1]
-    _repoint(stack, {first: (b.start, b.length), second: (a.start, a.length)})
+    """Swap two entries' headers, so each file number names the other's blob."""
+
+    def swap(entries):
+        a, b = (next(e for e in entries if e[0] == n) for n in (first, second))
+        a[:3], b[:3] = b[:3], a[:3]
+
+    _rewrite_log(stack, swap)
 
 
 @pytest.mark.parametrize(
@@ -217,11 +223,12 @@ def test_a_blob_stored_before_aes_gcm_is_refused(stack):
     stack.service.upload(token, "old", b"stored by an older build")
     record = stack.service.key_records[(crypto_core.md5_digest(b"alice"), "old")]
     old = old_cbc_seal(b"stored by an older build", record.key)
-    storage, _ = _stored(stack, record.file_number)
-    with open(_log_path(storage), "ab") as fh:
-        start = fh.tell()
-        fh.write(old)
-    _repoint(stack, {record.file_number: (start, len(old))})
+
+    def replace(entries):
+        entry = next(e for e in entries if e[0] == record.file_number)
+        entry[3] = old
+
+    _rewrite_log(stack, replace)
     token = stack.service.login("alice", stack.mail.latest("a@example.test"))
     with pytest.raises(IntegrityFailure):
         stack.service.download(token, "old")
