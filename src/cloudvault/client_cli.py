@@ -13,9 +13,9 @@ mode-0600 cache file until logout or expiry.
 
 import argparse
 import getpass
-import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import mailbox as mailbox_mod, netutil, protocol
 # Not used here: the benchmark's perfbench/run.py imports it from this module.
@@ -32,6 +32,7 @@ from .errors import (
 CONFIG_ENV_VAR = "CLOUDVAULT_CONFIG"
 
 
+@dataclass
 class ClientConfig:
     """Client-side settings: where the system server is, which public key it
     presents (trust-on-config), the test mailbox, and the session token
@@ -39,32 +40,18 @@ class ClientConfig:
     existing configs set it, and the token cache defaults to
     ``keypair_path + ".session"``."""
 
-    def __init__(
-        self,
-        system_host: str,
-        system_port: int,
-        system_public_key,
-        keypair_path: str,
-        mailbox_path: str = "",
-        token_path: str = "",
-        sabotage_plaintext_channel: bool = False,
-    ):
-        self.system_host = system_host
-        self.system_port = system_port
-        self.system_public_key = protocol.pubkey_from_json(system_public_key)
-        self.keypair_path = keypair_path
-        self.mailbox_path = mailbox_path
-        self.token_path = token_path or keypair_path + ".session"
-        self.sabotage_plaintext_channel = sabotage_plaintext_channel
+    system_host: str
+    system_port: int
+    system_public_key: tuple  # (n, e), given as its {e, n} JSON object
+    keypair_path: str
+    mailbox_path: str = ""
+    token_path: str = ""
+    sabotage_plaintext_channel: bool = False
 
-    @classmethod
-    def from_file(cls, path: str) -> "ClientConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls(**json.load(fh))
-        # ValueError: not JSON; TypeError: not an object of known settings
-        except (OSError, ValueError, TypeError) as exc:
-            raise IoFailure(f"config {path}: {exc}") from exc
+    def __post_init__(self):
+        self.system_public_key = protocol.pubkey_from_json(self.system_public_key)
+        netutil.check_types(self)
+        self.token_path = self.token_path or self.keypair_path + ".session"
 
 
 class ClientSession:
@@ -204,7 +191,7 @@ def _load_config(args) -> ClientConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         raise IoFailure(f"no --config given and {CONFIG_ENV_VAR} unset")
-    return ClientConfig.from_file(path)
+    return netutil.load_config(path, ClientConfig)
 
 
 def _cmd_register(args) -> int:

@@ -112,21 +112,12 @@ def md5_digest(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """A sealed message: the fresh nonce, then the AES-128-GCM body with its
-    16-byte tag. ``body`` may be a view of the bytes it was read from, or of
-    ``sealed``: the one buffer ``encrypt_file`` wrote, ``prefix ‖ nonce ‖
-    body``."""
+    """A sealed message split for opening: the fresh nonce, then the
+    AES-128-GCM body with its 16-byte tag, which may be a view of the bytes
+    it was read from. ``encrypt_file`` writes the joined bytes."""
 
     nonce: bytes
     body: bytes
-    sealed: bytearray | None = field(default=None, compare=False, repr=False)
-
-    def to_bytes(self):
-        """``nonce ‖ body``: ``sealed`` itself, uncopied, when it holds
-        nothing else."""
-        if self.sealed is not None and len(self.sealed) == NONCE_BYTES + len(self.body):
-            return self.sealed
-        return self.nonce + self.body
 
     @classmethod
     def from_bytes(cls, raw) -> "Ciphertext":
@@ -167,19 +158,18 @@ def _key_and_iv(key: bytes, nonce: bytes, info: bytes) -> tuple[bytes, bytes]:
 def encrypt_file(
     plaintext: bytes, key: bytes, info: bytes, aad: bytes | None = None,
     prefix: bytes = b"",
-) -> Ciphertext:
+) -> bytearray:
     """Seal ``plaintext`` under ``key`` for the use ``info`` names, binding
-    ``aad``. The nonce is fresh per call, so a key and IV pair never
-    repeats. The seal is written once, into one new buffer that starts with
-    ``prefix``: the returned ``sealed``."""
+    ``aad``, and return the one new buffer the seal is written into:
+    ``prefix ‖ nonce ‖ body ‖ tag``. The nonce is fresh per call, so a key
+    and IV pair never repeats."""
     nonce = _random_bytes(NONCE_BYTES)
     gcm_key, iv = _key_and_iv(key, nonce, info)
     head = len(prefix) + NONCE_BYTES
     sealed = bytearray(head + len(plaintext) + TAG_BYTES)
     sealed[:head] = prefix + nonce
-    body = memoryview(sealed)[head:]
-    AESGCM(gcm_key).encrypt_into(iv, plaintext, aad, body)
-    return Ciphertext(nonce=nonce, body=body, sealed=sealed)
+    AESGCM(gcm_key).encrypt_into(iv, plaintext, aad, memoryview(sealed)[head:])
+    return sealed
 
 
 def decrypt_file(
@@ -362,7 +352,7 @@ def seal_envelope(msg: bytes, pub: tuple[int, int], session_key: bytes) -> bytea
     the same message twice never repeats bytes.
     """
     wrapped = rsa_encrypt_block(session_key, pub)
-    return encrypt_file(msg, session_key, REQUEST_INFO, wrapped, prefix=wrapped).sealed
+    return encrypt_file(msg, session_key, REQUEST_INFO, wrapped, prefix=wrapped)
 
 
 def open_envelope(sealed: bytes, priv: RsaKeyPair) -> tuple[bytes, bytes]:
@@ -404,7 +394,7 @@ def seal_numbered(msg: bytes, conn_key: bytes, seq: int) -> bytearray:
     ``conn_key``: the bytes ``seq ‖ nonce ‖ body``, with ``seq`` bound to
     the body as its AAD."""
     aad = seq_aad(seq)
-    return encrypt_file(msg, conn_key, REQUEST_INFO, aad, prefix=aad).sealed
+    return encrypt_file(msg, conn_key, REQUEST_INFO, aad, prefix=aad)
 
 
 def open_numbered(sealed: bytes, conn_key: bytes, seq: int) -> bytes:

@@ -31,12 +31,13 @@ from dataclasses import asdict, dataclass, field
 
 from . import crypto_core, mailbox as mailbox_mod, netutil, protocol
 from .client_cli import ClientConfig, ClientSession
-from .errors import CloudVaultError, ConnectionFailure, IoFailure, StartupFailure
+from .errors import CloudVaultError, ConnectionFailure, StartupFailure
 from .storage_server import stored_blobs
-from .system_server import KEY_COLUMNS, KEYS_FILE, SERVER_KEY_FILE, KeyRecord
+from .system_server import (
+    KEY_COLUMNS, KEYS_FILE, SABOTAGE_MODES, SERVER_KEY_FILE, KeyRecord,
+)
 
 DEFAULT_BENCH_SIZES = (1024, 4096, 7168, 9216, 14336, 17408)  # 1..17 KB
-SABOTAGE_MODES = ("keys_on_storage", "plaintext_channel")
 
 _HEX_RUN = re.compile(rb"[0-9a-f]{32,}")
 
@@ -49,21 +50,12 @@ class TopologyConfig:
     # The key the system server makes on its first start. 1024, the library's
     # least, keeps scripted runs quick; raise it for anything long-lived.
     rsa_bits: int = 1024
-    sabotage: str = None
+    sabotage: str | None = None  # one of SABOTAGE_MODES
 
     def __post_init__(self):
-        if self.sabotage is not None and self.sabotage not in SABOTAGE_MODES:
-            raise ValueError(f"unknown sabotage mode {self.sabotage!r}")
-
-    @classmethod
-    def from_file(cls, path: str) -> "TopologyConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls(**json.load(fh))
-        # ValueError: not JSON, or an unknown sabotage mode; TypeError: not
-        # an object of known settings
-        except (OSError, ValueError, TypeError) as exc:
-            raise IoFailure(f"config {path}: {exc}") from exc
+        netutil.check_types(self)
+        if self.sabotage not in (None, *SABOTAGE_MODES):
+            raise ValueError(f"sabotage must be one of {', '.join(SABOTAGE_MODES)}")
 
 
 def _free_ports(count: int) -> list:
@@ -188,10 +180,7 @@ class Topology:
         config = ClientConfig(
             system_host=self.system_host,
             system_port=self.system_port,
-            system_public_key={
-                "n": str(self.system_public_key[0]),
-                "e": str(self.system_public_key[1]),
-            },
+            system_public_key=protocol.pubkey_to_json(self.system_public_key),
             keypair_path=base,  # names no key: the token cache is base + ".session"
             mailbox_path=mailbox_mod.mailbox_file_path(self.mailbox_dir, mail_address),
             sabotage_plaintext_channel=self.config.sabotage == "plaintext_channel",
@@ -260,7 +249,6 @@ def run_topology(config: TopologyConfig) -> Topology:
     """Boot everything, health-check every process, return live handles."""
     ports = _assign_ports(config.storage_count)
     workdir = os.path.abspath(config.workdir)
-    os.makedirs(workdir, exist_ok=True)
     # Each server makes its own data directory, and the system server the
     # mailbox directory and, on its first start, its key pair.
     mailbox_dir = os.path.join(workdir, "mailbox")
@@ -285,6 +273,7 @@ def run_topology(config: TopologyConfig) -> Topology:
         capture_dir=capture_dir,
     )
     try:
+        os.makedirs(workdir, exist_ok=True)
         _start_servers(topo, [
             (target["server_id"], "storage_server", {
                 **target,
@@ -302,11 +291,10 @@ def run_topology(config: TopologyConfig) -> Topology:
             "storage": storage,
             "mailbox_dir": mailbox_dir,
             "rsa_bits": config.rsa_bits,
-            "sabotage_keys_on_storage": config.sabotage == "keys_on_storage",
-            "sabotage_accept_plain": config.sabotage == "plaintext_channel",
+            "sabotage": config.sabotage,
         })])
         key_path = os.path.join(system_dir, SERVER_KEY_FILE)
-        n, e = topo.system_public_key = netutil.read_keypair(key_path).public
+        topo.system_public_key = netutil.read_keypair(key_path).public
 
         topo.proxy = CaptureProxy(
             ports["proxy"], ("127.0.0.1", ports["system"]), capture_dir
@@ -316,7 +304,7 @@ def run_topology(config: TopologyConfig) -> Topology:
         template = {
             "system_host": "127.0.0.1",
             "system_port": ports["proxy"],
-            "system_public_key": {"n": str(n), "e": str(e)},
+            "system_public_key": protocol.pubkey_to_json(topo.system_public_key),
             "keypair_path": "<path; the session token is cached at it + .session>",
             "mailbox_path": f"<{mailbox_dir}/<quoted mail address>.mbox>",
         }
@@ -324,8 +312,10 @@ def run_topology(config: TopologyConfig) -> Topology:
             os.path.join(workdir, "client-template.json"),
             json.dumps(template, indent=2).encode(),
         )
-    except Exception:
+    except Exception as exc:
         topo.stop()
+        if isinstance(exc, OSError):  # its message names the path
+            raise StartupFailure(str(exc)) from exc
         raise
     return topo
 
@@ -723,7 +713,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args, TopologyConfig.from_file(args.config))
+        return args.func(args, netutil.load_config(args.config, TopologyConfig))
     except CloudVaultError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,9 @@
 """Shared plumbing: one threaded listener for every port (the frame loop, the
 local-only admin dump channel, the harness's capture proxy), the server
 process shell (start-up and shutdown), the keep-alive client side of a frame
-exchange, and every file cloudvault keeps: the private, durable writers
-(append, replace, cut back), the RSA key file and crash-safe little table
-files."""
+exchange, the one config file reader, and every file cloudvault keeps: the
+private, durable writers (append, replace, cut back), the RSA key file and
+crash-safe little table files."""
 
 import argparse
 import contextlib
@@ -17,6 +17,8 @@ import socket
 import socketserver
 import sys
 import threading
+import types
+import typing
 import urllib.parse
 
 from . import protocol
@@ -194,7 +196,7 @@ class Listeners:
         )
         try:
             self.frame = start_frame_server(config.host, config.port, service.handle_frame)
-        except OSError:
+        except (OSError, OverflowError):  # OverflowError: a port past 65535
             self.admin.stop()
             raise
 
@@ -204,24 +206,24 @@ class Listeners:
 
 
 def run_server(argv, config_cls, service_cls) -> int:
-    """A server process from start to exit: read ``--config`` as the keyword
-    arguments of ``config_cls``, serve ``service_cls(config)`` until SIGTERM
-    or SIGINT, then close both listeners and return 0. A server that cannot
-    start prints one ``CODE: message`` line on stderr and returns 1."""
+    """A server process from start to exit: read ``--config`` with
+    ``load_config``, serve ``service_cls(config)`` until SIGTERM or SIGINT,
+    then close both listeners and return 0. A server that cannot start
+    prints one ``CODE: message`` line on stderr and returns 1: a config that
+    does not load, a file or directory it cannot make or open, and a port
+    taken are each ``STARTUP_FAILURE``."""
     parser = argparse.ArgumentParser()
     parser.add_argument("--config", required=True, help="JSON config path")
     args = parser.parse_args(argv)
     try:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = config_cls(**json.load(fh))
-        # ValueError: not JSON; TypeError: not an object of known settings
-        except (OSError, ValueError, TypeError) as exc:
-            raise StartupFailure(f"config {args.config}: {exc}") from exc
-        service = service_cls(config)
+            config = load_config(args.config, config_cls)
+            service = service_cls(config)
+        except (IoFailure, OSError) as exc:  # each message names its path
+            raise StartupFailure(str(exc)) from exc
         try:
             listeners = Listeners(config, service)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:
             raise StartupFailure(
                 f"ports {config.port} and {config.admin_port}: {exc}"
             ) from exc
@@ -235,6 +237,41 @@ def run_server(argv, config_cls, service_cls) -> int:
     stop.wait()
     listeners.close()
     return 0
+
+
+def load_config(path: str, cls):
+    """``cls(**obj)`` for the JSON object in the file at ``path``, or
+    IoFailure naming ``path``. A config's own CloudVaultError passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return cls(**json.load(fh))
+    # ValueError: not JSON, or a value out of range; TypeError: not an object
+    # of known settings, or a value of the wrong type (check_types)
+    except (OSError, ValueError, TypeError) as exc:
+        raise IoFailure(f"config {path}: {exc}") from exc
+
+
+def check_types(config) -> None:
+    """Raise TypeError naming the first field of the dataclass ``config``
+    whose value is not exactly of its annotated type, never the value: a
+    bool is no int. ``X | None`` also takes None, ``list[X]`` a list of X."""
+    for field in dataclasses.fields(config):
+        if not _has_type(getattr(config, field.name), field.type):
+            expected = field.type
+            if isinstance(expected, type):
+                expected = expected.__name__
+            raise TypeError(f"{field.name} must be {expected}")
+
+
+def _has_type(value, annotation) -> bool:
+    if isinstance(annotation, types.UnionType):
+        return any(_has_type(value, arm) for arm in typing.get_args(annotation))
+    if isinstance(annotation, types.GenericAlias):
+        (item,) = typing.get_args(annotation)
+        return type(value) is typing.get_origin(annotation) and all(
+            _has_type(each, item) for each in value
+        )
+    return type(value) is annotation
 
 
 def fetch_admin_dump(host: str, port: int, timeout: float = 10.0) -> dict[str, bytes]:

@@ -134,6 +134,12 @@ def _bytes(value) -> bytes:
     return value  # uncopied: the payload writer reads it where it lies
 
 
+def pubkey_to_json(pub: tuple[int, int]) -> dict:
+    """The ``{"n": dec-string, "e": dec-string}`` form of the public key
+    ``(n, e)``, which ``pubkey_from_json`` reads."""
+    return {"n": str(pub[0]), "e": str(pub[1])}
+
+
 def pubkey_from_json(value) -> tuple:
     """The ``{"e": dec-string, "n": dec-string}`` form of a public key, as
     client config files give the system key."""
@@ -439,9 +445,10 @@ def send_reply(msg, conn: ConnectionState) -> Frame:
         encode_frame(msg), conn.key, crypto_core.REPLY_INFO,
         crypto_core.seq_aad(conn.seq) if conn.keyed else None,
     )
-    frame = Frame(tag=REPLY_TAG, payload=sealed.to_bytes())
+    frame = Frame(tag=REPLY_TAG, payload=sealed)  # over the cap: conn stays as it is
     if not conn.keyed:
-        conn.key, conn.keyed = crypto_core.connection_key(conn.key, sealed.nonce), True
+        nonce = bytes(sealed[:crypto_core.NONCE_BYTES])
+        conn.key, conn.keyed = crypto_core.connection_key(conn.key, nonce), True
     return frame
 
 

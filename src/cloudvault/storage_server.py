@@ -116,6 +116,9 @@ class StorageConfig:
     data_dir: str
     seed: int
 
+    def __post_init__(self):
+        netutil.check_types(self)
+
 
 class StorageService:
     """The storage node's state machine, independent of any socket."""

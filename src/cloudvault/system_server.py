@@ -83,6 +83,15 @@ class StorageTarget:
     host: str
     port: int
 
+    def __post_init__(self):
+        netutil.check_types(self)
+
+
+# Deliberate mis-builds, used only to prove the leakage auditor catches a
+# broken deployment: a blob's key stored beside it, or plain client frames
+# accepted. Never set one outside that self-test.
+SABOTAGE_MODES = ("keys_on_storage", "plaintext_channel")
+
 
 @dataclass
 class SystemConfig:
@@ -90,22 +99,23 @@ class SystemConfig:
     port: int
     admin_port: int
     data_dir: str
-    storage: list
+    storage: list[StorageTarget]  # given as {server_id, host, port} objects
     # Read by nothing: it stays because perfbench/topology.py writes it and
     # unknown keys are refused. Deleted with that writer (ROADMAP item 1).
     seed: int = 100
     mailbox_dir: str = ""
     rsa_bits: int = crypto_core.DEFAULT_RSA_BITS
-    # Deliberate mis-builds, used only to prove the leakage auditor catches
-    # a broken deployment. Never enable outside that self-test.
-    sabotage_keys_on_storage: bool = False
-    sabotage_accept_plain: bool = False
+    sabotage: str | None = None  # one of SABOTAGE_MODES
 
     def __post_init__(self):
-        self.storage = [
-            StorageTarget(**target) if isinstance(target, dict) else target
-            for target in self.storage
-        ]
+        if type(self.storage) is list:
+            self.storage = [
+                StorageTarget(**target) if type(target) is dict else target
+                for target in self.storage
+            ]
+        netutil.check_types(self)
+        if self.sabotage not in (None, *SABOTAGE_MODES):
+            raise ValueError(f"sabotage must be one of {', '.join(SABOTAGE_MODES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +361,9 @@ class SystemService:
             key = crypto_core.generate_symmetric_key()
             blob = crypto_core.encrypt_file(
                 file_bytes, key, crypto_core.BLOB_INFO, _blob_aad(digest, number)
-            ).to_bytes()
-            if self.config.sabotage_keys_on_storage:
-                blob += key  # deliberately broken build; see SystemConfig
+            )
+            if self.config.sabotage == "keys_on_storage":
+                blob += key  # deliberately broken build; see SABOTAGE_MODES
             client = self.storage_clients[upload_index % len(self.storage_clients)]
             try:
                 client.store(number, blob)
@@ -455,7 +465,7 @@ class SystemService:
         try:
             if frame.tag in (protocol.SEALED_TAG, protocol.KEYED_TAG):
                 msg = protocol.recv_sealed(frame, self.keypair, conn)
-            elif self.config.sabotage_accept_plain:
+            elif self.config.sabotage == "plaintext_channel":
                 return protocol.send_plain(self.dispatch(protocol.recv_plain(frame)))
             else:
                 raise MalformedPayload("client traffic must be sealed")

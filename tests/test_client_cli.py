@@ -85,7 +85,7 @@ def test_no_verb_needs_a_client_key_file(client_env, tmp_path, capsys):
     assert run_cli(config_path, "list") == 0
     assert capsys.readouterr().out.splitlines() == ["nokey.bin"]
     assert run_cli(config_path, "logout") == 0
-    config = client_cli.ClientConfig.from_file(config_path)
+    config = netutil.load_config(config_path, client_cli.ClientConfig)
     assert not os.path.exists(config.keypair_path)
 
 
@@ -170,7 +170,7 @@ def test_a_bad_config_is_one_coded_line(tmp_path, capsys, content, code):
 def test_otp_single_use_at_the_cli(client_env, capsys):
     config_path, mail = client_env("replay")
     run_cli(config_path, "register", "replay", mail)
-    config = client_cli.ClientConfig.from_file(config_path)
+    config = netutil.load_config(config_path, client_cli.ClientConfig)
     first_otp = mailbox.read_latest_otp(config.mailbox_path)
     assert run_cli(config_path, "login", "replay", "--otp", first_otp) == 0
     capsys.readouterr()
@@ -192,7 +192,7 @@ def test_default_output_reveals_no_secrets(client_env, tmp_path, capsys):
     captured = capsys.readouterr()
     output = captured.out + captured.err
 
-    config = client_cli.ClientConfig.from_file(config_path)
+    config = netutil.load_config(config_path, client_cli.ClientConfig)
     with open(config.token_path) as fh:
         token = fh.read().strip()
     with open(config.mailbox_path) as fh:
@@ -218,7 +218,7 @@ def test_stale_token_rejected_server_side(client_env, tmp_path, capsys):
     config_path, mail = client_env("stale")
     run_cli(config_path, "register", "stale", mail)
     run_cli(config_path, "login", "stale")
-    config = client_cli.ClientConfig.from_file(config_path)
+    config = netutil.load_config(config_path, client_cli.ClientConfig)
     with open(config.token_path, "w") as fh:
         fh.write("00" * 16)  # fabricated token
     source = tmp_path / "f.bin"
@@ -236,7 +236,7 @@ def test_config_from_environment(client_env, monkeypatch, capsys):
 
 def test_login_makes_a_stale_token_cache_private(client_env):
     config_path, mail = client_env("stalemode")
-    config = client_cli.ClientConfig.from_file(config_path)
+    config = netutil.load_config(config_path, client_cli.ClientConfig)
     with open(config.token_path, "w") as fh:
         fh.write("old token, longer than the new one " * 4)
     os.chmod(config.token_path, 0o644)

@@ -89,21 +89,23 @@ def test_encrypt_decrypt_round_trip():
         plaintext = rng.randbytes(size)
         key = cc.generate_symmetric_key()
         for info, aad in ((cc.BLOB_INFO, b"where it lives"), (cc.REPLY_INFO, None)):
-            ct = cc.encrypt_file(plaintext, key, info, aad)
+            ct = cc.Ciphertext.from_bytes(cc.encrypt_file(plaintext, key, info, aad))
             assert len(ct.nonce) == cc.NONCE_BYTES
             assert len(ct.body) == size + cc.TAG_BYTES
             assert cc.decrypt_file(ct, key, info, aad) == plaintext
 
 
 def test_empty_plaintext_yields_only_the_tag():
-    ct = cc.encrypt_file(b"", cc.generate_symmetric_key(), cc.BLOB_INFO)
+    ct = cc.Ciphertext.from_bytes(
+        cc.encrypt_file(b"", cc.generate_symmetric_key(), cc.BLOB_INFO)
+    )
     assert len(ct.body) == cc.TAG_BYTES
 
 
 def test_same_input_encrypts_differently():
     key = cc.generate_symmetric_key()
-    first = cc.encrypt_file(b"same bytes", key, cc.BLOB_INFO)
-    second = cc.encrypt_file(b"same bytes", key, cc.BLOB_INFO)
+    first = cc.Ciphertext.from_bytes(cc.encrypt_file(b"same bytes", key, cc.BLOB_INFO))
+    second = cc.Ciphertext.from_bytes(cc.encrypt_file(b"same bytes", key, cc.BLOB_INFO))
     assert first != second
     assert first.nonce != second.nonce
     assert first.body != second.body
@@ -111,15 +113,15 @@ def test_same_input_encrypts_differently():
 
 def test_ciphertext_never_echoes_plaintext():
     plaintext = secrets.token_bytes(64)
-    ct = cc.encrypt_file(plaintext, cc.generate_symmetric_key(), cc.BLOB_INFO)
-    assert plaintext not in ct.to_bytes()  # body is a view, which has no substring test
+    raw = cc.encrypt_file(plaintext, cc.generate_symmetric_key(), cc.BLOB_INFO)
+    assert plaintext not in raw
 
 
 def test_wrong_key_fails_decryption():
     # The tag fails under every wrong key: no garbage is ever returned.
     plaintext = b"the eagle lands at midnight"
     key = cc.generate_symmetric_key()
-    ct = cc.encrypt_file(plaintext, key, cc.BLOB_INFO)
+    ct = cc.Ciphertext.from_bytes(cc.encrypt_file(plaintext, key, cc.BLOB_INFO))
     for _ in range(100):
         wrong = cc.generate_symmetric_key()
         with pytest.raises(DecryptionFailure):
@@ -130,7 +132,7 @@ def test_a_seal_opens_only_for_its_own_use_and_aad():
     key = cc.generate_symmetric_key()
     digest = cc.md5_digest(b"alice")
     aad = digest + (7).to_bytes(8, "big")
-    ct = cc.encrypt_file(b"blob seven", key, cc.BLOB_INFO, aad)
+    ct = cc.Ciphertext.from_bytes(cc.encrypt_file(b"blob seven", key, cc.BLOB_INFO, aad))
     assert cc.decrypt_file(ct, key, cc.BLOB_INFO, aad) == b"blob seven"
     for info, other_aad in (
         (cc.BLOB_INFO, digest + (8).to_bytes(8, "big")),  # moved to file 8
@@ -145,7 +147,7 @@ def test_a_seal_opens_only_for_its_own_use_and_aad():
 
 def test_short_ciphertext_does_not_open():
     key = cc.generate_symmetric_key()
-    raw = cc.encrypt_file(b"some data", key, cc.BLOB_INFO).to_bytes()
+    raw = cc.encrypt_file(b"some data", key, cc.BLOB_INFO)
     for short in (b"", raw[: cc.NONCE_BYTES], raw[: cc.NONCE_BYTES + cc.TAG_BYTES - 1]):
         with pytest.raises(DecryptionFailure):
             cc.Ciphertext.from_bytes(short)
@@ -155,10 +157,10 @@ def test_short_ciphertext_does_not_open():
 
 
 def test_ciphertext_byte_serialization():
-    ct = cc.encrypt_file(b"abc", cc.generate_symmetric_key(), cc.BLOB_INFO)
-    raw = ct.to_bytes()
+    raw = cc.encrypt_file(b"abc", cc.generate_symmetric_key(), cc.BLOB_INFO)
+    ct = cc.Ciphertext.from_bytes(raw)
     assert raw == ct.nonce + ct.body
-    assert cc.Ciphertext.from_bytes(raw) == ct
+    assert cc.Ciphertext.from_bytes(bytes(raw)) == ct
 
 
 def _hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
@@ -188,7 +190,7 @@ def test_hkdf_reference_matches_rfc_5869_case_1():
 def test_layout_is_nonce_then_gcm_under_hkdf_of_the_key(info):
     key = cc.generate_symmetric_key()
     msg = b"sealed body " * 10
-    raw = cc.encrypt_file(msg, key, info, b"bound").to_bytes()
+    raw = cc.encrypt_file(msg, key, info, b"bound")
     assert len(raw) == cc.NONCE_BYTES + len(msg) + cc.TAG_BYTES
     nonce = raw[: cc.NONCE_BYTES]
     okm = _hkdf_sha256(key, nonce, info, 28)
@@ -205,8 +207,9 @@ def test_decrypting_ignoring_the_tag_reads_the_plaintext_and_what_follows():
     # key appended after the tag does not hide the plaintext in front of it.
     key = cc.generate_symmetric_key()
     plaintext = b"SENTINEL lorem ipsum " * 20
-    ct = cc.encrypt_file(plaintext, key, cc.BLOB_INFO, b"aad")
-    sabotaged = cc.Ciphertext.from_bytes(ct.to_bytes() + key)
+    raw = cc.encrypt_file(plaintext, key, cc.BLOB_INFO, b"aad")
+    ct = cc.Ciphertext.from_bytes(raw)
+    sabotaged = cc.Ciphertext.from_bytes(raw + key)
     raw = cc._decrypt_ignoring_tag(sabotaged, key, cc.BLOB_INFO)
     assert len(raw) == len(plaintext) + cc.TAG_BYTES + len(key)
     assert raw[: len(plaintext)] == plaintext

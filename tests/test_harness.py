@@ -84,6 +84,19 @@ def test_a_workdir_from_no_earlier_run_is_not_deleted(tmp_path, verb, capsys):
     assert (workdir / "notes.txt").read_text() == "keep me"
 
 
+@pytest.mark.parametrize("verb", ["audit", "bench"])
+def test_a_workdir_under_a_regular_file_is_one_startup_failure_line(
+    tmp_path, verb, capsys
+):
+    (tmp_path / "file").write_text("")
+    workdir = tmp_path / "file" / "work"
+    config_path = tmp_path / "topology.json"
+    config_path.write_text(json.dumps({"workdir": str(workdir)}))
+    assert harness.main([verb, "--config", str(config_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("STARTUP_FAILURE: ") and str(workdir) in line
+
+
 def test_occupied_port_names_the_component(tmp_path, monkeypatch):
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))

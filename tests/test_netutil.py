@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from cloudvault import crypto_core, harness, mailbox, netutil, protocol
+from cloudvault import client_cli, crypto_core, harness, mailbox, netutil, protocol
 from cloudvault import storage_server as storage_mod
 from cloudvault import system_server as system_mod
 from cloudvault.client_cli import ClientConfig, ClientSession
@@ -727,6 +727,95 @@ def test_a_server_whose_port_is_taken_prints_one_coded_line(tmp_path, capsys):
         assert storage_mod.main(["--config", path]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"STARTUP_FAILURE: ports {port} and ")
+    for changes in ({"port": 65536}, {"admin_port": 65536}):  # no such port
+        path = _storage_config(tmp_path, **changes)
+        assert storage_mod.main(["--config", path]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("STARTUP_FAILURE: ports ") and "65536" in line
+
+
+def _loading_config(tmp_path, module: str) -> dict:
+    """A config that ``module``'s ``main`` loads; port 1 is never bound, as
+    each case fails first."""
+    storage = [{"server_id": "s1", "host": "127.0.0.1", "port": 1}]
+    return {
+        "storage_server": dict(
+            server_id="s1", host="127.0.0.1", port=1, admin_port=1,
+            data_dir=str(tmp_path / "data"), seed=100,
+        ),
+        "system_server": dict(
+            host="127.0.0.1", port=1, admin_port=1, data_dir=str(tmp_path / "data"),
+            storage=storage, mailbox_dir=str(tmp_path / "mail"), rsa_bits=1024,
+        ),
+        "client_cli": dict(
+            system_host="127.0.0.1", system_port=1,
+            system_public_key={"n": "3233", "e": "17"},
+            keypair_path=str(tmp_path / "client"),
+        ),
+        "harness": dict(workdir=str(tmp_path / "work")),
+    }[module]
+
+
+# module -> (its main, the argv around "--config PATH", the code of a
+# config that does not load)
+MAINS = {
+    "storage_server": (storage_mod.main, [], [], "STARTUP_FAILURE"),
+    "system_server": (system_mod.main, [], [], "STARTUP_FAILURE"),
+    "client_cli": (client_cli.main, [], ["list"], "IO_FAILURE"),
+    "harness": (harness.main, ["audit"], [], "IO_FAILURE"),
+}
+
+
+@pytest.mark.parametrize(
+    "module, key, value, message",
+    [
+        ("storage_server", "port", "x", "port must be int"),
+        ("storage_server", "seed", True, "seed must be int"),
+        ("storage_server", "admin_port", 1.0, "admin_port must be int"),
+        ("system_server", "rsa_bits", "2048", "rsa_bits must be int"),
+        ("system_server", "storage", ["s1"],
+         "storage must be list[cloudvault.system_server.StorageTarget]"),
+        ("system_server", "storage",
+         [{"server_id": "s1", "host": "127.0.0.1", "port": "1"}], "port must be int"),
+        ("system_server", "sabotage", False, "sabotage must be str | None"),
+        ("client_cli", "system_port", "1", "system_port must be int"),
+        ("client_cli", "sabotage_plaintext_channel", 1,
+         "sabotage_plaintext_channel must be bool"),
+        ("harness", "storage_count", "2", "storage_count must be int"),
+        ("harness", "sabotage", 1, "sabotage must be str | None"),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_is_one_coded_line(
+    tmp_path, capsys, module, key, value, message
+):
+    main, before, after, code = MAINS[module]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_loading_config(tmp_path, module), key: value}))
+    assert main([*before, "--config", str(path), *after]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{code}: config {path}: {message}"]
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]  # nothing was started
+
+
+@pytest.mark.parametrize(
+    "module, key",
+    [("storage_server", "data_dir"), ("system_server", "mailbox_dir"),
+     ("storage_server", None)],
+    ids=["data_dir under a file", "mailbox_dir under a file", "blobs.dat a directory"],
+)
+def test_a_path_a_server_cannot_use_is_one_coded_line(tmp_path, capsys, module, key):
+    config = _loading_config(tmp_path, module)
+    if key is None:
+        bad_path = os.path.join(config["data_dir"], storage_mod.BLOBS_FILE)
+        os.makedirs(bad_path)
+    else:
+        (tmp_path / "file").write_text("")
+        bad_path = config[key] = str(tmp_path / "file" / key)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    main, *_ = MAINS[module]
+    assert main(["--config", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("STARTUP_FAILURE: ") and bad_path in line
 
 
 def _unknown_tag_reply(port: int, proc, timeout: float = 15.0) -> protocol.Frame:

@@ -828,7 +828,7 @@ def test_malformed_replies_are_rejected_alike():
             protocol.REPLY_TAG,
             crypto_core.encrypt_file(
                 b"not a frame", SESSION_KEY, crypto_core.REPLY_INFO
-            ).to_bytes(),
+            ),
         ),
         protocol.Frame(  # a request body is no reply, though the key is right
             protocol.REPLY_TAG,
@@ -836,7 +836,7 @@ def test_malformed_replies_are_rejected_alike():
                 protocol.encode_frame(protocol.ListResponse(labels=())),
                 SESSION_KEY,
                 crypto_core.REQUEST_INFO,
-            ).to_bytes(),
+            ),
         ),
     ):
         _assert_unopenable(frame, SESSION_KEY)
