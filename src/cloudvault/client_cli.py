@@ -46,11 +46,11 @@ class ClientConfig:
     keypair_path: str
     mailbox_path: str = ""
     token_path: str = ""
-    sabotage_plaintext_channel: bool = False
 
     def __post_init__(self):
         self.system_public_key = protocol.pubkey_from_json(self.system_public_key)
         netutil.check_types(self)
+        netutil.check_port("system_port", self.system_port)
         self.token_path = self.token_path or self.keypair_path + ".session"
 
 
@@ -86,13 +86,10 @@ class ClientSession:
         """One sealed request; the reply must open as the answer to it, or
         ``DecryptionFailure`` is raised: anyone can build a plain frame, and
         only the system server can seal one."""
-        if self.config.sabotage_plaintext_channel:  # mis-build for auditor self-tests
-            reply = protocol.recv_plain(self._conn.round_trip(protocol.send_plain(msg)))
-        else:
-            pub = self.config.system_public_key
-            reply = self._conn.exchange(
-                lambda conn: protocol.send_sealed(msg, pub, conn), protocol.recv_reply
-            )
+        pub = self.config.system_public_key
+        reply = self._conn.exchange(
+            lambda conn: protocol.send_sealed(msg, pub, conn), protocol.recv_reply
+        )
         if isinstance(reply, protocol.ErrorFrame):
             raise error_for_code(reply.code, reply.text)
         return reply

@@ -34,10 +34,14 @@ from .client_cli import ClientConfig, ClientSession
 from .errors import CloudVaultError, ConnectionFailure, StartupFailure
 from .storage_server import stored_blobs
 from .system_server import (
-    KEY_COLUMNS, KEYS_FILE, SABOTAGE_MODES, SERVER_KEY_FILE, KeyRecord,
+    KEY_COLUMNS, KEYS_FILE, SERVER_KEY_FILE, KeyRecord, StorageClient,
 )
 
 DEFAULT_BENCH_SIZES = (1024, 4096, 7168, 9216, 14336, 17408)  # 1..17 KB
+
+# Deliberate mis-builds, made here from the honest servers and client only to
+# prove the leakage auditor catches a broken deployment.
+SABOTAGE_MODES = ("keys_on_storage", "plaintext_channel")
 
 _HEX_RUN = re.compile(rb"[0-9a-f]{32,}")
 
@@ -150,6 +154,7 @@ class Topology:
     system_port: int  # the proxy port clients must use
     system_admin_port: int
     system_public_key: tuple
+    storage_ports: dict  # server id -> frame port
     storage_admin_ports: dict  # server id -> admin port
     mailbox_dir: str
     capture_dir: str
@@ -183,9 +188,9 @@ class Topology:
             system_public_key=protocol.pubkey_to_json(self.system_public_key),
             keypair_path=base,  # names no key: the token cache is base + ".session"
             mailbox_path=mailbox_mod.mailbox_file_path(self.mailbox_dir, mail_address),
-            sabotage_plaintext_channel=self.config.sabotage == "plaintext_channel",
         )
-        session = ClientSession(config)
+        mutant = self.config.sabotage == "plaintext_channel"
+        session = (_PlaintextCopySession if mutant else ClientSession)(config)
         self.sessions.append(session)
         return session
 
@@ -209,6 +214,15 @@ class Topology:
 
     def __exit__(self, *exc_info):
         self.stop()
+
+
+class _PlaintextCopySession(ClientSession):
+    """The ``plaintext_channel`` mutation: each request goes once in the clear,
+    which the system server refuses, and then sealed, which it answers."""
+
+    def _exchange(self, msg):
+        self._conn.round_trip(protocol.send_plain(msg))
+        return super()._exchange(msg)
 
 
 def _assign_ports(storage_count: int) -> dict:
@@ -265,6 +279,7 @@ def run_topology(config: TopologyConfig) -> Topology:
         system_port=ports["proxy"],
         system_admin_port=ports["system_admin"],
         system_public_key=None,  # read back once the system server made it
+        storage_ports={target["server_id"]: target["port"] for target in storage},
         storage_admin_ports={
             target["server_id"]: admin_port
             for target, admin_port in zip(storage, ports["storage_admin"])
@@ -291,7 +306,6 @@ def run_topology(config: TopologyConfig) -> Topology:
             "storage": storage,
             "mailbox_dir": mailbox_dir,
             "rsa_bits": config.rsa_bits,
-            "sabotage": config.sabotage,
         })])
         key_path = os.path.join(system_dir, SERVER_KEY_FILE)
         topo.system_public_key = netutil.read_keypair(key_path).public
@@ -367,7 +381,20 @@ def run_sentinel_workload(
                 if download:
                     assert session.download(label) == data
                 facts.sentinels.append(sentinel)
+    if topology.config.sabotage == "keys_on_storage":
+        _store_keys_on_storage(topology)
     return facts
+
+
+def _store_keys_on_storage(topology: Topology) -> None:
+    """The ``keys_on_storage`` mutation: each key row's raw key is stored as a
+    blob of its own on the storage server the row names, under a file number
+    counted down from 2**63 - 1, which the system server never issues."""
+    rows = _key_records(topology.system_dump())
+    for number, row in zip(itertools.count(2**63 - 1, -1), rows):
+        port = topology.storage_ports[row.storage_id]
+        with contextlib.closing(netutil.FrameConnection("127.0.0.1", port, 30.0)) as conn:
+            StorageClient(row.storage_id, conn.round_trip).store(number, row.key)
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +473,11 @@ def _files(where: str, dump: dict[str, bytes]) -> list:
     return [(f"{where}/{name}", data) for name, data in sorted(dump.items())]
 
 
-def _parse_key_table(system_dump: dict[str, bytes]) -> list[bytes]:
+def _key_records(system_dump: dict[str, bytes]) -> list[KeyRecord]:
     rows = netutil.decode_rows(
         system_dump.get(KEYS_FILE, b"").splitlines(), KEY_COLUMNS, KEYS_FILE
     )
-    return [KeyRecord(*row).key for row in rows]
+    return [KeyRecord(*row) for row in rows]
 
 
 def _candidate_keys(dump: dict[str, bytes]) -> set:
@@ -488,7 +515,7 @@ def leakage_audit(topology: Topology, facts: WorkloadFacts) -> AuditReport:
         {f"md5({u})": crypto_core.md5_digest(u.encode()) for u in facts.usernames}
     )
     keys = _both_encodings(
-        {f"key {key.hex()[:8]}...": key for key in _parse_key_table(system_dump)}
+        {f"key {r.key.hex()[:8]}...": r.key for r in _key_records(system_dump)}
     )
 
     scans = (
@@ -657,11 +684,10 @@ def _clear_workdir(path: str):
 
 
 def _cmd_audit(args, config: TopologyConfig) -> int:
-    if args.mutation:
-        config.sabotage = args.mutation
+    config.sabotage = args.mutation or config.sabotage
     _clear_workdir(config.workdir)
     with run_topology(config) as topology:
-        facts = run_sentinel_workload(topology, download=config.sabotage is None)
+        facts = run_sentinel_workload(topology)
         report = leakage_audit(topology, facts)
     _write_report(report, args.out or os.path.join(config.workdir, "audit_report.json"))
     return 0 if report.passed else 1

@@ -263,6 +263,13 @@ def check_types(config) -> None:
             raise TypeError(f"{field.name} must be {expected}")
 
 
+def check_port(name: str, port: int) -> None:
+    """Raise ValueError naming ``name`` unless ``port`` fits in 16 bits: a
+    connect keeps only the low 16, so 70000 would reach port 4464."""
+    if not 0 <= port <= 0xFFFF:
+        raise ValueError(f"{name} must be in 0..65535")
+
+
 def _has_type(value, annotation) -> bool:
     if isinstance(annotation, types.UnionType):
         return any(_has_type(value, arm) for arm in typing.get_args(annotation))

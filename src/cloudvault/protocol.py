@@ -102,8 +102,6 @@ class Frame:
         if len(self.payload) > MAX_FRAME_LEN:
             raise MalformedPayload(f"payload of {len(self.payload)} bytes exceeds cap")
 
-    def to_bytes(self) -> bytes:
-        return struct.pack(">BI", self.tag, len(self.payload)) + self.payload
 
 # ---------------------------------------------------------------------------
 # Field codecs: one (python value -> JSON value, JSON value -> python value)

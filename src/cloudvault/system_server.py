@@ -85,12 +85,7 @@ class StorageTarget:
 
     def __post_init__(self):
         netutil.check_types(self)
-
-
-# Deliberate mis-builds, used only to prove the leakage auditor catches a
-# broken deployment: a blob's key stored beside it, or plain client frames
-# accepted. Never set one outside that self-test.
-SABOTAGE_MODES = ("keys_on_storage", "plaintext_channel")
+        netutil.check_port("port", self.port)
 
 
 @dataclass
@@ -105,7 +100,6 @@ class SystemConfig:
     seed: int = 100
     mailbox_dir: str = ""
     rsa_bits: int = crypto_core.DEFAULT_RSA_BITS
-    sabotage: str | None = None  # one of SABOTAGE_MODES
 
     def __post_init__(self):
         if type(self.storage) is list:
@@ -114,8 +108,6 @@ class SystemConfig:
                 for target in self.storage
             ]
         netutil.check_types(self)
-        if self.sabotage not in (None, *SABOTAGE_MODES):
-            raise ValueError(f"sabotage must be one of {', '.join(SABOTAGE_MODES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +354,6 @@ class SystemService:
             blob = crypto_core.encrypt_file(
                 file_bytes, key, crypto_core.BLOB_INFO, _blob_aad(digest, number)
             )
-            if self.config.sabotage == "keys_on_storage":
-                blob += key  # deliberately broken build; see SABOTAGE_MODES
             client = self.storage_clients[upload_index % len(self.storage_clients)]
             try:
                 client.store(number, blob)
@@ -457,18 +447,15 @@ class SystemService:
         self, frame: protocol.Frame, conn: protocol.ConnectionState
     ) -> protocol.Frame:
         """A sealed request that opens gets a sealed reply, refusals
-        included. Any other frame gets a plain ``ErrorFrame``:
-        ``DECRYPTION_FAILURE`` for every sealed frame that does not open, so
-        the reply tells its sender nothing about the request. ``conn`` is the
-        state of the connection the frame came on: its first exchange keys
-        it, and later requests open under that key alone."""
+        included. Any other frame gets a plain ``ErrorFrame`` and changes
+        nothing: ``MALFORMED_PAYLOAD`` if it is not sealed, and the one
+        ``DECRYPTION_FAILURE`` for every sealed frame that does not open.
+        ``conn`` is the state of the connection the frame came on: its first
+        exchange keys it, and later requests open under that key alone."""
         try:
-            if frame.tag in (protocol.SEALED_TAG, protocol.KEYED_TAG):
-                msg = protocol.recv_sealed(frame, self.keypair, conn)
-            elif self.config.sabotage == "plaintext_channel":
-                return protocol.send_plain(self.dispatch(protocol.recv_plain(frame)))
-            else:
+            if frame.tag not in (protocol.SEALED_TAG, protocol.KEYED_TAG):
                 raise MalformedPayload("client traffic must be sealed")
+            msg = protocol.recv_sealed(frame, self.keypair, conn)
         except CloudVaultError as exc:
             return protocol.send_plain(protocol.error_frame(exc))
         reply = self.dispatch(msg)

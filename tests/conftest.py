@@ -4,13 +4,27 @@ import os
 
 import pytest
 
-from cloudvault import crypto_core, mailbox, netutil
+from cloudvault import crypto_core, mailbox, netutil, protocol
 from cloudvault import storage_server as storage_mod
 from cloudvault import system_server as system_mod
 
 # One shared keypair at the least size the RSA library generates keeps the
 # suite fast; key generation itself is covered in test_crypto_core.
 TEST_RSA_BITS = 1024
+
+
+def frame_bytes(frame: protocol.Frame) -> bytes:
+    """``frame`` as ``protocol.write_frame`` puts it on the wire."""
+    sent = bytearray()
+
+    class Wire:
+        def sendmsg(self, parts):
+            for part in parts:
+                sent.extend(part)
+            return sum(len(part) for part in parts)
+
+    protocol.write_frame(Wire(), frame)
+    return bytes(sent)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import pytest
 from cloudvault import client_cli, crypto_core, netutil, protocol
 from cloudvault.errors import DecryptionFailure
 
+from conftest import frame_bytes
 from test_system_server import _data_files
 from test_tamper import REFUSAL
 
@@ -201,7 +202,7 @@ def test_a_replayed_keyed_request_gets_the_one_refusal_and_changes_nothing(serve
     keyed.request(listing)
     for wire in (own, unkeyed, keyed):
         before = _state(s.stack)
-        assert wire.send(captured).to_bytes() == REFUSAL
+        assert frame_bytes(wire.send(captured)) == REFUSAL
         assert _state(s.stack) == before
     # a refusal moves no connection's seq: each still carries its next request
     labels = protocol.ListResponse(labels=tuple(s.stack.service.list_labels(token)))

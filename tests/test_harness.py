@@ -11,6 +11,8 @@ from cloudvault import crypto_core, harness, netutil, protocol, system_server
 from cloudvault.errors import StartupFailure
 from cloudvault.storage_server import stored_blobs
 
+from conftest import frame_bytes
+
 pytestmark = pytest.mark.integration
 
 
@@ -171,8 +173,9 @@ def test_keys_on_storage_mutation_is_caught(tmp_path):
 
 
 def test_keys_on_storage_mutation_decrypts_its_blobs(tmp_path):
-    # The key rides after the GCM tag; an adversary who ignores the tag
-    # still reads each blob's sentinel under it.
+    # Each key lies raw in a blob of its own beside its file's blob; an
+    # adversary who tries every 16-byte string of the dump reads each
+    # blob's sentinel under one of them.
     config = make_config(tmp_path, sabotage="keys_on_storage")
     with harness.run_topology(config) as topo:
         facts = harness.run_sentinel_workload(
@@ -298,11 +301,11 @@ def _exchange(address, frames) -> tuple[bytes, bytes]:
     written, read = b"", b""
     with socket.create_connection(address, timeout=5.0) as sock:
         for frame in frames:
-            written += frame.to_bytes()
-            sock.sendall(frame.to_bytes())
+            written += frame_bytes(frame)
+            sock.sendall(frame_bytes(frame))
             reply = protocol.read_frame(sock)
             assert reply is not None
-            read += reply.to_bytes()
+            read += frame_bytes(reply)
         sock.shutdown(socket.SHUT_WR)
         while chunk := sock.recv(65536):
             read += chunk

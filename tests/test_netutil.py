@@ -24,6 +24,7 @@ from cloudvault.errors import (
     ConnectionFailure,
     DecryptionFailure,
     InvalidKey,
+    IoFailure,
     StartupFailure,
     StorageUnavailable,
 )
@@ -777,10 +778,7 @@ MAINS = {
          "storage must be list[cloudvault.system_server.StorageTarget]"),
         ("system_server", "storage",
          [{"server_id": "s1", "host": "127.0.0.1", "port": "1"}], "port must be int"),
-        ("system_server", "sabotage", False, "sabotage must be str | None"),
         ("client_cli", "system_port", "1", "system_port must be int"),
-        ("client_cli", "sabotage_plaintext_channel", 1,
-         "sabotage_plaintext_channel must be bool"),
         ("harness", "storage_count", "2", "storage_count must be int"),
         ("harness", "sabotage", 1, "sabotage must be str | None"),
     ],
@@ -793,6 +791,50 @@ def test_a_config_value_of_the_wrong_type_is_one_coded_line(
     path.write_text(json.dumps({**_loading_config(tmp_path, module), key: value}))
     assert main([*before, "--config", str(path), *after]) == 1
     assert capsys.readouterr().err.splitlines() == [f"{code}: config {path}: {message}"]
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]  # nothing was started
+
+
+@pytest.mark.parametrize(
+    "module, key, value",
+    [("system_server", "sabotage", "keys_on_storage"),
+     ("client_cli", "sabotage_plaintext_channel", True)],
+)
+def test_a_config_that_sets_a_removed_mis_build_switch_is_one_coded_line(
+    tmp_path, capsys, module, key, value
+):
+    # The audit's mutations are made by the harness; no program ships one.
+    main, before, after, code = MAINS[module]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_loading_config(tmp_path, module), key: value}))
+    assert main([*before, "--config", str(path), *after]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{code}: config {path}: ") and key in line
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]  # nothing was started
+
+
+def test_a_storage_port_past_16_bits_is_refused(tmp_path):
+    # A connect keeps a port's low 16 bits: 70000 would reach port 4464.
+    for port in (-1, 65536, 70000):
+        with pytest.raises(ValueError, match=r"^port must be in 0\.\.65535$"):
+            system_mod.StorageTarget(server_id="s1", host="127.0.0.1", port=port)
+    assert system_mod.StorageTarget("s1", "127.0.0.1", 65535).port == 65535
+    config = _loading_config(tmp_path, "system_server")
+    config["storage"][0]["port"] = 70000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(IoFailure) as excinfo:
+        netutil.load_config(str(path), system_mod.SystemConfig)
+    assert str(excinfo.value) == f"config {path}: port must be in 0..65535"
+
+
+def test_a_client_system_port_past_16_bits_is_one_coded_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    config = {**_loading_config(tmp_path, "client_cli"), "system_port": 70000}
+    path.write_text(json.dumps(config))
+    assert client_cli.main(["--config", str(path), "list"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"IO_FAILURE: config {path}: system_port must be in 0..65535"
+    ]
     assert sorted(os.listdir(tmp_path)) == ["config.json"]  # nothing was started
 
 

@@ -19,6 +19,8 @@ from cloudvault.errors import (
     UnknownTag,
 )
 
+from conftest import frame_bytes
+
 RNG = random.Random(0xF7A3E)
 SESSION_KEY = bytes(range(16))
 
@@ -88,7 +90,7 @@ ALL_KINDS = sorted(protocol._SCHEMAS, key=lambda cls: cls.__name__)
 
 def test_empty_payload_frame_layout():
     frame = protocol.Frame(tag=0x42, payload=b"")
-    assert frame.to_bytes() == b"\x42\x00\x00\x00\x00"
+    assert frame_bytes(frame) == b"\x42\x00\x00\x00\x00"
 
 
 def test_header_too_short():
@@ -111,7 +113,7 @@ def test_trailing_bytes_rejected():
 def test_unknown_tag_rejected():
     frame = protocol.Frame(tag=0x7F, payload=b"{}")
     with pytest.raises(UnknownTag):
-        protocol.decode_frame(frame.to_bytes())
+        protocol.decode_frame(frame_bytes(frame))
 
 
 def test_oversized_declared_length():
@@ -407,9 +409,10 @@ def _damaged_frames(draw) -> bytes:
         name: draw(FIELD_STRATEGIES[codec])
         for name, codec in protocol._SCHEMAS[kind].items()
     }
-    frame = protocol.send_plain(kind(**fields))
+    msg = kind(**fields)
+    frame = protocol.send_plain(msg)
     reframe = draw(st.booleans())
-    data = bytearray(frame.payload if reframe else frame.to_bytes())
+    data = bytearray(frame.payload if reframe else protocol.encode_frame(msg))
     at = draw(st.integers(min_value=0, max_value=len(data) - 1))
     damage = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
     if damage == "flip":
@@ -420,7 +423,7 @@ def _damaged_frames(draw) -> bytes:
         del data[at]
     else:
         del data[at:]
-    return protocol.Frame(frame.tag, bytes(data)).to_bytes() if reframe else bytes(data)
+    return frame_bytes(protocol.Frame(frame.tag, bytes(data))) if reframe else bytes(data)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -539,7 +542,7 @@ def test_eavesdropper_sees_no_plaintext(client_keypair):
             session_token="ab" * 16, label="secret-label", file_bytes=file_marker
         ),
     ):
-        wire = protocol.send_sealed(msg, client_keypair.public, _fresh()).to_bytes()
+        wire = frame_bytes(protocol.send_sealed(msg, client_keypair.public, _fresh()))
         for marker in (
             username.encode(),
             otp.encode(),
@@ -622,7 +625,7 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
     other = crypto_core.rsa_generate(pub[0].bit_length())
     list_tag = protocol.tag_of(request)
     deep = b'{"session_token":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
-    nested = protocol.Frame(list_tag, deep).to_bytes()
+    nested = frame_bytes(protocol.Frame(list_tag, deep))
     return {
         "empty": b"",
         "shorter than k": good[: k - 1],
@@ -653,7 +656,7 @@ def malformed_sealed_payloads(pub: tuple[int, int]) -> dict[str, bytes]:
             nested, pub, SESSION_KEY
         ),
         "inner frame off the writer's layout": crypto_core.seal_envelope(
-            protocol.Frame(list_tag, b'{"session_token": "ab"}').to_bytes(),
+            frame_bytes(protocol.Frame(list_tag, b'{"session_token": "ab"}')),
             pub,
             SESSION_KEY,
         ),
@@ -676,7 +679,7 @@ def test_server_answers_malformed_sealed_payloads_with_plain_errors(local_stack)
         )
         assert reply.tag not in (protocol.SEALED_TAG, protocol.REPLY_TAG), name
         assert isinstance(protocol.recv_plain(reply), protocol.ErrorFrame), name
-        replies.add(reply.to_bytes())
+        replies.add(frame_bytes(reply))
     assert len(replies) == 1  # no reply tells which step failed
 
 

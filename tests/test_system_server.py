@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,6 +27,8 @@ from cloudvault.errors import (
     TableFull,
 )
 from cloudvault.system_server import StorageClient
+
+from conftest import frame_bytes
 
 
 class FailingMailbox:
@@ -793,7 +796,7 @@ def _seal_by_hand(stack, tag, obj, session_key) -> protocol.Frame:
     payload keeps the writer's layout, so the reader gets as far as the field
     codecs."""
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    inner = protocol.Frame(tag=tag, payload=payload.encode("ascii")).to_bytes()
+    inner = frame_bytes(protocol.Frame(tag=tag, payload=payload.encode("ascii")))
     return protocol.Frame(
         tag=protocol.SEALED_TAG,
         payload=crypto_core.seal_envelope(
@@ -904,7 +907,7 @@ def test_failed_logins_answer_alike(local_stack):
 def test_a_refusal_is_sealed_and_names_no_code_on_the_wire(local_stack, msg):
     stack = local_stack()
     stack.service.register("alice", "a@example.test")
-    wire = _handle(stack, _seal(stack, msg)).to_bytes()
+    wire = frame_bytes(_handle(stack, _seal(stack, msg)))
     for code in (b"AUTH_FAILED", b"INVALID_SESSION"):
         assert code not in wire
         assert code.hex().encode() not in wire
@@ -933,6 +936,31 @@ def test_plain_frames_rejected_without_sabotage(local_stack):
     reply = protocol.recv_plain(_handle(stack, frame))
     assert isinstance(reply, protocol.ErrorFrame)
     assert reply.code == "MALFORMED_PAYLOAD"
+
+    # On a keyed connection too: the plain copy of a request gets the same
+    # refusal, moves no seq and changes no table, and the next keyed request
+    # still opens. The harness's plaintext_channel mutation leans on this.
+    token = stack.register_and_login("plain", "plain@example.test")
+    stack.service.upload(token, "doc", b"kept")
+    client, server = protocol.ConnectionState(), protocol.ConnectionState()
+    listing = protocol.ListRequest(session_token=token)
+    for _ in range(2):  # the envelope keys the connection; then a keyed request
+        opened = protocol.recv_reply(
+            stack.service.handle_frame(_seal(stack, listing, client), server), client
+        )
+        assert opened == protocol.ListResponse(labels=("doc",))
+    assert server.keyed and server.seq == 1
+    state, files = dataclasses.replace(server), _data_files(stack)
+    upload = protocol.UploadRequest(session_token=token, label="leak", file_bytes=b"x")
+    refusal = stack.service.handle_frame(protocol.send_plain(upload), server)
+    assert protocol.recv_plain(refusal) == reply
+    assert server == state
+    assert _data_files(stack) == files
+    frame = _seal(stack, listing, client)
+    assert frame.tag == protocol.KEYED_TAG
+    opened = protocol.recv_reply(stack.service.handle_frame(frame, server), client)
+    assert opened == protocol.ListResponse(labels=("doc",))
+    assert server.seq == 2
 
 
 def test_response_messages_rejected_as_requests(local_stack):

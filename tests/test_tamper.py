@@ -11,12 +11,13 @@ import pytest
 from cloudvault import crypto_core, protocol
 from cloudvault.errors import DecryptionFailure, IntegrityFailure
 
+from conftest import frame_bytes
 from test_protocol import old_cbc_seal
 from test_system_server import CountingMailbox, _data_files, _seal
 
-REFUSAL = protocol.send_plain(
+REFUSAL = bytes(protocol.encode_frame(
     protocol.ErrorFrame(code="DECRYPTION_FAILURE", text=protocol.UNOPENABLE_TEXT)
-).to_bytes()
+))
 
 
 def _flips(payload: bytes):
@@ -35,7 +36,7 @@ def _assert_refused_and_unchanged(
         conn = protocol.ConnectionState()
     state = dataclasses.replace(conn)
     reply = stack.service.handle_frame(protocol.Frame(tag, payload), conn)
-    assert reply.to_bytes() == REFUSAL, where
+    assert frame_bytes(reply) == REFUSAL, where
     assert _data_files(stack) == files, where
     assert stack.mail.deliveries == mails, where
     assert conn == state, where
